@@ -36,12 +36,21 @@ void accumulate(Tensor& into, const Tensor& delta)
     for (std::int64_t i = 0; i < into.volume(); ++i) dst[i] += src[i];
 }
 
+/// accumulate(into, reduce_to_shape(grad, into.shape())) without the copy
+/// when no reduction is needed.
+void accumulate_reduced(Tensor& into, const Tensor& grad)
+{
+    if (grad.shape() == into.shape())
+        accumulate(into, grad);
+    else
+        accumulate(into, reduce_to_shape(grad, into.shape()));
+}
+
 } // namespace
 
 Var Tape::push(Tensor value, std::function<void()> backprop, Parameter* parameter)
 {
     Node n;
-    n.grad = Tensor(value.shape());
     n.value = std::move(value);
     n.backprop = std::move(backprop);
     n.parameter = parameter;
@@ -95,10 +104,8 @@ Var Tape::add(Var a, Var b)
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   reduce_to_shape(g, nodes_[static_cast<std::size_t>(ia)].value.shape()));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad,
-                   reduce_to_shape(g, nodes_[static_cast<std::size_t>(ib)].value.shape()));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, g);
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, g);
     };
     return out;
 }
@@ -111,10 +118,8 @@ Var Tape::sub(Var a, Var b)
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   reduce_to_shape(g, nodes_[static_cast<std::size_t>(ia)].value.shape()));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad,
-                   reduce_to_shape(xrl::scale(g, -1.0F), nodes_[static_cast<std::size_t>(ib)].value.shape()));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, g);
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, xrl::scale(g, -1.0F));
     };
     return out;
 }
@@ -129,10 +134,8 @@ Var Tape::mul(Var a, Var b)
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
         const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
         const Tensor& vb = nodes_[static_cast<std::size_t>(ib)].value;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   reduce_to_shape(xrl::mul(g, vb), va.shape()));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad,
-                   reduce_to_shape(xrl::mul(g, va), vb.shape()));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, xrl::mul(g, vb));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, xrl::mul(g, va));
     };
     return out;
 }
@@ -160,8 +163,10 @@ Var Tape::matmul(Var a, Var b)
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
         const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
         const Tensor& vb = nodes_[static_cast<std::size_t>(ib)].value;
+        // vb is weight-sized, so its transpose is a cheap copy; va is
+        // activation-sized and matmul_tn reads it transposed in place.
         accumulate(nodes_[static_cast<std::size_t>(ia)].grad, xrl::matmul(g, transpose_last2(vb)));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, xrl::matmul(transpose_last2(va), g));
+        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, matmul_tn(va, g));
     };
     return out;
 }
@@ -172,12 +177,14 @@ Var Tape::relu(Var a)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
         const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
-        Tensor delta(va.shape());
-        for (std::int64_t i = 0; i < va.volume(); ++i)
-            delta.at(i) = va.at(i) > 0.0F ? g.at(i) : 0.0F;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* x = va.data();
+        float* ga = nodes_[static_cast<std::size_t>(ia)].grad.data();
+        for (std::int64_t i = 0; i < va.volume(); ++i) {
+            const float gi = g[i]; // loaded unconditionally so the select vectorises
+            ga[i] += x[i] > 0.0F ? gi : 0.0F;
+        }
     };
     return out;
 }
@@ -188,12 +195,11 @@ Var Tape::leaky_relu(Var a, float slope)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, slope] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
         const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
-        Tensor delta(va.shape());
-        for (std::int64_t i = 0; i < va.volume(); ++i)
-            delta.at(i) = va.at(i) > 0.0F ? g.at(i) : slope * g.at(i);
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* x = va.data();
+        float* ga = nodes_[static_cast<std::size_t>(ia)].grad.data();
+        for (std::int64_t i = 0; i < va.volume(); ++i) ga[i] += x[i] > 0.0F ? g[i] : slope * g[i];
     };
     return out;
 }
@@ -449,7 +455,8 @@ Var Tape::sum_all(Var a)
     node(out).backprop = [this, ia, io] {
         const float g = nodes_[static_cast<std::size_t>(io)].grad.at(0);
         Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
-        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.at(i) += g;
+        float* dst = ga.data();
+        for (std::int64_t i = 0; i < ga.volume(); ++i) dst[i] += g;
     };
     return out;
 }
@@ -478,6 +485,13 @@ void Tape::backward(Var loss)
 {
     Node& l = node(loss);
     XRL_EXPECTS(l.value.volume() == 1);
+    // Gradient buffers exist only once a backward pass needs them, so a
+    // forward-only tape (behaviour-time action selection) allocates none.
+    for (int i = 0; i <= loss.index; ++i) {
+        auto& n = nodes_[static_cast<std::size_t>(i)];
+        if (n.grad.shape() != n.value.shape() || n.grad.volume() != n.value.volume())
+            n.grad = Tensor(n.value.shape());
+    }
     l.grad.at(0) = 1.0F;
     for (int i = loss.index; i >= 0; --i) {
         auto& n = nodes_[static_cast<std::size_t>(i)];

@@ -102,6 +102,7 @@ public:
     // -- access ---------------------------------------------------------------
 
     const Tensor& value(Var v) const;
+    /// Gradient of `v`; empty until backward() has run.
     const Tensor& grad(Var v) const;
     std::size_t size() const { return nodes_.size(); }
 
@@ -111,7 +112,7 @@ public:
 private:
     struct Node {
         Tensor value;
-        Tensor grad;
+        Tensor grad;                    // allocated by backward()
         std::function<void()> backprop; // may be empty (leaves)
         Parameter* parameter = nullptr;
     };

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -59,66 +60,204 @@ Shape broadcast_shapes(const Shape& a, const Shape& b)
     return out;
 }
 
-Tensor ewise_binary(const Tensor& a, const Tensor& b, const std::function<float(float, float)>& f)
+namespace {
+
+// The one elementwise driver behind every binary op. Each output element is
+// f(a[ia], b[ib]) on exactly the operands the generic broadcast walk picks;
+// the flat paths only drop the index bookkeeping, so results are identical
+// bit for bit whichever path runs.
+template <typename F>
+Tensor broadcast_binary(const Tensor& a, const Tensor& b, F f)
 {
     const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
     Tensor out(out_shape);
-    if (a.shape() == b.shape()) { // fast path, no broadcast bookkeeping
-        for (std::int64_t i = 0; i < out.volume(); ++i) out.at(i) = f(a.at(i), b.at(i));
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    if (a.shape() == b.shape()) {
+        for (std::int64_t i = 0; i < out.volume(); ++i) po[i] = f(pa[i], pb[i]);
         return out;
     }
+    if (a.rank() == 2 && b.rank() == 2 && a.volume() > 0 && b.volume() > 0) {
+        // Any 2-D broadcast: an operand of extent 1 along an axis gets
+        // stride 0 there. Covers the bias row [1,n] and the GAT column [m,1].
+        const std::int64_t m = out_shape[0];
+        const std::int64_t n = out_shape[1];
+        const std::int64_t a_row = a.dim(0) == 1 ? 0 : a.dim(1);
+        const std::int64_t b_row = b.dim(0) == 1 ? 0 : b.dim(1);
+        const bool a_cols = a.dim(1) != 1;
+        const bool b_cols = b.dim(1) != 1;
+        for (std::int64_t i = 0; i < m; ++i) {
+            const float* ra = pa + i * a_row;
+            const float* rb = pb + i * b_row;
+            float* ro = po + i * n;
+            if (a_cols && b_cols) {
+                for (std::int64_t j = 0; j < n; ++j) ro[j] = f(ra[j], rb[j]);
+            } else if (a_cols) {
+                const float y = rb[0];
+                for (std::int64_t j = 0; j < n; ++j) ro[j] = f(ra[j], y);
+            } else if (b_cols) {
+                const float x = ra[0];
+                for (std::int64_t j = 0; j < n; ++j) ro[j] = f(x, rb[j]);
+            } else { // both [m,1] or [1,1]: n == 1
+                ro[0] = f(ra[0], rb[0]);
+            }
+        }
+        return out;
+    }
+    // Generic multi-index walk for every other broadcast.
     const auto sa = strides_of(a.shape());
     const auto sb = strides_of(b.shape());
     std::vector<std::int64_t> index(out_shape.size(), 0);
     for (std::int64_t flat = 0; flat < out.volume(); ++flat) {
         const std::int64_t ia = broadcast_flat_index(a.shape(), sa, index, out_shape.size());
         const std::int64_t ib = broadcast_flat_index(b.shape(), sb, index, out_shape.size());
-        out.at(flat) = f(a.at(ia), b.at(ib));
+        po[flat] = f(a.at(ia), b.at(ib));
         advance_index(index, out_shape);
     }
     return out;
 }
 
-Tensor add(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x + y; }); }
-Tensor sub(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x - y; }); }
-Tensor mul(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x * y; }); }
-Tensor div(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x / y; }); }
-
-Tensor ewise_unary(const Tensor& a, const std::function<float(float)>& f)
+template <typename F>
+Tensor map_unary(const Tensor& a, F f)
 {
     Tensor out(a.shape());
-    for (std::int64_t i = 0; i < a.volume(); ++i) out.at(i) = f(a.at(i));
+    const float* pa = a.data();
+    float* po = out.data();
+    for (std::int64_t i = 0; i < a.volume(); ++i) po[i] = f(pa[i]);
     return out;
 }
 
-Tensor relu(const Tensor& a) { return ewise_unary(a, [](float x) { return x > 0.0F ? x : 0.0F; }); }
+} // namespace
+
+Tensor add(const Tensor& a, const Tensor& b) { return broadcast_binary(a, b, [](float x, float y) { return x + y; }); }
+Tensor sub(const Tensor& a, const Tensor& b) { return broadcast_binary(a, b, [](float x, float y) { return x - y; }); }
+Tensor mul(const Tensor& a, const Tensor& b) { return broadcast_binary(a, b, [](float x, float y) { return x * y; }); }
+Tensor div(const Tensor& a, const Tensor& b) { return broadcast_binary(a, b, [](float x, float y) { return x / y; }); }
+
+Tensor relu(const Tensor& a) { return map_unary(a, [](float x) { return x > 0.0F ? x : 0.0F; }); }
 
 Tensor leaky_relu(const Tensor& a, float negative_slope)
 {
-    return ewise_unary(a, [negative_slope](float x) { return x > 0.0F ? x : negative_slope * x; });
+    return map_unary(a, [negative_slope](float x) { return x > 0.0F ? x : negative_slope * x; });
 }
 
 Tensor gelu(const Tensor& a)
 {
-    return ewise_unary(a, [](float x) {
+    return map_unary(a, [](float x) {
         return 0.5F * x * (1.0F + std::erf(x / 1.41421356237F));
     });
 }
 
 Tensor sigmoid(const Tensor& a)
 {
-    return ewise_unary(a, [](float x) { return 1.0F / (1.0F + std::exp(-x)); });
+    return map_unary(a, [](float x) { return 1.0F / (1.0F + std::exp(-x)); });
 }
 
-Tensor tanh_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::tanh(x); }); }
-Tensor exp_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::exp(x); }); }
-Tensor sqrt_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::sqrt(x); }); }
-Tensor erf_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::erf(x); }); }
+Tensor tanh_op(const Tensor& a) { return map_unary(a, [](float x) { return std::tanh(x); }); }
+Tensor exp_op(const Tensor& a) { return map_unary(a, [](float x) { return std::exp(x); }); }
+Tensor sqrt_op(const Tensor& a) { return map_unary(a, [](float x) { return std::sqrt(x); }); }
+Tensor erf_op(const Tensor& a) { return map_unary(a, [](float x) { return std::erf(x); }); }
 
 Tensor scale(const Tensor& a, float factor)
 {
-    return ewise_unary(a, [factor](float x) { return factor * x; });
+    return map_unary(a, [factor](float x) { return factor * x; });
 }
+
+namespace {
+
+// A row-major operand read through strides: element (i, kk) of the left
+// factor is at[i * row + kk * col]. matmul reads a as stored (row = k,
+// col = 1); matmul_tn reads the transpose of its stored a (row = 1,
+// col = m) without copying it.
+struct Strided {
+    const float* at;
+    std::int64_t row;
+    std::int64_t col;
+};
+
+// Writes to `index` each kk < k where a(i, kk) != 0 and returns how many,
+// without a data-dependent branch (relu outputs are zero at random, which
+// a branch would mispredict).
+std::int64_t gather_nonzero(const Strided& a, std::int64_t i, std::int64_t k, std::int64_t* index)
+{
+    std::int64_t count = 0;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+        index[count] = kk;
+        count += a.at[i * a.row + kk * a.col] != 0.0F ? 1 : 0;
+    }
+    return count;
+}
+
+// `sum` where av != 0, else `old`: the term of a zero av never enters the
+// sum. A bitwise select rather than ?: so that loops over it vectorise (the
+// compiler keeps a float ?: as a branch).
+float keep_if_nonzero(float av, float sum, float old)
+{
+    const std::uint32_t keep = av != 0.0F ? ~0U : 0U;
+    return std::bit_cast<float>((std::bit_cast<std::uint32_t>(sum) & keep) |
+                                (std::bit_cast<std::uint32_t>(old) & ~keep));
+}
+
+// Register tile width (output columns, or rows for a matrix-vector product).
+constexpr std::int64_t tile = 16;
+
+// out (m x n) = a (m x k) * b (k x n), b and out row-major. Every output
+// element sums av * bv over kk in ascending order, skipping av == 0,
+// starting from +0.0F — the order of the naive i-k-j loop. A skipped term
+// is never added (not even as a zero), so the result is the same for every
+// input, inf and NaN included.
+void matmul_block(const Strided& a, const float* b, float* out, std::int64_t m, std::int64_t k,
+                  std::int64_t n)
+{
+    if (n == 1) { // matrix-vector (the GAT attention score and its gradient)
+        // A tile of rows copied column by column, so their running sums sit
+        // side by side and the sweep over k vectorises across them.
+        std::vector<float> columns(static_cast<std::size_t>(k * tile));
+        for (std::int64_t i0 = 0; i0 < m; i0 += tile) {
+            const std::int64_t rows = std::min(tile, m - i0);
+            for (std::int64_t kk = 0; kk < k; ++kk)
+                for (std::int64_t r = 0; r < rows; ++r)
+                    columns[static_cast<std::size_t>(kk * tile + r)] = a.at[(i0 + r) * a.row + kk * a.col];
+            float acc[tile] = {};
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+                const float* col = columns.data() + kk * tile;
+                for (std::int64_t r = 0; r < rows; ++r)
+                    acc[r] = keep_if_nonzero(col[r], acc[r] + col[r] * b[kk], acc[r]);
+            }
+            std::copy(acc, acc + rows, out + i0);
+        }
+        return;
+    }
+    // Per row of a: gather the nonzero columns, then sweep them over output
+    // tiles of `tile` columns held in registers (the remainder goes straight
+    // to memory).
+    std::vector<std::int64_t> nonzero(static_cast<std::size_t>(k));
+    for (std::int64_t i = 0; i < m; ++i) {
+        const std::int64_t count = gather_nonzero(a, i, k, nonzero.data());
+        const float* arow = a.at + i * a.row;
+        float* orow = out + i * n;
+        std::int64_t j0 = 0;
+        for (; j0 + tile <= n; j0 += tile) {
+            float acc[tile] = {};
+            for (std::int64_t c = 0; c < count; ++c) {
+                const std::int64_t kk = nonzero[static_cast<std::size_t>(c)];
+                const float av = arow[kk * a.col];
+                const float* brow = b + kk * n + j0;
+                for (std::int64_t j = 0; j < tile; ++j) acc[j] += av * brow[j];
+            }
+            std::copy(acc, acc + tile, orow + j0);
+        }
+        for (std::int64_t c = 0; c < count && j0 < n; ++c) {
+            const std::int64_t kk = nonzero[static_cast<std::size_t>(c)];
+            const float av = arow[kk * a.col];
+            const float* brow = b + kk * n;
+            for (std::int64_t j = j0; j < n; ++j) orow[j] += av * brow[j];
+        }
+    }
+}
+
+} // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b)
 {
@@ -129,15 +268,7 @@ Tensor matmul(const Tensor& a, const Tensor& b)
         XRL_EXPECTS(b.dim(0) == k);
         const std::int64_t n = b.dim(1);
         Tensor out(Shape{m, n});
-        for (std::int64_t i = 0; i < m; ++i) {
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float av = a.at(i * k + kk);
-                if (av == 0.0F) continue;
-                const float* brow = b.data() + kk * n;
-                float* orow = out.data() + i * n;
-                for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-            }
-        }
+        matmul_block({a.data(), k, 1}, b.data(), out.data(), m, k, n);
         return out;
     }
     // Batched: flatten leading axes of `a` into a batch; `b` is either
@@ -156,20 +287,21 @@ Tensor matmul(const Tensor& a, const Tensor& b)
         n = b.dim(1);
     }
     Tensor out(Shape{batch, m, n});
-    for (std::int64_t bi = 0; bi < batch; ++bi) {
-        const float* abase = a.data() + bi * m * k;
-        const float* bbase = b.data() + (b_batched ? bi * k * n : 0);
-        float* obase = out.data() + bi * m * n;
-        for (std::int64_t i = 0; i < m; ++i) {
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float av = abase[i * k + kk];
-                if (av == 0.0F) continue;
-                const float* brow = bbase + kk * n;
-                float* orow = obase + i * n;
-                for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-            }
-        }
-    }
+    for (std::int64_t bi = 0; bi < batch; ++bi)
+        matmul_block({a.data() + bi * m * k, k, 1}, b.data() + (b_batched ? bi * k * n : 0),
+                     out.data() + bi * m * n, m, k, n);
+    return out;
+}
+
+Tensor matmul_tn(const Tensor& a, const Tensor& b)
+{
+    XRL_EXPECTS(a.rank() == 2 && b.rank() == 2);
+    const std::int64_t k = a.dim(0);
+    const std::int64_t m = a.dim(1);
+    XRL_EXPECTS(b.dim(0) == k);
+    const std::int64_t n = b.dim(1);
+    Tensor out(Shape{m, n});
+    matmul_block({a.data(), 1, m}, b.data(), out.data(), m, k, n);
     return out;
 }
 
@@ -195,10 +327,19 @@ Tensor transpose(const Tensor& a, const std::vector<std::int64_t>& perm)
 Tensor transpose_last2(const Tensor& a)
 {
     XRL_EXPECTS(a.rank() >= 2);
-    std::vector<std::int64_t> perm(static_cast<std::size_t>(a.rank()));
-    for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<std::int64_t>(i);
-    std::swap(perm[perm.size() - 1], perm[perm.size() - 2]);
-    return transpose(a, perm);
+    Shape out_shape = a.shape();
+    std::swap(out_shape[out_shape.size() - 1], out_shape[out_shape.size() - 2]);
+    Tensor out(out_shape);
+    const std::int64_t m = a.dim(a.rank() - 2);
+    const std::int64_t n = a.dim(a.rank() - 1);
+    const std::int64_t batch = m * n == 0 ? 0 : a.volume() / (m * n);
+    for (std::int64_t bi = 0; bi < batch; ++bi) {
+        const float* src = a.data() + bi * m * n;
+        float* dst = out.data() + bi * m * n;
+        for (std::int64_t i = 0; i < m; ++i)
+            for (std::int64_t j = 0; j < n; ++j) dst[j * m + i] = src[i * n + j];
+    }
+    return out;
 }
 
 Tensor concat(const std::vector<Tensor>& parts, std::int64_t axis)
@@ -505,13 +646,14 @@ Tensor reduce_axis(const Tensor& input, std::int64_t axis, bool keep_dim, bool m
     const std::int64_t extent = input.dim(axis);
 
     Tensor out(out_shape);
+    const float* src = input.data();
+    float* dst = out.data();
     for (std::int64_t o = 0; o < outer; ++o) {
         for (std::int64_t i = 0; i < inner; ++i) {
             float acc = 0.0F;
-            for (std::int64_t e = 0; e < extent; ++e)
-                acc += input.at((o * extent + e) * inner + i);
+            for (std::int64_t e = 0; e < extent; ++e) acc += src[(o * extent + e) * inner + i];
             if (mean) acc /= static_cast<float>(extent);
-            out.at(o * inner + i) = acc;
+            dst[o * inner + i] = acc;
         }
     }
     return out;

@@ -1,13 +1,19 @@
-// Reference kernels for every operator in the graph IR.
+// CPU kernels for every operator in the graph IR, plus the transposed
+// matrix product the autograd tape's matmul backward needs.
 //
-// These run on the CPU with straightforward loops. They define the
-// *semantics* that rewrite rules must preserve; the property-test suite and
-// the TASO-style rule generator execute graphs through these kernels on
-// random inputs and compare results.
+// They define the *semantics* that rewrite rules must preserve (the
+// property-test suite and the TASO-style rule generator execute graphs
+// through them on random inputs) and they carry the GNN encoder and the PPO
+// losses. Contract: the hot ops have flat paths for contiguous 2-D data
+// (same-shape and row/column-broadcast elementwise, tiled and
+// matrix-vector matmul, transposed product), and every output element sees
+// the same float
+// operations in the same order as the generic path would give it, so a
+// fast path never changes a bit of a result. Nothing relies on FMA
+// contraction or fast-math reassociation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -22,14 +28,10 @@ namespace xrl {
 /// shapes are incompatible.
 Shape broadcast_shapes(const Shape& a, const Shape& b);
 
-Tensor ewise_binary(const Tensor& a, const Tensor& b, const std::function<float(float, float)>& f);
-
 Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor div(const Tensor& a, const Tensor& b);
-
-Tensor ewise_unary(const Tensor& a, const std::function<float(float)>& f);
 
 Tensor relu(const Tensor& a);
 Tensor leaky_relu(const Tensor& a, float negative_slope);
@@ -48,6 +50,10 @@ Tensor scale(const Tensor& a, float factor);
 /// Matrix product. Supports (m,k)x(k,n); (b,m,k)x(b,k,n); and
 /// (b,m,k)x(k,n) with the right-hand side broadcast over the batch.
 Tensor matmul(const Tensor& a, const Tensor& b);
+
+/// a (k,m)^T x b (k,n) -> (m,n) without materialising a^T; bit-identical
+/// to matmul(transpose_last2(a), b).
+Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// Permute axes; `perm` must be a permutation of [0, rank).
 Tensor transpose(const Tensor& a, const std::vector<std::int64_t>& perm);

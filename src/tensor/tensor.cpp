@@ -59,24 +59,6 @@ Tensor Tensor::random_uniform(Shape shape, Rng& rng, float lo, float hi)
     return t;
 }
 
-std::int64_t Tensor::dim(std::int64_t axis) const
-{
-    XRL_EXPECTS(axis >= 0 && axis < rank());
-    return shape_[static_cast<std::size_t>(axis)];
-}
-
-float& Tensor::at(std::int64_t flat_index)
-{
-    XRL_EXPECTS(flat_index >= 0 && flat_index < volume());
-    return data_[static_cast<std::size_t>(flat_index)];
-}
-
-float Tensor::at(std::int64_t flat_index) const
-{
-    XRL_EXPECTS(flat_index >= 0 && flat_index < volume());
-    return data_[static_cast<std::size_t>(flat_index)];
-}
-
 std::int64_t Tensor::flat_index(const std::vector<std::int64_t>& index) const
 {
     XRL_EXPECTS(static_cast<std::int64_t>(index.size()) == rank());

@@ -1,15 +1,17 @@
 // Dense row-major float tensor.
 //
-// This is the *reference* numeric substrate: it executes operators exactly
-// (naively) so that the rewrite-rule generator and the property-test suite
-// can check that graph transformations preserve semantics on random inputs.
-// It is deliberately simple — clarity over speed (Per.1/Per.3).
+// The numeric substrate for two users: the rewrite-rule generator and the
+// property-test suite execute graphs on it to check that transformations
+// preserve semantics, and the autograd tape (GNN encoder, PPO losses) runs
+// on it. Element access stays bounds-checked; it is defined inline so the
+// per-element loops that still use it do not pay a cross-TU call.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "support/check.h"
 #include "support/rng.h"
 
 namespace xrl {
@@ -45,7 +47,11 @@ public:
 
     const Shape& shape() const { return shape_; }
     std::int64_t rank() const { return static_cast<std::int64_t>(shape_.size()); }
-    std::int64_t dim(std::int64_t axis) const;
+    std::int64_t dim(std::int64_t axis) const
+    {
+        XRL_EXPECTS(axis >= 0 && axis < rank());
+        return shape_[static_cast<std::size_t>(axis)];
+    }
     std::int64_t volume() const { return static_cast<std::int64_t>(data_.size()); }
 
     float* data() { return data_.data(); }
@@ -53,8 +59,16 @@ public:
     std::vector<float>& values() { return data_; }
     const std::vector<float>& values() const { return data_; }
 
-    float& at(std::int64_t flat_index);
-    float at(std::int64_t flat_index) const;
+    float& at(std::int64_t flat_index)
+    {
+        XRL_EXPECTS(flat_index >= 0 && flat_index < volume());
+        return data_[static_cast<std::size_t>(flat_index)];
+    }
+    float at(std::int64_t flat_index) const
+    {
+        XRL_EXPECTS(flat_index >= 0 && flat_index < volume());
+        return data_[static_cast<std::size_t>(flat_index)];
+    }
 
     /// Row-major flat index for a multi-index (size must equal rank).
     std::int64_t flat_index(const std::vector<std::int64_t>& index) const;

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "core/agent.h"
+#include "core/xrlflow.h"
 #include "gnn/encoding.h"
 #include "gnn/gnn.h"
 #include "ir/builder.h"
 #include "models/models.h"
+#include "rl/categorical.h"
+#include "rules/corpus.h"
 
 namespace xrl {
 namespace {
@@ -293,6 +300,99 @@ TEST(GnnEncoder, HandlesRealModelGraph)
     Tape tape;
     const auto out = encoder(tape, enc);
     EXPECT_EQ(tape.value(out.graph_embeddings).dim(0), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity golden fingerprints. The nn/tensor kernels promise the same
+// float operations in the same order for every output element, so a kernel
+// rewrite must leave these hashes untouched. A change here means the
+// policy's decisions (and every exact benchmark number) may have moved.
+// The constants were recorded on an x86-64 build (SSE2, no FMA, glibc libm).
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bit patterns of a tensor's floats.
+std::uint64_t hash_float_bits(std::uint64_t h, const Tensor& t)
+{
+    for (const float x : t.values()) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &x, sizeof bits);
+        for (int byte = 0; byte < 4; ++byte) {
+            h ^= (bits >> (8 * byte)) & 0xFFU;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+constexpr std::uint64_t fnv_offset = 0xcbf29ce484222325ULL;
+
+Agent_config golden_agent_config()
+{
+    Agent_config config;
+    config.gnn.hidden_dim = 16;
+    config.gnn.global_dim = 12;
+    config.gnn.num_gat_layers = 3;
+    config.head_hidden = {24, 8};
+    config.max_candidates = 7;
+    return config;
+}
+
+TEST(GoldenFingerprint, AgentForwardAndGradientsAreBitIdentical)
+{
+    const Graph current = make_bert(Scale::smoke, 16);
+    const Graph small = small_graph();
+    Graph_builder b;
+    const Edge x = b.input({4, 8});
+    const Edge w = b.weight({8, 8});
+    const Graph fused = b.finish({b.matmul(x, w, Activation::relu)});
+    const Encoded_graph state = encode_meta_graph(current, {&small, &fused, &current});
+
+    Agent agent(golden_agent_config(), 2024);
+    for (Parameter* p : agent.parameters()) p->zero_grad();
+    Tape tape;
+    const Agent::Forward fwd = agent.forward(tape, state);
+
+    // One PPO-style item loss (Eqs. 3-5) so every tape op the trainer uses
+    // contributes to the gradients.
+    const std::vector<std::uint8_t> mask = {1, 1, 0, 1, 0, 0, 0, 1};
+    const Categorical_vars dist = masked_categorical(tape, fwd.logits, mask);
+    const Var log_prob = tape.pick(dist.log_probs, 1);
+    const Var ratio = tape.exp(tape.add(log_prob, tape.constant(Tensor(Shape{1, 1}, {1.25F}))));
+    const Var objective = tape.minimum(tape.scale(ratio, 0.7F),
+                                       tape.scale(tape.clamp(ratio, 0.8F, 1.2F), 0.7F));
+    const Var value_error =
+        tape.square(tape.add(fwd.value, tape.constant(Tensor(Shape{1, 1}, {-0.3F}))));
+    Var loss = tape.add(tape.neg(objective), tape.scale(value_error, 0.5F));
+    loss = tape.add(loss, tape.scale(dist.entropy, -0.01F));
+    tape.backward(loss);
+
+    std::uint64_t forward_hash = hash_float_bits(fnv_offset, tape.value(fwd.logits));
+    forward_hash = hash_float_bits(forward_hash, tape.value(fwd.value));
+    std::uint64_t grad_hash = fnv_offset;
+    for (const Parameter* p : agent.parameters()) grad_hash = hash_float_bits(grad_hash, p->grad);
+    EXPECT_EQ(forward_hash, 0x6a8861987b2798baULL);
+    EXPECT_EQ(grad_hash, 0xe55ea3cea4b56867ULL);
+}
+
+TEST(GoldenFingerprint, TrainThenOptimiseBestGraphIsBitIdentical)
+{
+    const Rule_set rules = standard_rule_corpus();
+    Xrlflow_config config;
+    config.agent = golden_agent_config();
+    config.agent.max_candidates = 15;
+    config.env.max_steps = 6;
+    config.trainer.update_every_episodes = 2;
+    config.trainer.ppo.minibatch_size = 4;
+    config.trainer.ppo.epochs = 1;
+    config.inference_rollouts = 2;
+    Xrlflow system(rules, config);
+
+    const Graph model = make_bert(Scale::smoke, 8);
+    system.train(model, 2);
+    const Optimisation_outcome outcome = system.optimise(model);
+    EXPECT_NE(outcome.best_graph.canonical_hash(), model.canonical_hash());
+    EXPECT_EQ(outcome.best_graph.canonical_hash(), 0x1ce7973ece96406eULL);
+    EXPECT_EQ(outcome.steps, 6);
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -75,12 +76,39 @@ TEST(Autograd, AddBroadcastGradient)
 
 TEST(Autograd, MatmulGradient)
 {
+    // Both sides of x (m x k) * w (k x n): the left gradient is g * w^T, the
+    // right one x^T * g (matmul_tn). Square, non-square (catches a swapped
+    // extent) and the GAT attention-score shape (E x 2d) * (2d x 1).
+    const std::vector<std::array<std::int64_t, 3>> shapes = {{2, 3, 4}, {4, 3, 5}, {7, 6, 1}};
     Rng rng(2);
-    Parameter p(Tensor::random_uniform({3, 4}, rng));
-    const Tensor x = Tensor::random_uniform({2, 3}, rng);
-    check_gradients(p, once_backward([&x](Tape& t, Var leaf) {
-                        return t.sum_all(t.square(t.matmul(t.constant(x), leaf)));
-                    }));
+    for (const auto& [m, k, n] : shapes) {
+        Parameter right(Tensor::random_uniform({k, n}, rng));
+        const Tensor x = Tensor::random_uniform({m, k}, rng);
+        check_gradients(right, once_backward([&x](Tape& t, Var leaf) {
+                            return t.sum_all(t.square(t.matmul(t.constant(x), leaf)));
+                        }));
+        Parameter left(Tensor::random_uniform({m, k}, rng));
+        const Tensor w = Tensor::random_uniform({k, n}, rng);
+        check_gradients(left, once_backward([&w](Tape& t, Var leaf) {
+                            return t.sum_all(t.square(t.matmul(leaf, t.constant(w))));
+                        }));
+    }
+}
+
+TEST(Autograd, ForwardOnlyTapeHoldsNoGradientBuffers)
+{
+    Rng rng(14);
+    Parameter w(Tensor::random_uniform({4, 3}, rng));
+    Tape tape;
+    const Var x = tape.constant(Tensor::random_uniform({2, 4}, rng));
+    const Var loss = tape.sum_all(tape.relu(tape.matmul(x, tape.param(w))));
+    for (int i = 0; i < static_cast<int>(tape.size()); ++i)
+        EXPECT_EQ(tape.grad(Var{i}).volume(), 0) << "node " << i;
+
+    tape.backward(loss);
+    for (int i = 0; i < static_cast<int>(tape.size()); ++i)
+        EXPECT_EQ(tape.grad(Var{i}).shape(), tape.value(Var{i}).shape()) << "node " << i;
+    EXPECT_EQ(tape.grad(loss).at(0), 1.0F);
 }
 
 TEST(Autograd, ReluAndLeakyReluGradient)

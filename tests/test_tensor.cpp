@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 
 #include "support/check.h"
 #include "tensor/kernels.h"
@@ -8,6 +11,80 @@
 
 namespace xrl {
 namespace {
+
+// Fast paths must reproduce, bit for bit, the generic broadcast walk or the
+// naive triple loop they replace. Inputs carry exact zeros (the matmul
+// kernels skip zero terms) and a few negative zeros.
+
+Tensor random_with_zeros(const Shape& shape, Rng& rng)
+{
+    Tensor t = Tensor::random_uniform(shape, rng);
+    for (float& x : t.values()) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (u < 0.3) x = 0.0F;
+        else if (u < 0.35) x = -0.0F;
+    }
+    return t;
+}
+
+void expect_bit_identical(const Tensor& actual, const Tensor& expected)
+{
+    ASSERT_EQ(actual.shape(), expected.shape());
+    for (std::int64_t i = 0; i < actual.volume(); ++i) {
+        const float x = actual.at(i);
+        const float y = expected.at(i);
+        EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << "element " << i << ": " << x << " vs " << y;
+    }
+}
+
+/// NumPy broadcasting by explicit multi-index arithmetic, one element at a
+/// time: the semantics every elementwise path must match.
+Tensor reference_broadcast(const Tensor& a, const Tensor& b, const std::function<float(float, float)>& f)
+{
+    const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
+    Tensor out(out_shape);
+    const auto source = [&out_shape](const Tensor& t, std::int64_t flat) {
+        std::int64_t index = 0;
+        std::int64_t stride = 1;
+        std::int64_t rest = flat;
+        for (std::int64_t axis = static_cast<std::int64_t>(out_shape.size()) - 1; axis >= 0; --axis) {
+            const std::int64_t extent = out_shape[static_cast<std::size_t>(axis)];
+            const std::int64_t i = rest % extent;
+            rest /= extent;
+            const std::int64_t t_axis = axis - (static_cast<std::int64_t>(out_shape.size()) - t.rank());
+            if (t_axis < 0) continue;
+            const std::int64_t t_extent = t.dim(t_axis);
+            index += (t_extent == 1 ? 0 : i) * stride;
+            stride *= t_extent;
+        }
+        return t.at(index);
+    };
+    for (std::int64_t flat = 0; flat < out.volume(); ++flat)
+        out.at(flat) = f(source(a, flat), source(b, flat));
+    return out;
+}
+
+/// Naive triple loop in the kernels' documented order: for each output
+/// element, terms in ascending k, a zero left factor skipped.
+Tensor naive_matmul(const Tensor& a, const Tensor& b)
+{
+    const std::int64_t m = a.dim(0);
+    const std::int64_t k = a.dim(1);
+    const std::int64_t n = b.dim(1);
+    Tensor out(Shape{m, n});
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float acc = 0.0F;
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+                const float av = a.at(i * k + kk);
+                if (av == 0.0F) continue;
+                acc += av * b.at(kk * n + j);
+            }
+            out.at(i * n + j) = acc;
+        }
+    }
+    return out;
+}
 
 TEST(Shape, VolumeOfScalarIsOne)
 {
@@ -424,30 +501,32 @@ TEST(Enlarge, EnlargedConvMatchesPaddedConv)
     EXPECT_TRUE(Tensor::all_close(y_small, y_big, 1e-4F));
 }
 
-// Parameterised sweep: matmul result matches a straightforward triple loop
-// across a family of shapes.
+// Parameterised sweep: matmul and the backward pass's transposed product
+// match the naive triple loop bit for bit across a family of shapes that
+// reaches every kernel path (matrix-vector, column tiles and their tail).
 class Matmul_shapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(Matmul_shapes, MatchesNaiveTripleLoop)
 {
     const auto [m, k, n] = GetParam();
     Rng rng(static_cast<std::uint64_t>(m * 10007 + k * 101 + n));
-    const Tensor a = Tensor::random_uniform({m, k}, rng);
-    const Tensor b = Tensor::random_uniform({k, n}, rng);
-    const Tensor c = matmul(a, b);
-    for (int i = 0; i < m; ++i) {
-        for (int j = 0; j < n; ++j) {
-            float acc = 0.0F;
-            for (int kk = 0; kk < k; ++kk) acc += a.at(i * k + kk) * b.at(kk * n + j);
-            EXPECT_NEAR(c.at(i * n + j), acc, 1e-4F);
-        }
-    }
+    const Tensor a = random_with_zeros({m, k}, rng);
+    const Tensor b = random_with_zeros({k, n}, rng);
+    const Tensor expected = naive_matmul(a, b);
+    expect_bit_identical(matmul(a, b), expected);
+    expect_bit_identical(matmul_tn(transpose_last2(a), b), expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, Matmul_shapes,
-                         ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4},
-                                           std::tuple{5, 1, 7}, std::tuple{8, 8, 8},
-                                           std::tuple{3, 16, 2}, std::tuple{13, 7, 5}));
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Matmul_shapes,
+    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4}, std::tuple{5, 1, 7},
+                      std::tuple{8, 8, 8}, std::tuple{3, 16, 2}, std::tuple{13, 7, 5},
+                      std::tuple{1, 9, 1}, std::tuple{7, 32, 1},   // n == 1: attention score
+                      std::tuple{37, 6, 1},                        // n == 1, row-tile tail
+                      std::tuple{1, 5, 16}, std::tuple{1, 3, 40},  // m == 1
+                      std::tuple{9, 16, 16}, std::tuple{5, 40, 16}, // one column tile
+                      std::tuple{6, 16, 40}, std::tuple{3, 7, 33}, // column tiles + tail
+                      std::tuple{11, 1, 32}, std::tuple{2, 0, 3}));
 
 // Parameterised sweep: concat/split round-trips along every axis of a rank-3
 // tensor.
@@ -469,6 +548,133 @@ TEST_P(Concat_axis, SplitOfConcatIsIdentity)
 }
 
 INSTANTIATE_TEST_SUITE_P(Axes, Concat_axis, ::testing::Values(0, 1, 2));
+
+class Broadcast_paths : public ::testing::TestWithParam<std::pair<Shape, Shape>> {};
+
+TEST_P(Broadcast_paths, EveryBinaryOpMatchesTheGenericWalk)
+{
+    const auto& [sa, sb] = GetParam();
+    Rng rng(static_cast<std::uint64_t>(shape_volume(sa) * 31 + shape_volume(sb)));
+    const Tensor a = random_with_zeros(sa, rng);
+    const Tensor b = random_with_zeros(sb, rng);
+    expect_bit_identical(add(a, b), reference_broadcast(a, b, [](float x, float y) { return x + y; }));
+    expect_bit_identical(sub(a, b), reference_broadcast(a, b, [](float x, float y) { return x - y; }));
+    expect_bit_identical(mul(a, b), reference_broadcast(a, b, [](float x, float y) { return x * y; }));
+    expect_bit_identical(div(a, b), reference_broadcast(a, b, [](float x, float y) { return x / y; }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Broadcast_paths,
+    ::testing::Values(std::pair{Shape{5, 7}, Shape{5, 7}},       // same shape
+                      std::pair{Shape{5, 7}, Shape{1, 7}},       // bias row
+                      std::pair{Shape{1, 7}, Shape{5, 7}},       // row on the left
+                      std::pair{Shape{6, 16}, Shape{6, 1}},      // GAT column
+                      std::pair{Shape{6, 1}, Shape{6, 16}},      // column on the left
+                      std::pair{Shape{5, 1}, Shape{1, 7}},       // outer product shape
+                      std::pair{Shape{9, 1}, Shape{1, 1}},       // log-sum-exp shift
+                      std::pair{Shape{4, 3}, Shape{1, 1}},       // 2-D scalar
+                      std::pair{Shape{1, 7}, Shape{1, 1}},       // m == 1
+                      std::pair{Shape{2, 3, 4}, Shape{3, 1}},    // rank 3: generic walk
+                      std::pair{Shape{2, 3, 4}, Shape{1, 3, 4}}, // rank 3: generic walk
+                      std::pair{Shape{5, 7}, Shape{7}}));        // mixed rank: generic walk
+
+TEST(Broadcast_paths, ZeroRowOperandStillRejected)
+{
+    // [0,n] against [1,n]: the 2-D path must not read the empty operand.
+    const Tensor empty(Shape{0, 4});
+    const Tensor row(Shape{1, 4}, {1, 2, 3, 4});
+    EXPECT_THROW(add(empty, row), Contract_violation);
+}
+
+TEST(Ewise, UnaryOpsMatchPerElementFunctions)
+{
+    Rng rng(40);
+    const Tensor a = random_with_zeros({7, 9}, rng);
+    const auto reference = [&a](const std::function<float(float)>& f) {
+        Tensor out(a.shape());
+        for (std::int64_t i = 0; i < a.volume(); ++i) out.at(i) = f(a.at(i));
+        return out;
+    };
+    expect_bit_identical(relu(a), reference([](float x) { return x > 0.0F ? x : 0.0F; }));
+    expect_bit_identical(leaky_relu(a, 0.2F), reference([](float x) { return x > 0.0F ? x : 0.2F * x; }));
+    expect_bit_identical(exp_op(a), reference([](float x) { return std::exp(x); }));
+    expect_bit_identical(scale(a, -1.5F), reference([](float x) { return -1.5F * x; }));
+}
+
+TEST(Matmul, BatchedMatchesNaivePerBatch)
+{
+    Rng rng(41);
+    const Tensor a = random_with_zeros({3, 4, 5}, rng);
+    const Tensor b = random_with_zeros({3, 5, 17}, rng);
+    const Tensor shared = random_with_zeros({5, 1}, rng);
+    const Tensor both = matmul(a, b);
+    const Tensor broadcast = matmul(a, shared);
+    for (std::int64_t bi = 0; bi < 3; ++bi) {
+        const Tensor ai = slice(a, 0, bi, bi + 1).reshaped({4, 5});
+        const Tensor bi_rhs = slice(b, 0, bi, bi + 1).reshaped({5, 17});
+        expect_bit_identical(slice(both, 0, bi, bi + 1).reshaped({4, 17}), naive_matmul(ai, bi_rhs));
+        expect_bit_identical(slice(broadcast, 0, bi, bi + 1).reshaped({4, 1}), naive_matmul(ai, shared));
+    }
+}
+
+TEST(Matmul, ZeroTermsAreSkippedNotAdded)
+{
+    // 0 * inf would be NaN: a zero left factor must drop its term entirely,
+    // on every path (tiled, remainder, matrix-vector, transposed).
+    const float inf = std::numeric_limits<float>::infinity();
+    const Tensor a(Shape{5, 2}, {0.0F, 1.0F, 2.0F, 0.0F, 0.0F, 3.0F, -0.0F, 1.0F, 1.0F, 1.0F});
+    for (const std::int64_t n : {std::int64_t{1}, std::int64_t{3}, std::int64_t{17}}) {
+        Tensor b(Shape{2, n});
+        for (std::int64_t j = 0; j < n; ++j) {
+            b.at(j) = inf;
+            b.at(n + j) = 0.5F;
+        }
+        const Tensor expected = naive_matmul(a, b);
+        EXPECT_FALSE(std::isnan(expected.at(0)));
+        expect_bit_identical(matmul(a, b), expected);
+        expect_bit_identical(matmul_tn(transpose_last2(a), b), expected);
+    }
+}
+
+TEST(Matmul, TransposedFormChecksShapes)
+{
+    const Tensor a(Shape{2, 3});
+    const Tensor b(Shape{4, 2});
+    EXPECT_THROW(matmul_tn(a, b), Contract_violation);
+    EXPECT_THROW(matmul_tn(Tensor(Shape{4, 3, 1}), b), Contract_violation);
+}
+
+TEST(Transpose, Last2MatchesGenericPermutation)
+{
+    Rng rng(42);
+    const Tensor m2 = random_with_zeros({5, 3}, rng);
+    expect_bit_identical(transpose_last2(m2), transpose(m2, {1, 0}));
+    const Tensor m3 = random_with_zeros({2, 4, 3}, rng);
+    expect_bit_identical(transpose_last2(m3), transpose(m3, {0, 2, 1}));
+    EXPECT_EQ(transpose_last2(Tensor(Shape{3, 0})).shape(), (Shape{0, 3}));
+}
+
+TEST(Reduce, SumMatchesNaiveLoopOnEveryAxis)
+{
+    Rng rng(43);
+    const Tensor t = random_with_zeros({3, 4, 5}, rng);
+    for (std::int64_t axis = 0; axis < 3; ++axis) {
+        const Tensor got = reduce_sum(t, axis, /*keep_dim=*/true);
+        Shape out_shape = t.shape();
+        out_shape[static_cast<std::size_t>(axis)] = 1;
+        Tensor expected(out_shape);
+        for (std::int64_t flat = 0; flat < t.volume(); ++flat) {
+            const std::int64_t i2 = flat % 5;
+            const std::int64_t i1 = (flat / 5) % 4;
+            const std::int64_t i0 = flat / 20;
+            const std::int64_t o0 = axis == 0 ? 0 : i0;
+            const std::int64_t o1 = axis == 1 ? 0 : i1;
+            const std::int64_t o2 = axis == 2 ? 0 : i2;
+            expected.at((o0 * out_shape[1] + o1) * out_shape[2] + o2) += t.at(flat);
+        }
+        expect_bit_identical(got, expected);
+    }
+}
 
 } // namespace
 } // namespace xrl
