@@ -1,10 +1,14 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "support/check.h"
 #include "support/logging.h"
+#include "support/metrics.h"
+#include "support/thread_pool.h"
+#include "support/trace.h"
 
 namespace xrl {
 
@@ -17,6 +21,13 @@ const Encoded_graph& encode_state(Meta_encoder& encoder, std::vector<const Graph
     candidate_ptrs.reserve(env.candidates().size());
     for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
     return encoder.encode(env.current_graph(), candidate_ptrs);
+}
+
+Histogram& train_phase_histogram(const char* phase)
+{
+    return Metrics_registry::global().histogram(
+        "xrlflow_train_phase_us", "PPO update time by phase", duration_us_buckets(),
+        {{"phase", phase}});
 }
 
 } // namespace
@@ -41,7 +52,11 @@ Episode_stats Trainer::run_episode(bool greedy, bool record)
     while (!env_->done()) {
         const Encoded_graph& state = encode_state(encoder, candidate_ptrs, *env_);
         const std::vector<std::uint8_t> mask = env_->action_mask();
-        const Agent::Decision decision = agent_->act(state, mask, rng_, greedy);
+        Agent::Decision decision;
+        {
+            const Storage_recycler::Scope recycling(rollout_storage_);
+            decision = agent_->act(state, mask, rng_, greedy);
+        }
         const Env_step outcome = env_->step(decision.action);
 
         stats.episode_return += outcome.reward;
@@ -90,6 +105,10 @@ int Trainer::train(int episodes)
 
 void Trainer::update()
 {
+    static Histogram& minibatch_us = train_phase_histogram("minibatch");
+    static Histogram& reduce_us = train_phase_histogram("reduce");
+    static Histogram& adam_us = train_phase_histogram("adam");
+
     const std::size_t n = buffer_.size();
     std::vector<double> rewards(n);
     std::vector<double> values(n);
@@ -106,63 +125,63 @@ void Trainer::update()
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
 
+    // One task slot per pool worker (the caller drains slots too), each with
+    // a storage recycler for the whole update, so a slot's tapes reuse the
+    // pages its earlier tapes freed. Slot 0 borrows the rollout storage,
+    // idle while the update runs; the other slots' pools are released when
+    // the update returns.
+    Thread_pool& pool = Thread_pool::shared();
+    const std::size_t slots = std::max<std::size_t>(pool.workers(), 1);
+    std::vector<Storage_recycler> update_storage(slots - 1);
+    const auto slot_storage = [&](std::size_t slot) -> Storage_recycler& {
+        return slot == 0 ? rollout_storage_ : update_storage[slot - 1];
+    };
+    std::vector<Item_result> items(static_cast<std::size_t>(config_.ppo.minibatch_size));
+
     for (int epoch = 0; epoch < config_.ppo.epochs; ++epoch) {
         // Fisher-Yates shuffle with our deterministic rng.
         for (std::size_t i = n; i > 1; --i)
             std::swap(order[i - 1], order[rng_.uniform_index(i)]);
 
         for (std::size_t begin = 0; begin < n; begin += static_cast<std::size_t>(config_.ppo.minibatch_size)) {
+            const Span_scope span("trainer/ppo_minibatch");
             const std::size_t end =
                 std::min(begin + static_cast<std::size_t>(config_.ppo.minibatch_size), n);
-            const auto batch = static_cast<float>(end - begin);
+            const std::size_t count = end - begin;
+            const auto batch = static_cast<float>(count);
 
-            Tape tape;
-            Var total_loss = tape.constant(Tensor(Shape{1, 1}));
+            {
+                const Scoped_timer_us timer(minibatch_us);
+                std::atomic<std::size_t> next{0};
+                pool.run(std::min(count, slots), [&](std::size_t slot) {
+                    const Storage_recycler::Scope recycling(slot_storage(slot));
+                    for (std::size_t k = next++; k < count; k = next++) {
+                        const std::size_t index = order[begin + k];
+                        items[k] = sweep_item(buffer_[index],
+                                              static_cast<float>(gae.advantages[index]),
+                                              static_cast<float>(gae.returns[index]), 1.0F / batch);
+                    }
+                });
+            }
+            {
+                // Last transition first: the order a single tape holding the
+                // whole minibatch would reach its parameter nodes in.
+                const Scoped_timer_us timer(reduce_us);
+                for (std::size_t k = count; k-- > 0;) accumulate_parameter_grads(items[k].grads);
+            }
+            {
+                const Scoped_timer_us timer(adam_us);
+                adam_.step();
+            }
+
             double policy_loss_value = 0.0;
             double value_loss_value = 0.0;
             double entropy_value = 0.0;
-
-            for (std::size_t bi = begin; bi < end; ++bi) {
-                const Transition& t = buffer_[order[bi]];
-                const auto adv = static_cast<float>(gae.advantages[order[bi]]);
-                const auto ret = static_cast<float>(gae.returns[order[bi]]);
-
-                const Agent::Forward fwd = agent_->forward(tape, t.state);
-                const Categorical_vars dist = masked_categorical(tape, fwd.logits, t.mask);
-                const Var log_prob = tape.pick(dist.log_probs, t.action);
-
-                // Eq. 3 (clip objective), maximised => negated into the loss.
-                const Var ratio = tape.exp(
-                    tape.add(log_prob, tape.constant(Tensor::scalar(-static_cast<float>(t.log_prob))
-                                                         .reshaped({1, 1}))));
-                const Var unclipped = tape.scale(ratio, adv);
-                const Var clipped = tape.scale(
-                    tape.clamp(ratio, 1.0F - static_cast<float>(config_.ppo.clip),
-                               1.0F + static_cast<float>(config_.ppo.clip)),
-                    adv);
-                const Var objective = tape.minimum(unclipped, clipped);
-
-                // Eq. 4 (value regression).
-                const Var value_error =
-                    tape.square(tape.add(fwd.value, tape.constant(Tensor(Shape{1, 1}, {-ret}))));
-
-                // Eq. 5: J = L_clip + c1 L_vf + c2 L_entropy.
-                Var item_loss = tape.neg(objective);
-                item_loss = tape.add(
-                    item_loss, tape.scale(value_error, static_cast<float>(config_.ppo.value_coef)));
-                item_loss = tape.add(item_loss, tape.scale(dist.entropy,
-                                                           -static_cast<float>(config_.ppo.entropy_coef)));
-                total_loss = tape.add(total_loss, item_loss);
-
-                policy_loss_value += -tape.value(objective).at(0);
-                value_loss_value += tape.value(value_error).at(0);
-                entropy_value += tape.value(dist.entropy).at(0);
+            for (std::size_t k = 0; k < count; ++k) {
+                policy_loss_value += items[k].policy_loss;
+                value_loss_value += items[k].value_loss;
+                entropy_value += items[k].entropy;
             }
-
-            const Var loss = tape.scale(total_loss, 1.0F / batch);
-            tape.backward(loss);
-            adam_.step();
-
             totals.mean_policy_loss += policy_loss_value / batch;
             totals.mean_value_loss += value_loss_value / batch;
             totals.mean_entropy += entropy_value / batch;
@@ -177,6 +196,42 @@ void Trainer::update()
     }
     last_update_ = totals;
     buffer_.clear();
+}
+
+Trainer::Item_result Trainer::sweep_item(const Transition& t, float advantage, float target_return,
+                                         float loss_scale) const
+{
+    Tape tape;
+    const Agent::Forward fwd = agent_->forward(tape, t.state);
+    const Categorical_vars dist = masked_categorical(tape, fwd.logits, t.mask);
+    const Var log_prob = tape.pick(dist.log_probs, t.action);
+
+    // Eq. 3 (clip objective), maximised => negated into the loss.
+    const Var ratio = tape.exp(tape.add(
+        log_prob, tape.constant(Tensor::scalar(-static_cast<float>(t.log_prob)).reshaped({1, 1}))));
+    const Var unclipped = tape.scale(ratio, advantage);
+    const Var clipped = tape.scale(tape.clamp(ratio, 1.0F - static_cast<float>(config_.ppo.clip),
+                                              1.0F + static_cast<float>(config_.ppo.clip)),
+                                   advantage);
+    const Var objective = tape.minimum(unclipped, clipped);
+
+    // Eq. 4 (value regression).
+    const Var value_error =
+        tape.square(tape.add(fwd.value, tape.constant(Tensor(Shape{1, 1}, {-target_return}))));
+
+    // Eq. 5: J = L_clip + c1 L_vf + c2 L_entropy, averaged over the minibatch.
+    Var item_loss = tape.neg(objective);
+    item_loss =
+        tape.add(item_loss, tape.scale(value_error, static_cast<float>(config_.ppo.value_coef)));
+    item_loss = tape.add(item_loss,
+                         tape.scale(dist.entropy, -static_cast<float>(config_.ppo.entropy_coef)));
+
+    Item_result result;
+    result.grads = tape.sweep(tape.scale(item_loss, loss_scale));
+    result.policy_loss = -tape.value(objective).at(0);
+    result.value_loss = tape.value(value_error).at(0);
+    result.entropy = tape.value(dist.entropy).at(0);
+    return result;
 }
 
 } // namespace xrl

@@ -4,7 +4,10 @@
 // episodes (Table 4: update frequency 10), then several epochs of
 // minibatch updates (Table 4: batch size 16) optimise the combined
 // objective J = L_clip + c1 L_vf + c2 L_entropy end-to-end through the GNN
-// and both heads with a single backward pass per minibatch.
+// and both heads. Each minibatch transition's forward pass, loss and
+// backward sweep run on their own tape as a task on Thread_pool::shared();
+// the caller then adds the per-transition parameter gradients in the
+// order one tape over the whole minibatch would (docs/CONCURRENCY.md).
 #pragma once
 
 #include <vector>
@@ -73,7 +76,21 @@ private:
         std::uint8_t done = 0;
     };
 
+    /// One minibatch transition's share of an update: its parameter
+    /// gradients, in the order they are accumulated, and its loss terms.
+    struct Item_result {
+        std::vector<Parameter_grad> grads;
+        double policy_loss = 0.0;
+        double value_loss = 0.0;
+        double entropy = 0.0;
+    };
+
     void update();
+    /// Forward, PPO loss (scaled by `loss_scale`) and backward sweep for
+    /// one transition on a tape of its own. Reads the agent's parameters
+    /// and writes nothing shared, so tasks may run it concurrently.
+    Item_result sweep_item(const Transition& t, float advantage, float target_return,
+                           float loss_scale) const;
 
     Agent* agent_;
     Environment* env_;
@@ -81,6 +98,9 @@ private:
     Adam adam_;
     Rng rng_;
     std::vector<Transition> buffer_;
+    /// Storage of the behaviour-time forward tapes, reused step to step
+    /// for the trainer's lifetime (and by one update slot's tapes).
+    Storage_recycler rollout_storage_;
     std::vector<Episode_stats> history_;
     Update_stats last_update_;
 };

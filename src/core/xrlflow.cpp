@@ -51,6 +51,9 @@ Optimisation_outcome Xrlflow::optimise(const Graph& model, const Inference_optio
     if (options.deterministic_only) rollouts = 1;
     int total_steps = 0;
     Meta_encoder encoder;
+    // The policy's forward tapes reuse one another's storage across steps
+    // and rollouts instead of returning it to the allocator every step.
+    Storage_recycler act_storage;
     std::vector<const Graph*> candidate_ptrs;
     for (int rollout = 0; rollout < rollouts && !outcome.stopped_early; ++rollout) {
         Environment env(model, *rules_, simulator, config_.env);
@@ -65,7 +68,11 @@ Optimisation_outcome Xrlflow::optimise(const Graph& model, const Inference_optio
             candidate_ptrs.clear();
             for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
             const Encoded_graph& state = encoder.encode(env.current_graph(), candidate_ptrs);
-            const Agent::Decision decision = agent_->act(state, env.action_mask(), rng, greedy);
+            Agent::Decision decision;
+            {
+                const Storage_recycler::Scope recycling(act_storage);
+                decision = agent_->act(state, env.action_mask(), rng, greedy);
+            }
             env.step(decision.action);
             ++steps;
             ++total_steps;

@@ -48,12 +48,16 @@ void accumulate_reduced(Tensor& into, const Tensor& grad)
 
 } // namespace
 
-Var Tape::push(Tensor value, std::function<void()> backprop, Parameter* parameter)
+void accumulate_parameter_grads(const std::vector<Parameter_grad>& grads)
+{
+    for (const Parameter_grad& entry : grads) accumulate(entry.parameter->grad, entry.grad);
+}
+
+Var Tape::push(Tensor value, std::initializer_list<Var> inputs)
 {
     Node n;
     n.value = std::move(value);
-    n.backprop = std::move(backprop);
-    n.parameter = parameter;
+    for (const Var input : inputs) n.requires_grad = n.requires_grad || node(input).requires_grad;
     nodes_.push_back(std::move(n));
     return Var{static_cast<int>(nodes_.size() - 1)};
 }
@@ -80,74 +84,86 @@ const Tensor& Tape::grad(Var v) const
     return node(v).grad;
 }
 
+Tensor* Tape::input_grad(int index)
+{
+    Node& n = nodes_[static_cast<std::size_t>(index)];
+    if (!n.requires_grad) return nullptr;
+    if (n.grad.shape() != n.value.shape()) n.grad = Tensor(n.value.shape()); // first write
+    return &n.grad;
+}
+
+const Tensor& Tape::node_grad(int index) const
+{
+    return nodes_[static_cast<std::size_t>(index)].grad;
+}
+
+const Tensor& Tape::node_value(int index) const
+{
+    return nodes_[static_cast<std::size_t>(index)].value;
+}
+
 Var Tape::constant(Tensor value)
 {
-    return push(std::move(value));
+    return push(std::move(value), {});
 }
 
 Var Tape::param(Parameter& p)
 {
-    const Var v = push(p.value);
-    const int i = v.index;
+    const Var v = push(p.value, {});
     node(v).parameter = &p;
-    node(v).backprop = [this, i, &p] {
-        accumulate(p.grad, nodes_[static_cast<std::size_t>(i)].grad);
-    };
+    node(v).requires_grad = true;
     return v;
 }
 
 Var Tape::add(Var a, Var b)
 {
-    const Var out = push(xrl::add(value(a), value(b)));
+    const Var out = push(xrl::add(value(a), value(b)), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, g);
-        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, g);
+        const Tensor& g = node_grad(io);
+        if (Tensor* ga = input_grad(ia)) accumulate_reduced(*ga, g);
+        if (Tensor* gb = input_grad(ib)) accumulate_reduced(*gb, g);
     };
     return out;
 }
 
 Var Tape::sub(Var a, Var b)
 {
-    const Var out = push(xrl::sub(value(a), value(b)));
+    const Var out = push(xrl::sub(value(a), value(b)), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, g);
-        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, xrl::scale(g, -1.0F));
+        const Tensor& g = node_grad(io);
+        if (Tensor* ga = input_grad(ia)) accumulate_reduced(*ga, g);
+        if (Tensor* gb = input_grad(ib)) accumulate_reduced(*gb, xrl::scale(g, -1.0F));
     };
     return out;
 }
 
 Var Tape::mul(Var a, Var b)
 {
-    const Var out = push(xrl::mul(value(a), value(b)));
+    const Var out = push(xrl::mul(value(a), value(b)), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
-        const Tensor& vb = nodes_[static_cast<std::size_t>(ib)].value;
-        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, xrl::mul(g, vb));
-        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, xrl::mul(g, va));
+        const Tensor& g = node_grad(io);
+        if (Tensor* ga = input_grad(ia)) accumulate_reduced(*ga, xrl::mul(g, node_value(ib)));
+        if (Tensor* gb = input_grad(ib)) accumulate_reduced(*gb, xrl::mul(g, node_value(ia)));
     };
     return out;
 }
 
 Var Tape::scale(Var a, float factor)
 {
-    const Var out = push(xrl::scale(value(a), factor));
+    const Var out = push(xrl::scale(value(a), factor), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, factor] {
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   xrl::scale(nodes_[static_cast<std::size_t>(io)].grad, factor));
+        if (Tensor* ga = input_grad(ia)) accumulate(*ga, xrl::scale(node_grad(io), factor));
     };
     return out;
 }
@@ -155,32 +171,34 @@ Var Tape::scale(Var a, float factor)
 Var Tape::matmul(Var a, Var b)
 {
     XRL_EXPECTS(value(a).rank() == 2 && value(b).rank() == 2);
-    const Var out = push(xrl::matmul(value(a), value(b)));
+    const Var out = push(xrl::matmul(value(a), value(b)), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
-        const Tensor& vb = nodes_[static_cast<std::size_t>(ib)].value;
+        const Tensor& g = node_grad(io);
         // vb is weight-sized, so its transpose is a cheap copy; va is
-        // activation-sized and matmul_tn reads it transposed in place.
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, xrl::matmul(g, transpose_last2(vb)));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, matmul_tn(va, g));
+        // activation-sized and matmul_tn reads it transposed in place. A
+        // constant left factor (the GNN's one-hot input) gets no gradient.
+        if (Tensor* ga = input_grad(ia))
+            accumulate(*ga, xrl::matmul(g, transpose_last2(node_value(ib))));
+        if (Tensor* gb = input_grad(ib)) accumulate(*gb, matmul_tn(node_value(ia), g));
     };
     return out;
 }
 
 Var Tape::relu(Var a)
 {
-    const Var out = push(xrl::relu(value(a)));
+    const Var out = push(xrl::relu(value(a)), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
-        const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
+        Tensor* grad_a = input_grad(ia);
+        if (grad_a == nullptr) return;
+        const float* g = node_grad(io).data();
+        const Tensor& va = node_value(ia);
         const float* x = va.data();
-        float* ga = nodes_[static_cast<std::size_t>(ia)].grad.data();
+        float* ga = grad_a->data();
         for (std::int64_t i = 0; i < va.volume(); ++i) {
             const float gi = g[i]; // loaded unconditionally so the select vectorises
             ga[i] += x[i] > 0.0F ? gi : 0.0F;
@@ -191,14 +209,16 @@ Var Tape::relu(Var a)
 
 Var Tape::leaky_relu(Var a, float slope)
 {
-    const Var out = push(xrl::leaky_relu(value(a), slope));
+    const Var out = push(xrl::leaky_relu(value(a), slope), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, slope] {
-        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
-        const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
+        Tensor* grad_a = input_grad(ia);
+        if (grad_a == nullptr) return;
+        const float* g = node_grad(io).data();
+        const Tensor& va = node_value(ia);
         const float* x = va.data();
-        float* ga = nodes_[static_cast<std::size_t>(ia)].grad.data();
+        float* ga = grad_a->data();
         for (std::int64_t i = 0; i < va.volume(); ++i) ga[i] += x[i] > 0.0F ? g[i] : slope * g[i];
     };
     return out;
@@ -206,29 +226,29 @@ Var Tape::leaky_relu(Var a, float slope)
 
 Var Tape::tanh(Var a)
 {
-    const Var out = push(tanh_op(value(a)));
+    const Var out = push(tanh_op(value(a)), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& y = nodes_[static_cast<std::size_t>(io)].value;
+        Tensor* ga = input_grad(ia);
+        if (ga == nullptr) return;
+        const Tensor& g = node_grad(io);
+        const Tensor& y = node_value(io);
         Tensor delta(y.shape());
         for (std::int64_t i = 0; i < y.volume(); ++i)
             delta.at(i) = g.at(i) * (1.0F - y.at(i) * y.at(i));
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        accumulate(*ga, delta);
     };
     return out;
 }
 
 Var Tape::exp(Var a)
 {
-    const Var out = push(exp_op(value(a)));
+    const Var out = push(exp_op(value(a)), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& y = nodes_[static_cast<std::size_t>(io)].value;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, xrl::mul(g, y));
+        if (Tensor* ga = input_grad(ia)) accumulate(*ga, xrl::mul(node_grad(io), node_value(io)));
     };
     return out;
 }
@@ -241,15 +261,17 @@ Var Tape::log(Var a)
         XRL_EXPECTS(va.at(i) > 0.0F);
         out_value.at(i) = std::log(va.at(i));
     }
-    const Var out = push(std::move(out_value));
+    const Var out = push(std::move(out_value), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va2 = nodes_[static_cast<std::size_t>(ia)].value;
+        Tensor* ga = input_grad(ia);
+        if (ga == nullptr) return;
+        const Tensor& g = node_grad(io);
+        const Tensor& va2 = node_value(ia);
         Tensor delta(va2.shape());
         for (std::int64_t i = 0; i < va2.volume(); ++i) delta.at(i) = g.at(i) / va2.at(i);
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        accumulate(*ga, delta);
     };
     return out;
 }
@@ -261,14 +283,14 @@ Var Tape::minimum(Var a, Var b)
     XRL_EXPECTS(va.shape() == vb.shape());
     Tensor out_value(va.shape());
     for (std::int64_t i = 0; i < va.volume(); ++i) out_value.at(i) = std::min(va.at(i), vb.at(i));
-    const Var out = push(std::move(out_value));
+    const Var out = push(std::move(out_value), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va2 = nodes_[static_cast<std::size_t>(ia)].value;
-        const Tensor& vb2 = nodes_[static_cast<std::size_t>(ib)].value;
+        const Tensor& g = node_grad(io);
+        const Tensor& va2 = node_value(ia);
+        const Tensor& vb2 = node_value(ib);
         Tensor da(va2.shape());
         Tensor db(vb2.shape());
         for (std::int64_t i = 0; i < va2.volume(); ++i) {
@@ -277,8 +299,8 @@ Var Tape::minimum(Var a, Var b)
             else
                 db.at(i) = g.at(i);
         }
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, da);
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, db);
+        if (Tensor* ga = input_grad(ia)) accumulate(*ga, da);
+        if (Tensor* gb = input_grad(ib)) accumulate(*gb, db);
     };
     return out;
 }
@@ -289,16 +311,18 @@ Var Tape::clamp(Var a, float lo, float hi)
     Tensor out_value(va.shape());
     for (std::int64_t i = 0; i < va.volume(); ++i)
         out_value.at(i) = std::clamp(va.at(i), lo, hi);
-    const Var out = push(std::move(out_value));
+    const Var out = push(std::move(out_value), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, lo, hi] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va2 = nodes_[static_cast<std::size_t>(ia)].value;
+        Tensor* ga = input_grad(ia);
+        if (ga == nullptr) return;
+        const Tensor& g = node_grad(io);
+        const Tensor& va2 = node_value(ia);
         Tensor delta(va2.shape());
         for (std::int64_t i = 0; i < va2.volume(); ++i)
             delta.at(i) = (va2.at(i) >= lo && va2.at(i) <= hi) ? g.at(i) : 0.0F;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        accumulate(*ga, delta);
     };
     return out;
 }
@@ -312,15 +336,24 @@ Var Tape::concat_cols(Var a, Var b)
     // storage and invalidate va/vb.
     const std::int64_t ca = va.dim(1);
     const std::int64_t cb = vb.dim(1);
-    const Var out = push(concat({va, vb}, 1));
+    const Var out = push(concat({va, vb}, 1), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io, ca, cb] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const auto parts = split(g, 1, {ca, cb});
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, parts[0]);
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, parts[1]);
+        // Each side's column block is added straight into its gradient; a
+        // constant side (the GNN's zero globals) is skipped.
+        const Tensor& g = node_grad(io);
+        const std::int64_t rows = g.dim(0);
+        const auto add_columns = [&g, rows, width = ca + cb](Tensor& into, std::int64_t first,
+                                                             std::int64_t count) {
+            const float* src = g.data() + first;
+            float* dst = into.data();
+            for (std::int64_t r = 0; r < rows; ++r)
+                for (std::int64_t c = 0; c < count; ++c) dst[r * count + c] += src[r * width + c];
+        };
+        if (Tensor* ga = input_grad(ia)) add_columns(*ga, 0, ca);
+        if (Tensor* gb = input_grad(ib)) add_columns(*gb, ca, cb);
     };
     return out;
 }
@@ -331,17 +364,18 @@ Var Tape::concat_rows(Var a, Var b)
     const Tensor& vb = value(b);
     XRL_EXPECTS(va.rank() == 2 && vb.rank() == 2 && va.dim(1) == vb.dim(1));
     // Read sizes before push() (reallocation invalidates va/vb).
-    const std::int64_t ra = va.dim(0);
-    const std::int64_t rb = vb.dim(0);
-    const Var out = push(concat({va, vb}, 0));
+    const std::int64_t split_at = va.volume();
+    const Var out = push(concat({va, vb}, 0), {a, b});
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
-    node(out).backprop = [this, ia, ib, io, ra, rb] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const auto parts = split(g, 0, {ra, rb});
-        if (ra > 0) accumulate(nodes_[static_cast<std::size_t>(ia)].grad, parts[0]);
-        if (rb > 0) accumulate(nodes_[static_cast<std::size_t>(ib)].grad, parts[1]);
+    node(out).backprop = [this, ia, ib, io, split_at] {
+        // Row-major: a's rows are the first `split_at` floats of g.
+        const float* g = node_grad(io).data();
+        if (Tensor* ga = input_grad(ia))
+            for (std::int64_t i = 0; i < ga->volume(); ++i) ga->data()[i] += g[i];
+        if (Tensor* gb = input_grad(ib))
+            for (std::int64_t i = 0; i < gb->volume(); ++i) gb->data()[i] += g[split_at + i];
     };
     return out;
 }
@@ -357,12 +391,14 @@ Var Tape::gather_rows(Var a, std::vector<std::int64_t> rows)
         std::copy(va.data() + rows[r] * width, va.data() + (rows[r] + 1) * width,
                   out_value.data() + static_cast<std::int64_t>(r) * width);
     }
-    const Var out = push(std::move(out_value));
+    const Var out = push(std::move(out_value), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, rows = std::move(rows), width] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        Tensor* grad_a = input_grad(ia);
+        if (grad_a == nullptr) return;
+        const Tensor& g = node_grad(io);
+        Tensor& ga = *grad_a;
         for (std::size_t r = 0; r < rows.size(); ++r) {
             const float* src = g.data() + static_cast<std::int64_t>(r) * width;
             float* dst = ga.data() + rows[r] * width;
@@ -385,12 +421,14 @@ Var Tape::segment_sum(Var a, std::vector<std::int64_t> segments, std::int64_t nu
         float* dst = out_value.data() + segments[r] * width;
         for (std::int64_t c = 0; c < width; ++c) dst[c] += src[c];
     }
-    const Var out = push(std::move(out_value));
+    const Var out = push(std::move(out_value), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, segments = std::move(segments), width] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        Tensor* grad_a = input_grad(ia);
+        if (grad_a == nullptr) return;
+        const Tensor& g = node_grad(io);
+        Tensor& ga = *grad_a;
         for (std::size_t r = 0; r < segments.size(); ++r) {
             const float* src = g.data() + segments[r] * width;
             float* dst = ga.data() + static_cast<std::int64_t>(r) * width;
@@ -423,12 +461,14 @@ Var Tape::segment_softmax(Var scores, std::vector<std::int64_t> segments, std::i
     for (std::size_t r = 0; r < segments.size(); ++r)
         out_value.at(static_cast<std::int64_t>(r)) /= seg_sum[static_cast<std::size_t>(segments[r])];
 
-    const Var out = push(std::move(out_value));
+    const Var out = push(std::move(out_value), {scores});
     const int ia = scores.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, segments = std::move(segments), num_segments] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& y = nodes_[static_cast<std::size_t>(io)].value;
+        Tensor* ga = input_grad(ia);
+        if (ga == nullptr) return;
+        const Tensor& g = node_grad(io);
+        const Tensor& y = node_value(io);
         // grad_x = y * (g - sum_seg(g*y))
         std::vector<float> seg_dot(static_cast<std::size_t>(num_segments), 0.0F);
         for (std::size_t r = 0; r < segments.size(); ++r)
@@ -439,7 +479,7 @@ Var Tape::segment_softmax(Var scores, std::vector<std::int64_t> segments, std::i
             delta.at(static_cast<std::int64_t>(r)) =
                 y.at(static_cast<std::int64_t>(r)) *
                 (g.at(static_cast<std::int64_t>(r)) - seg_dot[static_cast<std::size_t>(segments[r])]);
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        accumulate(*ga, delta);
     };
     return out;
 }
@@ -449,14 +489,15 @@ Var Tape::sum_all(Var a)
     const Tensor& va = value(a);
     float total = 0.0F;
     for (std::int64_t i = 0; i < va.volume(); ++i) total += va.at(i);
-    const Var out = push(Tensor(Shape{1, 1}, {total}));
+    const Var out = push(Tensor(Shape{1, 1}, {total}), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const float g = nodes_[static_cast<std::size_t>(io)].grad.at(0);
-        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
-        float* dst = ga.data();
-        for (std::int64_t i = 0; i < ga.volume(); ++i) dst[i] += g;
+        Tensor* ga = input_grad(ia);
+        if (ga == nullptr) return;
+        const float g = node_grad(io).at(0);
+        float* dst = ga->data();
+        for (std::int64_t i = 0; i < ga->volume(); ++i) dst[i] += g;
     };
     return out;
 }
@@ -471,32 +512,44 @@ Var Tape::pick(Var a, std::int64_t flat_index)
 {
     const Tensor& va = value(a);
     XRL_EXPECTS(flat_index >= 0 && flat_index < va.volume());
-    const Var out = push(Tensor(Shape{1, 1}, {va.at(flat_index)}));
+    const Var out = push(Tensor(Shape{1, 1}, {va.at(flat_index)}), {a});
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, flat_index] {
-        nodes_[static_cast<std::size_t>(ia)].grad.at(flat_index) +=
-            nodes_[static_cast<std::size_t>(io)].grad.at(0);
+        if (Tensor* ga = input_grad(ia)) ga->at(flat_index) += node_grad(io).at(0);
     };
     return out;
 }
 
-void Tape::backward(Var loss)
+std::vector<Parameter_grad> Tape::sweep(Var loss)
 {
     Node& l = node(loss);
     XRL_EXPECTS(l.value.volume() == 1);
-    // Gradient buffers exist only once a backward pass needs them, so a
-    // forward-only tape (behaviour-time action selection) allocates none.
-    for (int i = 0; i <= loss.index; ++i) {
-        auto& n = nodes_[static_cast<std::size_t>(i)];
-        if (n.grad.shape() != n.value.shape() || n.grad.volume() != n.value.volume())
-            n.grad = Tensor(n.value.shape());
-    }
-    l.grad.at(0) = 1.0F;
+    std::vector<Parameter_grad> parameter_grads;
+    if (!l.requires_grad) return parameter_grads;
+    // A gradient buffer is allocated when the first consumer writes into it
+    // and released once the node has passed it on, so a forward-only tape
+    // (behaviour-time action selection) allocates none and a sweep holds
+    // only the gradients still in flight.
+    input_grad(loss.index)->at(0) = 1.0F;
     for (int i = loss.index; i >= 0; --i) {
-        auto& n = nodes_[static_cast<std::size_t>(i)];
+        Node& n = nodes_[static_cast<std::size_t>(i)];
+        if (!n.requires_grad) continue;
+        input_grad(i); // a node nothing consumed still passes on its zeros
         if (n.backprop) n.backprop();
+        // Every consumer of a node comes later on the tape, so its gradient
+        // is final once the sweep reaches it.
+        if (n.parameter != nullptr)
+            parameter_grads.push_back({n.parameter, n.grad});
+        else
+            n.grad = Tensor();
     }
+    return parameter_grads;
+}
+
+void Tape::backward(Var loss)
+{
+    accumulate_parameter_grads(sweep(loss));
 }
 
 } // namespace xrl

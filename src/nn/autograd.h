@@ -4,7 +4,15 @@
 // closure on a per-forward-pass tape; Tape::backward() sweeps the tape in
 // reverse. Parameters live outside the tape and accumulate gradients
 // across calls, so one optimiser step can consume several forward passes
-// (PPO minibatches).
+// (PPO minibatches). The backward pass comes in two halves: a tape-local
+// sweep that touches nothing outside the tape (so tapes can be swept
+// concurrently) and an ordered accumulation into `Parameter::grad`.
+//
+// Each node records at push whether its value depends on a parameter; the
+// sweep computes no gradient for nodes that do not (constants and
+// everything derived only from constants), and releases every other
+// node's gradient once it has been passed on, so a sweep holds only the
+// gradients still in flight.
 //
 // The op set is exactly what the GNN encoder (Eqs. 6-8) and the PPO losses
 // (Eqs. 3-5) need: dense matmul, broadcasted elementwise arithmetic, row
@@ -14,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -28,6 +37,18 @@ struct Parameter {
     explicit Parameter(Tensor v) : value(std::move(v)), grad(value.shape()) {}
     void zero_grad() { std::fill(grad.values().begin(), grad.values().end(), 0.0F); }
 };
+
+/// One parameter node's gradient, as a tape sweep hands it back.
+struct Parameter_grad {
+    Parameter* parameter = nullptr;
+    Tensor grad;
+};
+
+/// The ordered parameter accumulation: adds each gradient into its
+/// `Parameter::grad`, front to back. Tape::backward() is a sweep followed
+/// by this, so running it over several sweeps' results — last tape first —
+/// reproduces what one tape holding all of them would accumulate.
+void accumulate_parameter_grads(const std::vector<Parameter_grad>& grads);
 
 class Tape;
 
@@ -45,7 +66,8 @@ public:
     /// Constant input (no gradient).
     Var constant(Tensor value);
 
-    /// Trainable parameter; backward() accumulates into `p.grad`.
+    /// Trainable parameter; backward() accumulates into `p.grad`. The tape
+    /// reads `p.value` once, here.
     Var param(Parameter& p);
 
     // -- arithmetic -----------------------------------------------------------
@@ -102,24 +124,42 @@ public:
     // -- access ---------------------------------------------------------------
 
     const Tensor& value(Var v) const;
-    /// Gradient of `v`; empty until backward() has run.
+    /// Gradient of `v`. Only parameter nodes keep one after a sweep; every
+    /// other node's is released once passed on (and never exists for nodes
+    /// that depend on no parameter).
     const Tensor& grad(Var v) const;
+    /// Whether `v`'s value depends on a parameter.
+    bool requires_grad(Var v) const { return node(v).requires_grad; }
     std::size_t size() const { return nodes_.size(); }
 
-    /// Reverse sweep from a scalar (1x1) loss; accumulates into parameters.
+    /// Tape-local reverse sweep from a scalar (1x1) loss: propagates the
+    /// gradients through the tape and returns a copy of each parameter
+    /// node's gradient in reverse tape order, the order backward()
+    /// accumulates them in. Writes no Parameter, so distinct tapes may be
+    /// swept concurrently.
+    std::vector<Parameter_grad> sweep(Var loss);
+
+    /// sweep(loss), then accumulate_parameter_grads() over its result.
     void backward(Var loss);
 
 private:
     struct Node {
         Tensor value;
-        Tensor grad;                    // allocated by backward()
+        Tensor grad;                    // lives during a sweep; kept on parameter nodes
         std::function<void()> backprop; // may be empty (leaves)
         Parameter* parameter = nullptr;
+        bool requires_grad = false;
     };
 
-    Var push(Tensor value, std::function<void()> backprop = {}, Parameter* parameter = nullptr);
+    /// Appends a node; it requires a gradient when any input does.
+    Var push(Tensor value, std::initializer_list<Var> inputs);
     Node& node(Var v);
     const Node& node(Var v) const;
+    /// Gradient buffer of node `index` (zero-filled on first use), or null
+    /// when it needs none.
+    Tensor* input_grad(int index);
+    const Tensor& node_grad(int index) const;
+    const Tensor& node_value(int index) const;
 
     std::vector<Node> nodes_;
 };

@@ -212,16 +212,20 @@ void matmul_block(const Strided& a, const float* b, float* out, std::int64_t m, 
 {
     if (n == 1) { // matrix-vector (the GAT attention score and its gradient)
         // A tile of rows copied column by column, so their running sums sit
-        // side by side and the sweep over k vectorises across them.
-        std::vector<float> columns(static_cast<std::size_t>(k * tile));
+        // side by side and the sweep over k vectorises across them. The
+        // scratch is a Tensor so that, in the backward pass (k rows of an
+        // activation, k x 16 floats), a thread with a Storage_recycler
+        // installed reuses it rather than mapping it fresh on every call.
+        Tensor column_scratch(Shape{k * tile});
+        float* const columns = column_scratch.data();
         for (std::int64_t i0 = 0; i0 < m; i0 += tile) {
             const std::int64_t rows = std::min(tile, m - i0);
             for (std::int64_t kk = 0; kk < k; ++kk)
                 for (std::int64_t r = 0; r < rows; ++r)
-                    columns[static_cast<std::size_t>(kk * tile + r)] = a.at[(i0 + r) * a.row + kk * a.col];
+                    columns[kk * tile + r] = a.at[(i0 + r) * a.row + kk * a.col];
             float acc[tile] = {};
             for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float* col = columns.data() + kk * tile;
+                const float* col = columns + kk * tile;
                 for (std::int64_t r = 0; r < rows; ++r)
                     acc[r] = keep_if_nonzero(col[r], acc[r] + col[r] * b[kk], acc[r]);
             }

@@ -30,9 +30,78 @@ std::string shape_to_string(const Shape& shape)
     return os.str();
 }
 
-Tensor::Tensor(Shape shape)
-    : shape_(std::move(shape)), data_(static_cast<std::size_t>(shape_volume(shape_)), 0.0F)
+namespace {
+
+thread_local Storage_recycler* installed_recycler = nullptr;
+
+/// The installed recycler when `n` floats are worth recycling, else null.
+Storage_recycler* recycler_for(std::size_t n)
 {
+    return n >= Storage_recycler::min_floats ? installed_recycler : nullptr;
+}
+
+} // namespace
+
+Storage_recycler::Scope::Scope(Storage_recycler& recycler) : previous_(installed_recycler)
+{
+    installed_recycler = &recycler;
+}
+
+Storage_recycler::Scope::~Scope()
+{
+    installed_recycler = previous_;
+}
+
+std::size_t Storage_recycler::pooled_floats() const
+{
+    std::size_t total = 0;
+    for (const auto& entry : free_) total += entry.first;
+    return total;
+}
+
+std::vector<float> Storage_recycler::acquire(std::size_t n)
+{
+    const auto fit = free_.lower_bound(n);
+    if (fit == free_.end()) {
+        std::vector<float> fresh;
+        fresh.reserve(n);
+        return fresh;
+    }
+    std::vector<float> storage = std::move(fit->second);
+    free_.erase(fit);
+    storage.clear();
+    return storage;
+}
+
+void Storage_recycler::release(std::vector<float>&& storage)
+{
+    const std::size_t capacity = storage.capacity();
+    free_.emplace(capacity, std::move(storage));
+}
+
+Tensor::Tensor(Shape shape) : shape_(std::move(shape))
+{
+    const auto n = static_cast<std::size_t>(shape_volume(shape_));
+    if (Storage_recycler* recycler = recycler_for(n)) data_ = recycler->acquire(n);
+    data_.assign(n, 0.0F);
+}
+
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_)
+{
+    if (Storage_recycler* recycler = recycler_for(other.data_.size()))
+        data_ = recycler->acquire(other.data_.size());
+    data_.assign(other.data_.begin(), other.data_.end());
+}
+
+void Tensor::recycle_storage() noexcept
+{
+    if (installed_recycler == nullptr) return;
+    try {
+        installed_recycler->release(std::move(data_));
+    } catch (...) {
+        // Out of memory for the pool's bookkeeping: the vector's own
+        // destructor frees the buffer instead.
+    }
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> data) : shape_(std::move(shape)), data_(std::move(data))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "core/agent.h"
@@ -10,6 +11,7 @@
 #include "models/models.h"
 #include "rules/corpus.h"
 #include "support/check.h"
+#include "support/thread_pool.h"
 
 namespace xrl {
 namespace {
@@ -140,6 +142,41 @@ TEST(Trainer, EpisodeRecordsTransitionsAndUpdates)
 
     const Tensor& after = agent.parameters().front()->value;
     EXPECT_FALSE(Tensor::all_close(before, after, 0.0F)); // parameters moved
+}
+
+/// Trains a fresh tiny agent on the BERT smoke model and returns every
+/// parameter's values, concatenated.
+std::vector<float> trained_parameters(const Rule_set& rules)
+{
+    Xrlflow_config config;
+    config.agent = tiny_agent_config();
+    config.env.max_steps = 5;
+    config.trainer.update_every_episodes = 2;
+    config.trainer.ppo.minibatch_size = 3;
+    config.trainer.ppo.epochs = 2;
+    Xrlflow system(rules, config);
+    system.train(make_bert(Scale::smoke, 8), 2);
+    std::vector<float> values;
+    for (const Parameter* p : system.agent().parameters())
+        values.insert(values.end(), p->value.values().begin(), p->value.values().end());
+    return values;
+}
+
+TEST(Trainer, UpdateIsIndependentOfNestingAndConcurrency)
+{
+    // The PPO update fans out on the shared pool. Run from the test thread,
+    // and twice more concurrently from inside shared-pool tasks (each
+    // update then nests in a pool-run job and competes for workers), the
+    // trained parameters must agree bit for bit.
+    const Rule_set rules = standard_rule_corpus();
+    const std::vector<float> reference = trained_parameters(rules);
+    std::vector<std::vector<float>> nested(2);
+    Thread_pool::shared().run(nested.size(),
+                              [&](std::size_t i) { nested[i] = trained_parameters(rules); });
+    for (const std::vector<float>& values : nested) {
+        ASSERT_EQ(values.size(), reference.size());
+        EXPECT_EQ(std::memcmp(values.data(), reference.data(), values.size() * sizeof(float)), 0);
+    }
 }
 
 TEST(Trainer, GreedyEpisodeDoesNotRecord)

@@ -395,5 +395,31 @@ TEST(GoldenFingerprint, TrainThenOptimiseBestGraphIsBitIdentical)
     EXPECT_EQ(outcome.steps, 6);
 }
 
+TEST(GoldenFingerprint, PpoUpdateParametersAreBitIdentical)
+{
+    // Every parameter after training: two PPO updates of two epochs each
+    // over 5 and 12 transitions, in minibatches of 5 — the second update
+    // runs 5, 5 and a short 2 — so the hash covers the per-minibatch
+    // gradient sums, the short minibatch's loss scale and every Adam step.
+    const Rule_set rules = standard_rule_corpus();
+    Xrlflow_config config;
+    config.agent = golden_agent_config();
+    config.agent.max_candidates = 15;
+    config.env.max_steps = 6;
+    config.trainer.update_every_episodes = 2;
+    config.trainer.ppo.minibatch_size = 5;
+    config.trainer.ppo.epochs = 2;
+    Xrlflow system(rules, config);
+
+    system.train(make_bert(Scale::smoke, 8), 4);
+    int transitions = 0;
+    for (const Episode_stats& episode : system.training_history()) transitions += episode.steps;
+    EXPECT_EQ(transitions, 17);
+
+    std::uint64_t hash = fnv_offset;
+    for (const Parameter* p : system.agent().parameters()) hash = hash_float_bits(hash, p->value);
+    EXPECT_EQ(hash, 0x8c87e63bb9d09878ULL);
+}
+
 } // namespace
 } // namespace xrl

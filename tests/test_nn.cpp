@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 
 #include "nn/adam.h"
@@ -101,14 +102,92 @@ TEST(Autograd, ForwardOnlyTapeHoldsNoGradientBuffers)
     Parameter w(Tensor::random_uniform({4, 3}, rng));
     Tape tape;
     const Var x = tape.constant(Tensor::random_uniform({2, 4}, rng));
-    const Var loss = tape.sum_all(tape.relu(tape.matmul(x, tape.param(w))));
+    const Var w_node = tape.param(w);
+    const Var loss = tape.sum_all(tape.relu(tape.matmul(x, w_node)));
     for (int i = 0; i < static_cast<int>(tape.size()); ++i)
         EXPECT_EQ(tape.grad(Var{i}).volume(), 0) << "node " << i;
 
     tape.backward(loss);
-    for (int i = 0; i < static_cast<int>(tape.size()); ++i)
-        EXPECT_EQ(tape.grad(Var{i}).shape(), tape.value(Var{i}).shape()) << "node " << i;
-    EXPECT_EQ(tape.grad(loss).at(0), 1.0F);
+    // The sweep releases each gradient once it has been passed on; only the
+    // parameter node keeps one. The constant input x never gets one.
+    EXPECT_FALSE(tape.requires_grad(x));
+    for (int i = 0; i < static_cast<int>(tape.size()); ++i) {
+        if (i == w_node.index)
+            EXPECT_EQ(tape.grad(Var{i}).shape(), tape.value(Var{i}).shape()) << "node " << i;
+        else
+            EXPECT_EQ(tape.grad(Var{i}).volume(), 0) << "node " << i;
+    }
+    EXPECT_EQ(std::memcmp(tape.grad(w_node).data(), w.grad.data(), 12 * sizeof(float)), 0);
+}
+
+TEST(Autograd, ConstantsGetNoGradient)
+{
+    // A subgraph built only from constants requires no gradient, however
+    // deep, and the matmul that consumes it computes only the weight side.
+    Rng rng(15);
+    Parameter w(Tensor::random_uniform({5, 2}, rng));
+    Tape tape;
+    const Var one_hot = tape.constant(Tensor::random_uniform({3, 2}, rng));
+    const Var edges = tape.segment_sum(tape.constant(Tensor::random_uniform({4, 3}, rng)),
+                                       {0, 2, 2, 1}, 3);
+    const Var joined = tape.concat_cols(edges, one_hot);
+    const Var loss = tape.sum_all(tape.matmul(joined, tape.param(w)));
+    EXPECT_FALSE(tape.requires_grad(edges));
+    EXPECT_FALSE(tape.requires_grad(joined));
+    EXPECT_TRUE(tape.requires_grad(loss));
+
+    tape.backward(loss);
+    // d(sum(J W))/dW[k][j] = sum of column k of J.
+    const Tensor& j = tape.value(joined);
+    for (std::int64_t k = 0; k < 5; ++k) {
+        float column = 0.0F;
+        for (std::int64_t r = 0; r < 3; ++r) column += j.at(r * 5 + k);
+        EXPECT_FLOAT_EQ(w.grad.at(k * 2), column);
+        EXPECT_FLOAT_EQ(w.grad.at(k * 2 + 1), column);
+    }
+}
+
+TEST(Autograd, SplitBackwardMatchesBackward)
+{
+    // One Parameter feeding two tape nodes per item: sweeping one tape per
+    // item and accumulating the sweeps last item first must equal, bit for
+    // bit, backward() over one tape that sums both items' losses — the
+    // PPO minibatch done both ways.
+    Rng rng(16);
+    Parameter w(Tensor::random_uniform({3, 3}, rng));
+    Parameter b(Tensor::random_uniform({1, 3}, rng));
+    const std::vector<Tensor> xs = {Tensor::random_uniform({6, 3}, rng),
+                                    Tensor::random_uniform({5, 3}, rng)};
+    const auto item_loss = [&](Tape& tape, const Tensor& x) {
+        const Var h = tape.relu(tape.add(tape.matmul(tape.constant(x), tape.param(w)), tape.param(b)));
+        return tape.sum_all(tape.square(tape.matmul(h, tape.param(w))));
+    };
+    const float inv_batch = 1.0F / static_cast<float>(xs.size());
+
+    {
+        Tape tape;
+        Var total = tape.constant(Tensor(Shape{1, 1}));
+        for (const Tensor& x : xs) total = tape.add(total, item_loss(tape, x));
+        tape.backward(tape.scale(total, inv_batch));
+    }
+    const std::vector<float> w_single = w.grad.values();
+    const std::vector<float> b_single = b.grad.values();
+    w.zero_grad();
+    b.zero_grad();
+
+    std::vector<std::vector<Parameter_grad>> sweeps;
+    for (const Tensor& x : xs) {
+        Tape tape;
+        sweeps.push_back(tape.sweep(tape.scale(item_loss(tape, x), inv_batch)));
+        ASSERT_EQ(sweeps.back().size(), 3U); // w twice, b once
+    }
+    for (const float g : w.grad.values()) EXPECT_EQ(g, 0.0F); // the sweep is tape-local
+    for (auto it = sweeps.rbegin(); it != sweeps.rend(); ++it) accumulate_parameter_grads(*it);
+
+    ASSERT_EQ(w.grad.values().size(), w_single.size());
+    EXPECT_EQ(std::memcmp(w.grad.data(), w_single.data(), w_single.size() * sizeof(float)), 0);
+    ASSERT_EQ(b.grad.values().size(), b_single.size());
+    EXPECT_EQ(std::memcmp(b.grad.data(), b_single.data(), b_single.size() * sizeof(float)), 0);
 }
 
 TEST(Autograd, ReluAndLeakyReluGradient)
@@ -122,6 +201,26 @@ TEST(Autograd, ReluAndLeakyReluGradient)
     check_gradients(q, once_backward([](Tape& t, Var leaf) {
                         return t.sum_all(t.leaky_relu(leaf, 0.2F));
                     }));
+}
+
+TEST(Autograd, ReluAndLeakyReluGradientAtZero)
+{
+    // At exactly 0 both activations take the negative-side branch: relu
+    // passes no gradient, leaky_relu passes `slope` times it. A finite
+    // difference straddles the kink, so the expected values are exact.
+    Parameter p(Tensor(Shape{1, 3}, {-1.0F, 0.0F, 2.0F}));
+    {
+        Tape tape;
+        tape.backward(tape.sum_all(tape.relu(tape.param(p))));
+    }
+    EXPECT_EQ(p.grad.values(), (std::vector<float>{0.0F, 0.0F, 1.0F}));
+
+    Parameter q(Tensor(Shape{1, 3}, {-1.0F, 0.0F, 2.0F}));
+    {
+        Tape tape;
+        tape.backward(tape.sum_all(tape.leaky_relu(tape.param(q), 0.25F)));
+    }
+    EXPECT_EQ(q.grad.values(), (std::vector<float>{0.25F, 0.25F, 1.0F}));
 }
 
 TEST(Autograd, TanhExpLogGradient)

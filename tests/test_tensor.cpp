@@ -142,6 +142,60 @@ TEST(Tensor, AllCloseDetectsDifferences)
     EXPECT_FALSE(Tensor::all_close(a, Tensor(Shape{1, 2}, {1.0F, 2.0F})));
 }
 
+TEST(Storage_recycler, ReusesReleasedStorageOnlyWhileInstalled)
+{
+    constexpr auto big = static_cast<std::int64_t>(Storage_recycler::min_floats);
+    Storage_recycler recycler;
+    const float* first_storage = nullptr;
+    {
+        const Storage_recycler::Scope scope(recycler);
+        {
+            Tensor t = Tensor::full({2, big}, 3.0F);
+            first_storage = t.data();
+        }
+        EXPECT_GE(recycler.pooled_floats(), static_cast<std::size_t>(2 * big));
+
+        // A smaller request takes the pooled buffer, zero-filled.
+        const Tensor reused(Shape{big, 1});
+        EXPECT_EQ(reused.data(), first_storage);
+        for (const float x : reused.values()) EXPECT_EQ(x, 0.0F);
+        EXPECT_EQ(recycler.pooled_floats(), 0U);
+
+        // Tensors below the threshold never touch the pool.
+        { const Tensor small(Shape{4, 4}); }
+        EXPECT_EQ(recycler.pooled_floats(), 0U);
+
+        // Move-assigning over a tensor hands its old storage back; copies
+        // take pooled storage too.
+        Tensor target(Shape{3, big});
+        const float* target_storage = target.data();
+        target = Tensor();
+        EXPECT_EQ(recycler.pooled_floats(), static_cast<std::size_t>(3 * big));
+        const Tensor copy(reused);
+        EXPECT_EQ(copy.data(), target_storage);
+        EXPECT_EQ(copy.values(), reused.values());
+    }
+    // Uninstalled: tensors allocate and free as usual, the pool is untouched.
+    const std::size_t pooled = recycler.pooled_floats();
+    { const Tensor t(Shape{4, big}); }
+    EXPECT_EQ(recycler.pooled_floats(), pooled);
+}
+
+TEST(Storage_recycler, ScopesNest)
+{
+    constexpr auto big = static_cast<std::int64_t>(Storage_recycler::min_floats);
+    Storage_recycler outer;
+    Storage_recycler inner;
+    const Storage_recycler::Scope outer_scope(outer);
+    {
+        const Storage_recycler::Scope inner_scope(inner);
+        { const Tensor t(Shape{big}); }
+    }
+    { const Tensor t(Shape{big}); }
+    EXPECT_EQ(inner.pooled_floats(), static_cast<std::size_t>(big));
+    EXPECT_EQ(outer.pooled_floats(), static_cast<std::size_t>(big));
+}
+
 TEST(Broadcast, ShapesFollowNumpyRules)
 {
     EXPECT_EQ(broadcast_shapes({2, 3}, {2, 3}), (Shape{2, 3}));
