@@ -1,16 +1,16 @@
-// Candidate-generation engine benchmark: legacy per-rule apply_all scan vs
-// Candidate_engine, plus environment steps-per-second with both backends.
+// Candidate-generation engine benchmark: one uncapped candidate pass
+// (Candidate_engine::generate_step from a rebuilt index) per model, plus
+// environment steps-per-second on a fixed trajectory.
 //
 // Emits BENCH_candidates.json (path overridable via argv[1]) recording the
-// before/after numbers behind the README's "Candidate generation" section.
-// The env rollout always takes action 0, so both backends walk the same
-// graph trajectory and the comparison isolates candidate generation.
+// numbers behind the README's "Candidate generation" section. The env
+// rollout always takes action 0, so every run walks the same graph
+// trajectory and the number isolates candidate generation.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_common.h"
@@ -46,19 +46,6 @@ double time_us(F&& f)
     }
 }
 
-/// The pre-engine candidate pass: per-rule apply_all + canonical dedup
-/// (what Environment::regenerate_candidates ran before the engine).
-std::size_t legacy_pass(const Graph& host, const Rule_set& rules, std::size_t per_rule_limit)
-{
-    std::unordered_set<std::uint64_t> seen;
-    seen.insert(host.canonical_hash());
-    std::size_t kept = 0;
-    for (const auto& rule : rules)
-        for (const Graph& candidate : rule->apply_all(host, per_rule_limit))
-            if (seen.insert(candidate.canonical_hash()).second) ++kept;
-    return kept;
-}
-
 struct Env_throughput {
     double steps_per_second = 0.0;
     int steps = 0;
@@ -66,17 +53,11 @@ struct Env_throughput {
     Arena_stats arena;
 };
 
-Env_throughput env_rollout(const Graph& model, const Rule_set& rules, bool use_engine,
-                           int max_steps)
+Env_throughput env_rollout(const Graph& model, const Rule_set& rules, int max_steps)
 {
     E2e_simulator simulator(gtx1080_profile(), 7);
     Env_config config;
     config.max_steps = max_steps;
-    config.use_candidate_engine = use_engine;
-    // The bench measures the production configuration; the rebuild-and-
-    // compare parity check (on by default in debug builds) is covered by
-    // the A/B gate in test_incremental_index.
-    config.verify_incremental_index = false;
     Environment env(model, rules, simulator, config);
 
     Env_throughput out;
@@ -86,23 +67,20 @@ Env_throughput env_rollout(const Graph& model, const Rule_set& rules, bool use_e
     const Trace_scope trace_scope(trace_enabled() ? new_trace_id() : 0, 0);
     // One untimed warm-up rollout fills the engine's slot pool and the
     // thread-local scratch, then three timed rollouts measure the
-    // steady state (and average away single-rollout noise). Both
-    // backends get the identical treatment.
+    // steady state (and average away single-rollout noise).
     while (!env.done()) env.step(0);
     env.reset();
     const auto start = std::chrono::steady_clock::now();
     for (int rollout = 0; rollout < 3; ++rollout) {
         while (!env.done()) {
-            env.step(0); // deterministic walk: both backends see the same graphs
+            env.step(0); // deterministic walk: every run sees the same graphs
             ++out.steps;
         }
         env.reset();
     }
     out.steps_per_second = out.steps / seconds_since(start);
-    if (env.engine() != nullptr) {
-        out.pool = env.engine()->step_pool_stats();
-        out.arena = env.engine()->step_arena_stats();
-    }
+    out.pool = env.engine().step_pool_stats();
+    out.arena = env.engine().step_arena_stats();
     return out;
 }
 
@@ -116,31 +94,22 @@ int main(int argc, char** argv)
     const Graph inception = make_inception_v3(Scale::smoke);
     constexpr std::size_t per_rule_limit = 4;
 
-    print_header("Candidate generation: legacy apply_all scan vs Candidate_engine");
+    print_header("Candidate generation: Candidate_engine::generate_step");
 
-    const Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, 0});
 
-    const double legacy_bert_us = time_us([&] { legacy_pass(bert, rules, per_rule_limit); });
-    const double engine_bert_us = time_us([&] { engine.generate(bert); });
-    const double legacy_incep_us = time_us([&] { legacy_pass(inception, rules, per_rule_limit); });
-    const double engine_incep_us = time_us([&] { engine.generate(inception); });
+    const double bert_us = time_us([&] { engine.generate_step(bert); });
+    const double inception_us = time_us([&] { engine.generate_step(inception); });
 
-    std::printf("%-28s %14s %14s %9s\n", "candidate pass", "legacy (us)", "engine (us)", "speedup");
-    std::printf("%-28s %14.1f %14.1f %8.2fx\n", "bert (smoke)", legacy_bert_us, engine_bert_us,
-                legacy_bert_us / engine_bert_us);
-    std::printf("%-28s %14.1f %14.1f %8.2fx\n", "inception-v3 (smoke)", legacy_incep_us,
-                engine_incep_us, legacy_incep_us / engine_incep_us);
+    std::printf("%-28s %14s\n", "candidate pass", "engine (us)");
+    std::printf("%-28s %14.1f\n", "bert (smoke)", bert_us);
+    std::printf("%-28s %14.1f\n", "inception-v3 (smoke)", inception_us);
 
-    const Env_throughput legacy_env = env_rollout(bert, rules, /*use_engine=*/false, 12);
-    const Env_throughput engine_env = env_rollout(bert, rules, /*use_engine=*/true, 12);
-
-    std::printf("\n%-28s %14s %14s %9s\n", "env rollout (bert)", "legacy", "engine", "speedup");
-    std::printf("%-28s %12.1f/s %12.1f/s %8.2fx\n", "steps per second",
-                legacy_env.steps_per_second, engine_env.steps_per_second,
-                engine_env.steps_per_second / legacy_env.steps_per_second);
+    const Env_throughput env = env_rollout(bert, rules, 12);
+    std::printf("\n%-28s %12.1f/s\n", "env rollout (bert)", env.steps_per_second);
 
     // Per-phase engine timings, straight from the registry histograms the
-    // engine publishes (every generate()/enumerate() above observed them).
+    // engine publishes (every generate_step() above observed them).
     const char* const phases[] = {"index_build", "match", "dedup", "materialise",
                                   "finalise_rewrite"};
     std::printf("\n%-28s %10s %12s %12s %12s\n", "engine phase", "count", "mean (us)",
@@ -162,26 +131,21 @@ int main(int argc, char** argv)
     json << "{\n"
          << "  \"per_rule_limit\": " << per_rule_limit << ",\n"
          << "  \"candidate_pass_us\": {\n"
-         << "    \"bert\": {\"legacy\": " << legacy_bert_us << ", \"engine\": " << engine_bert_us
-         << ", \"speedup\": " << legacy_bert_us / engine_bert_us << "},\n"
-         << "    \"inception\": {\"legacy\": " << legacy_incep_us
-         << ", \"engine\": " << engine_incep_us
-         << ", \"speedup\": " << legacy_incep_us / engine_incep_us << "}\n"
+         << "    \"bert\": {\"engine\": " << bert_us << "},\n"
+         << "    \"inception\": {\"engine\": " << inception_us << "}\n"
          << "  },\n"
          << "  \"env_steps_per_second\": {\n"
-         << "    \"bert\": {\"legacy\": " << legacy_env.steps_per_second
-         << ", \"engine\": " << engine_env.steps_per_second
-         << ", \"speedup\": " << engine_env.steps_per_second / legacy_env.steps_per_second
-         << ", \"steps\": " << engine_env.steps << "}\n"
+         << "    \"bert\": {\"engine\": " << env.steps_per_second << ", \"steps\": " << env.steps
+         << "}\n"
          << "  },\n"
          << "  \"arena\": {\n"
-         << "    \"pool_slots\": " << engine_env.pool.slots
-         << ", \"pool_high_water_slots\": " << engine_env.pool.high_water_slots
-         << ", \"pool_acquires\": " << engine_env.pool.acquires
-         << ", \"pool_reuses\": " << engine_env.pool.reuses << ",\n"
-         << "    \"arena_chunks\": " << engine_env.arena.chunks
-         << ", \"arena_reserved_bytes\": " << engine_env.arena.reserved_bytes
-         << ", \"arena_high_water_bytes\": " << engine_env.arena.high_water_bytes << "\n"
+         << "    \"pool_slots\": " << env.pool.slots
+         << ", \"pool_high_water_slots\": " << env.pool.high_water_slots
+         << ", \"pool_acquires\": " << env.pool.acquires
+         << ", \"pool_reuses\": " << env.pool.reuses << ",\n"
+         << "    \"arena_chunks\": " << env.arena.chunks
+         << ", \"arena_reserved_bytes\": " << env.arena.reserved_bytes
+         << ", \"arena_high_water_bytes\": " << env.arena.high_water_bytes << "\n"
          << "  },\n"
          << "  \"candidate_phase_us\": {\n"
          << phase_json << "\n"

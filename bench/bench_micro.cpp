@@ -41,65 +41,30 @@ void BM_pattern_match_inception(benchmark::State& state)
 }
 BENCHMARK(BM_pattern_match_inception);
 
-void BM_rule_apply_all_bert(benchmark::State& state)
-{
-    static const Rule_set rules = standard_rule_corpus();
-    for (auto _ : state) {
-        for (const auto& rule : rules) {
-            auto candidates = rule->apply_all(bert(), 4);
-            benchmark::DoNotOptimize(candidates);
-        }
-    }
-}
-BENCHMARK(BM_rule_apply_all_bert);
-
-// The engine does strictly more than the loop above — on top of matching
-// and materialising it canonically dedups the whole set — via one shared
-// host index, the undo-log matcher, and fingerprint-gated materialisation.
+// One full candidate pass: a rebuilt host index (`via` = null), the
+// undo-log matcher, fingerprint-gated materialisation into recycled pool
+// slots, and canonical dedup of the whole set.
 void BM_candidate_engine_bert(benchmark::State& state)
 {
     static const Rule_set rules = standard_rule_corpus();
-    static const Candidate_engine engine(rules, Candidate_engine_config{4, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{4, 0});
     for (auto _ : state) {
-        auto generated = engine.generate(bert());
-        benchmark::DoNotOptimize(generated);
+        const auto& generated = engine.generate_step(bert(), SIZE_MAX, nullptr);
+        benchmark::DoNotOptimize(generated.candidates.data());
     }
 }
 BENCHMARK(BM_candidate_engine_bert);
 
-void BM_rule_apply_all_inception(benchmark::State& state)
-{
-    static const Rule_set rules = standard_rule_corpus();
-    for (auto _ : state) {
-        for (const auto& rule : rules) {
-            auto candidates = rule->apply_all(inception(), 4);
-            benchmark::DoNotOptimize(candidates);
-        }
-    }
-}
-BENCHMARK(BM_rule_apply_all_inception);
-
 void BM_candidate_engine_inception(benchmark::State& state)
 {
     static const Rule_set rules = standard_rule_corpus();
-    static const Candidate_engine engine(rules, Candidate_engine_config{4, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{4, 0});
     for (auto _ : state) {
-        auto generated = engine.generate(inception());
-        benchmark::DoNotOptimize(generated);
+        const auto& generated = engine.generate_step(inception(), SIZE_MAX, nullptr);
+        benchmark::DoNotOptimize(generated.candidates.data());
     }
 }
 BENCHMARK(BM_candidate_engine_inception);
-
-void BM_candidate_engine_enumerate_bert(benchmark::State& state)
-{
-    static const Rule_set rules = standard_rule_corpus();
-    static const Candidate_engine engine(rules, Candidate_engine_config{4, 0});
-    for (auto _ : state) {
-        auto records = engine.enumerate(bert());
-        benchmark::DoNotOptimize(records);
-    }
-}
-BENCHMARK(BM_candidate_engine_enumerate_bert);
 
 void BM_canonical_hash(benchmark::State& state)
 {

@@ -1,7 +1,5 @@
 #include "env/environment.h"
 
-#include <unordered_set>
-
 #include "support/check.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -15,14 +13,11 @@ Environment::Environment(Graph initial, const Rule_set& rules, E2e_simulator& si
       rules_(&rules),
       simulator_(&simulator),
       config_(std::move(config)),
+      engine_(rules, Candidate_engine_config{config_.per_rule_limit}),
       rule_counts_(rules.size(), 0)
 {
     XRL_EXPECTS(config_.max_candidates > 0);
     XRL_EXPECTS(config_.feedback_frequency >= 1);
-    if (config_.use_candidate_engine)
-        engine_ = std::make_unique<Candidate_engine>(
-            rules, Candidate_engine_config{config_.per_rule_limit, config_.engine_threads,
-                                           config_.verify_incremental_index});
     reset();
 }
 
@@ -39,41 +34,17 @@ void Environment::reset()
 
 void Environment::regenerate_candidates(const Candidate_engine::Step_candidate* via)
 {
+    // Candidates beyond the action-space cap are counted but never
+    // materialised (the GNN only observes the capped set). The step graphs
+    // live in the engine's pool until the next call.
+    const Candidate_engine::Step_generated& generated =
+        engine_.generate_step(current_, static_cast<std::size_t>(config_.max_candidates), via);
+    last_step_ = &generated;
+    truncated_ += generated.truncated;
     candidates_.clear();
-    if (engine_ != nullptr) {
-        // Engine path: candidates beyond the action-space cap are counted
-        // but never materialised (the GNN only observes the capped set).
-        // The step graphs live in the engine's pool until the next call.
-        const Candidate_engine::Step_generated& generated = engine_->generate_step(
-            current_, static_cast<std::size_t>(config_.max_candidates), via);
-        last_step_ = &generated;
-        truncated_ += generated.truncated;
-        candidates_.reserve(generated.candidates.size());
-        for (const Candidate_engine::Step_candidate& candidate : generated.candidates)
-            candidates_.push_back({candidate.graph, candidate.rule_index});
-    } else {
-        // Two passes so candidates_ can point into legacy_graphs_ without
-        // reallocation invalidating earlier pointers.
-        legacy_graphs_.clear();
-        std::vector<int> rule_of;
-        std::unordered_set<std::uint64_t> seen;
-        seen.insert(current_.canonical_hash());
-        for (std::size_t rule_index = 0; rule_index < rules_->size(); ++rule_index) {
-            for (Graph& candidate :
-                 (*rules_)[rule_index]->apply_all(current_, config_.per_rule_limit)) {
-                if (!seen.insert(candidate.canonical_hash()).second) continue;
-                if (legacy_graphs_.size() >= static_cast<std::size_t>(config_.max_candidates)) {
-                    ++truncated_;
-                    continue;
-                }
-                legacy_graphs_.push_back(std::move(candidate));
-                rule_of.push_back(static_cast<int>(rule_index));
-            }
-        }
-        candidates_.reserve(legacy_graphs_.size());
-        for (std::size_t i = 0; i < legacy_graphs_.size(); ++i)
-            candidates_.push_back({&legacy_graphs_[i], rule_of[i]});
-    }
+    candidates_.reserve(generated.candidates.size());
+    for (const Candidate_engine::Step_candidate& candidate : generated.candidates)
+        candidates_.push_back({candidate.graph, candidate.rule_index});
     candidate_observations_ += static_cast<std::int64_t>(candidates_.size());
     ++candidate_steps_;
 }
@@ -138,11 +109,7 @@ Env_step Environment::step(int action)
         // Copy out of the pool slot before regeneration recycles it.
         current_ = *chosen.graph;
         ++rule_counts_[static_cast<std::size_t>(chosen.rule_index)];
-        const Candidate_engine::Step_candidate* via =
-            engine_ != nullptr && last_step_ != nullptr
-                ? &last_step_->candidates[static_cast<std::size_t>(action)]
-                : nullptr;
-        regenerate_candidates(via);
+        regenerate_candidates(&last_step_->candidates[static_cast<std::size_t>(action)]);
         if (candidates_.empty()) terminal = true;
         if (steps_ >= config_.max_steps) terminal = true;
     }

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,29 +35,10 @@ struct Env_config {
     int max_steps = 64;
     std::size_t per_rule_limit = 16;
     Invalid_action_policy invalid_policy = Invalid_action_policy::forbid;
-
-    /// Candidate generation backend. The engine (default) shares one
-    /// op-kind index across the rule corpus, dedups by fingerprint before
-    /// materialising, stops materialising at max_candidates, recycles
-    /// candidate graphs through a pool, and patches its host index
-    /// incrementally across steps; the legacy per-rule apply_all scan is
-    /// kept for A/B benchmarking.
-    bool use_candidate_engine = true;
-    std::size_t engine_threads = 0; ///< Candidate_engine_config::threads.
-
-    /// Passed to Candidate_engine_config: rebuild-and-compare the host
-    /// index after every incremental patch (defaults on in debug builds).
-    bool verify_incremental_index =
-#ifndef NDEBUG
-        true;
-#else
-        false;
-#endif
 };
 
-/// One applicable substitution. `graph` points into environment-owned
-/// storage (the engine's step pool or the legacy scan's buffer) and is
-/// invalidated by the next step()/reset().
+/// One applicable substitution. `graph` points into the candidate engine's
+/// step storage and is invalidated by the next step()/reset().
 struct Candidate {
     const Graph* graph = nullptr;
     int rule_index = -1;
@@ -119,15 +99,15 @@ public:
     /// Average candidates per step since construction (Table 3 "complexity").
     double mean_candidates_per_step() const;
 
-    /// Candidates dropped because the set exceeded max_candidates (with
-    /// the engine: candidate records left unmaterialised at the cap).
+    /// Candidate records left unmaterialised because the set reached
+    /// max_candidates.
     std::size_t truncated_candidates() const { return truncated_; }
 
     const Rule_set& rules() const { return *rules_; }
 
-    /// The engine backend (null on the legacy path) — pool/arena statistics
-    /// for the bench artifacts and the index for the A/B parity gate.
-    const Candidate_engine* engine() const { return engine_.get(); }
+    /// The candidate engine — pool/arena statistics for the bench artifacts
+    /// and the index for the A/B parity gate.
+    const Candidate_engine& engine() const { return engine_; }
 
     /// Replace the default Eq. 2 reward.
     void register_reward_callback(Reward_callback callback);
@@ -143,13 +123,11 @@ private:
     const Rule_set* rules_;
     E2e_simulator* simulator_;
     Env_config config_;
-    std::unique_ptr<Candidate_engine> engine_; ///< Null when legacy scan requested.
+    Candidate_engine engine_;
 
     std::vector<Candidate> candidates_;
-    /// Engine path: the step candidates backing candidates_ (for the next
-    /// step's `via`). Legacy path: owning storage for the scanned graphs.
+    /// The step candidates backing candidates_ (for the next step's `via`).
     const Candidate_engine::Step_generated* last_step_ = nullptr;
-    std::vector<Graph> legacy_graphs_;
     std::vector<int> rule_counts_;
     Reward_callback reward_callback_;
 

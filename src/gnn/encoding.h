@@ -48,7 +48,7 @@ Encoded_graph encode_meta_graph(const Graph& current, const std::vector<const Gr
 /// test in test_gnn holds it to that), but the output vectors and the
 /// row-mapping scratch persist across encode() calls, so a steady-state
 /// step reuses warm buffers instead of reallocating the whole encoding.
-/// Single-owner, like the candidate engine's step mode.
+/// Single-owner, like the candidate engine.
 class Meta_encoder {
 public:
     /// Encode one state. The returned reference is invalidated by the next

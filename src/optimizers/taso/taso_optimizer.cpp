@@ -45,11 +45,11 @@ Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
     result.rule_candidates.assign(rules.size(), 0);
 
     // One engine for the whole search: matching fans out across the rule
-    // corpus with a shared per-step op-kind index, and a candidate is only
-    // materialised after its match-site fingerprint survived dedup. The
-    // cross-iteration `seen` cache stays here — it spans queue pops.
-    const Candidate_engine engine(rules,
-                                  Candidate_engine_config{config.max_candidates_per_step, 0});
+    // corpus with a shared op-kind index, a candidate is only materialised
+    // after its match-site fingerprint survived dedup, and candidate graphs
+    // land in the engine's recycled slots. The cross-iteration `seen` cache
+    // stays here — it spans queue pops.
+    Candidate_engine engine(rules, Candidate_engine_config{config.max_candidates_per_step, 0});
 
     while (!queue.empty() && result.iterations < config.budget) {
         if (config.heartbeat && !config.heartbeat(result.iterations, result.best_cost_ms)) {
@@ -60,21 +60,21 @@ Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
         queue.pop();
         ++result.iterations;
 
-        for (Rewrite_candidate& record : engine.enumerate(current.graph)) {
-            std::uint64_t hash = 0;
-            std::optional<Graph> candidate = engine.materialize(current.graph, record, &hash);
-            if (!candidate.has_value()) continue;
+        for (const Candidate_engine::Step_candidate& candidate :
+             engine.generate_step(current.graph).candidates) {
             ++result.candidates_generated;
-            if (!seen.insert(hash).second) continue;
-            ++result.rule_candidates[record.rule_index];
-            const double candidate_cost = cost(*candidate);
+            if (!seen.insert(candidate.hash).second) continue;
+            ++result.rule_candidates[static_cast<std::size_t>(candidate.rule_index)];
+            const double candidate_cost = cost(*candidate.graph);
             if (candidate_cost < result.best_cost_ms) {
                 result.best_cost_ms = candidate_cost;
-                result.best_graph = *candidate;
+                result.best_graph = *candidate.graph;
             }
+            // The queue takes the graph out of the engine's slot; the
+            // engine refills the slot on its next use.
             if (candidate_cost < config.alpha * result.best_cost_ms &&
                 queue.size() < config.max_queue)
-                queue.push({candidate_cost, order++, std::move(*candidate)});
+                queue.push({candidate_cost, order++, std::move(*candidate.graph)});
         }
     }
 

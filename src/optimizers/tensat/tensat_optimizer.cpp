@@ -212,17 +212,18 @@ Tensat_result optimise_tensat(const Graph& input, const std::vector<Pattern>& pa
     // Candidates come from the shared engine (deduped, deterministic
     // order), which cannot change the greedy winner: duplicates tie on
     // cost and the strict comparison keeps the first occurrence.
-    const Candidate_engine seed_engine(multi_pattern_rules, Candidate_engine_config{64, 0});
+    Candidate_engine seed_engine(multi_pattern_rules, Candidate_engine_config{64, 0});
     Graph seeded = input;
     for (int round = 0; round < config.multi_pattern_limit_k; ++round) {
         Graph best = seeded;
         double best_cost = cost.graph_cost_ms(seeded);
         bool improved = false;
-        for (Engine_candidate& candidate : seed_engine.generate(seeded).candidates) {
-            const double c = cost.graph_cost_ms(candidate.graph);
+        for (const Candidate_engine::Step_candidate& candidate :
+             seed_engine.generate_step(seeded).candidates) {
+            const double c = cost.graph_cost_ms(*candidate.graph);
             if (c < best_cost) {
                 best_cost = c;
-                best = std::move(candidate.graph);
+                best = std::move(*candidate.graph);
                 improved = true;
             }
         }

@@ -1,6 +1,5 @@
 #include "rules/candidate_engine.h"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -21,7 +20,7 @@ namespace {
 
 /// Fingerprint of a match site: the binding key the matcher already
 /// computed, mixed with the rule index. Records live only within one
-/// enumerate() call (one host), so the host needs no representation here.
+/// generate_step() call (one host), so the host needs no representation here.
 std::uint64_t match_fingerprint(std::size_t rule_index, const Pattern_match& match)
 {
     return (match.binding_key ^ (static_cast<std::uint64_t>(rule_index) + 1)) *
@@ -43,49 +42,21 @@ Candidate_engine::Candidate_engine(const Rule_set& rules, Candidate_engine_confi
     if (config_.threads != 1) pool_ = &Thread_pool::shared();
 }
 
-std::vector<Rewrite_candidate> Candidate_engine::enumerate(const Graph& host) const
-{
-    static Histogram& index_histogram = candidate_phase_histogram("index_build");
-
-    std::optional<Host_index> index;
-    {
-        const Scoped_timer_us timer(index_histogram);
-        const Span_scope span("candidates/index_build");
-        index.emplace(host);
-    }
-    std::vector<Rewrite_candidate> records;
-    Enumerate_scratch scratch;
-    enumerate_into(host, *index, scratch, records);
-    // The scratch (and its bespoke batches) dies with this call, so slot
-    // references must become owned graphs before the records escape.
-    for (Rewrite_candidate& record : records) {
-        if (record.pre_built_slot < 0) continue;
-        Graph_batch& batch = scratch.bespoke[record.rule_index];
-        record.pre_built = std::make_shared<Graph>(
-            std::move(batch[static_cast<std::size_t>(record.pre_built_slot)]));
-        record.pre_built_slot = -1;
-    }
-    return records;
-}
-
-void Candidate_engine::enumerate_into(const Graph& host, const Host_index& index,
-                                      Enumerate_scratch& scratch,
-                                      std::vector<Rewrite_candidate>& out) const
+void Candidate_engine::match_and_dedup(const Graph& host)
 {
     // Per-phase timing: histogram references resolve once (function-local
     // statics), so the steady-state cost is two clock reads per phase.
     static Histogram& match_histogram = candidate_phase_histogram("match");
     static Histogram& dedup_histogram = candidate_phase_histogram("dedup");
 
-    std::vector<std::vector<Rewrite_candidate>>& per_rule = scratch.per_rule;
-    per_rule.resize(rules_->size());
-    for (auto& bucket : per_rule) bucket.clear();
-    scratch.bespoke.resize(rules_->size());
+    per_rule_.resize(rules_->size());
+    for (auto& bucket : per_rule_) bucket.clear();
+    bespoke_.resize(rules_->size());
 
     const auto run_rule = [&](std::size_t rule_index) {
-        std::vector<Rewrite_candidate>& bucket = per_rule[rule_index];
+        std::vector<Rewrite_candidate>& bucket = per_rule_[rule_index];
         if (const Pattern_rule* pattern_rule = pattern_rules_[rule_index]) {
-            auto matches = find_matches(host, index, pattern_rule->pattern(),
+            auto matches = find_matches(host, index_, pattern_rule->pattern(),
                                         config_.per_rule_limit);
             bucket.reserve(matches.size());
             for (Pattern_match& match : matches) {
@@ -98,7 +69,7 @@ void Candidate_engine::enumerate_into(const Graph& host, const Host_index& index
         } else {
             // Bespoke rule: materialise eagerly into the rule's recycled
             // batch; records carry slot indices, not owned graphs.
-            Graph_batch& batch = scratch.bespoke[rule_index];
+            Graph_batch& batch = bespoke_[rule_index];
             batch.reset();
             (*rules_)[rule_index]->apply_all_into(host, config_.per_rule_limit, batch);
             bucket.reserve(batch.size());
@@ -116,11 +87,11 @@ void Candidate_engine::enumerate_into(const Graph& host, const Host_index& index
         const Scoped_timer_us timer(match_histogram);
         Span_scope span("candidates/match");
         if (pool_ != nullptr) {
-            pool_->run(per_rule.size(), run_rule);
+            pool_->run(per_rule_.size(), run_rule);
         } else {
-            for (std::size_t i = 0; i < per_rule.size(); ++i) run_rule(i);
+            for (std::size_t i = 0; i < per_rule_.size(); ++i) run_rule(i);
         }
-        if (span.active()) span.annotate("rules", std::to_string(per_rule.size()));
+        if (span.active()) span.annotate("rules", std::to_string(per_rule_.size()));
     }
 
     // Deterministic order — rule index, then discovery order — and
@@ -128,77 +99,15 @@ void Candidate_engine::enumerate_into(const Graph& host, const Host_index& index
     const Scoped_timer_us timer(dedup_histogram);
     const Span_scope span("candidates/dedup");
     std::size_t total = 0;
-    for (const auto& bucket : per_rule) total += bucket.size();
-    out.clear();
-    out.reserve(total);
-    std::unordered_set<std::uint64_t>& seen = scratch.seen;
-    seen.clear();
-    seen.reserve(total);
-    for (auto& bucket : per_rule)
+    for (const auto& bucket : per_rule_) total += bucket.size();
+    records_.clear();
+    records_.reserve(total);
+    fingerprints_seen_.clear();
+    fingerprints_seen_.reserve(total);
+    for (auto& bucket : per_rule_)
         for (Rewrite_candidate& record : bucket)
-            if (seen.insert(record.fingerprint).second) out.push_back(std::move(record));
-}
-
-std::optional<Graph> Candidate_engine::materialize(const Graph& host, Rewrite_candidate& candidate,
-                                                   std::uint64_t* hash_out) const
-{
-    // Slot references are resolved (to owned graphs) before enumerate()
-    // returns; only step mode sees them, and it never calls materialize.
-    XRL_EXPECTS(candidate.pre_built_slot < 0);
-    if (candidate.pre_built != nullptr) {
-        if (hash_out != nullptr) *hash_out = candidate.fingerprint;
-        Graph graph = std::move(*candidate.pre_built);
-        candidate.pre_built.reset();
-        return graph;
-    }
-    const Pattern_rule* pattern_rule = pattern_rules_[candidate.rule_index];
-    XRL_EXPECTS(pattern_rule != nullptr);
-    return apply_match(host, pattern_rule->pattern(), candidate.match, hash_out);
-}
-
-Candidate_engine::Generated Candidate_engine::generate(const Graph& host,
-                                                       std::size_t max_total) const
-{
-    std::vector<Rewrite_candidate> records = enumerate(host);
-
-    static Histogram& materialise_histogram = candidate_phase_histogram("materialise");
-    const Scoped_timer_us timer(materialise_histogram);
-    Span_scope span("candidates/materialise");
-    if (span.active()) span.annotate("enumerated", std::to_string(records.size()));
-
-    Generated out;
-    out.enumerated = records.size();
-    std::unordered_set<std::uint64_t> seen;
-    seen.insert(host.canonical_hash());
-
-    if (max_total == SIZE_MAX && pool_ != nullptr && records.size() > 1) {
-        // No cap: materialise everything concurrently, then dedup in order.
-        std::vector<std::optional<Graph>> graphs(records.size());
-        std::vector<std::uint64_t> hashes(records.size(), 0);
-        pool_->run(records.size(), [&](std::size_t i) {
-            graphs[i] = materialize(host, records[i], &hashes[i]);
-        });
-        for (std::size_t i = 0; i < records.size(); ++i) {
-            if (!graphs[i].has_value()) continue;
-            if (!seen.insert(hashes[i]).second) continue;
-            out.candidates.push_back(
-                {std::move(*graphs[i]), static_cast<int>(records[i].rule_index), hashes[i]});
-        }
-        return out;
-    }
-
-    for (Rewrite_candidate& record : records) {
-        if (out.candidates.size() >= max_total) {
-            ++out.truncated;
-            continue;
-        }
-        std::uint64_t hash = 0;
-        std::optional<Graph> graph = materialize(host, record, &hash);
-        if (!graph.has_value()) continue;
-        if (!seen.insert(hash).second) continue;
-        out.candidates.push_back({std::move(*graph), static_cast<int>(record.rule_index), hash});
-    }
-    return out;
+            if (fingerprints_seen_.insert(record.fingerprint).second)
+                records_.push_back(std::move(record));
 }
 
 const Candidate_engine::Step_generated& Candidate_engine::generate_step(
@@ -225,38 +134,37 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
     }
     const std::uint64_t host_hash = via != nullptr ? via->hash : host.canonical_hash();
 
-    // Reclaim last step's slots, then enumerate into the persistent record
-    // buffer (bespoke candidates live in step_scratch_'s per-rule batches
-    // until the next call).
+    // Reclaim last step's slots, then match into the persistent record
+    // buffer (bespoke candidates live in bespoke_'s per-rule batches until
+    // the next call).
     for (Slot* slot : leased_) slot_pool_.release(slot);
     leased_.clear();
-    enumerate_into(host, index_, step_scratch_, step_records_);
+    match_and_dedup(host);
 
     const Scoped_timer_us timer(materialise_histogram);
     Span_scope span("candidates/materialise");
-    if (span.active()) span.annotate("enumerated", std::to_string(step_records_.size()));
+    if (span.active()) span.annotate("enumerated", std::to_string(records_.size()));
 
     step_.candidates.clear();
-    step_.enumerated = step_records_.size();
+    step_.enumerated = records_.size();
     step_.truncated = 0;
-    step_seen_.clear();
-    step_seen_.insert(host_hash);
+    hashes_seen_.clear();
+    hashes_seen_.insert(host_hash);
 
     Slot* working = nullptr;
-    for (Rewrite_candidate& record : step_records_) {
+    for (Rewrite_candidate& record : records_) {
         if (step_.candidates.size() >= max_total) {
             ++step_.truncated;
             continue;
         }
         if (record.pre_built_slot >= 0) {
             // Bespoke rule: already materialised during enumeration into
-            // the rule's batch (owned by step_scratch_, alive until the
-            // next call); the fingerprint is its canonical hash. No delta
-            // — choosing one forces an index rebuild next step.
-            if (!step_seen_.insert(record.fingerprint).second) continue;
-            const Graph* graph = &step_scratch_.bespoke[record.rule_index]
-                                                       [static_cast<std::size_t>(
-                                                           record.pre_built_slot)];
+            // the rule's batch (alive until the next call); the
+            // fingerprint is its canonical hash. No delta — choosing one
+            // forces an index rebuild next step.
+            if (!hashes_seen_.insert(record.fingerprint).second) continue;
+            Graph* graph =
+                &bespoke_[record.rule_index][static_cast<std::size_t>(record.pre_built_slot)];
             step_.candidates.push_back(
                 {graph, static_cast<int>(record.rule_index), record.fingerprint, nullptr});
             continue;
@@ -268,7 +176,7 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
         if (!apply_match_into(working->graph, host, pattern_rule->pattern(), record.match, &hash,
                               &working->delta))
             continue; // invalid site; `working` is reused for the next record
-        if (!step_seen_.insert(hash).second) continue;
+        if (!hashes_seen_.insert(hash).second) continue;
         step_.candidates.push_back(
             {&working->graph, static_cast<int>(record.rule_index), hash, &working->delta});
         leased_.push_back(working);

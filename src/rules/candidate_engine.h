@@ -1,37 +1,34 @@
 // Shared candidate-generation engine.
 //
 // Every optimisation step in X-RLflow (§3.2) regenerates the candidate set
-// by pattern-matching the whole rule corpus against the current graph, and
-// all four search backends (the RL environment, TASO beam search, the PET
-// wrapper, Tensat's multi-pattern seeding) used to run their own copy of
-// the naive per-rule `apply_all` scan. The engine replaces those loops
-// with one measurably faster pipeline:
+// by pattern-matching the whole rule corpus against the current graph. All
+// four search backends (the RL environment, TASO's queue search, the PET
+// wrapper, Tensat's multi-pattern seeding) own an engine and call its one
+// entry point, generate_step(), once per step / queue pop / seeding round:
 //
-//   1. a per-step op-kind index of the host graph (Host_index), built once
-//      and shared by every rule, so root enumeration visits only
-//      kind-compatible nodes;
+//   1. an op-kind index of the host graph (Host_index), shared by every
+//      rule, kept across calls and patched from the chosen candidate's
+//      Rewrite_delta when the caller walks one evolving host;
 //   2. the undo-log matcher behind find_matches (no per-root state copies);
-//   3. lazy candidates: enumerate() yields lightweight Rewrite_candidate
-//      records with a cheap fingerprint (the matcher's match-site binding
-//      key mixed with the rule id) gating materialisation — the full graph
-//      copy + DCE + shape inference + canonical hash of materialize() run
-//      only for fingerprint-unique records, and never for records beyond a
-//      caller's candidate cap (for pattern rules the matcher already
-//      dedups sites within a rule, so the gate mainly covers the eagerly
-//      built rules below and any future record producers);
+//   3. lazy candidates: matching yields lightweight records with a cheap
+//      fingerprint (the matcher's match-site binding key mixed with the
+//      rule id) gating materialisation — the graph copy + DCE + shape
+//      inference + canonical hash run only for fingerprint-unique records,
+//      and never for records beyond the caller's candidate cap;
 //   4. thread-pool fan-out across rules with deterministic result ordering
 //      (results are collected into per-rule slots, so the output never
-//      depends on thread scheduling).
+//      depends on thread scheduling);
+//   5. candidate graphs materialise into recycled pool slots, so a
+//      steady-state step allocates ~nothing.
 //
 // Rules that are not Pattern_rules (the bespoke shape-dependent rules)
-// cannot defer materialisation — their apply_all *is* the site enumeration
-// — so the engine runs them eagerly inside the fan-out and fingerprints
-// them by result hash; everything downstream treats both kinds uniformly.
+// cannot defer materialisation — their apply_all_into *is* the site
+// enumeration — so the engine runs them eagerly inside the fan-out and
+// fingerprints them by result hash; everything downstream treats both
+// kinds uniformly.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -52,41 +49,20 @@ struct Candidate_engine_config {
     /// hardware), 1 = strictly serial, N > 1 = also the shared pool (the
     /// per-rule slot collection makes results order-independent, so a
     /// private width bought nothing but thread churn — engines are
-    /// constructed per optimize call, and the serving layer shares the
-    /// same pool). The result order is identical for every setting.
+    /// constructed per search, and the serving layer shares the same
+    /// pool). The result order is identical for every setting.
     std::size_t threads = 0;
 
-    /// Step mode only: after every incremental Host_index patch, rebuild
-    /// the index from scratch and assert exact equality. On by default in
-    /// debug builds; the A/B gate (test_incremental_index) turns it on
-    /// explicitly in release builds too.
+    /// After every incremental Host_index patch, rebuild the index from
+    /// scratch and assert exact equality. On by default in debug builds;
+    /// the A/B gate (test_incremental_index) turns it on explicitly in
+    /// release builds too.
     bool verify_incremental_index =
 #ifndef NDEBUG
         true;
 #else
         false;
 #endif
-};
-
-/// A candidate discovered but not yet materialised: which rule, where, and
-/// a fingerprint that dedups repeat discoveries before the expensive
-/// apply_match. Non-pattern rules arrive pre-built (see file comment):
-/// either owned (`pre_built`, the public enumerate() API) or as a slot
-/// index into the engine-owned per-rule Graph_batch (`pre_built_slot`,
-/// step mode — the batch outlives the record there).
-struct Rewrite_candidate {
-    std::size_t rule_index = 0;
-    Pattern_match match;              ///< Pattern rules: the match site.
-    std::uint64_t fingerprint = 0;    ///< Cheap pre-materialisation dedup key.
-    std::shared_ptr<Graph> pre_built; ///< Non-pattern rules: the eager result.
-    std::ptrdiff_t pre_built_slot = -1; ///< Step mode: index into the rule's batch.
-};
-
-/// A materialised, canonically-deduplicated candidate.
-struct Engine_candidate {
-    Graph graph;
-    int rule_index = -1;
-    std::uint64_t hash = 0; ///< canonical_hash of `graph`.
 };
 
 class Candidate_engine {
@@ -96,38 +72,15 @@ public:
 
     const Rule_set& rules() const { return *rules_; }
 
-    /// Enumerate candidate records for `host`: fingerprint-deduped, ordered
-    /// by (rule index, discovery order within the rule) regardless of the
-    /// thread count. No pattern candidate is materialised here.
-    std::vector<Rewrite_candidate> enumerate(const Graph& host) const;
-
-    /// Materialise one record (apply_match for pattern rules). One-shot for
-    /// pre-built records: the stored graph is moved out. Optionally reports
-    /// the result's canonical hash (for pre-built records this reuses the
-    /// fingerprint instead of rehashing).
-    std::optional<Graph> materialize(const Graph& host, Rewrite_candidate& candidate,
-                                     std::uint64_t* hash_out = nullptr) const;
-
-    struct Generated {
-        std::vector<Engine_candidate> candidates;
-        std::size_t enumerated = 0; ///< Records produced by enumerate().
-        std::size_t truncated = 0;  ///< Records never materialised: cap reached.
-    };
-
-    /// enumerate() + materialize() + canonical-hash dedup (against the host
-    /// and against each other) — the exact semantics of the legacy per-rule
-    /// apply_all loop. With `max_total` set, materialisation stops at the
-    /// cap and the remaining records are only counted; without a cap,
-    /// materialisation fans out across the pool.
-    Generated generate(const Graph& host, std::size_t max_total = SIZE_MAX) const;
-
-    /// One candidate of a step-mode generation. The graph lives in a pool
-    /// slot owned by the engine (or, for bespoke rules, in the engine's
-    /// record buffer) and stays valid until the next generate_step() call.
+    /// One generated candidate. The graph lives in a pool slot owned by the
+    /// engine (or, for bespoke rules, in the engine's per-rule batch) and
+    /// stays valid until the next generate_step() call. The owner may move
+    /// `*graph` out (a search keeping the candidate in its queue); the
+    /// engine refills a moved-from slot the next time it uses it.
     struct Step_candidate {
-        const Graph* graph = nullptr;
+        Graph* graph = nullptr;
         int rule_index = -1;
-        std::uint64_t hash = 0; ///< canonical_hash of `*graph`.
+        std::uint64_t hash = 0; ///< canonical_hash of `*graph` as generated.
         /// How `*graph` differs from the host (for the next step's index
         /// patch); null for bespoke rules, which cannot report one.
         const Rewrite_delta* delta = nullptr;
@@ -139,48 +92,46 @@ public:
         std::size_t truncated = 0;  ///< Records never materialised: cap reached.
     };
 
-    /// Step mode: generate() for a single-owner caller walking one evolving
-    /// host (the RL environment). Differences from generate():
-    ///   - candidate graphs are materialised into recycled pool slots
-    ///     (apply_match_into), so a steady-state step allocates ~nothing;
-    ///   - the Host_index persists across calls — pass the previous step's
-    ///     chosen candidate as `via` and the index is patched from its
-    ///     Rewrite_delta instead of rebuilt (pass null on the first step,
-    ///     after reset, or when the host changed some other way);
-    ///   - with `via`, the host's canonical hash for self-dedup comes from
-    ///     via->hash instead of being recomputed.
+    /// Generate `host`'s candidates: fingerprint-deduped match records in
+    /// (rule index, discovery order) order regardless of the thread count,
+    /// materialised until `max_total` candidates survive canonical-hash
+    /// dedup (against the host and against each other) — the exact
+    /// semantics of the per-rule Rewrite_rule::apply_all loop. Records past
+    /// the cap are only counted.
+    ///
+    /// The Host_index persists across calls: pass the previous call's
+    /// chosen candidate as `via` and the index is patched from its
+    /// Rewrite_delta instead of rebuilt, and the host's hash comes from
+    /// via->hash (pass null on the first step, after a reset, or when the
+    /// host changed some other way, e.g. a search popping its queue).
     /// The returned reference and every candidate in it are invalidated by
-    /// the next generate_step() call; `via` is read before any step storage
-    /// is reused. NOT thread-safe — one owner per engine in step mode (see
-    /// docs/CONCURRENCY.md).
+    /// the next call; `via` is read before any step storage is reused. NOT
+    /// thread-safe — one owner per engine (see docs/CONCURRENCY.md).
     const Step_generated& generate_step(const Graph& host, std::size_t max_total = SIZE_MAX,
                                         const Step_candidate* via = nullptr);
 
-    /// The persistent step-mode index (null before the first generate_step)
-    /// — exposed for the incremental-vs-rebuild A/B gate.
+    /// The persistent index (null before the first generate_step) —
+    /// exposed for the incremental-vs-rebuild A/B gate.
     const Host_index* step_index() const { return index_ready_ ? &index_ : nullptr; }
 
-    /// Pool/arena statistics of the step-mode slot pool (bench artifacts).
+    /// Pool/arena statistics of the candidate slot pool (bench artifacts).
     const Pool_stats& step_pool_stats() const { return slot_pool_.stats(); }
     const Arena_stats& step_arena_stats() const { return slot_pool_.arena_stats(); }
 
 private:
-    /// Reusable buffers for one enumeration pass: per-rule result slots,
-    /// the fingerprint-dedup set, and one recycled Graph_batch per bespoke
-    /// rule (their eagerly built candidates land in warm storage). Step
-    /// mode keeps one across calls so a steady-state enumeration allocates
-    /// nothing; bespoke records then reference the batches by slot index.
-    struct Enumerate_scratch {
-        std::vector<std::vector<Rewrite_candidate>> per_rule;
-        std::unordered_set<std::uint64_t> seen;
-        std::vector<Graph_batch> bespoke;
+    /// A candidate discovered but not yet materialised: which rule, where,
+    /// and a fingerprint that dedups repeat discoveries before the
+    /// expensive apply_match_into. Bespoke rules arrive pre-built, as a
+    /// slot index into the rule's batch in bespoke_.
+    struct Rewrite_candidate {
+        std::size_t rule_index = 0;
+        Pattern_match match;              ///< Pattern rules: the match site.
+        std::uint64_t fingerprint = 0;    ///< Cheap pre-materialisation dedup key.
+        std::ptrdiff_t pre_built_slot = -1; ///< Bespoke rules: index into the rule's batch.
     };
 
-    /// Match + fingerprint-dedup against a caller-provided index, writing
-    /// into `out` (cleared first, capacity reused). Shared by enumerate()
-    /// and generate_step().
-    void enumerate_into(const Graph& host, const Host_index& index, Enumerate_scratch& scratch,
-                        std::vector<Rewrite_candidate>& out) const;
+    /// Match every rule against index_, then fingerprint-dedup into records_.
+    void match_and_dedup(const Graph& host);
 
     /// A recycled materialisation target: the graph and the delta that
     /// turns the host's index into the graph's.
@@ -194,14 +145,15 @@ private:
     std::vector<const Pattern_rule*> pattern_rules_; ///< Per rule; null = generic.
     Thread_pool* pool_ = nullptr; ///< The shared pool; null = serial.
 
-    // Step-mode state (single-owner; untouched by the const API).
     Host_index index_;
     bool index_ready_ = false;
+    std::vector<std::vector<Rewrite_candidate>> per_rule_; ///< Match fan-out results.
+    std::vector<Graph_batch> bespoke_; ///< Per rule: eagerly built bespoke candidates.
+    std::unordered_set<std::uint64_t> fingerprints_seen_;
+    std::vector<Rewrite_candidate> records_;
     Pool<Slot> slot_pool_;
-    Enumerate_scratch step_scratch_;
-    std::vector<Slot*> leased_;    ///< Slots backing step_.candidates.
-    std::vector<Rewrite_candidate> step_records_; ///< Keeps bespoke graphs alive.
-    std::unordered_set<std::uint64_t> step_seen_;
+    std::vector<Slot*> leased_; ///< Slots backing step_.candidates.
+    std::unordered_set<std::uint64_t> hashes_seen_;
     Step_generated step_;
 };
 

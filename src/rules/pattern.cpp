@@ -544,15 +544,8 @@ bool finalise_rewrite(Graph& g, const Graph& host, Node_id first_new_node,
 
 std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern, const Pattern_match& match)
 {
-    return apply_match(host, pattern, match, nullptr);
-}
-
-std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern,
-                                 const Pattern_match& match, std::uint64_t* canonical_hash_out)
-{
     Graph out;
-    if (!apply_match_into(out, host, pattern, match, canonical_hash_out, nullptr))
-        return std::nullopt;
+    if (!apply_match_into(out, host, pattern, match)) return std::nullopt;
     return out;
 }
 

@@ -196,11 +196,6 @@ std::vector<Pattern_match> find_matches(const Graph& host, const Host_index& ind
 std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern,
                                  const Pattern_match& match);
 
-/// Engine variant: additionally reports the canonical hash of the result
-/// (a convenience for callers that dedup immediately after applying).
-std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern,
-                                 const Pattern_match& match, std::uint64_t* canonical_hash_out);
-
 /// Allocation-reusing variant: writes the result into `out` (a recycled
 /// pool slot keeps every nested buffer warm — the candidate engine's hot
 /// path). Returns false when the rewrite is invalid at this site, leaving

@@ -20,8 +20,8 @@
 //     "reusable region reset per step".
 //
 // Neither type is thread-safe: an Arena or Pool has exactly one owner (the
-// candidate engine instance, which is itself single-owner in step mode —
-// see docs/CONCURRENCY.md).
+// candidate engine instance, which is itself single-owner — see
+// docs/CONCURRENCY.md).
 #pragma once
 
 #include <cstddef>

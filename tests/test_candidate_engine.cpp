@@ -13,14 +13,15 @@
 namespace xrl {
 namespace {
 
-/// The legacy candidate set: every rule's apply_all, canonically deduped
-/// against the host and against earlier candidates, in rule order — the
-/// exact loop the environment ran before the engine existed.
-std::vector<std::pair<std::uint64_t, int>> legacy_candidates(const Graph& host,
-                                                             const Rule_set& rules,
-                                                             std::size_t per_rule_limit)
+using Candidate_list = std::vector<std::pair<std::uint64_t, int>>;
+
+/// The reference candidate set: every rule's apply_all, canonically
+/// deduped against the host and against earlier candidates, in rule order
+/// — the naive loop the engine must reproduce exactly.
+Candidate_list reference_candidates(const Graph& host, const Rule_set& rules,
+                                    std::size_t per_rule_limit)
 {
-    std::vector<std::pair<std::uint64_t, int>> out;
+    Candidate_list out;
     std::unordered_set<std::uint64_t> seen;
     seen.insert(host.canonical_hash());
     for (std::size_t rule_index = 0; rule_index < rules.size(); ++rule_index) {
@@ -33,25 +34,28 @@ std::vector<std::pair<std::uint64_t, int>> legacy_candidates(const Graph& host,
     return out;
 }
 
-std::vector<std::pair<std::uint64_t, int>> engine_candidates(const Graph& host,
-                                                             const Rule_set& rules,
-                                                             std::size_t per_rule_limit,
-                                                             std::size_t threads)
+Candidate_list listed(const Candidate_engine::Step_generated& generated)
 {
-    const Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, threads});
-    std::vector<std::pair<std::uint64_t, int>> out;
-    for (const Engine_candidate& c : engine.generate(host).candidates)
+    Candidate_list out;
+    for (const Candidate_engine::Step_candidate& c : generated.candidates)
         out.emplace_back(c.hash, c.rule_index);
     return out;
+}
+
+Candidate_list engine_candidates(const Graph& host, const Rule_set& rules,
+                                 std::size_t per_rule_limit, std::size_t threads)
+{
+    Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, threads});
+    return listed(engine.generate_step(host));
 }
 
 void expect_parity(const Graph& host, std::size_t per_rule_limit)
 {
     const Rule_set rules = standard_rule_corpus();
-    const auto legacy = legacy_candidates(host, rules, per_rule_limit);
+    const auto reference = reference_candidates(host, rules, per_rule_limit);
     const auto engine = engine_candidates(host, rules, per_rule_limit, 1);
-    ASSERT_FALSE(legacy.empty());
-    EXPECT_EQ(legacy, engine);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(reference, engine);
 }
 
 TEST(Candidate_engine, ParityWithLegacyLoopOnBert)
@@ -74,93 +78,116 @@ TEST(Candidate_engine, DeterministicAcrossThreadCounts)
     EXPECT_EQ(serial, pooled);
 }
 
-TEST(Candidate_engine, EnumerateIsLazyForPatternRules)
+TEST(Candidate_engine, CappedStepMaterialisesAtMostCapPlusOneSlots)
 {
+    // Laziness: past the cap, records are only counted. A fresh engine's
+    // pool therefore hands out one slot per kept pattern candidate plus at
+    // most one working slot that an invalid site left unused.
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const Candidate_engine engine(rules, Candidate_engine_config{4, 1});
-    int pattern_records = 0;
-    for (const Rewrite_candidate& record : engine.enumerate(bert)) {
-        if (record.pre_built != nullptr) continue; // bespoke rules build eagerly
-        ++pattern_records;
-        EXPECT_FALSE(record.match.node_map.empty());
-    }
-    EXPECT_GT(pattern_records, 0);
+    Candidate_engine full_engine(rules, Candidate_engine_config{8, 1});
+    const std::size_t full = full_engine.generate_step(bert).candidates.size();
+    const std::size_t full_acquires = full_engine.step_pool_stats().acquires;
+
+    constexpr std::size_t cap = 3;
+    Candidate_engine engine(rules, Candidate_engine_config{8, 1});
+    const Candidate_engine::Step_generated& capped = engine.generate_step(bert, cap);
+    ASSERT_GT(full, cap + 1);
+    EXPECT_EQ(capped.candidates.size(), cap);
+    EXPECT_GT(capped.truncated, 0u);
+    EXPECT_LE(engine.step_pool_stats().acquires, cap + 1);
+    EXPECT_GT(full_acquires, cap + 1);
 }
 
-TEST(Candidate_engine, MaterializeReportsCanonicalHash)
+TEST(Candidate_engine, StepCandidateHashIsCanonicalHash)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const Candidate_engine engine(rules, Candidate_engine_config{4, 1});
-    auto records = engine.enumerate(bert);
-    ASSERT_FALSE(records.empty());
-    int checked = 0;
-    for (Rewrite_candidate& record : records) {
-        std::uint64_t hash = 0;
-        auto graph = engine.materialize(bert, record, &hash);
-        if (!graph.has_value()) continue;
-        EXPECT_EQ(hash, graph->canonical_hash());
-        ++checked;
-    }
-    EXPECT_GT(checked, 0);
+    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    const Candidate_engine::Step_generated& generated = engine.generate_step(bert);
+    ASSERT_FALSE(generated.candidates.empty());
+    for (const Candidate_engine::Step_candidate& c : generated.candidates)
+        EXPECT_EQ(c.hash, c.graph->canonical_hash()) << "rule " << c.rule_index;
 }
 
 TEST(Candidate_engine, TruncatesAtTheCapWithoutMaterialising)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const Candidate_engine engine(rules, Candidate_engine_config{8, 1});
-    const auto full = engine.generate(bert);
-    ASSERT_GT(full.candidates.size(), 2u);
-    const std::size_t cap = full.candidates.size() / 2;
-    const auto capped = engine.generate(bert, cap);
-    EXPECT_EQ(capped.candidates.size(), cap);
+    const auto full = engine_candidates(bert, rules, 8, 1);
+    ASSERT_GT(full.size(), 2u);
+    const std::size_t cap = full.size() / 2;
+    Candidate_engine engine(rules, Candidate_engine_config{8, 1});
+    const Candidate_engine::Step_generated& capped = engine.generate_step(bert, cap);
     EXPECT_GT(capped.truncated, 0u);
-    // The capped prefix is exactly the uncapped set's prefix.
-    for (std::size_t i = 0; i < cap; ++i) {
-        EXPECT_EQ(capped.candidates[i].hash, full.candidates[i].hash);
-        EXPECT_EQ(capped.candidates[i].rule_index, full.candidates[i].rule_index);
-    }
+    // The capped set is exactly the uncapped set's prefix.
+    EXPECT_EQ(listed(capped), Candidate_list(full.begin(), full.begin() + cap));
 }
 
 TEST(Candidate_engine, EnvironmentCandidatesMatchLegacyPath)
 {
+    // The environment's candidates at every step are the reference loop's,
+    // capped at the action space.
     const Graph model = make_bert(Scale::smoke, 16);
     const Rule_set rules = standard_rule_corpus();
-    E2e_simulator sim_a(gtx1080_profile(), 99);
-    E2e_simulator sim_b(gtx1080_profile(), 99);
+    E2e_simulator simulator(gtx1080_profile(), 99);
+    Env_config config;
+    config.per_rule_limit = 4;
+    config.max_candidates = 8;
+    Environment env(model, rules, simulator, config);
 
-    Env_config engine_config;
-    engine_config.per_rule_limit = 4;
-    Env_config legacy_config = engine_config;
-    legacy_config.use_candidate_engine = false;
-
-    Environment engine_env(model, rules, sim_a, engine_config);
-    Environment legacy_env(model, rules, sim_b, legacy_config);
-
-    for (int step = 0; step < 3; ++step) {
-        ASSERT_EQ(engine_env.candidates().size(), legacy_env.candidates().size());
-        for (std::size_t i = 0; i < engine_env.candidates().size(); ++i) {
-            EXPECT_EQ(engine_env.candidates()[i].graph->canonical_hash(),
-                      legacy_env.candidates()[i].graph->canonical_hash());
-            EXPECT_EQ(engine_env.candidates()[i].rule_index,
-                      legacy_env.candidates()[i].rule_index);
-        }
-        if (engine_env.done() || legacy_env.done()) break;
-        engine_env.step(0);
-        legacy_env.step(0);
+    bool capped = false;
+    int steps = 0;
+    for (; steps < 4 && !env.done(); ++steps) {
+        auto reference = reference_candidates(env.current_graph(), rules, config.per_rule_limit);
+        const auto cap = static_cast<std::size_t>(config.max_candidates);
+        capped = capped || reference.size() > cap;
+        if (reference.size() > cap) reference.resize(cap);
+        Candidate_list observed;
+        for (const Candidate& c : env.candidates())
+            observed.emplace_back(c.graph->canonical_hash(), c.rule_index);
+        EXPECT_EQ(observed, reference) << "step " << steps;
+        env.step(0);
     }
+    EXPECT_GE(steps, 3);
+    EXPECT_TRUE(capped);
 }
 
-/// One scripted step-mode rollout: deterministic action picks, recording
+TEST(Candidate_engine, MovedOutCandidatesLeaveNextStepIntact)
+{
+    // The move-out contract: an owner may take every candidate graph out of
+    // the engine's storage (pattern slots and bespoke batches alike); the
+    // next step, on a different host, is still exactly a fresh engine's,
+    // and the moved graphs stay intact.
+    const Rule_set rules = standard_rule_corpus();
+    const std::vector<Graph> hosts = {make_bert(Scale::smoke, 32), make_bert(Scale::smoke, 16),
+                                      make_inception_v3(Scale::smoke)};
+    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    std::vector<std::pair<Graph, std::uint64_t>> moved;
+    for (std::size_t step = 0; step < hosts.size(); ++step) {
+        const Candidate_engine::Step_generated& generated = engine.generate_step(hosts[step]);
+        if (step > 0) {
+            EXPECT_EQ(listed(generated), engine_candidates(hosts[step], rules, 4, 1));
+        }
+        bool pattern = false;
+        bool bespoke = false;
+        for (const Candidate_engine::Step_candidate& c : generated.candidates) {
+            (c.delta != nullptr ? pattern : bespoke) = true;
+            moved.emplace_back(std::move(*c.graph), c.hash);
+        }
+        EXPECT_TRUE(pattern) << "step " << step;
+        EXPECT_TRUE(bespoke) << "step " << step;
+    }
+    for (const auto& [graph, hash] : moved) EXPECT_EQ(graph.canonical_hash(), hash);
+}
+
+/// One scripted incremental rollout: deterministic action picks, recording
 /// every step's full candidate order as (hash, rule_index) pairs.
-std::vector<std::vector<std::pair<std::uint64_t, int>>> scripted_rollout(const Graph& initial,
-                                                                         int steps)
+std::vector<Candidate_list> scripted_rollout(const Graph& initial, int steps)
 {
     const Rule_set rules = standard_rule_corpus();
     Candidate_engine engine(rules, Candidate_engine_config{4, 1});
-    std::vector<std::vector<std::pair<std::uint64_t, int>>> trace;
+    std::vector<Candidate_list> trace;
 
     Graph host = initial;
     const Candidate_engine::Step_candidate* via = nullptr;
@@ -168,10 +195,7 @@ std::vector<std::vector<std::pair<std::uint64_t, int>>> scripted_rollout(const G
     std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
     for (int step = 0; step < steps; ++step) {
         const Candidate_engine::Step_generated& generated = engine.generate_step(host, 32, via);
-        auto& row = trace.emplace_back();
-        row.reserve(generated.candidates.size());
-        for (const Candidate_engine::Step_candidate& c : generated.candidates)
-            row.emplace_back(c.hash, c.rule_index);
+        trace.push_back(listed(generated));
         if (generated.candidates.empty()) break;
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         chosen = generated.candidates[(lcg >> 33) % generated.candidates.size()];
@@ -196,12 +220,13 @@ TEST(Candidate_engine, SameRolloutTwiceYieldsIdenticalCandidateOrder)
 TEST(Candidate_engine, HandlesRulelessCorpus)
 {
     const Rule_set empty;
-    const Candidate_engine engine(empty, Candidate_engine_config{4, 1});
+    Candidate_engine engine(empty, Candidate_engine_config{4, 1});
     Graph_builder b;
     const Edge x = b.input({4, 4});
     const Graph host = b.finish({b.relu(x)});
-    EXPECT_TRUE(engine.enumerate(host).empty());
-    EXPECT_TRUE(engine.generate(host).candidates.empty());
+    const Candidate_engine::Step_generated& generated = engine.generate_step(host);
+    EXPECT_TRUE(generated.candidates.empty());
+    EXPECT_EQ(generated.enumerated, 0u);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // A/B differential gate for the incremental Host_index.
 //
-// Step mode patches the persistent index from each chosen rewrite's
+// generate_step patches the persistent index from each chosen rewrite's
 // Rewrite_delta instead of rebuilding it. These rollouts fuzz that fast
 // path: after *every* rewrite the patched index must be identical to one
 // rebuilt from scratch. Two layers of checking:

@@ -9,6 +9,7 @@
 #include "core/optimizer_api.h"
 #include "core/xrlflow.h"
 #include "ir/builder.h"
+#include "models/models.h"
 #include "optimizers/pet/pet_optimizer.h"
 #include "optimizers/taso/taso_optimizer.h"
 #include "optimizers/tensat/tensat_optimizer.h"
@@ -342,6 +343,72 @@ TEST(OptimizationService, OptimizeAllComparesEveryBackend)
         EXPECT_GT(run.e2e_after.mean_ms, 0.0) << run.backend;
         EXPECT_EQ(run.e2e_before.repeats, 3) << run.backend;
     }
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden search results: the exact outcome of each search backend on three
+// smoke-scale zoo models. A change to candidate order, dedup or admission
+// in the candidate engine or a search moves one of these numbers.
+// ---------------------------------------------------------------------------
+
+struct Golden_search {
+    const char* model;
+    std::uint64_t best_hash;
+    int steps;
+    int rule_count_sum;
+    double candidates_generated; ///< TASO only; -1 where not reported.
+};
+
+Graph golden_model(const std::string& name)
+{
+    if (name == "inception") return make_inception_v3(Scale::smoke);
+    if (name == "resnext") return make_resnext50(Scale::smoke);
+    return make_bert(Scale::smoke);
+}
+
+void expect_golden_search(const std::string& backend, const std::map<std::string, double>& options,
+                          const std::vector<Golden_search>& expected)
+{
+    const Rule_set rules = standard_rule_corpus();
+    const auto optimizer = make_optimizer(backend, api_context(rules, options));
+    for (const Golden_search& golden : expected) {
+        const Optimize_result result = optimizer->optimize(golden_model(golden.model), {});
+        int rule_count_sum = 0;
+        for (const auto& [rule, count] : result.rule_counts) rule_count_sum += count;
+        const auto generated = result.metadata.find("candidates_generated");
+        EXPECT_EQ(result.best_graph.canonical_hash(), golden.best_hash) << golden.model;
+        EXPECT_EQ(result.steps, golden.steps) << golden.model;
+        EXPECT_EQ(rule_count_sum, golden.rule_count_sum) << golden.model;
+        if (golden.candidates_generated >= 0.0) {
+            ASSERT_NE(generated, result.metadata.end()) << golden.model;
+            EXPECT_EQ(generated->second, golden.candidates_generated) << golden.model;
+        }
+    }
+}
+
+TEST(GoldenSearch, TasoBudget20)
+{
+    expect_golden_search("taso", {{"taso.budget", 20}},
+                         {{"inception", 0xa54e771e9eed337aULL, 20, 718, 729},
+                          {"resnext", 0x19199a23ecf9f9bdULL, 20, 381, 440},
+                          {"bert", 0x3639ae5eed133f96ULL, 20, 223, 247}});
+}
+
+TEST(GoldenSearch, PetBudget10)
+{
+    expect_golden_search("pet", {{"pet.budget", 10}},
+                         {{"inception", 0xde3dc5abb23d7ea9ULL, 10, 785, -1},
+                          {"resnext", 0xa46937b511db57f8ULL, 10, 381, -1},
+                          {"bert", 0x6020083bdbc917b7ULL, 10, 228, -1}});
+}
+
+TEST(GoldenSearch, TensatThreeIterations)
+{
+    expect_golden_search("tensat", {{"tensat.max_iterations", 3}},
+                         {{"inception", 0xa161525f5b6f8936ULL, 2, 6, -1},
+                          {"resnext", 0x1dc4511510990be0ULL, 2, 1, -1},
+                          {"bert", 0xe76e573d8267f0eaULL, 3, 40, -1}});
 }
 
 } // namespace
