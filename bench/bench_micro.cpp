@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the substrates: pattern
 // matching, substitution, hashing, e-graph construction, GNN forward /
-// backward, reference execution, and cost evaluation.
+// backward, the policy's per-step decision, reference execution, and cost
+// evaluation.
 #include <benchmark/benchmark.h>
 
 #include "core/agent.h"
 #include "cost/cost_model.h"
 #include "cost/e2e_simulator.h"
+#include "env/environment.h"
 #include "gnn/gnn.h"
 #include "ir/builder.h"
 #include "ir/executor.h"
@@ -138,6 +140,37 @@ void BM_gnn_forward_backward_bert(benchmark::State& state)
     }
 }
 BENCHMARK(BM_gnn_forward_backward_bert);
+
+// The policy's decision on one real BERT environment step (the workload's
+// smoke agent: hidden 16, heads [64, 32], 31 candidates), over the full
+// meta-graph encoding and over the compact one the rollouts run. `rows`
+// is the number of node rows the forward computes.
+void BM_agent_act_bert_step(benchmark::State& state, bool compact)
+{
+    static const Rule_set rules = standard_rule_corpus();
+    Agent_config config;
+    config.gnn.hidden_dim = 16;
+    config.gnn.global_dim = 16;
+    config.head_hidden = {64, 32};
+    config.max_candidates = 31;
+    E2e_simulator simulator(gtx1080_profile(), 1);
+    Env_config env_config;
+    env_config.max_candidates = config.max_candidates;
+    const Environment env(bert(), rules, simulator, env_config);
+    std::vector<const Graph*> candidates;
+    for (const Candidate& c : env.candidates()) candidates.push_back(c.graph);
+    Meta_encoder meta;
+    const Encoded_graph encoded =
+        compact ? meta.encode_compact(env.current_graph(), candidates, config.gnn.num_gat_layers)
+                : meta.encode(env.current_graph(), candidates);
+    const std::vector<std::uint8_t> mask = env.action_mask();
+    Agent agent(config, 1);
+    Rng rng(1);
+    for (auto _ : state) benchmark::DoNotOptimize(agent.act(encoded, mask, rng, true).action);
+    state.counters["rows"] = static_cast<double>(encoded.num_nodes);
+}
+BENCHMARK_CAPTURE(BM_agent_act_bert_step, full, false);
+BENCHMARK_CAPTURE(BM_agent_act_bert_step, compact, true);
 
 void BM_reference_executor_dense(benchmark::State& state)
 {

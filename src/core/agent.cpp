@@ -16,6 +16,15 @@ Rng seeded(std::uint64_t seed)
     return Rng(seed);
 }
 
+/// Node rows of behaviour-time GNN forwards: `run` counts the rows the
+/// forward computed, `meta` the rows the full meta-graph has.
+Counter& gnn_rows_counter(const char* form)
+{
+    return Metrics_registry::global().counter(
+        "xrlflow_gnn_rows_total", "GNN node rows of the policy's inference forwards",
+        {{"form", form}});
+}
+
 } // namespace
 
 Agent::Agent(const Agent_config& config, std::uint64_t seed)
@@ -82,8 +91,12 @@ Agent::Decision Agent::act(const Encoded_graph& state, const std::vector<std::ui
     static Histogram& phase_histogram = Metrics_registry::global().histogram(
         "xrlflow_rollout_phase_us", "RL rollout time by phase", duration_us_buckets(),
         {{"phase", "gnn_inference"}});
+    static Counter& rows_run = gnn_rows_counter("run");
+    static Counter& rows_meta = gnn_rows_counter("meta");
     const Scoped_timer_us timer(phase_histogram);
     const Span_scope span("rollout/gnn_inference");
+    rows_run.increment(static_cast<std::uint64_t>(state.num_nodes));
+    rows_meta.increment(state.node_graph.size()); // one readout entry per full meta-graph row
     Tape tape;
     const Forward fwd = forward(tape, state);
     const Tensor& logits = tape.value(fwd.logits);

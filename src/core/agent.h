@@ -33,7 +33,10 @@ public:
     };
     Forward forward(Tape& tape, const Encoded_graph& state);
 
-    /// Behaviour-time action selection (no gradients retained).
+    /// Behaviour-time action selection (no gradients retained). `state`
+    /// may be either meta-graph encoding; the rollouts pass the compact one
+    /// (Meta_encoder::encode_compact), whose logits and value are
+    /// bit-identical to the full one's.
     struct Decision {
         int action = 0;
         double log_prob = 0.0;

@@ -14,13 +14,11 @@ namespace xrl {
 
 namespace {
 
-const Encoded_graph& encode_state(Meta_encoder& encoder, std::vector<const Graph*>& candidate_ptrs,
-                                  const Environment& env)
+void collect_candidates(std::vector<const Graph*>& candidate_ptrs, const Environment& env)
 {
     candidate_ptrs.clear();
     candidate_ptrs.reserve(env.candidates().size());
     for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
-    return encoder.encode(env.current_graph(), candidate_ptrs);
 }
 
 Histogram& train_phase_histogram(const char* phase)
@@ -49,14 +47,21 @@ Episode_stats Trainer::run_episode(bool greedy, bool record)
 
     Meta_encoder encoder;
     std::vector<const Graph*> candidate_ptrs;
+    const int hops = agent_->config().gnn.num_gat_layers;
     while (!env_->done()) {
-        const Encoded_graph& state = encode_state(encoder, candidate_ptrs, *env_);
+        collect_candidates(candidate_ptrs, *env_);
+        const Graph& current = env_->current_graph();
         const std::vector<std::uint8_t> mask = env_->action_mask();
+        const Encoded_graph& compact = encoder.encode_compact(current, candidate_ptrs, hops);
         Agent::Decision decision;
         {
             const Storage_recycler::Scope recycling(rollout_storage_);
-            decision = agent_->act(state, mask, rng_, greedy);
+            decision = agent_->act(compact, mask, rng_, greedy);
         }
+        // The PPO tape trains on the full meta-graph; copy it out before
+        // step() invalidates the candidates (the encoder's buffer is reused).
+        Encoded_graph state;
+        if (record) state = encoder.encode(current, candidate_ptrs);
         const Env_step outcome = env_->step(decision.action);
 
         stats.episode_return += outcome.reward;
@@ -67,7 +72,7 @@ Episode_stats Trainer::run_episode(bool greedy, bool record)
 
         if (record) {
             Transition t;
-            t.state = state; // copy: the encoder's buffer is reused next step
+            t.state = std::move(state);
             t.mask = mask;
             t.action = decision.action;
             t.log_prob = decision.log_prob;

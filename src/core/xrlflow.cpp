@@ -67,7 +67,8 @@ Optimisation_outcome Xrlflow::optimise(const Graph& model, const Inference_optio
             }
             candidate_ptrs.clear();
             for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
-            const Encoded_graph& state = encoder.encode(env.current_graph(), candidate_ptrs);
+            const Encoded_graph& state = encoder.encode_compact(
+                env.current_graph(), candidate_ptrs, config_.agent.gnn.num_gat_layers);
             Agent::Decision decision;
             {
                 const Storage_recycler::Scope recycling(act_storage);
@@ -191,13 +192,13 @@ private:
         return os.str();
     }
 
-    /// Train-once cache: a policy per (graph, seed, episodes, device).
-    /// Keys on model_hash so shape variants of one architecture train
-    /// separately, and on the device fingerprint because the reward signal
-    /// — the simulator — is device-specific: a policy trained against the
-    /// gtx1080 simulator must never answer a100 requests. Keeps repeat
-    /// optimisation of the same (model, device) from paying the RL
-    /// training cost.
+    /// Train-once cache: a policy per policy_key — the identity the
+    /// policy store uses too. It holds model_hash, so shape variants of one
+    /// architecture train separately, and the device fingerprint, because
+    /// the reward signal — the simulator — is device-specific: a policy
+    /// trained against the gtx1080 simulator must never answer a100
+    /// requests. Keeps repeat optimisation of the same (model, device)
+    /// from paying the RL training cost.
     ///
     /// With a Policy_store on the context, the cache extends across
     /// process restarts: a miss here first asks the store (loading skips
@@ -208,9 +209,7 @@ private:
     Xrlflow& trained_system(const Graph& graph, const Optimize_request& request, int episodes,
                             const Device_profile& device)
     {
-        const std::uint64_t key = graph.model_hash() ^ (request.seed * 0x9e3779b97f4a7c15ULL) ^
-                                  static_cast<std::uint64_t>(episodes) ^
-                                  (device.fingerprint() * 0xff51afd7ed558ccdULL);
+        std::string key = policy_key(graph, request, episodes, device);
         const auto it = trained_.find(key);
         if (it != trained_.end()) return *it->second;
         auto system =
@@ -218,8 +217,7 @@ private:
         bool warm = false;
         if (context_.policy_store != nullptr && episodes > 0) {
             std::string blob;
-            if (context_.policy_store->fetch_policy(policy_key(graph, request, episodes, device),
-                                                    &blob)) {
+            if (context_.policy_store->fetch_policy(key, &blob)) {
                 std::istringstream is(blob);
                 try {
                     load_parameters(is, system->agent().parameters());
@@ -241,15 +239,14 @@ private:
             if (context_.policy_store != nullptr) {
                 std::ostringstream os;
                 save_parameters(os, system->agent().parameters());
-                context_.policy_store->put_policy(policy_key(graph, request, episodes, device),
-                                                  os.str());
+                context_.policy_store->put_policy(key, os.str());
             }
         }
-        return *trained_.emplace(key, std::move(system)).first->second;
+        return *trained_.emplace(std::move(key), std::move(system)).first->second;
     }
 
     Optimizer_context context_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Xrlflow>> trained_;
+    std::unordered_map<std::string, std::unique_ptr<Xrlflow>> trained_;
 };
 
 } // namespace

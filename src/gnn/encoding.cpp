@@ -1,5 +1,7 @@
 #include "gnn/encoding.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -7,6 +9,19 @@
 namespace xrl {
 
 namespace {
+
+/// Append the features of `edge` of `graph`: the carried tensor's shape,
+/// leading-padded to rank 4 and normalised by M.
+void append_edge_features(const Graph& graph, Edge edge, std::vector<float>& edge_rows)
+{
+    const Shape& shape = graph.shape_of(edge);
+    float padded[edge_feature_dim] = {0.0F, 0.0F, 0.0F, 0.0F};
+    const std::size_t offset =
+        shape.size() >= edge_feature_dim ? 0 : edge_feature_dim - shape.size();
+    for (std::size_t d = 0; d < shape.size() && d + offset < edge_feature_dim; ++d)
+        padded[d + offset] = static_cast<float>(shape[d]) / edge_normaliser;
+    for (const float f : padded) edge_rows.push_back(f);
+}
 
 /// `row_of` is caller-provided scratch (Node_id -> meta-graph row) so the
 /// hot loop's Meta_encoder can keep it warm across steps.
@@ -28,17 +43,29 @@ void append_graph(Encoded_graph& enc, const Graph& graph, std::int64_t member,
             XRL_ASSERT(src >= 0 && dst >= 0);
             enc.edge_src.push_back(src);
             enc.edge_dst.push_back(dst);
-            // Shape of the carried tensor, leading-padded to rank 4 and
-            // normalised by M.
-            const Shape& shape = graph.shape_of(e);
-            float padded[edge_feature_dim] = {0.0F, 0.0F, 0.0F, 0.0F};
-            const std::size_t offset =
-                shape.size() >= edge_feature_dim ? 0 : edge_feature_dim - shape.size();
-            for (std::size_t d = 0; d < shape.size() && d + offset < edge_feature_dim; ++d)
-                padded[d + offset] = static_cast<float>(shape[d]) / edge_normaliser;
-            for (const float f : padded) edge_rows.push_back(f);
+            append_edge_features(graph, e, edge_rows);
         }
     }
+}
+
+/// The first GNN layer at which candidate node `id`'s row can differ from
+/// the host row of the same id on the node's own account, before any
+/// producer's difference reaches it: 0 when the node update reads
+/// something else (the node is not alive in the host, or its kind or
+/// input-edge shapes differ); 1 when only its producers are other nodes
+/// (the first GAT layer reads their rows); `never` when it matches.
+int own_change_layer(const Graph& candidate, const Graph& host, Node_id id, int never)
+{
+    if (static_cast<std::size_t>(id) >= host.capacity() || !host.is_alive(id)) return 0;
+    const Node& mine = candidate.node(id);
+    const Node& theirs = host.node(id);
+    if (mine.kind != theirs.kind || mine.inputs.size() != theirs.inputs.size()) return 0;
+    bool rewired = false;
+    for (std::size_t i = 0; i < mine.inputs.size(); ++i) {
+        if (candidate.shape_of(mine.inputs[i]) != host.shape_of(theirs.inputs[i])) return 0;
+        rewired = rewired || mine.inputs[i] != theirs.inputs[i];
+    }
+    return rewired ? 1 : never;
 }
 
 /// `edge_rows` is copied (not moved) into the feature tensor so the
@@ -61,6 +88,7 @@ void clear_encoding(Encoded_graph& enc)
 {
     enc.node_kinds.clear();
     enc.node_graph.clear();
+    enc.readout_rows.clear();
     enc.edge_src.clear();
     enc.edge_dst.clear();
     enc.attn_src.clear();
@@ -83,7 +111,7 @@ std::size_t Encoded_graph::memory_bytes() const
     return node_kinds.size() * sizeof(std::int32_t) +
            static_cast<std::size_t>(edge_features.volume()) * sizeof(float) +
            (edge_src.size() + edge_dst.size() + attn_src.size() + attn_dst.size() +
-            node_graph.size()) *
+            node_graph.size() + readout_rows.size()) *
                sizeof(std::int64_t);
 }
 
@@ -110,16 +138,74 @@ const Encoded_graph& Meta_encoder::encode(const Graph& current,
     static Histogram& phase_histogram = encode_histogram();
     const Scoped_timer_us timer(phase_histogram);
     const Span_scope span("rollout/gnn_encode");
-    clear_encoding(enc_);
+    clear_encoding(full_);
     edge_rows_.clear();
-    append_graph(enc_, current, 0, edge_rows_, row_of_);
+    append_graph(full_, current, 0, edge_rows_, row_of_);
     for (std::size_t k = 0; k < candidates.size(); ++k) {
         XRL_EXPECTS(candidates[k] != nullptr);
-        append_graph(enc_, *candidates[k], static_cast<std::int64_t>(k + 1), edge_rows_, row_of_);
+        append_graph(full_, *candidates[k], static_cast<std::int64_t>(k + 1), edge_rows_, row_of_);
     }
-    enc_.num_graphs = static_cast<std::int64_t>(candidates.size()) + 1;
-    finalise(enc_, edge_rows_);
-    return enc_;
+    full_.num_graphs = static_cast<std::int64_t>(candidates.size()) + 1;
+    finalise(full_, edge_rows_);
+    return full_;
+}
+
+const Encoded_graph& Meta_encoder::encode_compact(const Graph& current,
+                                                  const std::vector<const Graph*>& candidates,
+                                                  int hops)
+{
+    XRL_EXPECTS(hops >= 0);
+    static Histogram& phase_histogram = encode_histogram();
+    const Scoped_timer_us timer(phase_histogram);
+    const Span_scope span("rollout/gnn_encode");
+    Encoded_graph& enc = compact_;
+    clear_encoding(enc);
+    edge_rows_.clear();
+    append_graph(enc, current, 0, edge_rows_, host_row_of_);
+    for (std::int64_t row = 0; row < enc.num_nodes; ++row) enc.readout_rows.push_back(row);
+
+    // A node's distance is the first layer at which its row can differ
+    // from the host's: its own change layer, or one past a producer's
+    // distance. Its final row, after `hops` GAT layers, is the host's
+    // unless the distance is at most `hops`.
+    const int clean = hops + 1;
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+        XRL_EXPECTS(candidates[k] != nullptr);
+        const Graph& candidate = *candidates[k];
+        const auto member = static_cast<std::int64_t>(k + 1);
+        row_of_.assign(candidate.capacity(), -1);
+        distance_.assign(candidate.capacity(), clean);
+        // Topological order settles every producer's distance and row
+        // before its consumers read them.
+        for (const Node_id id : candidate.topo_order()) {
+            const Node& n = candidate.node(id);
+            int distance = own_change_layer(candidate, current, id, clean);
+            for (const Edge& e : n.inputs)
+                distance = std::min(distance, distance_[static_cast<std::size_t>(e.node)] + 1);
+            distance_[static_cast<std::size_t>(id)] = distance;
+            enc.node_graph.push_back(member);
+            if (distance == clean) { // the host's row is this node's row
+                enc.readout_rows.push_back(host_row_of_[static_cast<std::size_t>(id)]);
+                continue;
+            }
+            const std::int64_t row = enc.num_nodes++;
+            row_of_[static_cast<std::size_t>(id)] = row;
+            enc.node_kinds.push_back(static_cast<std::int32_t>(n.kind));
+            enc.readout_rows.push_back(row);
+            for (const Edge& e : n.inputs) {
+                const auto producer = static_cast<std::size_t>(e.node);
+                const std::int64_t src =
+                    row_of_[producer] >= 0 ? row_of_[producer] : host_row_of_[producer];
+                XRL_ASSERT(src >= 0);
+                enc.edge_src.push_back(src);
+                enc.edge_dst.push_back(row);
+                append_edge_features(candidate, e, edge_rows_);
+            }
+        }
+    }
+    enc.num_graphs = static_cast<std::int64_t>(candidates.size()) + 1;
+    finalise(enc, edge_rows_);
+    return enc;
 }
 
 } // namespace xrl

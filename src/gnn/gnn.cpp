@@ -63,7 +63,10 @@ Global_update_layer::Global_update_layer(std::int64_t node_dim, std::int64_t glo
 
 Var Global_update_layer::operator()(Tape& tape, Var h, const Encoded_graph& enc)
 {
-    const Var pooled = tape.segment_sum(h, enc.node_graph, enc.num_graphs);
+    // Each member's rows in its own topological order: the full encoding's
+    // rows are already laid out so, the compact one lists them.
+    const Var members = enc.readout_rows.empty() ? h : tape.gather_rows(h, enc.readout_rows);
+    const Var pooled = tape.segment_sum(members, enc.node_graph, enc.num_graphs);
     // Global attribute initialised to zero for every graph (§3.3.2).
     const Var zero_globals = tape.constant(Tensor(Shape{enc.num_graphs, global_dim_}));
     const Var joined = tape.concat_cols(pooled, zero_globals);

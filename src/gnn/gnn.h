@@ -50,7 +50,8 @@ private:
 };
 
 /// Eq. 8: g' = relu(W [sum_N h || g]) with g initialised to zero — one
-/// embedding row per member graph.
+/// embedding row per member graph, pooled over the encoding's readout
+/// entries (each member's nodes in its own topological order).
 class Global_update_layer {
 public:
     Global_update_layer(std::int64_t node_dim, std::int64_t global_dim, Rng& rng);
@@ -64,7 +65,8 @@ private:
     std::int64_t global_dim_;
 };
 
-/// Full encoder: meta-graph in, (node embeddings, per-graph embeddings) out.
+/// The whole GNN: a meta-graph encoding (full or compact) in, (node
+/// embeddings, per-graph embeddings) out.
 class Gnn_encoder {
 public:
     Gnn_encoder(const Gnn_config& config, Rng& rng);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -215,6 +216,45 @@ TEST(Candidate_engine, SameRolloutTwiceYieldsIdenticalCandidateOrder)
     const auto second = scripted_rollout(bert, 25);
     ASSERT_GT(first.size(), 1u);
     EXPECT_EQ(first, second);
+}
+
+/// A bespoke rule whose one rewrite rebuilds the host unchanged.
+class Host_copy_rule final : public Rewrite_rule {
+public:
+    Host_copy_rule() : Rewrite_rule("host-copy") {}
+
+    void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const override
+    {
+        if (limit == 0) return;
+        out.next() = graph;
+        out.keep();
+    }
+};
+
+TEST(Candidate_engine, RewriteEqualToTheHostYieldsNoCandidate)
+{
+    // Canonical dedup runs against the host as well as between candidates:
+    // a rewrite that reproduces the host is no move, on the first step and
+    // on a step whose host hash comes from `via`.
+    Rule_set rules = standard_rule_corpus();
+    rules.push_back(std::make_unique<Host_copy_rule>());
+    const int copy_rule = static_cast<int>(rules.size()) - 1;
+    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    Graph host = make_bert(Scale::smoke, 16);
+    const Candidate_engine::Step_candidate* via = nullptr;
+    Candidate_engine::Step_candidate chosen;
+    for (int step = 0; step < 2; ++step) {
+        const Candidate_engine::Step_generated& generated =
+            engine.generate_step(host, SIZE_MAX, via);
+        ASSERT_FALSE(generated.candidates.empty());
+        for (const Candidate_engine::Step_candidate& c : generated.candidates) {
+            EXPECT_NE(c.rule_index, copy_rule) << "step " << step;
+            EXPECT_NE(c.hash, host.canonical_hash()) << "step " << step;
+        }
+        chosen = generated.candidates.front();
+        host = *chosen.graph;
+        via = &chosen;
+    }
 }
 
 TEST(Candidate_engine, HandlesRulelessCorpus)

@@ -11,6 +11,7 @@
 #include "models/models.h"
 #include "rules/corpus.h"
 #include "support/check.h"
+#include "support/metrics.h"
 #include "support/thread_pool.h"
 
 namespace xrl {
@@ -76,6 +77,27 @@ TEST(Agent, GreedyActionIsDeterministic)
     const int first = agent.act(state, mask, rng, /*greedy=*/true).action;
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(agent.act(state, mask, rng, true).action, first);
+}
+
+TEST(Agent, ActCountsTheRowsItRunsAndTheMetaGraphsRows)
+{
+    Agent agent(tiny_agent_config(), 5);
+    const Graph g = tiny_model();
+    Meta_encoder meta;
+    // Candidates equal to the host add readout entries but no rows.
+    const Encoded_graph& state = meta.encode_compact(g, {&g, &g}, 2);
+    std::vector<std::uint8_t> mask(16, 0);
+    mask[0] = mask[1] = mask[15] = 1;
+    Counter& run = Metrics_registry::global().counter("xrlflow_gnn_rows_total", "",
+                                                      {{"form", "run"}});
+    Counter& meta_rows = Metrics_registry::global().counter("xrlflow_gnn_rows_total", "",
+                                                            {{"form", "meta"}});
+    const std::uint64_t run_before = run.value();
+    const std::uint64_t meta_before = meta_rows.value();
+    Rng rng(3);
+    agent.act(state, mask, rng, true);
+    EXPECT_EQ(run.value() - run_before, g.size());
+    EXPECT_EQ(meta_rows.value() - meta_before, 3 * g.size());
 }
 
 TEST(Agent, SaveLoadRoundTripsDecisions)

@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "core/agent.h"
 #include "core/xrlflow.h"
+#include "cost/e2e_simulator.h"
+#include "env/environment.h"
 #include "gnn/encoding.h"
 #include "gnn/gnn.h"
 #include "ir/builder.h"
@@ -300,6 +303,191 @@ TEST(GnnEncoder, HandlesRealModelGraph)
     Tape tape;
     const auto out = encoder(tape, enc);
     EXPECT_EQ(tape.value(out.graph_embeddings).dim(0), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Compact meta-graph encoding: the behaviour-time form must give the full
+// form's logits, value and graph embeddings bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Bitwise equality of two tensors (EXPECT_EQ on floats would let -0.0
+/// and +0.0 pass as equal).
+bool same_bits(const Tensor& a, const Tensor& b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.volume()) * sizeof(float)) ==
+               0;
+}
+
+/// One state to encode: a host and its candidates.
+struct Walk_state {
+    std::string label;
+    Graph host;
+    std::vector<Graph> candidates;
+    bool env_step = false;      ///< The environment's own state of a walk step.
+    int bespoke_candidates = 0; ///< Candidates made by bespoke rules.
+};
+
+/// States along a seeded environment walk of `model`, plus, per walked
+/// host, a state of every bespoke rule's rewrites (the environment's cap
+/// can cut them off: they come last in the corpus) with the host itself
+/// as one more candidate.
+std::vector<Walk_state> walk_states(const std::string& name, const Graph& model,
+                                    const Rule_set& rules, std::uint64_t seed)
+{
+    E2e_simulator simulator(gtx1080_profile(), seed);
+    Env_config config;
+    config.max_candidates = 31;
+    config.per_rule_limit = 16;
+    Environment env(model, rules, simulator, config);
+    Rng rng(seed);
+    std::vector<Walk_state> states;
+    for (int step = 0; step < 4 && !env.done(); ++step) {
+        const std::string label = name + " step " + std::to_string(step);
+        Walk_state walked{label, env.current_graph(), {}, true, 0};
+        for (const Candidate& c : env.candidates()) walked.candidates.push_back(*c.graph);
+        states.push_back(std::move(walked));
+
+        Walk_state bespoke{label + " bespoke", env.current_graph(), {}, false, 0};
+        for (const auto& rule : rules) {
+            if (dynamic_cast<const Pattern_rule*>(rule.get()) != nullptr) continue;
+            for (Graph& g : rule->apply_all(env.current_graph(), 2))
+                bespoke.candidates.push_back(std::move(g));
+        }
+        bespoke.bespoke_candidates = static_cast<int>(bespoke.candidates.size());
+        bespoke.candidates.push_back(env.current_graph());
+        states.push_back(std::move(bespoke));
+
+        const int live = static_cast<int>(env.candidates().size());
+        env.step(live > 0 ? static_cast<int>(rng.uniform_index(static_cast<std::size_t>(live)))
+                          : env.noop_action());
+    }
+    return states;
+}
+
+TEST(CompactEncoding, MatchesFullEncodingBitForBitAlongEnvWalks)
+{
+    const Rule_set rules = standard_rule_corpus();
+    std::vector<Walk_state> states;
+    for (auto& part : {walk_states("bert", make_bert(Scale::smoke, 16), rules, 3),
+                       walk_states("vit", make_vit(Scale::smoke, 32), rules, 5),
+                       walk_states("inception", make_inception_v3(Scale::smoke, 64), rules, 7)})
+        for (const Walk_state& state : part) states.push_back(state);
+    const Graph lone = make_bert(Scale::smoke, 16);
+    states.push_back({"no candidates", lone, {}, false, 0});
+    states.push_back({"only the host", lone, {lone}, false, 0});
+
+    Agent_config config;
+    config.gnn.hidden_dim = 16;
+    config.gnn.global_dim = 16;
+    config.head_hidden = {32, 16};
+    config.max_candidates = 63;
+    const int hops = config.gnn.num_gat_layers;
+    Agent agent(config, 41);
+    Rng rng(43);
+    Gnn_encoder encoder(config.gnn, rng);
+
+    Meta_encoder meta;
+    int real_steps = 0;
+    int bespoke_candidates = 0;
+    for (const Walk_state& state : states) {
+        SCOPED_TRACE(state.label);
+        std::vector<const Graph*> candidates;
+        for (const Graph& g : state.candidates) candidates.push_back(&g);
+        ASSERT_LE(static_cast<int>(candidates.size()), config.max_candidates);
+        const Encoded_graph full = meta.encode(state.host, candidates);
+        const Encoded_graph& compact = meta.encode_compact(state.host, candidates, hops);
+        const bool real_step = state.env_step && !candidates.empty();
+        bespoke_candidates += state.bespoke_candidates;
+
+        // The readout covers every row of the full meta-graph.
+        EXPECT_EQ(compact.node_graph, full.node_graph);
+        EXPECT_EQ(compact.num_graphs, full.num_graphs);
+        EXPECT_LE(compact.num_nodes, full.num_nodes);
+        if (real_step) {
+            ++real_steps;
+            EXPECT_LT(compact.num_nodes, full.num_nodes);
+        }
+
+        Tape full_tape;
+        const Agent::Forward full_fwd = agent.forward(full_tape, full);
+        const Var full_embeddings = encoder(full_tape, full).graph_embeddings;
+        Tape compact_tape;
+        const Agent::Forward compact_fwd = agent.forward(compact_tape, compact);
+        const Var compact_embeddings = encoder(compact_tape, compact).graph_embeddings;
+        EXPECT_TRUE(same_bits(full_tape.value(full_fwd.logits),
+                              compact_tape.value(compact_fwd.logits)));
+        EXPECT_TRUE(same_bits(full_tape.value(full_fwd.value),
+                              compact_tape.value(compact_fwd.value)));
+        EXPECT_TRUE(same_bits(full_tape.value(full_embeddings),
+                              compact_tape.value(compact_embeddings)));
+
+        // The cone is no wider than it must be: one hop short, some
+        // candidate's embedding moves.
+        if (real_step) {
+            Tape short_tape;
+            const Var short_embeddings =
+                encoder(short_tape, meta.encode_compact(state.host, candidates, hops - 1))
+                    .graph_embeddings;
+            EXPECT_FALSE(same_bits(full_tape.value(full_embeddings),
+                                   short_tape.value(short_embeddings)));
+        }
+    }
+    EXPECT_GE(real_steps, 9);
+    EXPECT_GT(bespoke_candidates, 0);
+}
+
+TEST(CompactEncoding, NodeWithOtherProducersIsOneHopBelowAChange)
+{
+    // The candidate's only difference: the chain's first relu reads a
+    // weight where the host's reads an input of the same shape. That
+    // relu's node-update row is the host's and its GAT rows are not, so
+    // the cone reaches exactly num_gat_layers relus deep: one hop less
+    // and the embeddings move.
+    Graph_builder b;
+    const Edge x = b.input({4, 8});
+    const Edge w = b.weight({4, 8});
+    Edge h = b.relu(x);
+    const Node_id first = h.node;
+    for (int i = 0; i < 6; ++i) h = b.relu(h);
+    const Graph host = b.finish({h, w});
+    Graph candidate = host;
+    candidate.node_mut(first).inputs[0] = w;
+
+    Gnn_config config;
+    config.hidden_dim = 8;
+    config.global_dim = 8;
+    config.num_gat_layers = 3;
+    Rng rng(5);
+    Gnn_encoder encoder(config, rng);
+    Meta_encoder meta;
+    Tape full_tape;
+    const Var full = encoder(full_tape, meta.encode(host, {&candidate})).graph_embeddings;
+    for (int hops = 0; hops <= config.num_gat_layers; ++hops) {
+        const Encoded_graph& compact = meta.encode_compact(host, {&candidate}, hops);
+        EXPECT_EQ(compact.num_nodes, static_cast<std::int64_t>(host.size()) + hops) << hops;
+        Tape tape;
+        const Var embeddings = encoder(tape, compact).graph_embeddings;
+        EXPECT_EQ(same_bits(full_tape.value(full), tape.value(embeddings)),
+                  hops == config.num_gat_layers)
+            << hops;
+    }
+}
+
+TEST(CompactEncoding, CandidateEqualToTheHostAddsNoRows)
+{
+    const Graph host = make_vit(Scale::smoke, 32);
+    Meta_encoder meta;
+    const Encoded_graph& compact = meta.encode_compact(host, {&host, &host}, 5);
+    EXPECT_EQ(compact.num_nodes, static_cast<std::int64_t>(host.size()));
+    EXPECT_EQ(compact.node_graph.size(), 3 * host.size());
+    // Each copy's readout is the host's rows in the host's order.
+    const auto n = static_cast<std::ptrdiff_t>(host.size());
+    const std::vector<std::int64_t> host_rows(compact.readout_rows.begin(),
+                                              compact.readout_rows.begin() + n);
+    EXPECT_EQ(std::vector<std::int64_t>(compact.readout_rows.begin() + n,
+                                        compact.readout_rows.begin() + 2 * n),
+              host_rows);
 }
 
 // ---------------------------------------------------------------------------

@@ -206,6 +206,40 @@ TEST(OptimizerParity, XrlflowAdapterMatchesLegacyGreedyRollout)
     EXPECT_EQ(unified.best_graph.canonical_hash(), legacy.best_graph.canonical_hash());
 }
 
+TEST(XrlflowBackend, TrainOnceCacheNeverServesAnotherGraphsPolicy)
+{
+    // An earlier cache key folded model_hash ^ seed * k ^ episodes ^
+    // fingerprint * k2 with k odd, so for any two graphs one request seed
+    // landed the second graph on the first graph's policy. That seed must
+    // get the second graph its own policy: the result a fresh backend gives.
+    const Graph first = quickstart_graph();
+    const Graph second = make_bert(Scale::smoke, 8);
+    constexpr std::uint64_t k = 0x9e3779b97f4a7c15ULL;
+    std::uint64_t k_inverse = k; // Newton's iteration for 1/k mod 2^64
+    for (int i = 0; i < 5; ++i) k_inverse *= 2 - k * k_inverse;
+    ASSERT_EQ(k * k_inverse, 1u);
+
+    Optimize_request first_request;
+    first_request.seed = 11;
+    first_request.deterministic = true;
+    Optimize_request second_request = first_request;
+    second_request.seed =
+        (first.model_hash() ^ second.model_hash() ^ (first_request.seed * k)) * k_inverse;
+
+    const Rule_set rules = standard_rule_corpus();
+    const Optimizer_context context =
+        api_context(rules, {{"xrlflow.episodes", 1}, {"xrlflow.max_steps", 6}});
+    const auto shared = make_optimizer("xrlflow", context);
+    shared->optimize(first, first_request);
+    const Optimize_result served = shared->optimize(second, second_request);
+    const Optimize_result fresh =
+        make_optimizer("xrlflow", context)->optimize(second, second_request);
+    EXPECT_EQ(served.best_graph.canonical_hash(), fresh.best_graph.canonical_hash());
+    EXPECT_EQ(served.final_ms, fresh.final_ms);
+    EXPECT_EQ(served.steps, fresh.steps);
+    EXPECT_EQ(served.rule_counts, fresh.rule_counts);
+}
+
 // ---------------------------------------------------------------------------
 // Budgets and cancellation
 // ---------------------------------------------------------------------------
