@@ -12,79 +12,44 @@ namespace {
 constexpr std::uint32_t result_serial_version = 1;
 
 static_assert(aggregate_field_count<Optimize_result> == 11,
-              "Optimize_result grew a field the serialiser does not cover: update "
-              "serialise_result / deserialise_result, bump result_serial_version if the "
-              "layout changed, and then this count");
-
-template <class Value, class Write_value>
-void write_map(Byte_writer& out, const std::map<std::string, Value>& map, Write_value write_value)
-{
-    out.u32(static_cast<std::uint32_t>(map.size()));
-    for (const auto& [key, value] : map) {
-        out.str(key);
-        write_value(value);
-    }
-}
+              "Optimize_result grew a field the serialiser does not cover: update its field "
+              "list fields(Io&, Optimize_result&) in core/result_serial.cpp, bump "
+              "result_serial_version if the layout changed, and then this count");
 
 } // namespace
 
-void serialise_result(Byte_writer& out, const Optimize_result& result)
+template <class Io, Record_of<Optimize_result> T>
+void fields(Io& io, T& result)
 {
-    out.u32(result_serial_version);
-    serialise_graph_binary(out, result.best_graph);
-    out.str(result.backend);
-    out.str(result.device);
-    out.f64(result.initial_ms);
-    out.f64(result.final_ms);
-    out.i32(result.steps);
-    out.f64(result.wall_seconds);
-    out.u8(result.cancelled ? 1 : 0);
-    out.u8(result.from_cache ? 1 : 0);
-    write_map(out, result.rule_counts, [&out](int count) { out.i32(count); });
-    write_map(out, result.metadata, [&out](double value) { out.f64(value); });
+    io.version(result_serial_version, "result serial");
+    fields(io, result.best_graph);
+    io.str(result.backend);
+    io.str(result.device);
+    io.f64(result.initial_ms);
+    io.f64(result.final_ms);
+    io.i32(result.steps);
+    io.f64(result.wall_seconds);
+    io.flag(result.cancelled);
+    io.flag(result.from_cache);
+    io.map(result.rule_counts);
+    io.map(result.metadata);
 }
 
-Optimize_result deserialise_result(Byte_reader& in)
-{
-    const std::uint32_t version = in.u32();
-    if (version != result_serial_version)
-        throw std::runtime_error("result serial: unsupported version " + std::to_string(version));
-    Optimize_result result;
-    result.best_graph = deserialise_graph_binary(in);
-    result.backend = in.str();
-    result.device = in.str();
-    result.initial_ms = in.f64();
-    result.final_ms = in.f64();
-    result.steps = in.i32();
-    result.wall_seconds = in.f64();
-    result.cancelled = in.u8() != 0;
-    result.from_cache = in.u8() != 0;
-    const std::uint32_t rule_count = in.u32();
-    in.expect_items(rule_count, sizeof(std::uint64_t) + sizeof(std::int32_t));
-    for (std::uint32_t i = 0; i < rule_count; ++i) {
-        std::string key = in.str();
-        result.rule_counts[std::move(key)] = in.i32();
-    }
-    const std::uint32_t metadata_count = in.u32();
-    in.expect_items(metadata_count, sizeof(std::uint64_t) + sizeof(double));
-    for (std::uint32_t i = 0; i < metadata_count; ++i) {
-        std::string key = in.str();
-        result.metadata[std::move(key)] = in.f64();
-    }
-    return result;
-}
+template void fields(Byte_writer&, const Optimize_result&);
+template void fields(Byte_reader&, Optimize_result&);
 
 std::string result_to_bytes(const Optimize_result& result)
 {
     Byte_writer out;
-    serialise_result(out, result);
+    fields(out, result);
     return out.take();
 }
 
 Optimize_result result_from_bytes(std::string_view bytes)
 {
     Byte_reader in(bytes);
-    Optimize_result result = deserialise_result(in);
+    Optimize_result result;
+    fields(in, result);
     if (!in.at_end())
         throw std::runtime_error("result serial: trailing bytes after result");
     return result;

@@ -9,10 +9,12 @@
 // exactly the answer it would have gotten before. Graphs use the binary
 // graph form (ir/graph_io.h); doubles travel as bit patterns.
 //
-// The field list is explicit, guarded by a static_assert on
-// aggregate_field_count<Optimize_result>: adding a field to the struct
-// without teaching the serialiser about it is a compile error, not silent
-// data loss on the next restart.
+// The layout is one field list, `fields` below (support/record_file.h
+// explains the form), which both writes and reads; it is guarded by a
+// static_assert on aggregate_field_count<Optimize_result>, so adding a
+// field to the struct without adding it to the list is a compile error,
+// not silent data loss on the next restart. The wire protocol embeds the
+// same list in poll_ok.
 //
 // The progress callback is the one part of a *request* that can't
 // persist; results carry no callables, so every field serialises.
@@ -26,13 +28,14 @@
 
 namespace xrl {
 
-void serialise_result(Byte_writer& out, const Optimize_result& result);
+/// The field list, instantiated for Byte_writer (const result) and
+/// Byte_reader. Reading throws std::runtime_error on malformed or
+/// truncated input (the state store catches, counts, and skips the
+/// record).
+template <class Io, Record_of<Optimize_result> T>
+void fields(Io& io, T& result);
 
-/// Throws std::runtime_error on malformed or truncated input (the state
-/// store catches, counts, and skips the record).
-Optimize_result deserialise_result(Byte_reader& in);
-
-/// Whole-payload conveniences over the stream forms.
+/// Whole-payload conveniences; result_from_bytes rejects trailing bytes.
 std::string result_to_bytes(const Optimize_result& result);
 Optimize_result result_from_bytes(std::string_view bytes);
 

@@ -160,142 +160,107 @@ namespace {
 
 constexpr std::uint32_t graph_binary_version = 1;
 
-// The serialisers below spell out every field; these asserts break the
-// build when Node / Op_params grow one they do not cover.
+// Drift guards: a new Op_params field must join the field list below, and
+// a new Node field the whole-graph loop.
 static_assert(aggregate_field_count<Op_params> == 21,
-              "Op_params changed: update write_params / read_params (and this count)");
+              "Op_params changed: update its field list fields(Io&, Op_params&) in "
+              "ir/graph_io.cpp (and this count)");
 static_assert(aggregate_field_count<Node> == 6,
               "Node changed: update serialise_graph_binary / deserialise_graph_binary "
               "(and this count)");
 
-void write_i64_list(Byte_writer& out, const std::vector<std::int64_t>& values)
-{
-    out.u32(static_cast<std::uint32_t>(values.size()));
-    for (const std::int64_t v : values) out.i64(v);
-}
+constexpr Op_kind last_op_kind =
+    static_cast<Op_kind>(static_cast<std::uint8_t>(Op_kind::count_) - 1);
 
-std::vector<std::int64_t> read_i64_list(Byte_reader& in)
+/// Edge targets must index the slot array before anything dereferences
+/// them; aliveness is checked once every slot has been read.
+void check_edges(const std::vector<Edge>& edges, std::size_t capacity)
 {
-    const std::uint32_t count = in.u32();
-    in.expect_items(count, sizeof(std::int64_t));
-    std::vector<std::int64_t> values(count);
-    for (auto& v : values) v = in.i64();
-    return values;
-}
-
-void write_params(Byte_writer& out, const Op_params& params)
-{
-    out.u8(static_cast<std::uint8_t>(params.activation));
-    out.i64(params.stride_h);
-    out.i64(params.stride_w);
-    out.i64(params.pad_h);
-    out.i64(params.pad_w);
-    out.i64(params.groups);
-    out.i64(params.kernel_h);
-    out.i64(params.kernel_w);
-    out.i64(params.axis);
-    write_i64_list(out, params.split_sizes);
-    out.i64(params.begin);
-    out.i64(params.end);
-    write_i64_list(out, params.perm);
-    write_i64_list(out, params.target_shape);
-    write_i64_list(out, params.pads_before);
-    write_i64_list(out, params.pads_after);
-    out.i64(params.target_r);
-    out.i64(params.target_s);
-    out.f32(params.epsilon);
-    out.f32(params.scalar);
-    out.u8(params.keep_dim ? 1 : 0);
-}
-
-Op_params read_params(Byte_reader& in)
-{
-    Op_params params;
-    params.activation = static_cast<Activation>(in.u8());
-    params.stride_h = in.i64();
-    params.stride_w = in.i64();
-    params.pad_h = in.i64();
-    params.pad_w = in.i64();
-    params.groups = in.i64();
-    params.kernel_h = in.i64();
-    params.kernel_w = in.i64();
-    params.axis = in.i64();
-    params.split_sizes = read_i64_list(in);
-    params.begin = in.i64();
-    params.end = in.i64();
-    params.perm = read_i64_list(in);
-    params.target_shape = read_i64_list(in);
-    params.pads_before = read_i64_list(in);
-    params.pads_after = read_i64_list(in);
-    params.target_r = in.i64();
-    params.target_s = in.i64();
-    params.epsilon = in.f32();
-    params.scalar = in.f32();
-    params.keep_dim = in.u8() != 0;
-    return params;
-}
-
-void write_edge_list(Byte_writer& out, const std::vector<Edge>& edges)
-{
-    out.u32(static_cast<std::uint32_t>(edges.size()));
-    for (const Edge& e : edges) {
-        out.i32(e.node);
-        out.i32(e.port);
-    }
-}
-
-std::vector<Edge> read_edge_list(Byte_reader& in, std::size_t capacity)
-{
-    const std::uint32_t count = in.u32();
-    in.expect_items(count, 2 * sizeof(std::int32_t));
-    std::vector<Edge> edges(count);
-    for (Edge& e : edges) {
-        e.node = in.i32();
-        e.port = in.i32();
+    for (const Edge& e : edges)
         if (e.node < 0 || static_cast<std::size_t>(e.node) >= capacity)
             throw std::runtime_error("graph binary: edge references node " +
                                      std::to_string(e.node) + " outside capacity " +
                                      std::to_string(capacity));
-    }
-    return edges;
+}
+
+/// Checked against the declared volume without overflowing: corrupt dims
+/// must not reach shape_volume's unchecked product.
+void check_payload_volume(const Shape& shape, std::uint64_t volume)
+{
+    std::uint64_t product = 1;
+    for (const std::int64_t dim : shape)
+        if (dim < 0 || __builtin_mul_overflow(product, static_cast<std::uint64_t>(dim), &product))
+            throw std::runtime_error("graph binary: payload volume mismatch");
+    if (product != volume) throw std::runtime_error("graph binary: payload volume mismatch");
 }
 
 } // namespace
 
+template <class Io, Record_of<Op_params> T>
+void fields(Io& io, T& params)
+{
+    io.enumerated(params.activation, Activation::none, Activation::sigmoid, "activation");
+    io.i64(params.stride_h);
+    io.i64(params.stride_w);
+    io.i64(params.pad_h);
+    io.i64(params.pad_w);
+    io.i64(params.groups);
+    io.i64(params.kernel_h);
+    io.i64(params.kernel_w);
+    io.i64(params.axis);
+    io.list(params.split_sizes);
+    io.i64(params.begin);
+    io.i64(params.end);
+    io.list(params.perm);
+    io.list(params.target_shape);
+    io.list(params.pads_before);
+    io.list(params.pads_after);
+    io.i64(params.target_r);
+    io.i64(params.target_s);
+    io.f32(params.epsilon);
+    io.f32(params.scalar);
+    io.flag(params.keep_dim);
+}
+
+template <class Io, Record_of<Edge> T>
+void fields(Io& io, T& edge)
+{
+    io.i32(edge.node);
+    io.i32(edge.port);
+}
+
 void serialise_graph_binary(Byte_writer& out, const Graph& graph)
 {
-    out.u32(graph_binary_version);
+    out.version(graph_binary_version, "graph binary");
     out.u32(static_cast<std::uint32_t>(graph.nodes_.size()));
     for (std::size_t id = 0; id < graph.nodes_.size(); ++id) {
         const bool alive = graph.alive_[id] != 0;
-        out.u8(alive ? 1 : 0);
+        out.flag(alive);
         // Tombstone slots hold Node{} (erase_node resets them) — the alive
         // flag alone reconstructs them exactly.
         if (!alive) continue;
         const Node& n = graph.nodes_[id];
-        out.u8(static_cast<std::uint8_t>(n.kind));
-        write_params(out, n.params);
-        write_edge_list(out, n.inputs);
-        out.u32(static_cast<std::uint32_t>(n.output_shapes.size()));
-        for (const Shape& shape : n.output_shapes) write_i64_list(out, shape);
-        out.u8(n.payload != nullptr ? 1 : 0);
+        out.enumerated(n.kind, Op_kind::input, last_op_kind, "op kind");
+        fields(out, n.params);
+        out.list(n.inputs);
+        out.list(n.output_shapes);
+        out.flag(n.payload != nullptr);
         if (n.payload != nullptr) {
-            write_i64_list(out, n.payload->shape());
+            out.list(n.payload->shape());
             out.u64(static_cast<std::uint64_t>(n.payload->volume()));
             for (std::int64_t i = 0; i < n.payload->volume(); ++i) out.f32(n.payload->at(i));
         }
         out.str(n.name);
     }
-    write_edge_list(out, graph.outputs_);
+    out.list(graph.outputs_);
 }
 
 Graph deserialise_graph_binary(Byte_reader& in)
 {
-    const std::uint32_t version = in.u32();
-    if (version != graph_binary_version)
-        throw std::runtime_error("graph binary: unsupported version " + std::to_string(version));
+    in.version(graph_binary_version, "graph binary");
     const std::uint32_t capacity = in.u32();
     in.expect_items(capacity, 1); // at least the alive byte per slot
+    in.charge_slots(capacity);
 
     Graph graph;
     graph.nodes_.resize(capacity);
@@ -303,22 +268,18 @@ Graph deserialise_graph_binary(Byte_reader& in)
     for (std::uint32_t id = 0; id < capacity; ++id) {
         if (in.u8() == 0) continue; // tombstone: Node{} stays
         Node& n = graph.nodes_[id];
-        const std::uint8_t kind = in.u8();
-        if (kind >= static_cast<std::uint8_t>(Op_kind::count_))
-            throw std::runtime_error("graph binary: unknown op kind " + std::to_string(kind));
-        n.kind = static_cast<Op_kind>(kind);
-        n.params = read_params(in);
-        n.inputs = read_edge_list(in, capacity);
-        const std::uint32_t shape_count = in.u32();
-        in.expect_items(shape_count, sizeof(std::uint32_t));
-        std::vector<Shape> shapes(shape_count);
-        for (Shape& shape : shapes) shape = read_i64_list(in);
+        in.enumerated(n.kind, Op_kind::input, last_op_kind, "op kind");
+        fields(in, n.params);
+        in.list(n.inputs);
+        check_edges(n.inputs, capacity);
+        std::vector<Shape> shapes;
+        in.list(shapes);
         n.output_shapes = Shape_list(std::move(shapes));
         if (in.u8() != 0) {
-            Shape shape = read_i64_list(in);
+            Shape shape;
+            in.list(shape);
             const std::uint64_t volume = in.u64();
-            if (static_cast<std::int64_t>(volume) != shape_volume(shape))
-                throw std::runtime_error("graph binary: payload volume mismatch");
+            check_payload_volume(shape, volume);
             in.expect_items(volume, sizeof(float));
             std::vector<float> values(static_cast<std::size_t>(volume));
             for (auto& v : values) v = in.f32();
@@ -337,7 +298,8 @@ Graph deserialise_graph_binary(Byte_reader& in)
             if (graph.alive_[static_cast<std::size_t>(e.node)] == 0)
                 throw std::runtime_error("graph binary: input references a dead node");
     }
-    graph.outputs_ = read_edge_list(in, capacity);
+    in.list(graph.outputs_);
+    check_edges(graph.outputs_, capacity);
     for (const Edge& e : graph.outputs_)
         if (graph.alive_[static_cast<std::size_t>(e.node)] == 0)
             throw std::runtime_error("graph binary: output references a dead node");

@@ -36,7 +36,12 @@ void serialise_graph_binary(Byte_writer& out, const Graph& graph);
 
 /// Inverse of serialise_graph_binary. Throws std::runtime_error on
 /// malformed or truncated input (the state store catches, counts, and
-/// skips); never reads past the input's bounds.
+/// skips); never reads past the input's bounds. The graph's slot count is
+/// charged against the reader's slot budget before any slot is allocated.
 Graph deserialise_graph_binary(Byte_reader& in);
+
+/// The binary form as a field of an enclosing record's field list.
+inline void fields(Byte_writer& out, const Graph& graph) { serialise_graph_binary(out, graph); }
+inline void fields(Byte_reader& in, Graph& graph) { graph = deserialise_graph_binary(in); }
 
 } // namespace xrl

@@ -53,7 +53,7 @@ void Client::ensure_connected()
     Hello hello;
     hello.proposed_version = protocol_version;
     hello.client_name = config_.client_name;
-    write_frame(connection_, 1, Pdu_type::hello, encode_hello(hello));
+    write_frame(connection_, 1, Pdu_type::hello, encode(hello));
 
     std::optional<Frame> reply = read_frame(connection_, config_.max_frame_payload);
     if (!reply.has_value())
@@ -61,14 +61,14 @@ void Client::ensure_connected()
                              "daemon at " + endpoint() +
                                  " closed the connection cleanly during the hello handshake");
     if (reply->type == Pdu_type::error) {
-        const Error_pdu error = decode_error(reply->payload);
+        const Error_pdu error = decode<Error_pdu>(reply->payload);
         throw Protocol_error(error.code, error.message, /*remote=*/true, error.retryable);
     }
     if (reply->type != Pdu_type::hello_ok)
         throw Protocol_error(Protocol_error_code::bad_payload,
                              std::string("expected hello_ok, got ") + to_string(reply->type));
 
-    const Hello_ok ok = decode_hello_ok(reply->payload);
+    const Hello_ok ok = decode<Hello_ok>(reply->payload);
     if (ok.negotiated_version < 1 || ok.negotiated_version > protocol_version)
         throw Protocol_error(Protocol_error_code::unsupported_version,
                              "daemon negotiated version " +
@@ -139,7 +139,7 @@ std::string Client::call(Pdu_type request, std::string_view payload, Pdu_type ex
                              "reply framed as version " + std::to_string(reply->version) +
                                  " on a connection that negotiated " + std::to_string(version_));
     if (reply->type == Pdu_type::error) {
-        const Error_pdu error = decode_error(reply->payload);
+        const Error_pdu error = decode<Error_pdu>(reply->payload);
         throw Protocol_error(error.code, error.message, /*remote=*/true, error.retryable);
     }
     if (reply->type != expected_reply)
@@ -208,8 +208,8 @@ Submit_ok Client::submit(const std::string& backend, const Graph& graph,
     submit.parent_span = current_trace().span_id;
     last_trace_id_ = trace_id;
 
-    const std::string payload = encode_submit(submit);
-    return decode_submit_ok(call_with_retry(Pdu_type::submit, payload, Pdu_type::submit_ok));
+    const std::string payload = encode(submit);
+    return decode<Submit_ok>(call_with_retry(Pdu_type::submit, payload, Pdu_type::submit_ok));
 }
 
 Batch_ok Client::batch_submit(const Batch_submit& batch)
@@ -228,8 +228,8 @@ Batch_ok Client::batch_submit(const Batch_submit& batch)
     keyed.parent_span = current_trace().span_id;
     last_trace_id_ = keyed.trace_id;
 
-    const std::string payload = encode_batch_submit(keyed);
-    return decode_batch_ok(call_with_retry(Pdu_type::batch_submit, payload, Pdu_type::batch_ok));
+    const std::string payload = encode(keyed);
+    return decode<Batch_ok>(call_with_retry(Pdu_type::batch_submit, payload, Pdu_type::batch_ok));
 }
 
 Poll_ok Client::poll(std::uint64_t job_id, double wait_seconds)
@@ -237,8 +237,8 @@ Poll_ok Client::poll(std::uint64_t job_id, double wait_seconds)
     Poll poll;
     poll.job_id = job_id;
     poll.wait_seconds = wait_seconds;
-    return decode_poll_ok(
-        call_with_retry(Pdu_type::poll, encode_poll(poll), Pdu_type::poll_ok));
+    return decode<Poll_ok>(
+        call_with_retry(Pdu_type::poll, encode(poll), Pdu_type::poll_ok));
 }
 
 Optimize_result Client::wait(std::uint64_t job_id, const Progress_observer& observer)
@@ -287,25 +287,25 @@ Cancel_ok Client::cancel(std::uint64_t job_id)
 {
     Cancel cancel;
     cancel.job_id = job_id;
-    return decode_cancel_ok(
-        call_with_retry(Pdu_type::cancel, encode_cancel(cancel), Pdu_type::cancel_ok));
+    return decode<Cancel_ok>(
+        call_with_retry(Pdu_type::cancel, encode(cancel), Pdu_type::cancel_ok));
 }
 
 Stats_ok Client::stats()
 {
-    return decode_stats_ok(call_with_retry(Pdu_type::stats, {}, Pdu_type::stats_ok));
+    return decode<Stats_ok>(call_with_retry(Pdu_type::stats, {}, Pdu_type::stats_ok));
 }
 
 Metrics_ok Client::metrics()
 {
-    return decode_metrics_ok(call_with_retry(Pdu_type::metrics, {}, Pdu_type::metrics_ok));
+    return decode<Metrics_ok>(call_with_retry(Pdu_type::metrics, {}, Pdu_type::metrics_ok));
 }
 
 Trace_ok Client::trace(std::uint64_t job_id, std::uint64_t trace_id)
 {
     const Trace_request request{job_id, trace_id};
-    return decode_trace_ok(
-        call_with_retry(Pdu_type::trace, encode_trace_request(request), Pdu_type::trace_ok));
+    return decode<Trace_ok>(
+        call_with_retry(Pdu_type::trace, encode(request), Pdu_type::trace_ok));
 }
 
 void Client::drain()

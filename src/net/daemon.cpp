@@ -119,7 +119,7 @@ void Daemon::start_session(Connection connection)
         // peer may already be gone.
         try {
             write_frame(connection, protocol_version, Pdu_type::error,
-                        encode_error({Protocol_error_code::busy,
+                        encode(Error_pdu{Protocol_error_code::busy,
                                       "connection limit reached (" +
                                           std::to_string(config_.max_connections) + ")",
                                       retryable(Protocol_error_code::busy)}));
@@ -265,7 +265,7 @@ bool Daemon::handle_hello(const std::shared_ptr<Session>& session, const Frame& 
 
     Hello hello;
     try {
-        hello = decode_hello(frame.payload);
+        hello = decode<Hello>(frame.payload);
     } catch (const Protocol_error& error) {
         return fail(error.code(), error.what());
     }
@@ -281,7 +281,7 @@ bool Daemon::handle_hello(const std::shared_ptr<Session>& session, const Frame& 
     ok.server_name = config_.server_name;
     ok.shard_count = static_cast<std::uint32_t>(router_.shard_count());
     ok.backends = router_.shard(0).service().backends();
-    write_frame(session->connection, session->version, Pdu_type::hello_ok, encode_hello_ok(ok));
+    write_frame(session->connection, session->version, Pdu_type::hello_ok, encode(ok));
     return true;
 }
 
@@ -332,7 +332,7 @@ Job_handle Daemon::routed_submit(const std::string& backend, const Graph& graph,
 
 Daemon::Reply Daemon::handle_submit(std::string_view payload)
 {
-    const Submit submit = decode_submit(payload);
+    const Submit submit = decode<Submit>(payload);
     if (std::optional<Reply> replay = find_keyed_reply(submit.request_key); replay.has_value())
         return std::move(*replay);
     // Install the client-stamped trace context for the whole admission:
@@ -342,14 +342,14 @@ Daemon::Reply Daemon::handle_submit(std::string_view payload)
     if (span.active()) span.annotate("backend", submit.backend);
     const Submit_options options{static_cast<int>(submit.priority), submit.deadline_seconds};
     Job_handle handle = routed_submit(submit.backend, submit.graph, submit.request, options);
-    Reply reply{Pdu_type::submit_ok, encode_submit_ok(register_job(std::move(handle)))};
+    Reply reply{Pdu_type::submit_ok, encode(register_job(std::move(handle)))};
     remember_keyed_reply(submit.request_key, reply);
     return reply;
 }
 
 Daemon::Reply Daemon::handle_batch(std::string_view payload)
 {
-    const Batch_submit batch = decode_batch_submit(payload);
+    const Batch_submit batch = decode<Batch_submit>(payload);
     if (std::optional<Reply> replay = find_keyed_reply(batch.request_key); replay.has_value())
         return std::move(*replay);
     if (batch.entries.empty())
@@ -387,14 +387,14 @@ Daemon::Reply Daemon::handle_batch(std::string_view payload)
     }
     ok.jobs.reserve(handles.size());
     for (Job_handle& handle : handles) ok.jobs.push_back(register_job(std::move(handle)));
-    Reply reply{Pdu_type::batch_ok, encode_batch_ok(ok)};
+    Reply reply{Pdu_type::batch_ok, encode(ok)};
     remember_keyed_reply(batch.request_key, reply);
     return reply;
 }
 
 Daemon::Reply Daemon::handle_poll(std::string_view payload)
 {
-    const Poll poll = decode_poll(payload);
+    const Poll poll = decode<Poll>(payload);
     Job_handle handle;
     {
         const Lock_guard lock(mutex_);
@@ -425,12 +425,12 @@ Daemon::Reply Daemon::handle_poll(std::string_view payload)
         }
         note_terminal_delivered(poll.job_id);
     }
-    return {Pdu_type::poll_ok, encode_poll_ok(ok)};
+    return {Pdu_type::poll_ok, encode(ok)};
 }
 
 Daemon::Reply Daemon::handle_cancel(std::string_view payload)
 {
-    const Cancel cancel = decode_cancel(payload);
+    const Cancel cancel = decode<Cancel>(payload);
     Job_handle handle;
     {
         const Lock_guard lock(mutex_);
@@ -443,7 +443,7 @@ Daemon::Reply Daemon::handle_cancel(std::string_view payload)
     // The wire submission owns exactly one interest; cancelling through a
     // copy withdraws it once (Job_handle's ticket semantics).
     handle.cancel();
-    return {Pdu_type::cancel_ok, encode_cancel_ok({cancel.job_id, handle.poll()})};
+    return {Pdu_type::cancel_ok, encode(Cancel_ok{cancel.job_id, handle.poll()})};
 }
 
 Daemon::Reply Daemon::handle_stats()
@@ -451,7 +451,7 @@ Daemon::Reply Daemon::handle_stats()
     Stats_ok ok;
     ok.router = router_.stats();
     ok.daemon = stats();
-    return {Pdu_type::stats_ok, encode_stats_ok(ok)};
+    return {Pdu_type::stats_ok, encode(ok)};
 }
 
 Daemon::Reply Daemon::handle_drain()
@@ -496,12 +496,12 @@ Daemon::Reply Daemon::handle_metrics()
     registry.gauge("xrlflow_daemon_jobs_deduplicated",
                    "Submits replayed from the keyed-reply cache")
         .set(static_cast<double>(wire.jobs_deduplicated));
-    return {Pdu_type::metrics_ok, encode_metrics_ok({registry.expose()})};
+    return {Pdu_type::metrics_ok, encode(Metrics_ok{registry.expose()})};
 }
 
 Daemon::Reply Daemon::handle_trace(std::string_view payload)
 {
-    const Trace_request request = decode_trace_request(payload);
+    const Trace_request request = decode<Trace_request>(payload);
     std::uint64_t trace_id = request.trace_id;
     if (request.job_id != 0) {
         const Lock_guard lock(mutex_);
@@ -516,7 +516,7 @@ Daemon::Reply Daemon::handle_trace(std::string_view payload)
     // trace_id 0 (no job filter either) dumps the whole buffer — the
     // operator's "what has this daemon been doing" view.
     ok.spans = Trace_buffer::global().spans_for(trace_id);
-    return {Pdu_type::trace_ok, encode_trace_ok(ok)};
+    return {Pdu_type::trace_ok, encode(ok)};
 }
 
 // ---------------------------------------------------------------------------
@@ -577,7 +577,7 @@ void Daemon::send_error(Session& session, Protocol_error_code code, const std::s
     const std::uint8_t version = session.negotiated ? session.version : protocol_version;
     try {
         write_frame(session.connection, version, Pdu_type::error,
-                    encode_error({code, message, retryable(code)}));
+                    encode(Error_pdu{code, message, retryable(code)}));
     } catch (const Net_error&) {
         // Best-effort: the peer that sent us garbage may already be gone.
     }

@@ -1,7 +1,6 @@
 #include "net/protocol.h"
 
 #include <bit>
-#include <limits>
 
 #include "core/result_serial.h"
 #include "ir/graph_io.h"
@@ -18,28 +17,44 @@ static_assert(std::endian::native == std::endian::little,
               "the xrlflow wire protocol is little-endian; add byte swapping to "
               "net/protocol.cpp before building for a big-endian target");
 
-// Drift guards: adding a field to any serialised struct must update the
-// codec below *and* these counts (and PROTOCOL.md, and the version rules
-// if the layout changed).
-static_assert(aggregate_field_count<Optimize_request> == 6,
-              "Optimize_request grew a field: update serialise_request / "
-              "deserialise_request (the progress callback stays unserialised) and PROTOCOL.md");
-static_assert(aggregate_field_count<Device_profile> == 7,
-              "Device_profile grew a field: update the device codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Optimize_progress> == 4,
-              "Optimize_progress grew a field: update the progress codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Backend_stats> == 5,
-              "Backend_stats grew a field: update the stats codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Server_stats> == 18,
-              "Server_stats grew a field: update the stats codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Router_stats> == 11,
-              "Router_stats grew a field: update the stats codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Daemon_wire_stats> == 8,
-              "Daemon_wire_stats grew a field: update the stats codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Shard_health_snapshot> == 8,
-              "Shard_health_snapshot grew a field: update the health codec in net/protocol.cpp");
-static_assert(aggregate_field_count<Trace_span> == 8,
-              "Trace_span grew a field: update the trace codec in net/protocol.cpp");
+// Drift guards: each serialised struct's field count, pinned next to the
+// one field list (`fields(Io&, T&)` below) that encodes and decodes it.
+// Adding a field means adding it to that list, then to this count and to
+// PROTOCOL.md (and deciding on a version bump if the layout changed).
+template <class T, std::size_t count>
+constexpr bool field_list_covers()
+{
+    static_assert(aggregate_field_count<T> == count,
+                  "a serialised struct changed: update its field list fields(Io&, T&) in "
+                  "net/protocol.cpp, PROTOCOL.md, and its count here");
+    return true;
+}
+// Optimize_request's progress callback is the one field that does not travel.
+static_assert(field_list_covers<Optimize_request, 6>());
+static_assert(field_list_covers<Device_profile, 7>());
+static_assert(field_list_covers<Optimize_progress, 4>());
+static_assert(field_list_covers<Backend_stats, 5>());
+static_assert(field_list_covers<Server_stats, 18>());
+static_assert(field_list_covers<Router_stats, 11>());
+static_assert(field_list_covers<Daemon_wire_stats, 8>());
+static_assert(field_list_covers<Shard_health_snapshot, 8>());
+static_assert(field_list_covers<Trace_span, 8>());
+static_assert(field_list_covers<Hello, 2>());
+static_assert(field_list_covers<Hello_ok, 5>());
+static_assert(field_list_covers<Submit, 8>());
+static_assert(field_list_covers<Submit_ok, 2>());
+static_assert(field_list_covers<Batch_submit, 7>());
+static_assert(field_list_covers<Batch_submit::Entry, 3>());
+static_assert(field_list_covers<Batch_ok, 1>());
+static_assert(field_list_covers<Poll, 2>());
+static_assert(field_list_covers<Poll_ok, 5>());
+static_assert(field_list_covers<Cancel, 1>());
+static_assert(field_list_covers<Cancel_ok, 2>());
+static_assert(field_list_covers<Stats_ok, 2>());
+static_assert(field_list_covers<Metrics_ok, 1>());
+static_assert(field_list_covers<Trace_request, 2>());
+static_assert(field_list_covers<Trace_ok, 2>());
+static_assert(field_list_covers<Error_pdu, 3>());
 
 const char* to_string(Pdu_type type)
 {
@@ -116,194 +131,6 @@ bool known_pdu_type(std::uint8_t raw)
 {
     return raw >= static_cast<std::uint8_t>(Pdu_type::hello) &&
            raw <= static_cast<std::uint8_t>(Pdu_type::trace_ok);
-}
-
-/// Every decoder runs under this: Byte_reader's bounds-check throws (plain
-/// std::runtime_error) become typed bad_payload protocol errors, so a
-/// damaged payload is a diagnosable rejection, never a crash or a raw
-/// internal error leaking to the wire.
-template <class Decode>
-auto guarded_decode(const char* what, Decode&& decode)
-{
-    try {
-        return decode();
-    } catch (const Protocol_error&) {
-        throw; // already typed — keep the precise code
-    } catch (const std::exception& error) {
-        throw Protocol_error(Protocol_error_code::bad_payload,
-                             std::string(what) + ": " + error.what());
-    }
-}
-
-/// Trailing bytes mean the payload was composed by a different (newer)
-/// codec than the type byte claims — reject rather than half-read.
-void expect_consumed(const Byte_reader& in, const char* what)
-{
-    if (!in.at_end())
-        throw Protocol_error(Protocol_error_code::bad_payload,
-                             std::string(what) + ": " + std::to_string(in.remaining()) +
-                                 " trailing bytes after payload");
-}
-
-std::uint8_t state_to_wire(Job_state state) { return static_cast<std::uint8_t>(state); }
-
-Job_state state_from_wire(std::uint8_t raw)
-{
-    if (raw > static_cast<std::uint8_t>(Job_state::failed))
-        throw Protocol_error(Protocol_error_code::bad_payload,
-                             "unknown job state " + std::to_string(raw));
-    return static_cast<Job_state>(raw);
-}
-
-// -- device / request -------------------------------------------------------
-
-void serialise_profile(Byte_writer& out, const Device_profile& profile)
-{
-    out.str(profile.name);
-    out.f64(profile.flops_per_ms);
-    out.f64(profile.bytes_per_ms);
-    out.f64(profile.kernel_launch_ms);
-    out.f64(profile.scheduler_overhead_ms);
-    out.f64(profile.measurement_noise);
-    out.f64(profile.utilisation_knee_flops);
-}
-
-Device_profile deserialise_profile(Byte_reader& in)
-{
-    Device_profile profile;
-    profile.name = in.str();
-    profile.flops_per_ms = in.f64();
-    profile.bytes_per_ms = in.f64();
-    profile.kernel_launch_ms = in.f64();
-    profile.scheduler_overhead_ms = in.f64();
-    profile.measurement_noise = in.f64();
-    profile.utilisation_knee_flops = in.f64();
-    return profile;
-}
-
-void serialise_progress(Byte_writer& out, const Optimize_progress& progress)
-{
-    out.str(progress.backend);
-    out.i32(progress.step);
-    out.f64(progress.best_ms);
-    out.f64(progress.elapsed_seconds);
-}
-
-Optimize_progress deserialise_progress(Byte_reader& in)
-{
-    Optimize_progress progress;
-    progress.backend = in.str();
-    progress.step = in.i32();
-    progress.best_ms = in.f64();
-    progress.elapsed_seconds = in.f64();
-    return progress;
-}
-
-// -- stats ------------------------------------------------------------------
-
-void serialise_backend_stats(Byte_writer& out, const Backend_stats& stats)
-{
-    out.u64(stats.submitted);
-    out.u64(stats.completed);
-    out.u64(stats.cancelled);
-    out.u64(stats.failed);
-    out.f64(stats.busy_seconds);
-}
-
-Backend_stats deserialise_backend_stats(Byte_reader& in)
-{
-    Backend_stats stats;
-    stats.submitted = in.u64();
-    stats.completed = in.u64();
-    stats.cancelled = in.u64();
-    stats.failed = in.u64();
-    stats.busy_seconds = in.f64();
-    return stats;
-}
-
-void serialise_server_stats(Byte_writer& out, const Server_stats& stats)
-{
-    out.u64(stats.submitted);
-    out.u64(stats.coalesced);
-    out.u64(stats.rejected);
-    out.u64(stats.shed);
-    out.u64(stats.completed);
-    out.u64(stats.cancelled);
-    out.u64(stats.failed);
-    out.u64(stats.cache_hits);
-    out.u64(stats.queue_depth);
-    out.u64(stats.running);
-    out.u64(stats.inflight);
-    out.u64(stats.peak_queue_depth);
-    out.u64(stats.peak_running);
-    out.f64(stats.p50_latency_ms);
-    out.f64(stats.p95_latency_ms);
-    out.f64(stats.uptime_seconds);
-    out.u64(stats.snapshot_seq);
-    out.u32(static_cast<std::uint32_t>(stats.backends.size()));
-    for (const auto& [backend, per_backend] : stats.backends) {
-        out.str(backend);
-        serialise_backend_stats(out, per_backend);
-    }
-}
-
-void serialise_health(Byte_writer& out, const Shard_health_snapshot& health)
-{
-    out.u64(health.stable_id);
-    out.u8(static_cast<std::uint8_t>(health.state));
-    out.u8(health.draining ? 1 : 0);
-    out.u32(health.consecutive_failures);
-    out.u64(health.successes);
-    out.u64(health.failures);
-    out.u64(health.trips);
-    out.u64(health.probes);
-}
-
-Shard_health_snapshot deserialise_health(Byte_reader& in)
-{
-    Shard_health_snapshot health;
-    health.stable_id = in.u64();
-    const std::uint8_t raw_state = in.u8();
-    if (raw_state > static_cast<std::uint8_t>(Breaker_state::half_open))
-        throw Protocol_error(Protocol_error_code::bad_payload,
-                             "unknown breaker state " + std::to_string(raw_state));
-    health.state = static_cast<Breaker_state>(raw_state);
-    health.draining = in.u8() != 0;
-    health.consecutive_failures = in.u32();
-    health.successes = in.u64();
-    health.failures = in.u64();
-    health.trips = in.u64();
-    health.probes = in.u64();
-    return health;
-}
-
-Server_stats deserialise_server_stats(Byte_reader& in)
-{
-    Server_stats stats;
-    stats.submitted = in.u64();
-    stats.coalesced = in.u64();
-    stats.rejected = in.u64();
-    stats.shed = in.u64();
-    stats.completed = in.u64();
-    stats.cancelled = in.u64();
-    stats.failed = in.u64();
-    stats.cache_hits = in.u64();
-    stats.queue_depth = static_cast<std::size_t>(in.u64());
-    stats.running = static_cast<std::size_t>(in.u64());
-    stats.inflight = static_cast<std::size_t>(in.u64());
-    stats.peak_queue_depth = static_cast<std::size_t>(in.u64());
-    stats.peak_running = static_cast<std::size_t>(in.u64());
-    stats.p50_latency_ms = in.f64();
-    stats.p95_latency_ms = in.f64();
-    stats.uptime_seconds = in.f64();
-    stats.snapshot_seq = in.u64();
-    const std::uint32_t backend_count = in.u32();
-    in.expect_items(backend_count, sizeof(std::uint64_t));
-    for (std::uint32_t i = 0; i < backend_count; ++i) {
-        std::string backend = in.str();
-        stats.backends[std::move(backend)] = deserialise_backend_stats(in);
-    }
-    return stats;
 }
 
 } // namespace
@@ -416,490 +243,331 @@ std::optional<Frame> read_frame(Connection& connection, std::size_t max_payload)
 }
 
 // ---------------------------------------------------------------------------
-// Request codec (shared by submit and batch_submit)
+// Field lists: one per record, run by both encode and decode
+// ---------------------------------------------------------------------------
+//
+// List minimums come from min_wire_size (the encoding of a default item),
+// so a corrupt count is rejected before it reserves anything.
+
+template <class Io, Record_of<Device_profile> T>
+void fields(Io& io, T& profile)
+{
+    io.str(profile.name);
+    io.f64(profile.flops_per_ms);
+    io.f64(profile.bytes_per_ms);
+    io.f64(profile.kernel_launch_ms);
+    io.f64(profile.scheduler_overhead_ms);
+    io.f64(profile.measurement_noise);
+    io.f64(profile.utilisation_knee_flops);
+}
+
+/// Shared by submit and batch_submit. request.on_progress is deliberately
+/// absent: callables cannot travel; remote progress is served through the
+/// poll PDU instead.
+template <class Io, Record_of<Optimize_request> T>
+void fields(Io& io, T& request)
+{
+    io.f64(request.time_budget_seconds);
+    io.i32(request.iteration_budget);
+    io.u64(request.seed);
+    io.flag(request.deterministic);
+    io.str(request.device.name);
+    io.optional(request.device.profile);
+}
+
+template <class Io, Record_of<Optimize_progress> T>
+void fields(Io& io, T& progress)
+{
+    io.str(progress.backend);
+    io.i32(progress.step);
+    io.f64(progress.best_ms);
+    io.f64(progress.elapsed_seconds);
+}
+
+template <class Io, Record_of<Backend_stats> T>
+void fields(Io& io, T& stats)
+{
+    io.u64(stats.submitted);
+    io.u64(stats.completed);
+    io.u64(stats.cancelled);
+    io.u64(stats.failed);
+    io.f64(stats.busy_seconds);
+}
+
+template <class Io, Record_of<Server_stats> T>
+void fields(Io& io, T& stats)
+{
+    io.u64(stats.submitted);
+    io.u64(stats.coalesced);
+    io.u64(stats.rejected);
+    io.u64(stats.shed);
+    io.u64(stats.completed);
+    io.u64(stats.cancelled);
+    io.u64(stats.failed);
+    io.u64(stats.cache_hits);
+    io.u64(stats.queue_depth);
+    io.u64(stats.running);
+    io.u64(stats.inflight);
+    io.u64(stats.peak_queue_depth);
+    io.u64(stats.peak_running);
+    io.f64(stats.p50_latency_ms);
+    io.f64(stats.p95_latency_ms);
+    io.f64(stats.uptime_seconds);
+    io.u64(stats.snapshot_seq);
+    io.map(stats.backends);
+}
+
+template <class Io, Record_of<Shard_health_snapshot> T>
+void fields(Io& io, T& health)
+{
+    io.u64(health.stable_id);
+    io.enumerated(health.state, Breaker_state::closed, Breaker_state::half_open, "breaker state");
+    io.flag(health.draining);
+    io.u32(health.consecutive_failures);
+    io.u64(health.successes);
+    io.u64(health.failures);
+    io.u64(health.trips);
+    io.u64(health.probes);
+}
+
+template <class Io, Record_of<Router_stats> T>
+void fields(Io& io, T& stats)
+{
+    io.u64(stats.submitted);
+    io.u64(stats.affinity_routed);
+    io.u64(stats.hash_routed);
+    io.u64(stats.probe_routed);
+    io.u64(stats.breaker_rerouted);
+    io.f64(stats.uptime_seconds);
+    io.u64(stats.snapshot_seq);
+    fields(io, stats.total);
+    io.list(stats.shards);
+    io.list(stats.routed_to);
+    io.list(stats.health);
+}
+
+template <class Io, Record_of<Daemon_wire_stats> T>
+void fields(Io& io, T& stats)
+{
+    io.u64(stats.connections_accepted);
+    io.u64(stats.connections_active);
+    io.u64(stats.connections_rejected);
+    io.u64(stats.frames_received);
+    io.u64(stats.protocol_errors);
+    io.u64(stats.jobs_submitted);
+    io.u64(stats.jobs_retained);
+    io.u64(stats.jobs_deduplicated);
+}
+
+template <class Io, Record_of<Trace_span> T>
+void fields(Io& io, T& span)
+{
+    io.u64(span.trace_id);
+    io.u64(span.span_id);
+    io.u64(span.parent_span);
+    io.str(span.name);
+    io.u64(span.thread_id);
+    io.u64(span.start_us);
+    io.u64(span.duration_us);
+    io.list(span.annotations);
+}
+
+// -- PDUs -------------------------------------------------------------------
+
+template <class Io, Record_of<Hello> T>
+void fields(Io& io, T& hello)
+{
+    io.u8(hello.proposed_version);
+    io.str(hello.client_name);
+}
+
+template <class Io, Record_of<Hello_ok> T>
+void fields(Io& io, T& ok)
+{
+    io.u8(ok.negotiated_version);
+    io.u8(ok.server_protocol_version);
+    io.str(ok.server_name);
+    io.u32(ok.shard_count);
+    io.list(ok.backends);
+}
+
+template <class Io, Record_of<Submit> T>
+void fields(Io& io, T& submit)
+{
+    io.str(submit.backend);
+    fields(io, submit.request);
+    io.i32(submit.priority);
+    io.f64(submit.deadline_seconds);
+    io.u64(submit.request_key);
+    io.u64(submit.trace_id);
+    io.u64(submit.parent_span);
+    fields(io, submit.graph);
+}
+
+template <class Io, Record_of<Submit_ok> T>
+void fields(Io& io, T& ok)
+{
+    io.u64(ok.job_id);
+    io.flag(ok.coalesced);
+}
+
+template <class Io, Record_of<Batch_submit::Entry> T>
+void fields(Io& io, T& entry)
+{
+    io.str(entry.backend);
+    fields(io, entry.request);
+    fields(io, entry.graph);
+}
+
+template <class Io, Record_of<Batch_submit> T>
+void fields(Io& io, T& batch)
+{
+    io.list(batch.entries);
+    io.f64(batch.budget_seconds);
+    io.f64(batch.deadline_seconds);
+    io.i32(batch.priority);
+    io.u64(batch.request_key);
+    io.u64(batch.trace_id);
+    io.u64(batch.parent_span);
+}
+
+template <class Io, Record_of<Batch_ok> T>
+void fields(Io& io, T& ok)
+{
+    io.list(ok.jobs);
+}
+
+template <class Io, Record_of<Poll> T>
+void fields(Io& io, T& poll)
+{
+    io.u64(poll.job_id);
+    io.f64(poll.wait_seconds);
+}
+
+template <class Io, Record_of<Poll_ok> T>
+void fields(Io& io, T& ok)
+{
+    io.u64(ok.job_id);
+    io.enumerated(ok.state, Job_state::queued, Job_state::failed, "job state");
+    io.str(ok.message);
+    io.optional(ok.progress);
+    io.optional(ok.result);
+}
+
+template <class Io, Record_of<Cancel> T>
+void fields(Io& io, T& cancel)
+{
+    io.u64(cancel.job_id);
+}
+
+template <class Io, Record_of<Cancel_ok> T>
+void fields(Io& io, T& ok)
+{
+    io.u64(ok.job_id);
+    io.enumerated(ok.state, Job_state::queued, Job_state::failed, "job state");
+}
+
+template <class Io, Record_of<Stats_ok> T>
+void fields(Io& io, T& stats)
+{
+    fields(io, stats.router);
+    fields(io, stats.daemon);
+}
+
+template <class Io, Record_of<Metrics_ok> T>
+void fields(Io& io, T& metrics)
+{
+    io.str(metrics.exposition);
+}
+
+template <class Io, Record_of<Trace_request> T>
+void fields(Io& io, T& request)
+{
+    io.u64(request.job_id);
+    io.u64(request.trace_id);
+}
+
+template <class Io, Record_of<Trace_ok> T>
+void fields(Io& io, T& trace)
+{
+    io.u64(trace.trace_id);
+    io.list(trace.spans);
+}
+
+template <class Io, Record_of<Error_pdu> T>
+void fields(Io& io, T& error)
+{
+    io.enumerated(error.code, Protocol_error_code::bad_magic, Protocol_error_code::io,
+                  "protocol error code");
+    io.str(error.message);
+    io.flag(error.retryable);
+}
+
+// ---------------------------------------------------------------------------
+// encode / decode
 // ---------------------------------------------------------------------------
 
-void serialise_request(Byte_writer& out, const Optimize_request& request)
-{
-    out.f64(request.time_budget_seconds);
-    out.i32(request.iteration_budget);
-    out.u64(request.seed);
-    out.u8(request.deterministic ? 1 : 0);
-    out.str(request.device.name);
-    out.u8(request.device.profile.has_value() ? 1 : 0);
-    if (request.device.profile.has_value()) serialise_profile(out, *request.device.profile);
-    // request.on_progress deliberately not serialised: callables cannot
-    // travel; remote progress is served through the poll PDU instead.
-}
-
-Optimize_request deserialise_request(Byte_reader& in)
-{
-    Optimize_request request;
-    request.time_budget_seconds = in.f64();
-    request.iteration_budget = in.i32();
-    request.seed = in.u64();
-    request.deterministic = in.u8() != 0;
-    request.device.name = in.str();
-    if (in.u8() != 0) request.device.profile = deserialise_profile(in);
-    return request;
-}
-
-// ---------------------------------------------------------------------------
-// PDU codecs
-// ---------------------------------------------------------------------------
-
-std::string encode_hello(const Hello& hello)
+template <Payload Pdu>
+std::string encode(const Pdu& pdu)
 {
     Byte_writer out;
-    out.u8(hello.proposed_version);
-    out.str(hello.client_name);
+    fields(out, pdu);
     return out.take();
 }
 
-Hello decode_hello(std::string_view payload)
+/// Byte_reader's failures (plain std::runtime_error) and the trailing-byte
+/// check become typed bad_payload errors naming the PDU, so a damaged
+/// payload is a diagnosable rejection, never a crash or a raw internal
+/// error leaking to the wire. Trailing bytes mean the payload was composed
+/// by a different (newer) codec than the type byte claims — rejected
+/// rather than half-read.
+template <Payload Pdu>
+Pdu decode(std::string_view payload)
 {
-    return guarded_decode("hello", [&] {
-        Byte_reader in(payload);
-        Hello hello;
-        hello.proposed_version = in.u8();
-        hello.client_name = in.str();
-        expect_consumed(in, "hello");
-        return hello;
-    });
-}
-
-std::string encode_hello_ok(const Hello_ok& hello_ok)
-{
-    Byte_writer out;
-    out.u8(hello_ok.negotiated_version);
-    out.u8(hello_ok.server_protocol_version);
-    out.str(hello_ok.server_name);
-    out.u32(hello_ok.shard_count);
-    out.u32(static_cast<std::uint32_t>(hello_ok.backends.size()));
-    for (const std::string& backend : hello_ok.backends) out.str(backend);
-    return out.take();
-}
-
-Hello_ok decode_hello_ok(std::string_view payload)
-{
-    return guarded_decode("hello_ok", [&] {
-        Byte_reader in(payload);
-        Hello_ok hello_ok;
-        hello_ok.negotiated_version = in.u8();
-        hello_ok.server_protocol_version = in.u8();
-        hello_ok.server_name = in.str();
-        hello_ok.shard_count = in.u32();
-        const std::uint32_t backend_count = in.u32();
-        in.expect_items(backend_count, sizeof(std::uint64_t));
-        hello_ok.backends.reserve(backend_count);
-        for (std::uint32_t i = 0; i < backend_count; ++i) hello_ok.backends.push_back(in.str());
-        expect_consumed(in, "hello_ok");
-        return hello_ok;
-    });
-}
-
-std::string encode_submit(const Submit& submit)
-{
-    Byte_writer out;
-    out.str(submit.backend);
-    serialise_request(out, submit.request);
-    out.i32(submit.priority);
-    out.f64(submit.deadline_seconds);
-    out.u64(submit.request_key);
-    out.u64(submit.trace_id);
-    out.u64(submit.parent_span);
-    serialise_graph_binary(out, submit.graph);
-    return out.take();
-}
-
-Submit decode_submit(std::string_view payload)
-{
-    return guarded_decode("submit", [&] {
-        Byte_reader in(payload);
-        Submit submit;
-        submit.backend = in.str();
-        submit.request = deserialise_request(in);
-        submit.priority = in.i32();
-        submit.deadline_seconds = in.f64();
-        submit.request_key = in.u64();
-        submit.trace_id = in.u64();
-        submit.parent_span = in.u64();
-        submit.graph = deserialise_graph_binary(in);
-        expect_consumed(in, "submit");
-        return submit;
-    });
-}
-
-std::string encode_submit_ok(const Submit_ok& ok)
-{
-    Byte_writer out;
-    out.u64(ok.job_id);
-    out.u8(ok.coalesced ? 1 : 0);
-    return out.take();
-}
-
-Submit_ok decode_submit_ok(std::string_view payload)
-{
-    return guarded_decode("submit_ok", [&] {
-        Byte_reader in(payload);
-        Submit_ok ok;
-        ok.job_id = in.u64();
-        ok.coalesced = in.u8() != 0;
-        expect_consumed(in, "submit_ok");
-        return ok;
-    });
-}
-
-std::string encode_batch_submit(const Batch_submit& batch)
-{
-    Byte_writer out;
-    out.u32(static_cast<std::uint32_t>(batch.entries.size()));
-    for (const Batch_submit::Entry& entry : batch.entries) {
-        out.str(entry.backend);
-        serialise_request(out, entry.request);
-        serialise_graph_binary(out, entry.graph);
+    try {
+        Byte_reader in(payload, protocol_max_graph_slots);
+        Pdu pdu;
+        fields(in, pdu);
+        if (!in.at_end())
+            throw std::runtime_error(std::to_string(in.remaining()) +
+                                     " trailing bytes after payload");
+        return pdu;
+    } catch (const std::exception& error) {
+        throw Protocol_error(Protocol_error_code::bad_payload,
+                             std::string(to_string(Pdu::pdu_type)) + ": " + error.what());
     }
-    out.f64(batch.budget_seconds);
-    out.f64(batch.deadline_seconds);
-    out.i32(batch.priority);
-    out.u64(batch.request_key);
-    out.u64(batch.trace_id);
-    out.u64(batch.parent_span);
-    return out.take();
 }
 
-Batch_submit decode_batch_submit(std::string_view payload)
-{
-    return guarded_decode("batch_submit", [&] {
-        Byte_reader in(payload);
-        Batch_submit batch;
-        const std::uint32_t entry_count = in.u32();
-        in.expect_items(entry_count, sizeof(std::uint64_t));
-        batch.entries.reserve(entry_count);
-        for (std::uint32_t i = 0; i < entry_count; ++i) {
-            Batch_submit::Entry entry;
-            entry.backend = in.str();
-            entry.request = deserialise_request(in);
-            entry.graph = deserialise_graph_binary(in);
-            batch.entries.push_back(std::move(entry));
-        }
-        batch.budget_seconds = in.f64();
-        batch.deadline_seconds = in.f64();
-        batch.priority = in.i32();
-        batch.request_key = in.u64();
-        batch.trace_id = in.u64();
-        batch.parent_span = in.u64();
-        expect_consumed(in, "batch_submit");
-        return batch;
-    });
-}
+template std::string encode(const Hello&);
+template std::string encode(const Hello_ok&);
+template std::string encode(const Submit&);
+template std::string encode(const Submit_ok&);
+template std::string encode(const Batch_submit&);
+template std::string encode(const Batch_ok&);
+template std::string encode(const Poll&);
+template std::string encode(const Poll_ok&);
+template std::string encode(const Cancel&);
+template std::string encode(const Cancel_ok&);
+template std::string encode(const Stats_ok&);
+template std::string encode(const Metrics_ok&);
+template std::string encode(const Trace_request&);
+template std::string encode(const Trace_ok&);
+template std::string encode(const Error_pdu&);
 
-std::string encode_batch_ok(const Batch_ok& ok)
-{
-    Byte_writer out;
-    out.u32(static_cast<std::uint32_t>(ok.jobs.size()));
-    for (const Submit_ok& job : ok.jobs) {
-        out.u64(job.job_id);
-        out.u8(job.coalesced ? 1 : 0);
-    }
-    return out.take();
-}
-
-Batch_ok decode_batch_ok(std::string_view payload)
-{
-    return guarded_decode("batch_ok", [&] {
-        Byte_reader in(payload);
-        Batch_ok ok;
-        const std::uint32_t count = in.u32();
-        in.expect_items(count, sizeof(std::uint64_t) + 1);
-        ok.jobs.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            Submit_ok job;
-            job.job_id = in.u64();
-            job.coalesced = in.u8() != 0;
-            ok.jobs.push_back(job);
-        }
-        expect_consumed(in, "batch_ok");
-        return ok;
-    });
-}
-
-std::string encode_poll(const Poll& poll)
-{
-    Byte_writer out;
-    out.u64(poll.job_id);
-    out.f64(poll.wait_seconds);
-    return out.take();
-}
-
-Poll decode_poll(std::string_view payload)
-{
-    return guarded_decode("poll", [&] {
-        Byte_reader in(payload);
-        Poll poll;
-        poll.job_id = in.u64();
-        poll.wait_seconds = in.f64();
-        expect_consumed(in, "poll");
-        return poll;
-    });
-}
-
-std::string encode_poll_ok(const Poll_ok& ok)
-{
-    Byte_writer out;
-    out.u64(ok.job_id);
-    out.u8(state_to_wire(ok.state));
-    out.str(ok.message);
-    out.u8(ok.progress.has_value() ? 1 : 0);
-    if (ok.progress.has_value()) serialise_progress(out, *ok.progress);
-    out.u8(ok.result.has_value() ? 1 : 0);
-    if (ok.result.has_value()) serialise_result(out, *ok.result);
-    return out.take();
-}
-
-Poll_ok decode_poll_ok(std::string_view payload)
-{
-    return guarded_decode("poll_ok", [&] {
-        Byte_reader in(payload);
-        Poll_ok ok;
-        ok.job_id = in.u64();
-        ok.state = state_from_wire(in.u8());
-        ok.message = in.str();
-        if (in.u8() != 0) ok.progress = deserialise_progress(in);
-        if (in.u8() != 0) ok.result = deserialise_result(in);
-        expect_consumed(in, "poll_ok");
-        return ok;
-    });
-}
-
-std::string encode_cancel(const Cancel& cancel)
-{
-    Byte_writer out;
-    out.u64(cancel.job_id);
-    return out.take();
-}
-
-Cancel decode_cancel(std::string_view payload)
-{
-    return guarded_decode("cancel", [&] {
-        Byte_reader in(payload);
-        Cancel cancel;
-        cancel.job_id = in.u64();
-        expect_consumed(in, "cancel");
-        return cancel;
-    });
-}
-
-std::string encode_cancel_ok(const Cancel_ok& ok)
-{
-    Byte_writer out;
-    out.u64(ok.job_id);
-    out.u8(state_to_wire(ok.state));
-    return out.take();
-}
-
-Cancel_ok decode_cancel_ok(std::string_view payload)
-{
-    return guarded_decode("cancel_ok", [&] {
-        Byte_reader in(payload);
-        Cancel_ok ok;
-        ok.job_id = in.u64();
-        ok.state = state_from_wire(in.u8());
-        expect_consumed(in, "cancel_ok");
-        return ok;
-    });
-}
-
-std::string encode_stats_ok(const Stats_ok& stats)
-{
-    Byte_writer out;
-    out.u64(stats.router.submitted);
-    out.u64(stats.router.affinity_routed);
-    out.u64(stats.router.hash_routed);
-    out.u64(stats.router.probe_routed);
-    out.u64(stats.router.breaker_rerouted);
-    out.f64(stats.router.uptime_seconds);
-    out.u64(stats.router.snapshot_seq);
-    serialise_server_stats(out, stats.router.total);
-    out.u32(static_cast<std::uint32_t>(stats.router.shards.size()));
-    for (const Server_stats& shard : stats.router.shards) serialise_server_stats(out, shard);
-    out.u32(static_cast<std::uint32_t>(stats.router.routed_to.size()));
-    for (const std::uint64_t routed : stats.router.routed_to) out.u64(routed);
-    out.u32(static_cast<std::uint32_t>(stats.router.health.size()));
-    for (const Shard_health_snapshot& health : stats.router.health)
-        serialise_health(out, health);
-    out.u64(stats.daemon.connections_accepted);
-    out.u64(stats.daemon.connections_active);
-    out.u64(stats.daemon.connections_rejected);
-    out.u64(stats.daemon.frames_received);
-    out.u64(stats.daemon.protocol_errors);
-    out.u64(stats.daemon.jobs_submitted);
-    out.u64(stats.daemon.jobs_retained);
-    out.u64(stats.daemon.jobs_deduplicated);
-    return out.take();
-}
-
-Stats_ok decode_stats_ok(std::string_view payload)
-{
-    return guarded_decode("stats_ok", [&] {
-        Byte_reader in(payload);
-        Stats_ok stats;
-        stats.router.submitted = in.u64();
-        stats.router.affinity_routed = in.u64();
-        stats.router.hash_routed = in.u64();
-        stats.router.probe_routed = in.u64();
-        stats.router.breaker_rerouted = in.u64();
-        stats.router.uptime_seconds = in.f64();
-        stats.router.snapshot_seq = in.u64();
-        stats.router.total = deserialise_server_stats(in);
-        const std::uint32_t shard_count = in.u32();
-        in.expect_items(shard_count, 15 * sizeof(std::uint64_t));
-        stats.router.shards.reserve(shard_count);
-        for (std::uint32_t i = 0; i < shard_count; ++i)
-            stats.router.shards.push_back(deserialise_server_stats(in));
-        const std::uint32_t routed_count = in.u32();
-        in.expect_items(routed_count, sizeof(std::uint64_t));
-        stats.router.routed_to.reserve(routed_count);
-        for (std::uint32_t i = 0; i < routed_count; ++i)
-            stats.router.routed_to.push_back(in.u64());
-        const std::uint32_t health_count = in.u32();
-        // Per-entry wire size: u64 id + u8 state + u8 draining + u32 + 4×u64.
-        in.expect_items(health_count, 8 + 1 + 1 + 4 + 4 * 8);
-        stats.router.health.reserve(health_count);
-        for (std::uint32_t i = 0; i < health_count; ++i)
-            stats.router.health.push_back(deserialise_health(in));
-        stats.daemon.connections_accepted = in.u64();
-        stats.daemon.connections_active = in.u64();
-        stats.daemon.connections_rejected = in.u64();
-        stats.daemon.frames_received = in.u64();
-        stats.daemon.protocol_errors = in.u64();
-        stats.daemon.jobs_submitted = in.u64();
-        stats.daemon.jobs_retained = in.u64();
-        stats.daemon.jobs_deduplicated = in.u64();
-        expect_consumed(in, "stats_ok");
-        return stats;
-    });
-}
-
-std::string encode_metrics_ok(const Metrics_ok& metrics)
-{
-    Byte_writer out;
-    out.str(metrics.exposition);
-    return out.take();
-}
-
-Metrics_ok decode_metrics_ok(std::string_view payload)
-{
-    return guarded_decode("metrics_ok", [&] {
-        Byte_reader in(payload);
-        Metrics_ok metrics;
-        metrics.exposition = in.str();
-        expect_consumed(in, "metrics_ok");
-        return metrics;
-    });
-}
-
-std::string encode_trace_request(const Trace_request& request)
-{
-    Byte_writer out;
-    out.u64(request.job_id);
-    out.u64(request.trace_id);
-    return out.take();
-}
-
-Trace_request decode_trace_request(std::string_view payload)
-{
-    return guarded_decode("trace", [&] {
-        Byte_reader in(payload);
-        Trace_request request;
-        request.job_id = in.u64();
-        request.trace_id = in.u64();
-        expect_consumed(in, "trace");
-        return request;
-    });
-}
-
-std::string encode_trace_ok(const Trace_ok& trace)
-{
-    Byte_writer out;
-    out.u64(trace.trace_id);
-    out.u32(static_cast<std::uint32_t>(trace.spans.size()));
-    for (const Trace_span& span : trace.spans) {
-        out.u64(span.trace_id);
-        out.u64(span.span_id);
-        out.u64(span.parent_span);
-        out.str(span.name);
-        out.u64(span.thread_id);
-        out.u64(span.start_us);
-        out.u64(span.duration_us);
-        out.u32(static_cast<std::uint32_t>(span.annotations.size()));
-        for (const auto& [key, value] : span.annotations) {
-            out.str(key);
-            out.str(value);
-        }
-    }
-    return out.take();
-}
-
-Trace_ok decode_trace_ok(std::string_view payload)
-{
-    return guarded_decode("trace_ok", [&] {
-        Byte_reader in(payload);
-        Trace_ok trace;
-        trace.trace_id = in.u64();
-        const std::uint32_t span_count = in.u32();
-        // Minimum wire size per span: 6×u64 + 2 length-prefixed counts.
-        in.expect_items(span_count, 6 * sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t));
-        trace.spans.reserve(span_count);
-        for (std::uint32_t i = 0; i < span_count; ++i) {
-            Trace_span span;
-            span.trace_id = in.u64();
-            span.span_id = in.u64();
-            span.parent_span = in.u64();
-            span.name = in.str();
-            span.thread_id = in.u64();
-            span.start_us = in.u64();
-            span.duration_us = in.u64();
-            const std::uint32_t annotation_count = in.u32();
-            in.expect_items(annotation_count, 2 * sizeof(std::uint32_t));
-            span.annotations.reserve(annotation_count);
-            for (std::uint32_t k = 0; k < annotation_count; ++k) {
-                std::string key = in.str();
-                std::string value = in.str();
-                span.annotations.emplace_back(std::move(key), std::move(value));
-            }
-            trace.spans.push_back(std::move(span));
-        }
-        expect_consumed(in, "trace_ok");
-        return trace;
-    });
-}
-
-std::string encode_error(const Error_pdu& error)
-{
-    Byte_writer out;
-    out.u32(static_cast<std::uint32_t>(error.code));
-    out.str(error.message);
-    out.u8(error.retryable ? 1 : 0);
-    return out.take();
-}
-
-Error_pdu decode_error(std::string_view payload)
-{
-    return guarded_decode("error", [&] {
-        Byte_reader in(payload);
-        Error_pdu error;
-        const std::uint32_t raw = in.u32();
-        if (raw < static_cast<std::uint32_t>(Protocol_error_code::bad_magic) ||
-            raw > static_cast<std::uint32_t>(Protocol_error_code::io))
-            throw Protocol_error(Protocol_error_code::bad_payload,
-                                 "unknown protocol error code " + std::to_string(raw));
-        error.code = static_cast<Protocol_error_code>(raw);
-        error.message = in.str();
-        error.retryable = in.u8() != 0;
-        expect_consumed(in, "error");
-        return error;
-    });
-}
+template Hello decode<Hello>(std::string_view);
+template Hello_ok decode<Hello_ok>(std::string_view);
+template Submit decode<Submit>(std::string_view);
+template Submit_ok decode<Submit_ok>(std::string_view);
+template Batch_submit decode<Batch_submit>(std::string_view);
+template Batch_ok decode<Batch_ok>(std::string_view);
+template Poll decode<Poll>(std::string_view);
+template Poll_ok decode<Poll_ok>(std::string_view);
+template Cancel decode<Cancel>(std::string_view);
+template Cancel_ok decode<Cancel_ok>(std::string_view);
+template Stats_ok decode<Stats_ok>(std::string_view);
+template Metrics_ok decode<Metrics_ok>(std::string_view);
+template Trace_request decode<Trace_request>(std::string_view);
+template Trace_ok decode<Trace_ok>(std::string_view);
+template Error_pdu decode<Error_pdu>(std::string_view);
 
 } // namespace xrl

@@ -10,7 +10,7 @@
 //   4      1     protocol version of this frame
 //   5      1     PDU type (Pdu_type)
 //   6      4     payload size N
-//   10     N     payload (PDU-specific, composed with Byte_writer)
+//   10     N     payload (the PDU's field list in protocol.cpp)
 //   10+N   8     FNV-1a checksum over bytes [0, 10+N)
 //
 // Version negotiation: the first frame on a connection is `hello`, always
@@ -26,13 +26,14 @@
 // undecodable payload, future version — is *never* a crash on either
 // side. The daemon answers with an `error` PDU naming a Protocol_error_code
 // and closes the connection when the stream can no longer be trusted
-// (framing damage); the client library throws Protocol_error. Payloads
-// reuse the bit-exact codecs the warm-start layer already trusts:
-// graphs via serialise_graph_binary (ir/graph_io.h), results via
+// (framing damage); the client library throws Protocol_error. Payload
+// field lists embed the bit-exact layouts the warm-start layer already
+// trusts: graphs via serialise_graph_binary (ir/graph_io.h), results via
 // core/result_serial.h — so a remote result is byte-identical to the
 // in-process one.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -58,6 +59,14 @@ inline constexpr std::uint8_t protocol_version = 1;
 /// Frames larger than this are rejected before any allocation — an
 /// oversized length prefix is indistinguishable from corruption.
 inline constexpr std::size_t protocol_max_payload = 64u << 20;
+
+/// Graph slots (alive nodes and tombstones) one payload may make the
+/// decoder allocate, summed over every graph it carries: submit's graph,
+/// each batch entry's, poll_ok's result graph. A tombstone is one wire
+/// byte but a whole Node in memory, so the payload cap alone does not
+/// bound a decode; past this budget decoding fails with bad_payload
+/// before allocating. Paper-scale searches peak near 1.1k slots.
+inline constexpr std::uint64_t protocol_max_graph_slots = 1u << 18;
 
 inline constexpr std::size_t protocol_header_size = 10; // magic + version + type + length
 inline constexpr std::size_t protocol_checksum_size = 8;
@@ -90,7 +99,7 @@ enum class Pdu_type : std::uint8_t {
 
 const char* to_string(Pdu_type type);
 
-enum class Protocol_error_code : std::uint16_t {
+enum class Protocol_error_code : std::uint32_t {
     bad_magic = 1,           ///< Frame does not start with "XRLF".
     bad_checksum = 2,        ///< Frame bytes do not hash to the trailer.
     truncated = 3,           ///< Stream ended inside a frame.
@@ -180,11 +189,15 @@ std::optional<Frame> read_frame(Connection& connection,
 // ---------------------------------------------------------------------------
 
 struct Hello {
+    static constexpr Pdu_type pdu_type = Pdu_type::hello;
+
     std::uint8_t proposed_version = protocol_version;
     std::string client_name;
 };
 
 struct Hello_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::hello_ok;
+
     std::uint8_t negotiated_version = protocol_version;
     /// The daemon's *highest* supported version, distinct from the
     /// negotiated one — lets a client (and `xrlflowctl stats`) report when
@@ -198,6 +211,8 @@ struct Hello_ok {
 /// One optimisation submission. The request's progress callback cannot
 /// travel (documented in PROTOCOL.md); progress comes back through poll.
 struct Submit {
+    static constexpr Pdu_type pdu_type = Pdu_type::submit;
+
     std::string backend;
     Optimize_request request;
     Graph graph;
@@ -219,6 +234,8 @@ struct Submit {
 };
 
 struct Submit_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::submit_ok;
+
     std::uint64_t job_id = 0;
     bool coalesced = false;
 };
@@ -228,6 +245,8 @@ struct Submit_ok {
 /// wall-clock budget of their own split `budget_seconds` evenly — one
 /// request, one budget, N models, exactly as a deployment rollout wants.
 struct Batch_submit {
+    static constexpr Pdu_type pdu_type = Pdu_type::batch_submit;
+
     struct Entry {
         std::string backend;
         Optimize_request request;
@@ -246,10 +265,14 @@ struct Batch_submit {
 };
 
 struct Batch_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::batch_ok;
+
     std::vector<Submit_ok> jobs; ///< In entry order.
 };
 
 struct Poll {
+    static constexpr Pdu_type pdu_type = Pdu_type::poll;
+
     std::uint64_t job_id = 0;
     /// Server-side wait for a terminal state before answering, capped by
     /// the daemon (Daemon_config::poll_wait_cap_seconds) so a slow search
@@ -258,6 +281,8 @@ struct Poll {
 };
 
 struct Poll_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::poll_ok;
+
     std::uint64_t job_id = 0;
     Job_state state = Job_state::queued;
     /// Reject reason (rejected) or backend error text (failed); "" else.
@@ -267,10 +292,14 @@ struct Poll_ok {
 };
 
 struct Cancel {
+    static constexpr Pdu_type pdu_type = Pdu_type::cancel;
+
     std::uint64_t job_id = 0;
 };
 
 struct Cancel_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::cancel_ok;
+
     std::uint64_t job_id = 0;
     Job_state state = Job_state::queued; ///< State observed after the cancel.
 };
@@ -290,6 +319,8 @@ struct Daemon_wire_stats {
 };
 
 struct Stats_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::stats_ok;
+
     Router_stats router;
     Daemon_wire_stats daemon;
 };
@@ -298,6 +329,8 @@ struct Stats_ok {
 /// text exposition (Metrics_registry::global().expose() after the daemon
 /// refreshes its scrape-time gauges).
 struct Metrics_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::metrics_ok;
+
     std::string exposition;
 };
 
@@ -305,16 +338,22 @@ struct Metrics_ok {
 /// by raw trace id, or everything buffered when both are 0. Exactly one of
 /// job_id / trace_id should be nonzero otherwise.
 struct Trace_request {
+    static constexpr Pdu_type pdu_type = Pdu_type::trace;
+
     std::uint64_t job_id = 0;
     std::uint64_t trace_id = 0;
 };
 
 struct Trace_ok {
+    static constexpr Pdu_type pdu_type = Pdu_type::trace_ok;
+
     std::uint64_t trace_id = 0; ///< Resolved trace (0 for an all-spans dump).
     std::vector<Trace_span> spans;
 };
 
 struct Error_pdu {
+    static constexpr Pdu_type pdu_type = Pdu_type::error;
+
     Protocol_error_code code = Protocol_error_code::bad_payload;
     std::string message;
     /// The daemon's verdict on whether resending can help; defaults to
@@ -326,60 +365,23 @@ struct Error_pdu {
 // Payload codecs
 // ---------------------------------------------------------------------------
 //
-// Every decode_* throws Protocol_error{bad_payload} (or a more precise
-// code) on malformed input and never reads out of bounds — Byte_reader's
-// bounds checks are translated, not propagated raw. Field-count
-// static_asserts in protocol.cpp keep these in lockstep with the structs
-// they serialise.
+// Each payload struct above (and each sub-record it nests) has one field
+// list, `fields(Io&, T&)` in protocol.cpp, that both encode and decode run
+// (support/record_file.h), so a layout is stated exactly once. decode
+// throws Protocol_error{bad_payload} on malformed input — a short read, a
+// corrupt count, an out-of-range enum, a future version tag, trailing
+// bytes, or graphs over protocol_max_graph_slots — and never reads out of
+// bounds. Field-count static_asserts in protocol.cpp keep every list in
+// lockstep with its struct.
 
-std::string encode_hello(const Hello& hello);
-Hello decode_hello(std::string_view payload);
+/// A payload struct: one that names its Pdu_type.
+template <class T>
+concept Payload = std::same_as<decltype(T::pdu_type), const Pdu_type>;
 
-std::string encode_hello_ok(const Hello_ok& hello_ok);
-Hello_ok decode_hello_ok(std::string_view payload);
+template <Payload Pdu>
+std::string encode(const Pdu& pdu);
 
-std::string encode_submit(const Submit& submit);
-Submit decode_submit(std::string_view payload);
-
-std::string encode_submit_ok(const Submit_ok& ok);
-Submit_ok decode_submit_ok(std::string_view payload);
-
-std::string encode_batch_submit(const Batch_submit& batch);
-Batch_submit decode_batch_submit(std::string_view payload);
-
-std::string encode_batch_ok(const Batch_ok& ok);
-Batch_ok decode_batch_ok(std::string_view payload);
-
-std::string encode_poll(const Poll& poll);
-Poll decode_poll(std::string_view payload);
-
-std::string encode_poll_ok(const Poll_ok& ok);
-Poll_ok decode_poll_ok(std::string_view payload);
-
-std::string encode_cancel(const Cancel& cancel);
-Cancel decode_cancel(std::string_view payload);
-
-std::string encode_cancel_ok(const Cancel_ok& ok);
-Cancel_ok decode_cancel_ok(std::string_view payload);
-
-std::string encode_stats_ok(const Stats_ok& stats);
-Stats_ok decode_stats_ok(std::string_view payload);
-
-std::string encode_metrics_ok(const Metrics_ok& metrics);
-Metrics_ok decode_metrics_ok(std::string_view payload);
-
-std::string encode_trace_request(const Trace_request& request);
-Trace_request decode_trace_request(std::string_view payload);
-
-std::string encode_trace_ok(const Trace_ok& trace);
-Trace_ok decode_trace_ok(std::string_view payload);
-
-std::string encode_error(const Error_pdu& error);
-Error_pdu decode_error(std::string_view payload);
-
-/// Shared by submit and batch_submit: an Optimize_request minus its
-/// progress callback (which cannot travel), device target included.
-void serialise_request(Byte_writer& out, const Optimize_request& request);
-Optimize_request deserialise_request(Byte_reader& in);
+template <Payload Pdu>
+Pdu decode(std::string_view payload);
 
 } // namespace xrl

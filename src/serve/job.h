@@ -33,7 +33,7 @@
 
 namespace xrl {
 
-enum class Job_state {
+enum class Job_state : std::uint8_t {
     queued,    ///< Admitted, waiting for a worker.
     running,   ///< A worker is executing the search.
     done,      ///< Finished; result available.

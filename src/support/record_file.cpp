@@ -14,26 +14,6 @@ namespace xrl {
 // Byte_writer / Byte_reader
 // ---------------------------------------------------------------------------
 
-namespace {
-
-template <class T>
-void append_raw(std::string& out, T value)
-{
-    char buffer[sizeof(T)];
-    std::memcpy(buffer, &value, sizeof(T));
-    out.append(buffer, sizeof(T));
-}
-
-} // namespace
-
-void Byte_writer::u8(std::uint8_t value) { append_raw(out_, value); }
-void Byte_writer::u32(std::uint32_t value) { append_raw(out_, value); }
-void Byte_writer::u64(std::uint64_t value) { append_raw(out_, value); }
-void Byte_writer::i32(std::int32_t value) { append_raw(out_, value); }
-void Byte_writer::i64(std::int64_t value) { append_raw(out_, value); }
-void Byte_writer::f32(float value) { append_raw(out_, std::bit_cast<std::uint32_t>(value)); }
-void Byte_writer::f64(double value) { append_raw(out_, std::bit_cast<std::uint64_t>(value)); }
-
 void Byte_writer::str(std::string_view value)
 {
     u64(value.size());
@@ -49,44 +29,6 @@ void Byte_reader::take(void* destination, std::size_t size)
     pos_ += size;
 }
 
-std::uint8_t Byte_reader::u8()
-{
-    std::uint8_t value = 0;
-    take(&value, sizeof(value));
-    return value;
-}
-
-std::uint32_t Byte_reader::u32()
-{
-    std::uint32_t value = 0;
-    take(&value, sizeof(value));
-    return value;
-}
-
-std::uint64_t Byte_reader::u64()
-{
-    std::uint64_t value = 0;
-    take(&value, sizeof(value));
-    return value;
-}
-
-std::int32_t Byte_reader::i32()
-{
-    std::int32_t value = 0;
-    take(&value, sizeof(value));
-    return value;
-}
-
-std::int64_t Byte_reader::i64()
-{
-    std::int64_t value = 0;
-    take(&value, sizeof(value));
-    return value;
-}
-
-float Byte_reader::f32() { return std::bit_cast<float>(u32()); }
-double Byte_reader::f64() { return std::bit_cast<double>(u64()); }
-
 std::string Byte_reader::str()
 {
     const std::uint64_t size = u64();
@@ -99,6 +41,22 @@ std::string Byte_reader::raw(std::size_t size)
     std::string value(size, '\0');
     take(value.data(), value.size());
     return value;
+}
+
+void Byte_reader::version(std::uint32_t current, const char* what)
+{
+    const std::uint32_t tag = u32();
+    if (tag != current)
+        throw std::runtime_error(std::string(what) + ": unsupported version " + std::to_string(tag));
+}
+
+void Byte_reader::charge_slots(std::uint64_t count)
+{
+    if (count > slots_left_)
+        throw std::runtime_error("graph of " + std::to_string(count) +
+                                 " slots exceeds the remaining slot budget of " +
+                                 std::to_string(slots_left_));
+    slots_left_ -= count;
 }
 
 void Byte_reader::expect_items(std::uint64_t count, std::size_t min_bytes_each) const

@@ -30,7 +30,7 @@ namespace detail {
 /// contexts, so the conversion operator needs no definition.
 struct Any_field {
     template <class T>
-    constexpr operator T() const noexcept;
+    operator T() const noexcept;
 };
 
 template <class T, class... Probes>

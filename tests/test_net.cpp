@@ -158,7 +158,7 @@ TEST(NetProtocol, SubmitRoundTripCarriesEverything)
     submit.priority = -3;
     submit.deadline_seconds = 9.5;
 
-    const Submit decoded = decode_submit(encode_submit(submit));
+    const Submit decoded = decode<Submit>(encode(submit));
     EXPECT_EQ(decoded.backend, "taso");
     EXPECT_EQ(decoded.request.time_budget_seconds, 1.5);
     EXPECT_EQ(decoded.request.iteration_budget, 42);
@@ -181,7 +181,7 @@ TEST(NetProtocol, InlineDeviceProfileTravels)
     submit.request.device = Target_device(profile);
     submit.graph = quickstart_graph();
 
-    const Submit decoded = decode_submit(encode_submit(submit));
+    const Submit decoded = decode<Submit>(encode(submit));
     ASSERT_TRUE(decoded.request.device.profile.has_value());
     EXPECT_EQ(decoded.request.device.profile->fingerprint(), profile.fingerprint());
 }
@@ -203,7 +203,7 @@ TEST(NetProtocol, PollOkRoundTripWithProgressAndResult)
     result.metadata["alpha"] = 1.05;
     ok.result = result;
 
-    const Poll_ok decoded = decode_poll_ok(encode_poll_ok(ok));
+    const Poll_ok decoded = decode<Poll_ok>(encode(ok));
     EXPECT_EQ(decoded.job_id, 7U);
     EXPECT_EQ(decoded.state, Job_state::done);
     ASSERT_TRUE(decoded.progress.has_value());
@@ -224,7 +224,7 @@ TEST(NetProtocol, BatchRoundTripPreservesOrder)
         entry.graph = variant_graph(n);
         batch.entries.push_back(std::move(entry));
     }
-    const Batch_submit decoded = decode_batch_submit(encode_batch_submit(batch));
+    const Batch_submit decoded = decode<Batch_submit>(encode(batch));
     ASSERT_EQ(decoded.entries.size(), 3U);
     EXPECT_EQ(decoded.budget_seconds, 6.0);
     for (int n = 0; n < 3; ++n)
@@ -246,7 +246,7 @@ TEST(NetProtocol, StatsOkRoundTrip)
     stats.daemon.connections_accepted = 11;
     stats.daemon.jobs_submitted = 9;
 
-    const Stats_ok decoded = decode_stats_ok(encode_stats_ok(stats));
+    const Stats_ok decoded = decode<Stats_ok>(encode(stats));
     EXPECT_EQ(decoded.router.submitted, 9U);
     EXPECT_EQ(decoded.router.total.completed, 7U);
     EXPECT_EQ(decoded.router.total.inflight, 2U);
@@ -264,7 +264,7 @@ TEST(NetProtocol, StatsOkRoundTrip)
 
 TEST(NetProtocol, TruncatedFrameIsTyped)
 {
-    std::string bytes = encode_frame(1, Pdu_type::poll, encode_poll({5, 0.0}));
+    std::string bytes = encode_frame(1, Pdu_type::poll, encode(Poll{5, 0.0}));
     bytes.resize(bytes.size() - 3);
     EXPECT_EQ(code_of([&] { (void)decode_frame(bytes); }), Protocol_error_code::truncated);
     // So short not even the header survives.
@@ -274,7 +274,7 @@ TEST(NetProtocol, TruncatedFrameIsTyped)
 
 TEST(NetProtocol, FlippedBytesAreTyped)
 {
-    const std::string intact = encode_frame(1, Pdu_type::poll, encode_poll({5, 0.0}));
+    const std::string intact = encode_frame(1, Pdu_type::poll, encode(Poll{5, 0.0}));
 
     std::string bad_magic = intact;
     bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x5a);
@@ -317,12 +317,12 @@ TEST(NetProtocol, UnknownTypeIsTypedOnlyWhenChecksumClean)
 
 TEST(NetProtocol, UndecodablePayloadIsTyped)
 {
-    EXPECT_EQ(code_of([] { (void)decode_submit("garbage"); }), Protocol_error_code::bad_payload);
-    EXPECT_EQ(code_of([] { (void)decode_poll_ok(""); }), Protocol_error_code::bad_payload);
+    EXPECT_EQ(code_of([] { (void)decode<Submit>("garbage"); }), Protocol_error_code::bad_payload);
+    EXPECT_EQ(code_of([] { (void)decode<Poll_ok>(""); }), Protocol_error_code::bad_payload);
     // Trailing bytes mean a codec mismatch, not a prefix to accept.
-    std::string padded = encode_poll({5, 0.0});
+    std::string padded = encode(Poll{5, 0.0});
     padded += "x";
-    EXPECT_EQ(code_of([&] { (void)decode_poll(padded); }), Protocol_error_code::bad_payload);
+    EXPECT_EQ(code_of([&] { (void)decode<Poll>(padded); }), Protocol_error_code::bad_payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +547,7 @@ Protocol_error_code daemon_error_for(const Daemon& daemon, const std::string& by
         return Protocol_error_code::io;
     }
     EXPECT_EQ(reply->type, Pdu_type::error);
-    return decode_error(reply->payload).code;
+    return decode<Error_pdu>(reply->payload).code;
 }
 
 TEST(NetFaultInjection, DaemonAnswersTypedErrorsAndNeverDies)
@@ -558,7 +558,7 @@ TEST(NetFaultInjection, DaemonAnswersTypedErrorsAndNeverDies)
     EXPECT_EQ(daemon_error_for(daemon, std::string(32, 'Z')), Protocol_error_code::bad_magic);
 
     // A well-formed hello frame with one flipped payload byte.
-    std::string flipped = encode_frame(1, Pdu_type::hello, encode_hello({1, "evil"}));
+    std::string flipped = encode_frame(1, Pdu_type::hello, encode(Hello{1, "evil"}));
     flipped[protocol_header_size] = static_cast<char>(flipped[protocol_header_size] ^ 0x5a);
     EXPECT_EQ(daemon_error_for(daemon, flipped), Protocol_error_code::bad_checksum);
 
@@ -573,18 +573,18 @@ TEST(NetFaultInjection, DaemonAnswersTypedErrorsAndNeverDies)
     // A truncated frame: the header promises more bytes than ever arrive.
     {
         Connection raw = Connection::connect(daemon.host(), daemon.port(), {5.0, 10.0, 10.0});
-        const std::string intact = encode_frame(1, Pdu_type::hello, encode_hello({1, "half"}));
+        const std::string intact = encode_frame(1, Pdu_type::hello, encode(Hello{1, "half"}));
         raw.send_all(intact.substr(0, intact.size() - 5));
         raw.shutdown_send();
         const std::optional<Frame> reply = read_frame(raw);
         ASSERT_TRUE(reply.has_value());
         EXPECT_EQ(reply->type, Pdu_type::error);
-        EXPECT_EQ(decode_error(reply->payload).code, Protocol_error_code::truncated);
+        EXPECT_EQ(decode<Error_pdu>(reply->payload).code, Protocol_error_code::truncated);
     }
 
     // A hello from the future (frame stamped with version 9).
     EXPECT_EQ(daemon_error_for(daemon,
-                               encode_frame(9, Pdu_type::hello, encode_hello({9, "future"}))),
+                               encode_frame(9, Pdu_type::hello, encode(Hello{9, "future"}))),
               Protocol_error_code::unsupported_version);
 
     // An unknown PDU type that hashes clean.
@@ -606,7 +606,7 @@ TEST(NetFaultInjection, PostHandshakeVersionDriftIsTypedAndRecoverable)
     Daemon daemon(smoke_daemon());
     Client_config config = client_for(daemon);
     Connection raw = Connection::connect(config.host, config.port, config.timeouts);
-    write_frame(raw, 1, Pdu_type::hello, encode_hello({1, "drifter"}));
+    write_frame(raw, 1, Pdu_type::hello, encode(Hello{1, "drifter"}));
     std::optional<Frame> reply = read_frame(raw);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, Pdu_type::hello_ok);
@@ -616,7 +616,7 @@ TEST(NetFaultInjection, PostHandshakeVersionDriftIsTypedAndRecoverable)
     reply = read_frame(raw);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, Pdu_type::error);
-    EXPECT_EQ(decode_error(reply->payload).code, Protocol_error_code::unsupported_version);
+    EXPECT_EQ(decode<Error_pdu>(reply->payload).code, Protocol_error_code::unsupported_version);
 
     // The framing was intact, so the connection survives and recovers.
     write_frame(raw, 1, Pdu_type::stats, "");
@@ -645,7 +645,7 @@ struct Evil_server {
                 Hello_ok ok;
                 ok.negotiated_version = 1;
                 ok.server_name = "evil";
-                write_frame(*peer, 1, Pdu_type::hello_ok, encode_hello_ok(ok));
+                write_frame(*peer, 1, Pdu_type::hello_ok, encode(ok));
                 (void)read_frame(*peer); // the client's request
                 peer->send_all(reply_bytes);
                 peer->shutdown_send();

@@ -296,26 +296,26 @@ TEST(WireCodec, ResilienceFieldsRoundTrip)
     submit.backend = "taso";
     submit.graph = quickstart_graph();
     submit.request_key = 0x1122334455667788ULL;
-    EXPECT_EQ(decode_submit(encode_submit(submit)).request_key, submit.request_key);
+    EXPECT_EQ(decode<Submit>(encode(submit)).request_key, submit.request_key);
 
     Batch_submit batch;
     batch.entries.resize(1);
     batch.entries[0].backend = "taso";
     batch.entries[0].graph = quickstart_graph();
     batch.request_key = 99;
-    EXPECT_EQ(decode_batch_submit(encode_batch_submit(batch)).request_key, 99U);
+    EXPECT_EQ(decode<Batch_submit>(encode(batch)).request_key, 99U);
 
     Hello_ok hello;
     hello.negotiated_version = 1;
     hello.server_protocol_version = 7; // a daemon newer than this client
     hello.server_name = "xrlflowd";
-    EXPECT_EQ(decode_hello_ok(encode_hello_ok(hello)).server_protocol_version, 7);
+    EXPECT_EQ(decode<Hello_ok>(encode(hello)).server_protocol_version, 7);
 
     Error_pdu error;
     error.code = Protocol_error_code::busy;
     error.message = "try later";
     error.retryable = true;
-    const Error_pdu error_back = decode_error(encode_error(error));
+    const Error_pdu error_back = decode<Error_pdu>(encode(error));
     EXPECT_EQ(error_back.code, Protocol_error_code::busy);
     EXPECT_EQ(error_back.message, "try later");
     EXPECT_TRUE(error_back.retryable);
@@ -337,7 +337,7 @@ TEST(WireCodec, ResilienceFieldsRoundTrip)
     stats.router.health = {Shard_health_snapshot{}, sick};
     stats.daemon.jobs_deduplicated = 11;
 
-    const Stats_ok back = decode_stats_ok(encode_stats_ok(stats));
+    const Stats_ok back = decode<Stats_ok>(encode(stats));
     EXPECT_EQ(back.router.probe_routed, 2U);
     EXPECT_EQ(back.router.breaker_rerouted, 3U);
     EXPECT_EQ(back.daemon.jobs_deduplicated, 11U);
@@ -672,7 +672,7 @@ struct Mini_server {
                 (void)read_frame(*peer); // the client's hello
                 Hello_ok ok;
                 ok.server_name = "mini";
-                write_frame(*peer, 1, Pdu_type::hello_ok, encode_hello_ok(ok));
+                write_frame(*peer, 1, Pdu_type::hello_ok, encode(ok));
                 (void)read_frame(*peer); // the request we will never answer
                 if (!stall) peer->shutdown_send();
                 // Hold the socket until the client gives up and hangs up.

@@ -4,15 +4,28 @@
 // payload. Each encoding's FNV-1a hash is pinned, so any change to a
 // layout — field order, width, a flag's encoding — fails here before it
 // reaches a peer or a state directory.
+//
+// The same fixtures seed the decoder hardening tests below: typed
+// rejection of out-of-range enums, the per-payload graph-slot budget,
+// list counts checked against each item's true minimum wire size, and a
+// deterministic mutation sweep (byte flips, truncations, splices) in which
+// every mutant either decodes — and then re-encodes and renders — or is
+// rejected with a Protocol_error.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <random>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/result_serial.h"
 #include "ir/graph_io.h"
+#include "models/models.h"
 #include "net/protocol.h"
+#include "support/check.h"
 #include "support/fnv.h"
 
 namespace xrl {
@@ -257,21 +270,279 @@ TEST(GoldenBytes, OptimizeResult) { EXPECT_GOLDEN(result_to_bytes(golden_result(
 
 TEST(GoldenBytes, EveryPdu)
 {
-    EXPECT_GOLDEN(encode_hello(golden_hello()), 0x43aef35ba32e20d5);
-    EXPECT_GOLDEN(encode_hello_ok(golden_hello_ok()), 0xb10e6784f8a948f);
-    EXPECT_GOLDEN(encode_submit(golden_submit()), 0x27eafc0b1da25319);
-    EXPECT_GOLDEN(encode_submit_ok(golden_submit_ok()), 0x1329d4aed83b3dfd);
-    EXPECT_GOLDEN(encode_batch_submit(golden_batch_submit()), 0x24b6cbd68d54517b);
-    EXPECT_GOLDEN(encode_batch_ok(golden_batch_ok()), 0xfc84c99835bbf069);
-    EXPECT_GOLDEN(encode_poll(golden_poll()), 0x52c48fcf0259d3b5);
-    EXPECT_GOLDEN(encode_poll_ok(golden_poll_ok()), 0xf3c39aab3e2879bd);
-    EXPECT_GOLDEN(encode_cancel(golden_cancel()), 0xa4ee6299d05c3046);
-    EXPECT_GOLDEN(encode_cancel_ok(golden_cancel_ok()), 0x9d41d05d0ca6053f);
-    EXPECT_GOLDEN(encode_stats_ok(golden_stats_ok()), 0x5bec462c7afd3ee6);
-    EXPECT_GOLDEN(encode_metrics_ok(golden_metrics_ok()), 0xad69afd5f7665881);
-    EXPECT_GOLDEN(encode_trace_request(golden_trace_request()), 0xe9f275308080958c);
-    EXPECT_GOLDEN(encode_trace_ok(golden_trace_ok()), 0x9946e80273307698);
-    EXPECT_GOLDEN(encode_error(golden_error()), 0x6d2812fc8134c001);
+    EXPECT_GOLDEN(encode(golden_hello()), 0x43aef35ba32e20d5);
+    EXPECT_GOLDEN(encode(golden_hello_ok()), 0xb10e6784f8a948f);
+    EXPECT_GOLDEN(encode(golden_submit()), 0x27eafc0b1da25319);
+    EXPECT_GOLDEN(encode(golden_submit_ok()), 0x1329d4aed83b3dfd);
+    EXPECT_GOLDEN(encode(golden_batch_submit()), 0x24b6cbd68d54517b);
+    EXPECT_GOLDEN(encode(golden_batch_ok()), 0xfc84c99835bbf069);
+    EXPECT_GOLDEN(encode(golden_poll()), 0x52c48fcf0259d3b5);
+    EXPECT_GOLDEN(encode(golden_poll_ok()), 0xf3c39aab3e2879bd);
+    EXPECT_GOLDEN(encode(golden_cancel()), 0xa4ee6299d05c3046);
+    EXPECT_GOLDEN(encode(golden_cancel_ok()), 0x9d41d05d0ca6053f);
+    EXPECT_GOLDEN(encode(golden_stats_ok()), 0x5bec462c7afd3ee6);
+    EXPECT_GOLDEN(encode(golden_metrics_ok()), 0xad69afd5f7665881);
+    EXPECT_GOLDEN(encode(golden_trace_request()), 0xe9f275308080958c);
+    EXPECT_GOLDEN(encode(golden_trace_ok()), 0x9946e80273307698);
+    EXPECT_GOLDEN(encode(golden_error()), 0x6d2812fc8134c001);
+}
+
+// ---------------------------------------------------------------------------
+// Decoder hardening
+// ---------------------------------------------------------------------------
+
+/// The Protocol_error a decode throws (the test fails if it throws
+/// anything else, or nothing).
+template <class Pdu>
+Protocol_error decode_error_of(std::string_view payload)
+{
+    try {
+        (void)decode<Pdu>(payload);
+    } catch (const Protocol_error& error) {
+        return error;
+    }
+    ADD_FAILURE() << "decode<" << to_string(Pdu::pdu_type) << "> accepted the payload";
+    return Protocol_error(Protocol_error_code::io, "");
+}
+
+template <class Pdu>
+void expect_bad_payload(std::string_view payload, const std::string& reason)
+{
+    const Protocol_error error = decode_error_of<Pdu>(payload);
+    EXPECT_EQ(error.code(), Protocol_error_code::bad_payload) << error.what();
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos) << error.what();
+}
+
+std::string zeros(std::size_t count) { return std::string(count, '\0'); }
+
+std::string u32_bytes(std::uint32_t value)
+{
+    Byte_writer out;
+    out.u32(value);
+    return out.take();
+}
+
+/// A binary graph of `slots` tombstones: one byte per slot on the wire.
+std::string tombstone_graph(std::uint32_t slots)
+{
+    return u32_bytes(1) + u32_bytes(slots) + zeros(slots) + u32_bytes(0);
+}
+
+/// The encoding of an empty Graph{} (version, capacity 0, no outputs).
+constexpr std::size_t empty_graph_bytes = 12;
+
+TEST(WireDecode, ActivationOutOfRangeIsBadPayload)
+{
+    Submit submit = golden_submit();
+    submit.graph.node_mut(3).params.activation = static_cast<Activation>(200);
+    expect_bad_payload<Submit>(encode(submit), "unknown activation 200");
+}
+
+TEST(WireDecode, TombstoneFloodIsRejectedBeforeAllocation)
+{
+    Submit submit = golden_submit();
+    submit.graph = Graph{};
+    std::string payload = encode(submit);
+    payload.resize(payload.size() - empty_graph_bytes);
+    payload += tombstone_graph(1000000);
+    expect_bad_payload<Submit>(payload, "slot budget");
+}
+
+TEST(WireDecode, BatchGraphsShareOneSlotBudget)
+{
+    // Each entry alone fits the budget; together they exceed it.
+    const std::uint32_t slots = static_cast<std::uint32_t>(protocol_max_graph_slots / 2) + 1;
+    Batch_submit batch = golden_batch_submit();
+    batch.entries.resize(1);
+    batch.entries[0].graph = Graph{};
+    const std::string one = encode(batch);
+    const std::size_t tail = 2 * sizeof(double) + sizeof(std::int32_t) + 3 * sizeof(std::uint64_t);
+    const std::string entry = one.substr(4, one.size() - 4 - tail - empty_graph_bytes);
+    const std::string entry_bytes = entry + tombstone_graph(slots);
+
+    const std::string single = u32_bytes(1) + entry_bytes + one.substr(one.size() - tail);
+    EXPECT_EQ(decode<Batch_submit>(single).entries.at(0).graph.capacity(), slots);
+
+    const std::string pair =
+        u32_bytes(2) + entry_bytes + entry_bytes + one.substr(one.size() - tail);
+    expect_bad_payload<Batch_submit>(pair, "slot budget");
+}
+
+TEST(WireDecode, PaperScaleZooGraphsRoundTrip)
+{
+    for (const Model_spec& model : evaluation_models(Scale::paper)) {
+        Submit submit = golden_submit();
+        submit.graph = model.build();
+        const std::string bytes = encode(submit);
+        EXPECT_EQ(encode(decode<Submit>(bytes)), bytes) << model.name;
+    }
+}
+
+// Each crafted count below is one item more than the remaining bytes hold
+// at the item's true minimum wire size, so it must be refused up front as
+// a corrupt count. A looser minimum would let it through to a later short
+// read instead — a different message — so these fail if a minimum drifts.
+
+TEST(WireDecode, ServerStatsEntryMinimumIs140Bytes)
+{
+    // router scalars, then `total` with no backends, then shards.
+    const std::string payload = zeros(56) + zeros(136) + u32_bytes(0) + u32_bytes(2) + zeros(279);
+    expect_bad_payload<Stats_ok>(payload, "corrupt count 2");
+}
+
+TEST(WireDecode, BackendStatsEntryMinimumIs48Bytes)
+{
+    const std::string payload = zeros(56) + zeros(136) + u32_bytes(2) + zeros(95);
+    expect_bad_payload<Stats_ok>(payload, "corrupt count 2");
+}
+
+TEST(WireDecode, BatchEntryMinimumIs50Bytes)
+{
+    expect_bad_payload<Batch_submit>(u32_bytes(2) + zeros(99), "corrupt count 2");
+}
+
+TEST(WireDecode, TraceSpanMinimumIs60Bytes)
+{
+    expect_bad_payload<Trace_ok>(zeros(8) + u32_bytes(2) + zeros(119), "corrupt count 2");
+}
+
+TEST(WireDecode, SpanAnnotationMinimumIs16Bytes)
+{
+    const std::string payload = zeros(8) + u32_bytes(1) + zeros(56) + u32_bytes(2) + zeros(31);
+    expect_bad_payload<Trace_ok>(payload, "corrupt count 2");
+}
+
+// ---------------------------------------------------------------------------
+// Mutation sweep
+// ---------------------------------------------------------------------------
+
+void for_each_graph(const Submit& submit, const std::function<void(const Graph&)>& visit)
+{
+    visit(submit.graph);
+}
+
+void for_each_graph(const Batch_submit& batch, const std::function<void(const Graph&)>& visit)
+{
+    for (const Batch_submit::Entry& entry : batch.entries) visit(entry.graph);
+}
+
+void for_each_graph(const Poll_ok& ok, const std::function<void(const Graph&)>& visit)
+{
+    if (ok.result.has_value()) visit(ok.result->best_graph);
+}
+
+template <class Pdu>
+void for_each_graph(const Pdu&, const std::function<void(const Graph&)>&)
+{
+}
+
+struct Mutation_tally {
+    int decoded = 0;
+    int rejected = 0;
+    int unrenderable = 0; ///< Decoded graphs the text renderer refused.
+};
+
+/// A decoded mutant must re-encode, and its graphs must render as text.
+/// The renderer's own preconditions (acyclic, single-token names, constants
+/// carrying payloads) are typed Contract_violations, not defects: the
+/// binary form does not promise them, and the point here is that nothing
+/// crashes, reads out of bounds or escapes untyped.
+template <class Pdu>
+void check_mutant(std::string_view bytes, Mutation_tally& tally)
+{
+    Pdu pdu;
+    try {
+        pdu = decode<Pdu>(bytes);
+    } catch (const Protocol_error& error) {
+        EXPECT_EQ(error.code(), Protocol_error_code::bad_payload) << error.what();
+        ++tally.rejected;
+        return;
+    }
+    ++tally.decoded;
+    (void)encode(pdu);
+    for_each_graph(pdu, [&tally](const Graph& graph) {
+        std::ostringstream text;
+        try {
+            serialise_graph_text(text, graph);
+        } catch (const Contract_violation&) {
+            ++tally.unrenderable;
+        }
+    });
+}
+
+std::string mutate(const std::string& bytes, const std::vector<std::string>& donors,
+                   std::mt19937_64& rng)
+{
+    std::string out = bytes;
+    switch (rng() % 3) {
+    case 0: { // flip one to three bytes
+        const int flips = 1 + static_cast<int>(rng() % 3);
+        for (int i = 0; i < flips && !out.empty(); ++i) {
+            char& byte = out[rng() % out.size()];
+            const auto mask = static_cast<unsigned char>(1 + rng() % 255);
+            byte = static_cast<char>(static_cast<unsigned char>(byte) ^ mask);
+        }
+        break;
+    }
+    case 1: // truncate
+        out.resize(out.empty() ? 0 : rng() % out.size());
+        break;
+    default: { // splice a run of another encoding in, replacing or inserting
+        const std::string& donor = donors[rng() % donors.size()];
+        const std::size_t length = 1 + rng() % std::min<std::size_t>(16, donor.size());
+        const std::string run = donor.substr(rng() % (donor.size() - length + 1), length);
+        const std::size_t at = rng() % (out.size() + 1);
+        if (rng() % 2 == 0) out.replace(at, std::min(length, out.size() - at), run);
+        else out.insert(at, run);
+        break;
+    }
+    }
+    return out;
+}
+
+TEST(WireDecode, MutatedPayloadsDecodeOrThrowProtocolError)
+{
+    constexpr int mutants_per_pdu = 3000;
+    struct Fixture {
+        const char* name;
+        std::string bytes;
+        void (*check)(std::string_view, Mutation_tally&);
+    };
+    const std::vector<Fixture> fixtures = {
+        {"hello", encode(golden_hello()), &check_mutant<Hello>},
+        {"hello_ok", encode(golden_hello_ok()), &check_mutant<Hello_ok>},
+        {"submit", encode(golden_submit()), &check_mutant<Submit>},
+        {"submit_ok", encode(golden_submit_ok()), &check_mutant<Submit_ok>},
+        {"batch_submit", encode(golden_batch_submit()), &check_mutant<Batch_submit>},
+        {"batch_ok", encode(golden_batch_ok()), &check_mutant<Batch_ok>},
+        {"poll", encode(golden_poll()), &check_mutant<Poll>},
+        {"poll_ok", encode(golden_poll_ok()), &check_mutant<Poll_ok>},
+        {"cancel", encode(golden_cancel()), &check_mutant<Cancel>},
+        {"cancel_ok", encode(golden_cancel_ok()), &check_mutant<Cancel_ok>},
+        {"stats_ok", encode(golden_stats_ok()), &check_mutant<Stats_ok>},
+        {"metrics_ok", encode(golden_metrics_ok()), &check_mutant<Metrics_ok>},
+        {"trace", encode(golden_trace_request()), &check_mutant<Trace_request>},
+        {"trace_ok", encode(golden_trace_ok()), &check_mutant<Trace_ok>},
+        {"error", encode(golden_error()), &check_mutant<Error_pdu>},
+    };
+    std::vector<std::string> donors;
+    for (const Fixture& fixture : fixtures) donors.push_back(fixture.bytes);
+
+    std::mt19937_64 rng(20231017);
+    for (const Fixture& fixture : fixtures) {
+        Mutation_tally tally;
+        for (int i = 0; i < mutants_per_pdu; ++i) {
+            const std::string mutant = mutate(fixture.bytes, donors, rng);
+            try {
+                fixture.check(mutant, tally);
+            } catch (const std::exception& error) {
+                ADD_FAILURE() << fixture.name << " mutant " << i
+                              << " escaped with a non-protocol error: " << error.what();
+            }
+        }
+        EXPECT_EQ(tally.decoded + tally.rejected, mutants_per_pdu) << fixture.name;
+        EXPECT_GT(tally.rejected, 0) << fixture.name;
+    }
 }
 
 } // namespace
