@@ -183,15 +183,15 @@ void check_edges(const std::vector<Edge>& edges, std::size_t capacity)
                                      std::to_string(capacity));
 }
 
-/// Checked against the declared volume without overflowing: corrupt dims
-/// must not reach shape_volume's unchecked product.
-void check_payload_volume(const Shape& shape, std::uint64_t volume)
+/// Computed without overflowing: corrupt dims must not reach
+/// shape_volume's unchecked product.
+bool volume_matches(const Shape& shape, std::uint64_t volume)
 {
     std::uint64_t product = 1;
     for (const std::int64_t dim : shape)
         if (dim < 0 || __builtin_mul_overflow(product, static_cast<std::uint64_t>(dim), &product))
-            throw std::runtime_error("graph binary: payload volume mismatch");
-    if (product != volume) throw std::runtime_error("graph binary: payload volume mismatch");
+            return false;
+    return product == volume;
 }
 
 } // namespace
@@ -279,7 +279,8 @@ Graph deserialise_graph_binary(Byte_reader& in)
             Shape shape;
             in.list(shape);
             const std::uint64_t volume = in.u64();
-            check_payload_volume(shape, volume);
+            if (!volume_matches(shape, volume))
+                throw std::runtime_error("graph binary: payload volume mismatch");
             in.expect_items(volume, sizeof(float));
             std::vector<float> values(static_cast<std::size_t>(volume));
             for (auto& v : values) v = in.f32();

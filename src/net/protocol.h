@@ -99,6 +99,7 @@ enum class Pdu_type : std::uint8_t {
 
 const char* to_string(Pdu_type type);
 
+/// The underlying type is the code's wire width in the `error` PDU.
 enum class Protocol_error_code : std::uint32_t {
     bad_magic = 1,           ///< Frame does not start with "XRLF".
     bad_checksum = 2,        ///< Frame bytes do not hash to the trailer.

@@ -33,6 +33,7 @@
 
 namespace xrl {
 
+/// The underlying type is the state's wire width (poll_ok, cancel_ok).
 enum class Job_state : std::uint8_t {
     queued,    ///< Admitted, waiting for a worker.
     running,   ///< A worker is executing the search.

@@ -1,6 +1,5 @@
 #include "support/record_file.h"
 
-#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
