@@ -533,6 +533,7 @@ TEST(WireDecode, MutatedPayloadsDecodeOrThrowProtocolError)
         {"error", encode(golden_error()), &check_mutant<Error_pdu>},
     };
     std::vector<std::string> donors;
+    donors.reserve(fixtures.size());
     for (const Fixture& fixture : fixtures) donors.push_back(fixture.bytes);
 
     std::mt19937_64 rng(20231017);
