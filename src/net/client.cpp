@@ -55,7 +55,7 @@ void Client::ensure_connected()
     hello.client_name = config_.client_name;
     write_frame(connection_, 1, Pdu_type::hello, encode(hello));
 
-    std::optional<Frame> reply = read_frame(connection_, config_.max_frame_payload);
+    std::optional<Frame> reply = read_frame(connection_);
     if (!reply.has_value())
         throw Protocol_error(Protocol_error_code::io,
                              "daemon at " + endpoint() +
@@ -117,7 +117,7 @@ std::string Client::call(Pdu_type request, std::string_view payload, Pdu_type ex
     write_frame(connection_, version_, request, payload);
     std::optional<Frame> reply;
     try {
-        reply = read_frame(connection_, config_.max_frame_payload);
+        reply = read_frame(connection_);
     } catch (const Net_error& error) {
         if (error.kind() == Net_error_kind::timeout)
             // Distinct from a connect timeout: we *are* connected, the

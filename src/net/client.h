@@ -68,12 +68,9 @@ struct Client_config {
     Net_timeouts timeouts;
 
     /// Server-side wait requested per poll round inside wait(); the daemon
-    /// caps it anyway (poll_wait_cap_seconds), so this is the client's
+    /// caps it anyway (Daemon::poll_wait_cap_seconds), so this is the client's
     /// long-poll cadence.
     double poll_wait_seconds = 0.05;
-
-    /// Frames larger than this are rejected locally (frame_too_large).
-    std::size_t max_frame_payload = protocol_max_payload;
 
     /// Advertised in the hello handshake.
     std::string client_name = "xrlflow-client";

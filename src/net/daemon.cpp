@@ -71,8 +71,14 @@ void Daemon::stop()
 
 Daemon_wire_stats Daemon::stats() const
 {
+    Daemon_wire_stats out;
+    out.connections_accepted = connections_accepted_.value();
+    out.connections_rejected = connections_rejected_.value();
+    out.frames_received = frames_received_.value();
+    out.protocol_errors = protocol_errors_.value();
+    out.jobs_submitted = jobs_submitted_.value();
+    out.jobs_deduplicated = jobs_deduplicated_.value();
     const Lock_guard lock(mutex_);
-    Daemon_wire_stats out = stats_;
     out.connections_active = active_sessions_;
     out.jobs_retained = jobs_.size();
     return out;
@@ -103,10 +109,10 @@ void Daemon::start_session(Connection connection)
         const Lock_guard lock(mutex_);
         if (stopping_) return; // Dropped: the peer sees a clean close.
         if (active_sessions_ >= config_.max_connections) {
-            ++stats_.connections_rejected;
+            connections_rejected_.increment();
         } else {
-            ++stats_.connections_accepted;
-            ++active_sessions_;
+            connections_accepted_.increment();
+            connections_active_gauge_.set(static_cast<double>(++active_sessions_));
             session = std::make_shared<Session>();
             session->connection = std::move(connection);
             if (config_.fault_plan != nullptr)
@@ -135,7 +141,7 @@ void Daemon::finish_session(const std::shared_ptr<Session>& session)
     session->connection.close();
     const Lock_guard lock(mutex_);
     XRL_ASSERT(active_sessions_ > 0);
-    --active_sessions_;
+    connections_active_gauge_.set(static_cast<double>(--active_sessions_));
     sessions_done_.notify_all();
 }
 
@@ -160,7 +166,7 @@ void Daemon::session_turn(const std::shared_ptr<Session>& session)
     // per turn, never a parked thread.
     bool ready = false;
     try {
-        ready = session->connection.readable(config_.idle_poll_seconds);
+        ready = session->connection.readable(idle_poll_seconds);
     } catch (const Net_error&) {
         finish_session(session);
         return;
@@ -172,14 +178,11 @@ void Daemon::session_turn(const std::shared_ptr<Session>& session)
 
     std::optional<Frame> frame;
     try {
-        frame = read_frame(session->connection, config_.max_frame_payload);
+        frame = read_frame(session->connection);
     } catch (const Protocol_error& error) {
         // Framing damage: the stream can no longer be trusted. Name the
         // failure, then close.
-        {
-            const Lock_guard lock(mutex_);
-            ++stats_.protocol_errors;
-        }
+        protocol_errors_.increment();
         send_error(*session, error.code(), error.what());
         finish_session(session);
         return;
@@ -192,10 +195,7 @@ void Daemon::session_turn(const std::shared_ptr<Session>& session)
         return;
     }
 
-    {
-        const Lock_guard lock(mutex_);
-        ++stats_.frames_received;
-    }
+    frames_received_.increment();
 
     bool keep = false;
     try {
@@ -215,10 +215,7 @@ bool Daemon::handle_frame(const std::shared_ptr<Session>& session, const Frame& 
     if (!session->negotiated) return handle_hello(session, frame);
 
     if (frame.version != session->version) {
-        {
-            const Lock_guard lock(mutex_);
-            ++stats_.protocol_errors;
-        }
+        protocol_errors_.increment();
         send_error(*session, Protocol_error_code::unsupported_version,
                    "frame version " + std::to_string(frame.version) +
                        " on a connection that negotiated version " +
@@ -230,10 +227,7 @@ bool Daemon::handle_frame(const std::shared_ptr<Session>& session, const Frame& 
     try {
         reply = dispatch(frame);
     } catch (const Protocol_error& error) {
-        {
-            const Lock_guard lock(mutex_);
-            ++stats_.protocol_errors;
-        }
+        protocol_errors_.increment();
         send_error(*session, error.code(), error.what());
         return true; // Payload-level failure; the stream itself is fine.
     }
@@ -247,10 +241,7 @@ bool Daemon::handle_hello(const std::shared_ptr<Session>& session, const Frame& 
     // version 1 closes the connection — there is no negotiated state to
     // recover into.
     const auto fail = [&](Protocol_error_code code, const std::string& message) {
-        {
-            const Lock_guard lock(mutex_);
-            ++stats_.protocol_errors;
-        }
+        protocol_errors_.increment();
         send_error(*session, code, message);
         return false;
     };
@@ -407,7 +398,7 @@ Daemon::Reply Daemon::handle_poll(std::string_view payload)
 
     // Bounded server-side wait: a worker may sit here briefly, never for
     // the client's whole patience — long polls are the client's loop.
-    const double wait = std::min(std::max(poll.wait_seconds, 0.0), config_.poll_wait_cap_seconds);
+    const double wait = std::min(std::max(poll.wait_seconds, 0.0), poll_wait_cap_seconds);
     if (wait > 0.0 && !handle.finished()) handle.wait_for(wait);
 
     Poll_ok ok;
@@ -469,34 +460,10 @@ Daemon::Reply Daemon::handle_drain()
 Daemon::Reply Daemon::handle_metrics()
 {
     // Scrape-time refresh: router_.stats() re-publishes the slow gauges
-    // (uptime, shard count, per-shard breaker state) into the registry,
-    // and the daemon's own wire counters are mirrored here — the registry
-    // holds the history, stats_ stays the wire-struct source of truth.
+    // (uptime, shard count, per-shard breaker state); every counter is
+    // already current.
     router_.stats();
-    const Daemon_wire_stats wire = stats();
-    Metrics_registry& registry = Metrics_registry::global();
-    registry.gauge("xrlflow_daemon_connections_active",
-                   "Currently connected wire clients")
-        .set(static_cast<double>(wire.connections_active));
-    registry.gauge("xrlflow_daemon_connections_accepted",
-                   "Wire connections accepted since start")
-        .set(static_cast<double>(wire.connections_accepted));
-    registry.gauge("xrlflow_daemon_connections_rejected",
-                   "Wire connections refused over max_connections")
-        .set(static_cast<double>(wire.connections_rejected));
-    registry.gauge("xrlflow_daemon_frames_received", "Frames decoded off the wire")
-        .set(static_cast<double>(wire.frames_received));
-    registry.gauge("xrlflow_daemon_protocol_errors",
-                   "Malformed frames answered with a typed error")
-        .set(static_cast<double>(wire.protocol_errors));
-    registry.gauge("xrlflow_daemon_jobs_submitted", "Wire jobs admitted since start")
-        .set(static_cast<double>(wire.jobs_submitted));
-    registry.gauge("xrlflow_daemon_jobs_retained", "Live entries in the wire job table")
-        .set(static_cast<double>(wire.jobs_retained));
-    registry.gauge("xrlflow_daemon_jobs_deduplicated",
-                   "Submits replayed from the keyed-reply cache")
-        .set(static_cast<double>(wire.jobs_deduplicated));
-    return {Pdu_type::metrics_ok, encode(Metrics_ok{registry.expose()})};
+    return {Pdu_type::metrics_ok, encode(Metrics_ok{Metrics_registry::global().expose()})};
 }
 
 Daemon::Reply Daemon::handle_trace(std::string_view payload)
@@ -531,17 +498,17 @@ std::optional<Daemon::Reply> Daemon::find_keyed_reply(std::uint64_t request_key)
     if (it == keyed_replies_.end()) return std::nullopt;
     // Replay the stored bytes verbatim: the retry observes exactly the
     // reply its lost original carried (same wire job id, same flags).
-    ++stats_.jobs_deduplicated;
+    jobs_deduplicated_.increment();
     return it->second;
 }
 
 void Daemon::remember_keyed_reply(std::uint64_t request_key, const Reply& reply)
 {
-    if (request_key == 0 || config_.retain_request_keys == 0) return;
+    if (request_key == 0) return;
     const Lock_guard lock(mutex_);
     if (!keyed_replies_.emplace(request_key, reply).second) return;
     keyed_order_.push_back(request_key);
-    while (keyed_order_.size() > config_.retain_request_keys) {
+    while (keyed_order_.size() > retain_request_keys) {
         keyed_replies_.erase(keyed_order_.front());
         keyed_order_.pop_front();
     }
@@ -553,7 +520,8 @@ Submit_ok Daemon::register_job(Job_handle handle)
     const std::uint64_t id = next_job_id_++;
     const bool coalesced = handle.coalesced();
     jobs_.emplace(id, Job_entry{std::move(handle), false, current_trace().trace_id});
-    ++stats_.jobs_submitted;
+    jobs_retained_gauge_.set(static_cast<double>(jobs_.size()));
+    jobs_submitted_.increment();
     return {id, coalesced};
 }
 
@@ -566,10 +534,11 @@ void Daemon::note_terminal_delivered(std::uint64_t job_id)
     delivered_order_.push_back(job_id);
     // Delivered results stay re-pollable (an idempotent client may ask
     // again) up to the retention cap; beyond it the oldest are forgotten.
-    while (delivered_order_.size() > config_.retain_terminal_jobs) {
+    while (delivered_order_.size() > retain_terminal_jobs) {
         jobs_.erase(delivered_order_.front());
         delivered_order_.pop_front();
     }
+    jobs_retained_gauge_.set(static_cast<double>(jobs_.size()));
 }
 
 void Daemon::send_error(Session& session, Protocol_error_code code, const std::string& message)

@@ -16,7 +16,7 @@
 // candidate engines and server workers use). A turn never parks a pool
 // worker for long — idle connections are checked with a short readiness
 // poll and re-posted, and a poll frame's server-side wait is capped by
-// `poll_wait_cap_seconds` — so N idle connections cannot starve the
+// `Daemon::poll_wait_cap_seconds` — so N idle connections cannot starve the
 // searches they are waiting on. The exception is `drain`, which blocks its
 // worker until the fleet is idle; an admin mutex admits one drain at a
 // time (concurrent drains get a typed `busy` error), so at most one worker
@@ -47,6 +47,7 @@
 #include "net/protocol.h"
 #include "serve/router.h"
 #include "serve/state_store.h"
+#include "support/metrics.h"
 #include "support/sync.h"
 #include "support/thread_pool.h"
 
@@ -67,29 +68,6 @@ struct Daemon_config {
     /// Per-connection transport deadlines.
     Net_timeouts timeouts;
 
-    /// Upper bound on a poll frame's server-side wait for a terminal
-    /// state. Small by design: a waiting poll occupies a pool worker, so
-    /// clients long-poll in a loop rather than parking the fleet's
-    /// threads.
-    double poll_wait_cap_seconds = 0.05;
-
-    /// Readiness-poll slice for idle connections between turns.
-    double idle_poll_seconds = 0.02;
-
-    /// Frames larger than this are rejected (frame_too_large).
-    std::size_t max_frame_payload = protocol_max_payload;
-
-    /// Terminal jobs whose result has been delivered stay pollable until
-    /// this many are retained; then the oldest are forgotten (a later poll
-    /// answers unknown_job).
-    std::size_t retain_terminal_jobs = 1024;
-
-    /// Successful submit/batch replies are remembered by their idempotency
-    /// key up to this cap (oldest forgotten first), so a client retrying a
-    /// submit whose reply was lost gets the original reply replayed
-    /// byte-identically instead of a second search. 0 disables the cache.
-    std::size_t retain_request_keys = 1024;
-
     /// Deterministic fault injection: handed to the router (unless it
     /// brought its own plan, sites "shard/<id>") and to every accepted
     /// connection's send path (site "daemon/send" — one event per sent
@@ -106,6 +84,26 @@ struct Daemon_config {
 
 class Daemon {
 public:
+    /// Upper bound on a poll frame's server-side wait for a terminal
+    /// state. Small by design: a waiting poll occupies a pool worker, so
+    /// clients long-poll in a loop rather than parking the fleet's
+    /// threads.
+    static constexpr double poll_wait_cap_seconds = 0.05;
+
+    /// Readiness-poll slice for idle connections between turns.
+    static constexpr double idle_poll_seconds = 0.02;
+
+    /// Terminal jobs whose result has been delivered stay pollable until
+    /// this many are retained; then the oldest are forgotten (a later poll
+    /// answers unknown_job).
+    static constexpr std::size_t retain_terminal_jobs = 1024;
+
+    /// Successful submit/batch replies are remembered by their idempotency
+    /// key up to this cap (oldest forgotten first), so a client retrying a
+    /// submit whose reply was lost gets the original reply replayed
+    /// byte-identically instead of a second search.
+    static constexpr std::size_t retain_request_keys = 1024;
+
     /// Binds and starts accepting immediately. Throws Net_error when the
     /// bind fails and std::invalid_argument for a bad router config.
     explicit Daemon(Daemon_config config);
@@ -128,6 +126,9 @@ public:
     /// The fleet behind the wire (tests submit directly for parity checks).
     Optimization_router& router() { return router_; }
 
+    /// The wire counters are views over the registry's
+    /// `xrlflow_daemon_*_total` series, counted from this daemon's
+    /// construction; connections_active and jobs_retained are live.
     Daemon_wire_stats stats() const;
 
 private:
@@ -219,7 +220,24 @@ private:
     std::unordered_map<std::uint64_t, Reply> keyed_replies_ XRL_GUARDED_BY(mutex_);
     /// Key retention/eviction order.
     std::deque<std::uint64_t> keyed_order_ XRL_GUARDED_BY(mutex_);
-    Daemon_wire_stats stats_ XRL_GUARDED_BY(mutex_);
+
+    // Daemon_wire_stats' counters, bumped as each event happens, and the
+    // gauges mirroring active_sessions_ and jobs_.size().
+    Counter_view connections_accepted_{"xrlflow_daemon_connections_accepted_total",
+                                       "Wire connections accepted"};
+    Counter_view connections_rejected_{"xrlflow_daemon_connections_rejected_total",
+                                       "Wire connections refused over max_connections"};
+    Counter_view frames_received_{"xrlflow_daemon_frames_received_total",
+                                  "Frames decoded off the wire"};
+    Counter_view protocol_errors_{"xrlflow_daemon_protocol_errors_total",
+                                  "Malformed frames answered with a typed error"};
+    Counter_view jobs_submitted_{"xrlflow_daemon_jobs_submitted_total", "Wire jobs admitted"};
+    Counter_view jobs_deduplicated_{"xrlflow_daemon_jobs_deduplicated_total",
+                                    "Submits replayed from the keyed-reply cache"};
+    Gauge& connections_active_gauge_ = Metrics_registry::global().gauge(
+        "xrlflow_daemon_connections_active", "Currently connected wire clients");
+    Gauge& jobs_retained_gauge_ = Metrics_registry::global().gauge(
+        "xrlflow_daemon_jobs_retained", "Live entries in the wire job table");
 
     /// One drain at a time; losers get `busy`. A mutual-exclusion token
     /// (guards no fields) taken with Try_lock from session turns; ranked

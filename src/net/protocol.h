@@ -276,7 +276,7 @@ struct Poll {
 
     std::uint64_t job_id = 0;
     /// Server-side wait for a terminal state before answering, capped by
-    /// the daemon (Daemon_config::poll_wait_cap_seconds) so a slow search
+    /// the daemon (Daemon::poll_wait_cap_seconds) so a slow search
     /// cannot pin a daemon worker; clients long-poll in a loop.
     double wait_seconds = 0.0;
 };

@@ -27,25 +27,11 @@ Optimization_router::Optimization_router(Router_config config) : config_(std::mo
 {
     if (config_.shards.empty())
         throw std::invalid_argument("Optimization_router: config.shards must be non-empty");
-    Metrics_registry& registry = Metrics_registry::global();
-    submitted_counter_ =
-        &registry.counter("xrlflow_router_submitted_total", "Submits routed by the router");
-    affinity_counter_ = &registry.counter("xrlflow_router_affinity_routed_total",
-                                          "Submits sent to a shard claiming the device");
-    hash_counter_ = &registry.counter("xrlflow_router_hash_routed_total",
-                                      "Submits spread by rendezvous hashing");
-    probe_counter_ = &registry.counter("xrlflow_router_probe_routed_total",
-                                       "Submits admitted to half-open shards as probes");
-    rerouted_counter_ = &registry.counter("xrlflow_router_breaker_rerouted_total",
-                                          "Submits re-spread past an open/draining shard");
-    shard_count_gauge_ = &registry.gauge("xrlflow_router_shards", "Live shards in the fleet");
-    uptime_gauge_ =
-        &registry.gauge("xrlflow_router_uptime_seconds", "Seconds since router start");
     slots_.reserve(config_.shards.size());
     for (Shard_config& shard_config : config_.shards)
         slots_.push_back(make_slot(std::move(shard_config), next_stable_id_++));
     config_.shards.clear(); // each config now lives on its slot
-    shard_count_gauge_->set(static_cast<double>(slots_.size()));
+    shard_count_gauge_.set(static_cast<double>(slots_.size()));
 }
 
 std::shared_ptr<Optimization_router::Slot>
@@ -69,13 +55,10 @@ Optimization_router::make_slot(Shard_config shard_config, std::uint64_t stable_i
     auto slot = std::make_shared<Slot>();
     slot->stable_id = stable_id;
     slot->health = std::make_shared<Shard_health>(config_.health);
-    Metrics_registry& registry = Metrics_registry::global();
     const Metric_labels shard_label{{"shard", shard_config.server.metrics_shard}};
-    slot->routed_counter = &registry.counter("xrlflow_router_routed_total",
-                                             "Submits routed to this shard", shard_label);
-    slot->breaker_gauge =
-        &registry.gauge("xrlflow_shard_breaker_state",
-                        "Circuit breaker: 0 closed, 1 open, 2 half-open", shard_label);
+    slot->routed.emplace("xrlflow_router_routed_total", "Submits routed to this shard", shard_label);
+    slot->breaker_gauge = &Metrics_registry::global().gauge(
+        "xrlflow_shard_breaker_state", "Circuit breaker: 0 closed, 1 open, 2 half-open", shard_label);
     slot->config = std::move(shard_config);
     slot->server = build_server(slot->config, slot->health);
     for (const std::string& device : slot->config.device_affinity)
@@ -233,25 +216,11 @@ Job_handle Optimization_router::submit(const std::string& backend, const Graph& 
     // decision only after it accepted the submit.
     Job_handle handle =
         decision.slot->server->submit_hashed(model_hash, backend, graph, routed, options);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    submitted_counter_->increment();
-    decision.slot->routed_to.fetch_add(1, std::memory_order_relaxed);
-    decision.slot->routed_counter->increment();
-    if (decision.used_affinity) {
-        affinity_routed_.fetch_add(1, std::memory_order_relaxed);
-        affinity_counter_->increment();
-    } else {
-        hash_routed_.fetch_add(1, std::memory_order_relaxed);
-        hash_counter_->increment();
-    }
-    if (decision.probe) {
-        probe_routed_.fetch_add(1, std::memory_order_relaxed);
-        probe_counter_->increment();
-    }
-    if (decision.rerouted) {
-        breaker_rerouted_.fetch_add(1, std::memory_order_relaxed);
-        rerouted_counter_->increment();
-    }
+    submitted_.increment();
+    decision.slot->routed->increment();
+    (decision.used_affinity ? affinity_routed_ : hash_routed_).increment();
+    if (decision.probe) probe_routed_.increment();
+    if (decision.rerouted) breaker_rerouted_.increment();
     return handle;
 }
 
@@ -370,11 +339,11 @@ void Optimization_router::replace_shard(std::size_t index)
 Router_stats Optimization_router::stats() const
 {
     Router_stats out;
-    out.submitted = submitted_.load(std::memory_order_relaxed);
-    out.affinity_routed = affinity_routed_.load(std::memory_order_relaxed);
-    out.hash_routed = hash_routed_.load(std::memory_order_relaxed);
-    out.probe_routed = probe_routed_.load(std::memory_order_relaxed);
-    out.breaker_rerouted = breaker_rerouted_.load(std::memory_order_relaxed);
+    out.submitted = submitted_.value();
+    out.affinity_routed = affinity_routed_.value();
+    out.hash_routed = hash_routed_.value();
+    out.probe_routed = probe_routed_.value();
+    out.breaker_rerouted = breaker_rerouted_.value();
 
     std::vector<std::shared_ptr<Slot>> slots;
     std::vector<std::shared_ptr<Optimization_server>> servers;
@@ -388,13 +357,13 @@ Router_stats Optimization_router::stats() const
     out.uptime_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
     out.snapshot_seq = snapshot_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    uptime_gauge_->set(out.uptime_seconds);
-    shard_count_gauge_->set(static_cast<double>(slots.size()));
+    uptime_gauge_.set(out.uptime_seconds);
+    shard_count_gauge_.set(static_cast<double>(slots.size()));
 
     out.shards.reserve(slots.size());
     for (std::size_t i = 0; i < slots.size(); ++i) {
         out.shards.push_back(servers[i]->stats());
-        out.routed_to.push_back(slots[i]->routed_to.load(std::memory_order_relaxed));
+        out.routed_to.push_back(slots[i]->routed->value());
         Shard_health_snapshot health = slots[i]->health->snapshot();
         health.stable_id = slots[i]->stable_id;
         health.draining = slots[i]->draining.load(std::memory_order_relaxed);
@@ -405,6 +374,9 @@ Router_stats Optimization_router::stats() const
     }
 
     Server_stats& total = out.total;
+    // The router's own sequence: per-shard ones restart when a shard is
+    // replaced and vanish when one is removed.
+    total.snapshot_seq = out.snapshot_seq;
     for (const Server_stats& s : out.shards) {
         total.submitted += s.submitted;
         total.coalesced += s.coalesced;
@@ -422,13 +394,11 @@ Router_stats Optimization_router::stats() const
         total.peak_queue_depth += s.peak_queue_depth;
         total.peak_running += s.peak_running;
         // A fleet is as late as its slowest member: report the worst
-        // shard's percentiles rather than inventing a merged reservoir.
+        // shard's percentiles.
         total.p50_latency_ms = std::max(total.p50_latency_ms, s.p50_latency_ms);
         total.p95_latency_ms = std::max(total.p95_latency_ms, s.p95_latency_ms);
-        // The fleet is as old as its oldest member; the sequence sums so
-        // it stays monotonic whichever shard answered.
+        // The fleet is as old as its oldest member.
         total.uptime_seconds = std::max(total.uptime_seconds, s.uptime_seconds);
-        total.snapshot_seq += s.snapshot_seq;
         for (const auto& [backend, b] : s.backends) {
             Backend_stats& agg = total.backends[backend];
             agg.submitted += b.submitted;

@@ -37,13 +37,16 @@
 // stats() aggregates per-shard telemetry: counters sum across the fleet;
 // the aggregate latency percentiles are the worst shard's (a fleet is as
 // late as its slowest member), with per-shard snapshots — and per-shard
-// health — alongside.
+// health — alongside. The routing counters are views over the registry's
+// `xrlflow_router_*` series (support/metrics.h), counted from this
+// router's construction.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,7 +99,8 @@ struct Router_stats {
     std::uint64_t breaker_rerouted = 0;
 
     /// Scraper aids (mirrors Server_stats): seconds since router
-    /// construction and a monotonic per-stats() sequence number.
+    /// construction and a monotonic per-stats() sequence number (also
+    /// `total.snapshot_seq`, so it survives shard replacement).
     double uptime_seconds = 0.0;
     std::uint64_t snapshot_seq = 0;
 
@@ -188,11 +192,11 @@ private:
         std::shared_ptr<Shard_health> health;
         std::uint64_t stable_id = 0;
         std::atomic<bool> draining{false};
-        std::atomic<std::uint64_t> routed_to{0};
         /// Registry series for this shard (stable for the process
-        /// lifetime): submits routed here, and the breaker state gauge
-        /// (0 closed / 1 open / 2 half-open), refreshed at stats() time.
-        Counter* routed_counter = nullptr;
+        /// lifetime): submits routed here (Router_stats::routed_to), and
+        /// the breaker state gauge (0 closed / 1 open / 2 half-open),
+        /// refreshed at stats() time.
+        std::optional<Counter_view> routed;
         Gauge* breaker_gauge = nullptr;
     };
 
@@ -242,24 +246,23 @@ private:
     std::vector<std::shared_ptr<Slot>> slots_ XRL_GUARDED_BY(membership_mutex_);
     std::uint64_t next_stable_id_ XRL_GUARDED_BY(membership_mutex_) = 0;
 
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> affinity_routed_{0};
-    std::atomic<std::uint64_t> hash_routed_{0};
-    std::atomic<std::uint64_t> probe_routed_{0};
-    std::atomic<std::uint64_t> breaker_rerouted_{0};
+    // Router_stats' routing counters, counted from construction.
+    Counter_view submitted_{"xrlflow_router_submitted_total", "Submits routed by the router"};
+    Counter_view affinity_routed_{"xrlflow_router_affinity_routed_total",
+                                  "Submits sent to a shard claiming the device"};
+    Counter_view hash_routed_{"xrlflow_router_hash_routed_total",
+                              "Submits spread by rendezvous hashing"};
+    Counter_view probe_routed_{"xrlflow_router_probe_routed_total",
+                               "Submits admitted to half-open shards as probes"};
+    Counter_view breaker_rerouted_{"xrlflow_router_breaker_rerouted_total",
+                                   "Submits re-spread past an open/draining shard"};
+    Gauge& shard_count_gauge_ =
+        Metrics_registry::global().gauge("xrlflow_router_shards", "Live shards in the fleet");
+    Gauge& uptime_gauge_ = Metrics_registry::global().gauge("xrlflow_router_uptime_seconds",
+                                                            "Seconds since router start");
 
     std::chrono::steady_clock::time_point started_ = std::chrono::steady_clock::now();
     mutable std::atomic<std::uint64_t> snapshot_seq_{0};
-
-    // Registry series the router publishes into (resolved once at
-    // construction; see support/metrics.h).
-    Counter* submitted_counter_ = nullptr;
-    Counter* affinity_counter_ = nullptr;
-    Counter* hash_counter_ = nullptr;
-    Counter* probe_counter_ = nullptr;
-    Counter* rerouted_counter_ = nullptr;
-    Gauge* shard_count_gauge_ = nullptr;
-    Gauge* uptime_gauge_ = nullptr;
 };
 
 } // namespace xrl

@@ -37,7 +37,7 @@ Optimization_server::Optimization_server(Server_config config)
       service_(config_.service),
       pool_(&Thread_pool::shared()),
       workers_(config_.workers > 0 ? config_.workers : std::max<std::size_t>(pool_->workers(), 1)),
-      telemetry_(8192, config_.metrics_shard),
+      telemetry_(config_.metrics_shard),
       queue_(config_.queue),
       paused_(config_.start_paused)
 {
@@ -89,7 +89,6 @@ std::shared_ptr<Job> Optimization_server::try_attach_locked(const std::string& k
                                                             bool has_deadline,
                                                             Job::Clock::time_point deadline)
 {
-    if (!config_.coalesce) return nullptr;
     const auto it = inflight_.find(key);
     if (it == inflight_.end()) return nullptr;
     const std::shared_ptr<Job>& primary = it->second;

@@ -67,9 +67,6 @@ struct Server_config {
     /// process-wide Thread_pool, which the candidate engines also use.
     std::size_t workers = 0;
 
-    /// Attach identical in-flight submits to the running job.
-    bool coalesce = true;
-
     /// Construct with dispatch suspended (resume() starts execution).
     /// Tests and staged rollouts fill the queue deterministically this way.
     bool start_paused = false;
@@ -91,9 +88,9 @@ struct Server_config {
     Completion_hook on_terminal;
 
     /// `shard` label value for this server's series in
-    /// Metrics_registry::global() (xrlflow_server_*, xrlflow_job_latency_ms).
-    /// The router stamps each slot's stable shard id here; a standalone
-    /// server keeps the default.
+    /// Metrics_registry::global() (xrlflow_server_*, xrlflow_job_*), which
+    /// stats() reads back. The router stamps each slot's stable shard id
+    /// here; a standalone server keeps the default.
     std::string metrics_shard = "0";
 
     /// Deterministic fault injection (support/fault_plan.h). When set, one
@@ -145,10 +142,10 @@ public:
     /// waits forever.
     void drain();
 
-    /// Counters + latency percentiles (internally consistent with each
-    /// other) plus queue depth and worker occupancy sampled just before —
-    /// a job finishing between the two reads can make occupancy lag the
-    /// counters by one.
+    /// Counters + latency percentiles read from the registry (see
+    /// Telemetry::snapshot) plus queue depth and worker occupancy sampled
+    /// just before — a job finishing between the two reads can make
+    /// occupancy lag the counters by one.
     Server_stats stats() const;
 
     std::size_t queue_depth() const;
@@ -174,8 +171,8 @@ private:
 
     /// Under mutex_: attach one more submission to the in-flight job with
     /// this coalesce key, raising its urgency to at least (priority,
-    /// deadline). Null when coalescing is off, no such job exists, or the
-    /// job is no longer attachable (terminal / cancellation requested).
+    /// deadline). Null when no such job exists or the job is no longer
+    /// attachable (terminal / cancellation requested).
     std::shared_ptr<Job> try_attach_locked(const std::string& key, int priority,
                                            bool has_deadline, Job::Clock::time_point deadline)
         XRL_REQUIRES(mutex_);

@@ -1,12 +1,13 @@
 // Server telemetry: what the serving fleet is doing, snapshottable.
 //
-// Every submit, coalesce, rejection, and completion is recorded here;
-// stats() on the server folds in live queue depth and worker occupancy.
-// Latency percentiles (p50/p95 of submit-to-terminal time) come from a
-// bounded reservoir of recent completions, so a long-running server's
-// snapshot reflects recent behaviour rather than its whole history, and
-// memory stays O(1). The benches and tests drive their acceptance numbers
-// (coalesce + cache-hit rate, makespan) off these counters.
+// Every submit, coalesce, rejection, and completion is counted in the
+// process-wide metrics registry; Server_stats is a view over those series,
+// and stats() on the server folds in live queue depth and worker
+// occupancy. Latency percentiles (p50/p95 of submit-to-terminal time) are
+// estimated from the latency histograms since the server started, within
+// one bucket's width (support/metrics.h). The benches and tests drive their
+// acceptance numbers (coalesce + cache-hit rate, makespan) off these
+// counters.
 #pragma once
 
 #include <atomic>
@@ -14,11 +15,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "serve/job.h"
 #include "support/metrics.h"
-#include "support/sync.h"
 
 namespace xrl {
 
@@ -64,7 +63,8 @@ struct Server_stats {
     std::size_t peak_queue_depth = 0;
     std::size_t peak_running = 0;
 
-    // Submit-to-terminal latency over the recent-completion reservoir.
+    // Submit-to-terminal latency since the server started (histogram
+    // estimates).
     double p50_latency_ms = 0.0;
     double p95_latency_ms = 0.0;
 
@@ -98,19 +98,21 @@ struct Server_stats {
     }
 };
 
-/// Internally-locked recorder; the server calls it from submit and from
-/// worker threads without extra synchronisation.
-///
-/// Every event is also published into `Metrics_registry::global()` under
-/// a `shard` label (`metrics_shard` — the router stamps each slot's stable
-/// id here), so `xrlflowctl metrics` reads the same truth as stats():
-/// `xrlflow_server_*_total` counters, `xrlflow_server_queue_depth/running/
-/// inflight` gauges, and per-backend `xrlflow_job_latency_ms` histograms.
-/// Counter pointers are resolved once at construction — the per-event cost
-/// is one relaxed atomic add on top of the existing mutex hold.
+/// The server's view over its registry series. Every event is counted once,
+/// in `Metrics_registry::global()` under a `shard` label (`metrics_shard` —
+/// the router stamps each slot's stable id here), so `xrlflowctl metrics`
+/// and stats() read one store:
+///   * `xrlflow_server_{submitted,completed,cancelled,failed}_total` and the
+///     `xrlflow_job_latency_ms` / `xrlflow_job_busy_ms` histograms per
+///     `backend`; the Server_stats totals are sums over backends;
+///   * `xrlflow_server_{coalesced,rejected,shed,cache_hits}_total`;
+///   * the `xrlflow_server_queue_depth/running/inflight/uptime_seconds`
+///     gauges.
+/// Every series is resolved at construction (one per built-in backend), so
+/// recording is lock-free: one relaxed atomic add per counter.
 class Telemetry {
 public:
-    explicit Telemetry(std::size_t latency_reservoir = 8192, std::string metrics_shard = "0");
+    explicit Telemetry(const std::string& metrics_shard = "0");
 
     void on_submit(const std::string& backend);
     void on_coalesce();
@@ -124,38 +126,37 @@ public:
     /// sampled at snapshot time instead — it only moves with these two.)
     void on_occupancy(std::size_t queue_depth, std::size_t running);
 
+    /// Each series minus the value it held when this Telemetry was built:
+    /// a fresh server, or a replacement on its predecessor's `shard` label,
+    /// reads zero. Series are read one by one, without a common lock, so a
+    /// snapshot taken mid-traffic may count an event in one series and not
+    /// yet in another.
     Server_stats snapshot(std::size_t queue_depth, std::size_t running,
                           std::size_t inflight) const;
 
 private:
-    Histogram& latency_histogram_locked(const std::string& backend) XRL_REQUIRES(mutex_);
+    struct Backend_series {
+        Counter_view submitted, completed, cancelled, failed;
+        Histogram_view latency_ms, busy_ms;
+    };
 
-    mutable Mutex mutex_{"telemetry", Lock_rank::telemetry};
-    Server_stats totals_ XRL_GUARDED_BY(mutex_);
-    std::size_t reservoir_capacity_;
-    /// Ring buffer of recent completions.
-    std::vector<double> latencies_ms_ XRL_GUARDED_BY(mutex_);
-    std::size_t next_slot_ XRL_GUARDED_BY(mutex_) = 0;
+    const Backend_series& backend(const std::string& name) const;
 
-    // Registry series this instance publishes into (stable for the
-    // process lifetime — see Metrics_registry).
-    std::string metrics_shard_;
+    std::map<std::string, Backend_series> backends_; ///< Fixed at construction.
+    Counter_view coalesced_;
+    Counter_view rejected_;
+    Counter_view shed_;
+    Counter_view cache_hits_;
+    Gauge& queue_depth_gauge_;
+    Gauge& running_gauge_;
+    Gauge& inflight_gauge_;
+    Gauge& uptime_gauge_;
+
+    // Held here only: the registry keeps no high-water marks.
+    std::atomic<std::size_t> peak_queue_depth_{0};
+    std::atomic<std::size_t> peak_running_{0};
     std::chrono::steady_clock::time_point started_ = std::chrono::steady_clock::now();
     mutable std::atomic<std::uint64_t> snapshot_seq_{0};
-    Counter* submitted_total_ = nullptr;
-    Counter* coalesced_total_ = nullptr;
-    Counter* rejected_total_ = nullptr;
-    Counter* shed_total_ = nullptr;
-    Counter* completed_total_ = nullptr;
-    Counter* cancelled_total_ = nullptr;
-    Counter* failed_total_ = nullptr;
-    Counter* cache_hits_total_ = nullptr;
-    Gauge* queue_depth_gauge_ = nullptr;
-    Gauge* running_gauge_ = nullptr;
-    Gauge* inflight_gauge_ = nullptr;
-    Gauge* uptime_gauge_ = nullptr;
-    /// By backend.
-    std::map<std::string, Histogram*> latency_histograms_ XRL_GUARDED_BY(mutex_);
 };
 
 } // namespace xrl

@@ -28,7 +28,6 @@ void Histogram::observe(double value)
     const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
     buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
         1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     double sum = sum_.load(std::memory_order_relaxed);
     while (!sum_.compare_exchange_weak(sum, sum + value, std::memory_order_relaxed))
         ;
@@ -39,11 +38,29 @@ Histogram::Snapshot Histogram::snapshot() const
     Snapshot out;
     out.upper_bounds = bounds_;
     out.counts.resize(bounds_.size() + 1);
-    for (std::size_t i = 0; i <= bounds_.size(); ++i)
+    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
         out.counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    out.count = count_.load(std::memory_order_relaxed);
+        out.count += out.counts[i];
+    }
     out.sum = sum_.load(std::memory_order_relaxed);
     return out;
+}
+
+Histogram::Snapshot& Histogram::Snapshot::operator+=(const Snapshot& other)
+{
+    if (counts.empty()) return *this = other;
+    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
+    count += other.count;
+    sum += other.sum;
+    return *this;
+}
+
+Histogram::Snapshot& Histogram::Snapshot::operator-=(const Snapshot& other)
+{
+    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] -= other.counts[i];
+    count -= other.count;
+    sum -= other.sum;
+    return *this;
 }
 
 double Histogram::Snapshot::quantile(double q) const
@@ -71,6 +88,20 @@ double Histogram::Snapshot::quantile(double q) const
         cumulative = next;
     }
     return upper_bounds.empty() ? 0.0 : upper_bounds.back();
+}
+
+Counter_view::Counter_view(std::string_view name, std::string_view help, Metric_labels labels)
+    : counter_(&Metrics_registry::global().counter(name, help, std::move(labels))),
+      base_(counter_->value())
+{
+}
+
+Histogram_view::Histogram_view(std::string_view name, std::string_view help,
+                               std::vector<double> upper_bounds, Metric_labels labels)
+    : histogram_(&Metrics_registry::global().histogram(name, help, std::move(upper_bounds),
+                                                       std::move(labels))),
+      base_(histogram_->snapshot())
+{
 }
 
 std::vector<double> latency_ms_buckets()

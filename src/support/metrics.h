@@ -22,11 +22,13 @@
 //     pins this against exact nearest-rank on known distributions).
 //   * Snapshot consistency: a snapshot reads every atomic once under the
 //     registry mutex, so no series can be registered or torn mid-read.
-//     (Individual histogram counts and sums are read independently; a
-//     concurrent observe may land between them, skewing mean() by at most
-//     one sample — the documented, accepted tear.)
+//     (A histogram's count is the sum of its bucket counts; its sum is read
+//     separately, so a concurrent observe may land between them, skewing
+//     mean() by at most one sample — the documented, accepted tear.)
 //
-// The global() registry is the process's source of truth; tests that need
+// The global() registry is the process's source of truth — the serving
+// plane's stats structs (Server_stats, Router_stats, Daemon_wire_stats)
+// are views over it (Counter_view, Histogram_view below). Tests that need
 // isolation construct their own instance.
 #pragma once
 
@@ -77,7 +79,7 @@ private:
 };
 
 /// Fixed-bucket histogram: cumulative-style buckets in exposition,
-/// per-bucket counts internally. Observe is two relaxed atomic adds plus a
+/// per-bucket counts internally. Observe is one relaxed atomic add plus a
 /// CAS loop on the sum — cheap enough for per-phase hot-loop timing.
 class Histogram {
 public:
@@ -90,8 +92,14 @@ public:
     struct Snapshot {
         std::vector<double> upper_bounds;  ///< Finite bounds (no +Inf entry).
         std::vector<std::uint64_t> counts; ///< Per-bucket; size = bounds + 1.
-        std::uint64_t count = 0;
+        std::uint64_t count = 0;           ///< Sum of `counts`.
         double sum = 0.0;
+
+        /// Bucket-wise sum / difference with a snapshot of the same bucket
+        /// layout. Adding to an empty (default) snapshot adopts the other's
+        /// layout, so a loop can merge series into a fresh Snapshot.
+        Snapshot& operator+=(const Snapshot& other);
+        Snapshot& operator-=(const Snapshot& other);
 
         double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
 
@@ -106,8 +114,44 @@ public:
 private:
     std::vector<double> bounds_;
     std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_; ///< bounds_.size() + 1 slots.
-    std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
+};
+
+/// A counter read relative to the value it held when the view was made.
+/// Objects that publish into a shared series — a replacement server on its
+/// predecessor's `shard` label, a second router on the unlabelled router
+/// counters — keep a view, so their own stats count only their own events
+/// while the series stays monotonic. (Two such objects *live at once* on
+/// one series would see each other's events.)
+class Counter_view {
+public:
+    /// Over Metrics_registry::global().counter(name, help, labels).
+    Counter_view(std::string_view name, std::string_view help, Metric_labels labels = {});
+    void increment(std::uint64_t by = 1) const { counter_->increment(by); }
+    std::uint64_t value() const { return counter_->value() - base_; }
+
+private:
+    Counter* counter_;
+    std::uint64_t base_;
+};
+
+/// The histogram counterpart of Counter_view.
+class Histogram_view {
+public:
+    /// Over Metrics_registry::global().histogram(name, help, bounds, labels).
+    Histogram_view(std::string_view name, std::string_view help, std::vector<double> upper_bounds,
+                   Metric_labels labels = {});
+    void observe(double value) const { histogram_->observe(value); }
+    Histogram::Snapshot snapshot() const
+    {
+        Histogram::Snapshot now = histogram_->snapshot();
+        now -= base_;
+        return now;
+    }
+
+private:
+    Histogram* histogram_;
+    Histogram::Snapshot base_;
 };
 
 /// Bucket presets. Latencies in milliseconds (serving-path spans: 0.1 ms to

@@ -89,7 +89,6 @@ enum class Lock_rank : int {
     fault_plan = 95,         // Fault_plan::mutex_
     thread_pool = 100,       // Thread_pool::mutex_
     shard_health = 110,      // Shard_health::mutex_
-    telemetry = 120,         // Telemetry::mutex_
     metrics = 130,           // Metrics_registry::mutex_
     trace = 140,             // Trace_buffer::mutex_
     leaf = 1000,             // strictly-leaf locks (tests, tools)

@@ -24,6 +24,7 @@
 #include "net/daemon.h"
 #include "net/protocol.h"
 #include "serve/state_store.h"
+#include "support/metrics.h"
 
 namespace xrl {
 namespace {
@@ -599,6 +600,26 @@ TEST(NetFaultInjection, DaemonAnswersTypedErrorsAndNeverDies)
     EXPECT_EQ(daemon.stats().protocol_errors, 7U);
     Client client(client_for(daemon));
     EXPECT_GT(client.optimize("taso", quickstart_graph()).final_ms, 0.0);
+}
+
+/// Value of an unlabelled counter in the process-wide registry.
+double registry_value(const std::string& name)
+{
+    for (const Metrics_registry::Family_snapshot& family : Metrics_registry::global().snapshot())
+        if (family.name == name && !family.series.empty()) return family.series.front().value;
+    return 0.0;
+}
+
+TEST(NetFaultInjection, OneMalformedFrameMovesStatsAndRegistryByOne)
+{
+    Daemon daemon(smoke_daemon());
+    const std::uint64_t stats_before = daemon.stats().protocol_errors;
+    const double registry_before = registry_value("xrlflow_daemon_protocol_errors_total");
+
+    EXPECT_EQ(daemon_error_for(daemon, std::string(32, 'Z')), Protocol_error_code::bad_magic);
+
+    EXPECT_EQ(daemon.stats().protocol_errors - stats_before, 1U);
+    EXPECT_EQ(registry_value("xrlflow_daemon_protocol_errors_total") - registry_before, 1.0);
 }
 
 TEST(NetFaultInjection, PostHandshakeVersionDriftIsTypedAndRecoverable)

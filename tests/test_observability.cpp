@@ -373,8 +373,9 @@ TEST(ObservabilityWire, MetricsExpositionCoversTheServingPlane)
           "xrlflow_daemon_jobs_submitted"})
         EXPECT_NE(text.find(series), std::string::npos) << series;
 
-    // Spot-parse: the submitted counter for shard 0 is a positive integer.
-    const std::string needle = "xrlflow_server_submitted_total{shard=\"0\"} ";
+    // Spot-parse: the taso submitted counter for shard 0 is a positive
+    // integer.
+    const std::string needle = "xrlflow_server_submitted_total{backend=\"taso\",shard=\"0\"} ";
     const std::size_t at = text.find(needle);
     ASSERT_NE(at, std::string::npos);
     EXPECT_GE(std::stoull(text.substr(at + needle.size())), 1ULL);

@@ -521,6 +521,26 @@ TEST(RouterMembership, ReplaceShardDrainsSwapsAndResetsHealth)
     router.drain();
 }
 
+TEST(RouterStats, SnapshotSeqIsMonotonicAcrossMembershipChanges)
+{
+    Optimization_router router(uniform_fleet(3));
+    std::uint64_t last = 0;
+    const auto expect_advanced = [&](const char* when) {
+        const Router_stats stats = router.stats();
+        EXPECT_GT(stats.total.snapshot_seq, last) << when;
+        last = stats.total.snapshot_seq;
+    };
+    // Each fleet snapshot also advances every shard's own sequence; a
+    // replacement restarts its shard's and a removal drops one. The
+    // fleet's sequence must climb through both.
+    for (int n = 0; n < 5; ++n) expect_advanced("steady");
+    router.replace_shard(0);
+    expect_advanced("after replace_shard");
+    for (int n = 0; n < 5; ++n) expect_advanced("steady");
+    router.remove_shard(1);
+    expect_advanced("after remove_shard");
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance scenario: one shard of four force-failed mid-stream
 // ---------------------------------------------------------------------------

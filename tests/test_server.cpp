@@ -4,10 +4,12 @@
 // direct Optimization_service::optimize calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -21,6 +23,7 @@
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/telemetry.h"
+#include "support/metrics.h"
 
 namespace xrl {
 namespace {
@@ -879,30 +882,156 @@ TEST(OptimizationRouter, RoutedResultsBitIdenticalToDirectPerDeviceServiceCalls)
 // Service concurrency hooks
 // ---------------------------------------------------------------------------
 
-TEST(Telemetry, PercentileIsNearestRankOnTinyReservoirs)
+TEST(Telemetry, PercentilesAreBucketBoundedHistogramEstimates)
 {
-    // Regression pin for the nearest-rank fix: the old `p * (N - 1)`
-    // truncation under-read small reservoirs (p95 of {10, 20} returned 10).
-    // Exact expected values, no tolerance.
-    Telemetry telemetry(/*latency_reservoir=*/8, "percentile-test");
+    // p50/p95 are estimated from the xrlflow_job_latency_ms buckets
+    // (latency_ms_buckets(): ..., 2.5, 5, 10, 25, ...), so each lands in
+    // the bucket holding its nearest-rank sample rather than on the sample.
+    Telemetry telemetry("percentile-test");
 
-    // Empty reservoir: percentiles are defined as 0.
+    // No samples: percentiles are defined as 0.
     Server_stats stats = telemetry.snapshot(0, 0, 0);
     EXPECT_EQ(stats.p50_latency_ms, 0.0);
     EXPECT_EQ(stats.p95_latency_ms, 0.0);
 
-    // One sample: every percentile is that sample.
+    // One 5 ms sample: every percentile is in its bucket (2.5, 5].
     telemetry.on_finish("taso", Job_state::done, /*latency_seconds=*/0.005, 0.0, false);
     stats = telemetry.snapshot(0, 0, 0);
-    EXPECT_EQ(stats.p50_latency_ms, 5.0);
-    EXPECT_EQ(stats.p95_latency_ms, 5.0);
+    EXPECT_GT(stats.p50_latency_ms, 2.5);
+    EXPECT_LE(stats.p50_latency_ms, 5.0);
+    EXPECT_GT(stats.p95_latency_ms, 2.5);
+    EXPECT_LE(stats.p95_latency_ms, 5.0);
 
-    // Two samples {5, 20}: p50 is the first (rank ceil(0.5*2) = 1), p95 the
-    // second (rank ceil(0.95*2) = 2).
+    // Samples {5, 20}: p50 has nearest rank 1 (bucket (2.5, 5]) and p95
+    // rank 2 (bucket (10, 25]).
     telemetry.on_finish("taso", Job_state::done, /*latency_seconds=*/0.020, 0.0, false);
     stats = telemetry.snapshot(0, 0, 0);
-    EXPECT_EQ(stats.p50_latency_ms, 5.0);
-    EXPECT_EQ(stats.p95_latency_ms, 20.0);
+    EXPECT_GT(stats.p50_latency_ms, 2.5);
+    EXPECT_LE(stats.p50_latency_ms, 5.0);
+    EXPECT_GT(stats.p95_latency_ms, 10.0);
+    EXPECT_LE(stats.p95_latency_ms, 25.0);
+}
+
+/// Sum over the `family` series whose labels include every pair in
+/// `match`: counter values, or histogram sums.
+double registry_sum(const std::string& family, const Metric_labels& match)
+{
+    double total = 0.0;
+    for (const Metrics_registry::Family_snapshot& fam : Metrics_registry::global().snapshot()) {
+        if (fam.name != family) continue;
+        for (const Metrics_registry::Series_snapshot& series : fam.series) {
+            const bool selected = std::all_of(match.begin(), match.end(), [&](const auto& label) {
+                return std::find(series.labels.begin(), series.labels.end(), label) !=
+                       series.labels.end();
+            });
+            if (selected) total += series.histogram ? series.histogram->sum : series.value;
+        }
+    }
+    return total;
+}
+
+TEST(Telemetry, ServerStatsEqualTheRegistryDeltaSinceConstruction)
+{
+    const std::string shard = "agreement";
+    const Metric_labels shard_label{{"shard", shard}};
+    const std::vector<std::string> counters = {"submitted", "coalesced", "rejected", "shed",
+                                               "completed", "cancelled", "failed", "cache_hits"};
+    const std::vector<std::string> per_backend = {"submitted", "completed", "cancelled",
+                                                  "failed"};
+    const auto series = [](const std::string& counter) {
+        return "xrlflow_server_" + counter + "_total";
+    };
+    const auto backend_label = [&](const std::string& backend) {
+        return Metric_labels{{"backend", backend}, {"shard", shard}};
+    };
+    std::map<std::string, double> before;
+    for (const std::string& counter : counters)
+        before[counter] = registry_sum(series(counter), shard_label);
+    const std::vector<std::string> backends = Optimizer_registry::built_in().names();
+    for (const std::string& backend : backends) {
+        for (const std::string& counter : per_backend)
+            before[backend + counter] = registry_sum(series(counter), backend_label(backend));
+        before[backend + "busy"] = registry_sum("xrlflow_job_busy_ms", backend_label(backend));
+    }
+
+    auto plan = std::make_shared<Fault_plan>();
+    plan->add("server", {.begin = 1, .count = 1, .action = Fault_action::fail});
+    Server_config config = smoke_server();
+    config.start_paused = true;
+    config.workers = 1;
+    config.queue.capacity = 2;
+    config.metrics_shard = shard;
+    config.fault_plan = plan;
+    {
+        Optimization_server server(config);
+        const Graph g = quickstart_graph();
+        const Job_handle search = server.submit("taso", g);
+        EXPECT_TRUE(server.submit("taso", g).coalesced());
+        Job_handle cancelled = server.submit("pet", variant_graph(1));
+        EXPECT_EQ(server.submit("tensat", projection_graph()).poll(), Job_state::rejected);
+        cancelled.cancel();
+        server.resume();
+        EXPECT_FALSE(search.wait().from_cache); // executed event 0: the search
+        EXPECT_THROW(server.submit("taso", variant_graph(2)).wait(), std::runtime_error);
+        EXPECT_TRUE(server.submit("taso", g).wait().from_cache); // event 2: memo hit
+        server.drain();
+
+        const Server_stats stats = server.stats();
+        const std::map<std::string, std::uint64_t> reported = {
+            {"submitted", stats.submitted}, {"coalesced", stats.coalesced},
+            {"rejected", stats.rejected},   {"shed", stats.shed},
+            {"completed", stats.completed}, {"cancelled", stats.cancelled},
+            {"failed", stats.failed},       {"cache_hits", stats.cache_hits}};
+        for (const std::string& counter : counters)
+            EXPECT_EQ(static_cast<double>(reported.at(counter)),
+                      registry_sum(series(counter), shard_label) - before[counter])
+                << counter;
+        EXPECT_EQ(stats.submitted, 6u);
+        EXPECT_EQ(stats.coalesced, 1u);
+        EXPECT_EQ(stats.rejected, 1u);
+        EXPECT_EQ(stats.completed, 2u);
+        EXPECT_EQ(stats.cancelled, 1u);
+        EXPECT_EQ(stats.failed, 1u);
+        EXPECT_EQ(stats.cache_hits, 1u);
+
+        for (const std::string& backend : backends) {
+            const auto it = stats.backends.find(backend);
+            const Backend_stats b = it == stats.backends.end() ? Backend_stats{} : it->second;
+            const std::map<std::string, std::uint64_t> entry = {{"submitted", b.submitted},
+                                                                {"completed", b.completed},
+                                                                {"cancelled", b.cancelled},
+                                                                {"failed", b.failed}};
+            for (const std::string& counter : per_backend)
+                EXPECT_EQ(static_cast<double>(entry.at(counter)),
+                          registry_sum(series(counter), backend_label(backend)) -
+                              before[backend + counter])
+                    << backend << " " << counter;
+            EXPECT_NEAR(b.busy_seconds * 1e3,
+                        registry_sum("xrlflow_job_busy_ms", backend_label(backend)) -
+                            before[backend + "busy"],
+                        1e-6)
+                << backend;
+        }
+        EXPECT_EQ(stats.backends.at("taso").submitted, 4u);
+        EXPECT_EQ(stats.backends.at("tensat").submitted, 1u);
+        EXPECT_GT(stats.backends.at("taso").busy_seconds, 0.0);
+    }
+
+    // A later server on the same label publishes into the same series but
+    // reads only its own events.
+    config.fault_plan = nullptr;
+    Optimization_server successor(config);
+    const Server_stats fresh = successor.stats();
+    EXPECT_EQ(fresh.submitted, 0u);
+    EXPECT_EQ(fresh.coalesced, 0u);
+    EXPECT_EQ(fresh.rejected, 0u);
+    EXPECT_EQ(fresh.completed, 0u);
+    EXPECT_EQ(fresh.cancelled, 0u);
+    EXPECT_EQ(fresh.failed, 0u);
+    EXPECT_EQ(fresh.cache_hits, 0u);
+    EXPECT_EQ(fresh.p95_latency_ms, 0.0);
+    EXPECT_TRUE(fresh.backends.empty());
+    EXPECT_GE(registry_sum(series("submitted"), shard_label), 6.0);
 }
 
 TEST(OptimizationService, ConcurrentSameBackendCallsWidenInstancePool)

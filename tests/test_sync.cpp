@@ -177,15 +177,13 @@ TEST(SyncDetector, CorrectOrderIsSilent)
     Shared_mutex membership("router_membership", Lock_rank::router_membership);
     Mutex server("server", Lock_rank::server);
     Mutex job("job", Lock_rank::job);
-    Mutex telemetry("telemetry", Lock_rank::telemetry);
     Mutex metrics("metrics_registry", Lock_rank::metrics);
 
     const Lock_guard l0(admin);
     const Shared_lock l1(membership);
     const Lock_guard l2(server);
     const Lock_guard l3(job);
-    const Lock_guard l4(telemetry);
-    const Lock_guard l5(metrics);
+    const Lock_guard l4(metrics);
     SUCCEED();
 }
 
@@ -193,7 +191,7 @@ TEST(SyncDetector, OutOfOrderReleaseIsFine)
 {
     // Release is not required to be LIFO — only acquisition order is ranked.
     Mutex low("test_low", Lock_rank::server);
-    Mutex high("test_high", Lock_rank::telemetry);
+    Mutex high("test_high", Lock_rank::shard_health);
     low.lock();
     high.lock();
     low.unlock(); // released before the lock above it on the stack
@@ -222,11 +220,11 @@ TEST(SyncDetectorDeath, InversionAbortsNamingBothLocks)
 {
     if (!sync_checks_enabled()) GTEST_SKIP() << "detector compiled out";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    Mutex high("test_high_first", Lock_rank::telemetry);
+    Mutex high("test_high_first", Lock_rank::shard_health);
     Mutex low("test_low_second", Lock_rank::server);
     const auto invert = [&] {
         const Lock_guard a(high);
-        const Lock_guard b(low); // rank 40 under rank 120: inversion
+        const Lock_guard b(low); // rank 40 under rank 110: inversion
     };
     EXPECT_DEATH(invert(),
                  "lock-order violation.*test_low_second.*test_high_first");
@@ -262,7 +260,7 @@ TEST(SyncDetector, TryLockIsRankExempt)
     // A failed try_lock cannot deadlock, so taking one against rank order is
     // legal (the daemon's admin gate relies on this). A successful try still
     // records, so later blocking acquisitions are checked against it.
-    Mutex high("test_exempt_high", Lock_rank::telemetry);
+    Mutex high("test_exempt_high", Lock_rank::shard_health);
     Mutex low("test_exempt_low", Lock_rank::daemon_admin);
     const Lock_guard held(high);
     const Try_lock attempt(low); // below held rank — allowed for try
@@ -275,7 +273,7 @@ TEST(SyncDetector, DisabledBuildToleratesInversion)
     // undetected (and, being single-threaded, harmless) — demonstrating the
     // checks are truly compiled out rather than merely quiet.
     if (sync_checks_enabled()) GTEST_SKIP() << "detector active in this build";
-    Mutex high("test_off_high", Lock_rank::telemetry);
+    Mutex high("test_off_high", Lock_rank::shard_health);
     Mutex low("test_off_low", Lock_rank::server);
     const Lock_guard a(high);
     const Lock_guard b(low);
