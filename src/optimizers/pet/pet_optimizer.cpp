@@ -42,17 +42,16 @@ public:
             if (conv.params.stride_h != 1 || conv.params.stride_w != 1) continue;
             const Shape& out_shape = host.shape_of({id, 0});
             if (out_shape[2] < 4) continue; // too small to be worth splitting
-            if (auto g = split_conv(host, id); g.has_value()) {
-                out.next() = std::move(*g);
-                out.keep();
-            }
+            if (split_conv(out.next(), host, id)) out.keep();
         }
     }
 
 private:
-    static std::optional<Graph> split_conv(const Graph& host, Node_id conv_id)
+    /// Build the split into `g` (a recycled batch slot: copying the host
+    /// over it reuses the slot's buffers). False when the split is invalid.
+    static bool split_conv(Graph& g, const Graph& host, Node_id conv_id)
     {
-        Graph g = host;
+        g = host;
         const Edge x = g.node(conv_id).inputs[0];
         const Edge w = g.node(conv_id).inputs[1];
         const Op_params conv_params = g.node(conv_id).params;
@@ -91,10 +90,8 @@ private:
             g.add_node(Op_kind::concat, {{conv_top, 0}, {conv_bottom, 0}}, cat_params);
 
         g.replace_all_uses({conv_id, 0}, {cat, 0});
-        if (!finalise_rewrite(g, host, static_cast<Node_id>(host.capacity()),
-                              {{{conv_id, 0}, {cat, 0}}}))
-            return std::nullopt;
-        return g;
+        return finalise_rewrite(g, host, static_cast<Node_id>(host.capacity()),
+                                {{{conv_id, 0}, {cat, 0}}});
     }
 };
 

@@ -1,6 +1,8 @@
 #include "optimizers/taso/taso_optimizer.h"
 
 #include <chrono>
+#include <deque>
+#include <optional>
 #include <queue>
 #include <unordered_set>
 
@@ -11,14 +13,19 @@ namespace xrl {
 
 namespace {
 
-struct Queued_graph {
+/// A queued candidate, held as the recipe that rebuilds it from its parent
+/// (an index into the popped graphs; -1 = the input graph) rather than as
+/// a graph: thousands are admitted, only `budget` are ever popped.
+struct Queued_recipe {
     double cost;
     std::size_t order; // FIFO tie-break for determinism
-    Graph graph;
+    std::ptrdiff_t parent;
+    Candidate_engine::Recipe recipe;
+    std::uint64_t hash; // canonical_hash of the candidate, checked on rebuild
 };
 
 struct Cost_greater {
-    bool operator()(const Queued_graph& a, const Queued_graph& b) const
+    bool operator()(const Queued_recipe& a, const Queued_recipe& b) const
     {
         if (a.cost != b.cost) return a.cost > b.cost;
         return a.order > b.order;
@@ -37,46 +44,67 @@ Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
     result.best_graph = input;
     result.best_cost_ms = result.initial_cost_ms;
 
-    std::priority_queue<Queued_graph, std::vector<Queued_graph>, Cost_greater> queue;
+    std::priority_queue<Queued_recipe, std::vector<Queued_recipe>, Cost_greater> queue;
     std::unordered_set<std::uint64_t> seen;
     std::size_t order = 0;
-    queue.push({result.initial_cost_ms, order++, input});
-    seen.insert(input.canonical_hash());
+    queue.push({result.initial_cost_ms, order++, -1, {}, input.canonical_hash()});
+    seen.insert(queue.top().hash);
     result.rule_candidates.assign(rules.size(), 0);
+
+    // Every popped graph, rebuilt from its parent's entry here. Deque
+    // elements never move, so a child's rebuild reads its parent in place;
+    // with the best graph's final rebuild, at most budget + 1 graphs exist.
+    std::deque<Graph> popped;
+    std::optional<Queued_recipe> best; // the best candidate so far; empty = the input
 
     // One engine for the whole search: matching fans out across the rule
     // corpus with a shared op-kind index, a candidate is only materialised
     // after its match-site fingerprint survived dedup, and candidate graphs
-    // land in the engine's recycled slots. The cross-iteration `seen` cache
-    // stays here — it spans queue pops.
+    // stay in the engine's recycled slots (the queue keeps recipes). The
+    // cross-iteration `seen` cache stays here — it spans queue pops.
     Candidate_engine engine(rules, Candidate_engine_config{config.max_candidates_per_step, 0});
+    const auto rebuild_into = [&](const Queued_recipe& entry, Graph& out) {
+        const std::uint64_t hash =
+            engine.rebuild(popped[static_cast<std::size_t>(entry.parent)], entry.recipe, out);
+        XRL_ENSURES(hash == entry.hash);
+    };
 
     while (!queue.empty() && result.iterations < config.budget) {
         if (config.heartbeat && !config.heartbeat(result.iterations, result.best_cost_ms)) {
             result.stopped_early = true;
             break;
         }
-        Queued_graph current = queue.top();
+        const Queued_recipe current = queue.top(); // a recipe: a few hundred bytes
         queue.pop();
         ++result.iterations;
 
+        const auto parent = static_cast<std::ptrdiff_t>(popped.size());
+        Graph& host = popped.emplace_back();
+        if (current.parent < 0)
+            host = input;
+        else
+            rebuild_into(current, host);
+
         for (const Candidate_engine::Step_candidate& candidate :
-             engine.generate_step(current.graph).candidates) {
+             engine.generate_step(host).candidates) {
             ++result.candidates_generated;
             if (!seen.insert(candidate.hash).second) continue;
             ++result.rule_candidates[static_cast<std::size_t>(candidate.rule_index)];
             const double candidate_cost = cost(*candidate.graph);
-            if (candidate_cost < result.best_cost_ms) {
-                result.best_cost_ms = candidate_cost;
-                result.best_graph = *candidate.graph;
+            const bool improves = candidate_cost < result.best_cost_ms;
+            if (improves) result.best_cost_ms = candidate_cost;
+            const bool admitted = candidate_cost < config.alpha * result.best_cost_ms &&
+                                  queue.size() < config.max_queue;
+            if (!improves && !admitted) continue;
+            Queued_recipe entry{candidate_cost, order, parent, candidate.recipe(), candidate.hash};
+            if (improves) best = entry;
+            if (admitted) {
+                ++order;
+                queue.push(std::move(entry));
             }
-            // The queue takes the graph out of the engine's slot; the
-            // engine refills the slot on its next use.
-            if (candidate_cost < config.alpha * result.best_cost_ms &&
-                queue.size() < config.max_queue)
-                queue.push({candidate_cost, order++, std::move(*candidate.graph)});
         }
     }
+    if (best.has_value()) rebuild_into(*best, result.best_graph);
 
     result.optimisation_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

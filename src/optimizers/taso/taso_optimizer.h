@@ -6,6 +6,13 @@
 // location, and candidates within `alpha` of the best cost are enqueued.
 // Backtracking tolerance alpha > 1 admits slightly-worse intermediates but
 // (as the paper argues, §2.2.2) cannot plan for long-term gains.
+//
+// The queue holds rewrite recipes, not graphs: each entry is its parent's
+// index among the popped graphs, the rule, the match site (or bespoke
+// slot) and the candidate's canonical hash. A popped entry is rebuilt from
+// its parent (Candidate_engine::rebuild, hash-checked), and so is the best
+// graph once at the end, so a search holds at most budget + 1 graphs
+// however many candidates it admits.
 #pragma once
 
 #include <functional>

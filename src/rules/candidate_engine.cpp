@@ -165,8 +165,9 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
             if (!hashes_seen_.insert(record.fingerprint).second) continue;
             Graph* graph =
                 &bespoke_[record.rule_index][static_cast<std::size_t>(record.pre_built_slot)];
-            step_.candidates.push_back(
-                {graph, static_cast<int>(record.rule_index), record.fingerprint, nullptr});
+            step_.candidates.push_back({graph, static_cast<int>(record.rule_index),
+                                        record.fingerprint, nullptr, nullptr,
+                                        record.pre_built_slot});
             continue;
         }
         const Pattern_rule* pattern_rule = pattern_rules_[record.rule_index];
@@ -177,13 +178,40 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
                               &working->delta))
             continue; // invalid site; `working` is reused for the next record
         if (!hashes_seen_.insert(hash).second) continue;
-        step_.candidates.push_back(
-            {&working->graph, static_cast<int>(record.rule_index), hash, &working->delta});
+        step_.candidates.push_back({&working->graph, static_cast<int>(record.rule_index), hash,
+                                    &working->delta, &record.match});
         leased_.push_back(working);
         working = nullptr;
     }
     if (working != nullptr) slot_pool_.release(working);
     return step_;
+}
+
+std::uint64_t Candidate_engine::rebuild(const Graph& host, const Recipe& recipe, Graph& out)
+{
+    static Histogram& rebuild_histogram = candidate_phase_histogram("rebuild");
+    const Scoped_timer_us timer(rebuild_histogram);
+    const Span_scope span("candidates/rebuild");
+
+    const auto rule_index = static_cast<std::size_t>(recipe.rule_index);
+    XRL_EXPECTS(rule_index < rules_->size());
+    if (const Pattern_rule* pattern_rule = pattern_rules_[rule_index]) {
+        std::uint64_t hash = 0;
+        const bool applied =
+            apply_match_into(out, host, pattern_rule->pattern(), recipe.match, &hash);
+        XRL_ENSURES(applied);
+        return hash;
+    }
+    // Bespoke rule: its first slot + 1 outputs are the same at any larger
+    // limit, so the candidate is the last of them. The swap hands `out`'s
+    // old buffers to the batch, keeping both sides warm.
+    XRL_EXPECTS(recipe.bespoke_slot >= 0);
+    const auto slot = static_cast<std::size_t>(recipe.bespoke_slot);
+    rebuild_batch_.reset();
+    (*rules_)[rule_index]->apply_all_into(host, slot + 1, rebuild_batch_);
+    XRL_ENSURES(rebuild_batch_.size() == slot + 1);
+    std::swap(out, rebuild_batch_[slot]);
+    return out.canonical_hash();
 }
 
 } // namespace xrl

@@ -19,7 +19,9 @@
 //      (results are collected into per-rule slots, so the output never
 //      depends on thread scheduling);
 //   5. candidate graphs materialise into recycled pool slots, so a
-//      steady-state step allocates ~nothing.
+//      steady-state step allocates ~nothing; a search that keeps many
+//      candidates but revisits few (TASO's queue) keeps each one's Recipe
+//      and rebuild()s it from its host when needed.
 //
 // Rules that are not Pattern_rules (the bespoke shape-dependent rules)
 // cannot defer materialisation — their apply_all_into *is* the site
@@ -72,10 +74,21 @@ public:
 
     const Rule_set& rules() const { return *rules_; }
 
+    /// How to rebuild one candidate from its host: the rule, plus the match
+    /// site (pattern rules) or the candidate's slot in the rule's
+    /// apply_all_into output (bespoke rules). A few hundred bytes, where the
+    /// graph it stands for is the whole host — a search that keeps many
+    /// candidates keeps recipes and rebuilds the few it revisits.
+    struct Recipe {
+        int rule_index = -1;
+        Pattern_match match;              ///< Pattern rules: the match site.
+        std::ptrdiff_t bespoke_slot = -1; ///< Bespoke rules: index into the rule's output.
+    };
+
     /// One generated candidate. The graph lives in a pool slot owned by the
     /// engine (or, for bespoke rules, in the engine's per-rule batch) and
     /// stays valid until the next generate_step() call. The owner may move
-    /// `*graph` out (a search keeping the candidate in its queue); the
+    /// `*graph` out (Tensat's seeding rounds keep each round's best); the
     /// engine refills a moved-from slot the next time it uses it.
     struct Step_candidate {
         Graph* graph = nullptr;
@@ -84,6 +97,17 @@ public:
         /// How `*graph` differs from the host (for the next step's index
         /// patch); null for bespoke rules, which cannot report one.
         const Rewrite_delta* delta = nullptr;
+        /// Pattern rules: the match site, in the engine's record buffer
+        /// (valid until the next generate_step() call); null for bespoke rules.
+        const Pattern_match* match = nullptr;
+        /// Bespoke rules: the slot in the rule's batch; -1 for pattern rules.
+        std::ptrdiff_t bespoke_slot = -1;
+
+        /// An owned copy of the recipe, valid beyond the next call.
+        Recipe recipe() const
+        {
+            return {rule_index, match != nullptr ? *match : Pattern_match{}, bespoke_slot};
+        }
     };
 
     struct Step_generated {
@@ -109,6 +133,16 @@ public:
     /// thread-safe — one owner per engine (see docs/CONCURRENCY.md).
     const Step_generated& generate_step(const Graph& host, std::size_t max_total = SIZE_MAX,
                                         const Step_candidate* via = nullptr);
+
+    /// Rebuild the candidate `recipe` describes into `out` (recycled
+    /// storage; contents unspecified) and return its canonical hash. When
+    /// `host` is the graph the recipe's candidate was generated from, `out`
+    /// becomes that candidate exactly — same node ids, capacity and hash.
+    /// Pattern rules re-apply the match; bespoke rules re-run the rule with
+    /// `limit = slot + 1` (Rewrite_rule::apply_all_into is prefix-stable)
+    /// and keep the last output. Uses none of generate_step()'s storage, so
+    /// the last step's candidates stay valid.
+    std::uint64_t rebuild(const Graph& host, const Recipe& recipe, Graph& out);
 
     /// The persistent index (null before the first generate_step) —
     /// exposed for the incremental-vs-rebuild A/B gate.
@@ -149,6 +183,7 @@ private:
     bool index_ready_ = false;
     std::vector<std::vector<Rewrite_candidate>> per_rule_; ///< Match fan-out results.
     std::vector<Graph_batch> bespoke_; ///< Per rule: eagerly built bespoke candidates.
+    Graph_batch rebuild_batch_;        ///< rebuild()'s bespoke-rule scratch.
     std::unordered_set<std::uint64_t> fingerprints_seen_;
     std::vector<Rewrite_candidate> records_;
     Pool<Slot> slot_pool_;
@@ -161,7 +196,7 @@ class Histogram;
 
 /// The registry histogram `xrlflow_candidate_phase_us{phase=...}` every
 /// engine instance times its pipeline phases into (index_build, match,
-/// dedup, materialise, finalise_rewrite). Exposed so the benches can read
+/// dedup, materialise, finalise_rewrite, rebuild). Exposed so the benches can read
 /// per-phase snapshots into BENCH_candidates.json.
 Histogram& candidate_phase_histogram(const char* phase);
 

@@ -67,6 +67,12 @@ public:
     /// complete transformed graph (validated, shapes inferred) into `out`.
     /// At most `limit` candidates are produced. `out` is NOT reset first —
     /// the caller owns the batch lifecycle.
+    ///
+    /// Contract (Candidate_engine::rebuild relies on it to re-create a
+    /// bespoke candidate from its slot index): the outputs are a
+    /// deterministic function of `graph`, and they are prefix-stable under
+    /// `limit` — the first k outputs at `limit = k` equal the first k at any
+    /// larger limit.
     virtual void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const = 0;
 
     /// Convenience wrapper: apply_all_into through a fresh batch. Callers on

@@ -8,6 +8,7 @@
 #include "env/environment.h"
 #include "ir/builder.h"
 #include "models/models.h"
+#include "optimizers/pet/pet_optimizer.h"
 #include "rules/candidate_engine.h"
 #include "rules/corpus.h"
 
@@ -267,6 +268,109 @@ TEST(Candidate_engine, HandlesRulelessCorpus)
     const Candidate_engine::Step_generated& generated = engine.generate_step(host);
     EXPECT_TRUE(generated.candidates.empty());
     EXPECT_EQ(generated.enumerated, 0u);
+}
+
+/// The standard corpus plus PET's spatial split: the rule set PET searches.
+Rule_set pet_rule_corpus()
+{
+    Rule_set rules = standard_rule_corpus();
+    rules.push_back(make_pet_spatial_split_rule());
+    return rules;
+}
+
+/// Two sites each for the bespoke rules no smoke model triggers:
+/// split -> concat, concat -> split, and conv + conv of mixed kernel sizes.
+Graph bespoke_sites_host()
+{
+    Graph_builder b;
+    const Edge x = b.input({1, 3, 8, 8});
+    std::vector<Edge> outputs;
+    for (int site = 0; site < 2; ++site) {
+        const auto parts = b.split(x, 1, {1, 2});
+        const Edge rejoined = b.relu(b.concat(1, {parts[0], parts[1]}));
+        const auto pieces = b.split(b.concat(1, {x, rejoined}), 1, {3, 3});
+        outputs.push_back(b.tanh(pieces[0]));
+        outputs.push_back(b.tanh(pieces[1]));
+        const Edge c3 = b.conv2d(x, b.weight({4, 3, 3, 3}), 1, 1);
+        const Edge c1 = b.conv2d(x, b.weight({4, 3, 1, 1}), 1, 0);
+        outputs.push_back(b.add(c3, c1));
+    }
+    return b.finish(outputs);
+}
+
+TEST(Candidate_engine, BespokeRulesArePrefixStableUnderLimit)
+{
+    // rebuild() re-runs a bespoke rule with limit = slot + 1 and keeps the
+    // last output, so every bespoke rule must be deterministic and its
+    // first k outputs at limit k must be its first k at any larger limit.
+    const Rule_set rules = pet_rule_corpus();
+    const std::vector<Graph> hosts = {make_inception_v3(Scale::smoke),
+                                      make_resnext50(Scale::smoke), make_bert(Scale::smoke, 32),
+                                      bespoke_sites_host()};
+    std::size_t bespoke_rules = 0;
+    std::size_t fired_rules = 0;
+    for (const auto& rule : rules) {
+        if (dynamic_cast<const Pattern_rule*>(rule.get()) != nullptr) continue;
+        ++bespoke_rules;
+        bool fired = false;
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            const std::vector<Graph> full = rule->apply_all(hosts[h]);
+            fired = fired || !full.empty();
+            const std::vector<Graph> again = rule->apply_all(hosts[h]);
+            ASSERT_EQ(again.size(), full.size()) << rule->name() << " host " << h;
+            for (std::size_t limit = 0; limit <= full.size(); ++limit) {
+                // Every short prefix, then the longest: the cost of each
+                // check grows with the limit.
+                if (limit > 4 && limit + 1 < full.size()) continue;
+                const std::vector<Graph> prefix = rule->apply_all(hosts[h], limit);
+                ASSERT_EQ(prefix.size(), limit) << rule->name() << " host " << h;
+                for (std::size_t i = 0; i < limit; ++i) {
+                    EXPECT_EQ(prefix[i].canonical_hash(), full[i].canonical_hash())
+                        << rule->name() << " host " << h << " limit " << limit << " slot " << i;
+                    EXPECT_EQ(prefix[i].capacity(), full[i].capacity())
+                        << rule->name() << " host " << h << " limit " << limit << " slot " << i;
+                }
+            }
+            for (std::size_t i = 0; i < full.size(); ++i)
+                EXPECT_EQ(again[i].canonical_hash(), full[i].canonical_hash())
+                    << rule->name() << " host " << h << " slot " << i;
+        }
+        fired_rules += fired ? 1 : 0;
+    }
+    EXPECT_GT(bespoke_rules, 1u);
+    EXPECT_EQ(fired_rules, bespoke_rules) << "a bespoke rule never fired on the hosts";
+}
+
+TEST(Candidate_engine, RebuildReproducesEveryCandidate)
+{
+    // A recipe (rule plus match site or bespoke slot) rebuilds exactly the
+    // candidate generate_step made from the same host — the contract TASO's
+    // recipe queue checks on every pop.
+    const std::vector<Graph> hosts = {make_bert(Scale::smoke, 32),
+                                      make_inception_v3(Scale::smoke)};
+    for (const Rule_set& rules : {standard_rule_corpus(), pet_rule_corpus()}) {
+        Candidate_engine engine(rules, Candidate_engine_config{1000, 1});
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            const Candidate_engine::Step_generated& generated = engine.generate_step(hosts[h]);
+            bool pattern = false;
+            bool bespoke = false;
+            Graph rebuilt;
+            for (const Candidate_engine::Step_candidate& c : generated.candidates) {
+                (c.match != nullptr ? pattern : bespoke) = true;
+                EXPECT_NE(c.match != nullptr, c.bespoke_slot >= 0) << "rule " << c.rule_index;
+                const std::uint64_t hash = engine.rebuild(hosts[h], c.recipe(), rebuilt);
+                EXPECT_EQ(hash, c.hash) << "host " << h << " rule " << c.rule_index;
+                EXPECT_EQ(rebuilt.canonical_hash(), c.hash)
+                    << "host " << h << " rule " << c.rule_index;
+                EXPECT_EQ(rebuilt.capacity(), c.graph->capacity())
+                    << "host " << h << " rule " << c.rule_index;
+                EXPECT_EQ(rebuilt.size(), c.graph->size())
+                    << "host " << h << " rule " << c.rule_index;
+            }
+            EXPECT_TRUE(pattern) << "host " << h;
+            EXPECT_TRUE(bespoke) << "host " << h;
+        }
+    }
 }
 
 } // namespace
