@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "optimizers/pet/pet_optimizer.h"
 #include "rules/candidate_engine.h"
 #include "rules/corpus.h"
+#include "support/fnv.h"
 
 namespace xrl {
 namespace {
@@ -339,6 +342,87 @@ TEST(Candidate_engine, BespokeRulesArePrefixStableUnderLimit)
     }
     EXPECT_GT(bespoke_rules, 1u);
     EXPECT_EQ(fired_rules, bespoke_rules) << "a bespoke rule never fired on the hosts";
+}
+
+/// A pinned bespoke-rule output on one host: how many candidates apply_all
+/// produced, and the FNV fold of their canonical hashes in output order
+/// (no output folds to fnv1a_offset).
+struct Golden_outputs {
+    std::size_t count;
+    std::uint64_t digest;
+};
+
+Golden_outputs golden_outputs(const std::vector<Graph>& outputs)
+{
+    std::uint64_t digest = fnv1a_offset;
+    for (const Graph& g : outputs) digest = fnv1a_mix(digest, g.canonical_hash());
+    return {outputs.size(), digest};
+}
+
+TEST(BespokeRules, GoldenOutputHashes)
+{
+    // The exact ordered output of every bespoke rule (PET's split included)
+    // on smoke InceptionV3, ResNeXt-50, BERT and the hand-built host,
+    // uncapped and at limit 2: a change to a rule's site order, site
+    // filtering or the rewrite it builds moves one of these numbers.
+    struct Golden_rule {
+        const char* rule;
+        std::array<Golden_outputs, 4> full;   ///< limit SIZE_MAX, per host.
+        std::array<Golden_outputs, 4> capped; ///< limit 2, per host.
+    };
+    constexpr std::uint64_t none = fnv1a_offset;
+    const std::vector<Golden_rule> expected = {
+        {"merge-matmul-shared-lhs",
+         {{{0, none}, {0, none}, {9, 0x31f0b39e80f2b720ULL}, {0, none}}},
+         {{{0, none}, {0, none}, {2, 0xeb9157c30ff77177ULL}, {0, none}}}},
+        {"merge-conv-shared-input",
+         {{{9, 0x01fd6c501b8b8aa7ULL}, {1, 0xba1ac668b5926c7aULL}, {0, none},
+           {2, 0xe48f55e8c83ce671ULL}}},
+         {{{2, 0x3a49978052670739ULL}, {1, 0xba1ac668b5926c7aULL}, {0, none},
+           {2, 0xe48f55e8c83ce671ULL}}}},
+        {"eliminate-split-concat",
+         {{{0, none}, {0, none}, {0, none}, {2, 0x36ef2eca381803ceULL}}},
+         {{{0, none}, {0, none}, {0, none}, {2, 0x36ef2eca381803ceULL}}}},
+        {"eliminate-concat-split",
+         {{{0, none}, {0, none}, {0, none}, {2, 0xc51df1569aaf5a64ULL}}},
+         {{{0, none}, {0, none}, {0, none}, {2, 0xc51df1569aaf5a64ULL}}}},
+        {"fold-batch-norm-into-conv",
+         {{{34, 0x7179e3941cadb1beULL}, {23, 0x176c743f6dffea45ULL}, {0, none}, {0, none}}},
+         {{{2, 0x0538d821a6512d39ULL}, {2, 0xa712dd85e2566beaULL}, {0, none}, {0, none}}}},
+        {"merge-conv-add-enlarge",
+         {{{0, none}, {0, none}, {0, none}, {2, 0xf3c084de711bc430ULL}}},
+         {{{0, none}, {0, none}, {0, none}, {2, 0xf3c084de711bc430ULL}}}},
+        {"fold-embedding-projection",
+         {{{0, none}, {0, none}, {1, 0x943719c6d1163bc2ULL}, {0, none}}},
+         {{{0, none}, {0, none}, {1, 0x943719c6d1163bc2ULL}, {0, none}}}},
+        {"pet-spatial-split",
+         {{{34, 0x97eb0329145bb0e5ULL}, {16, 0x385a1b63f447bd2cULL}, {0, none},
+           {4, 0x41ceb3a8927096fdULL}}},
+         {{{2, 0x1ad9443d5fca3858ULL}, {2, 0x7447ec8d7cff4394ULL}, {0, none},
+           {2, 0x25e6b7aff47dbca7ULL}}}},
+    };
+    const Rule_set rules = pet_rule_corpus();
+    const std::vector<Graph> hosts = {make_inception_v3(Scale::smoke),
+                                      make_resnext50(Scale::smoke), make_bert(Scale::smoke, 32),
+                                      bespoke_sites_host()};
+    std::size_t checked = 0;
+    for (const auto& rule : rules) {
+        if (dynamic_cast<const Pattern_rule*>(rule.get()) != nullptr) continue;
+        const auto golden =
+            std::find_if(expected.begin(), expected.end(),
+                         [&](const Golden_rule& g) { return rule->name() == g.rule; });
+        ASSERT_NE(golden, expected.end()) << "no golden for " << rule->name();
+        ++checked;
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            const Golden_outputs full = golden_outputs(rule->apply_all(hosts[h]));
+            const Golden_outputs capped = golden_outputs(rule->apply_all(hosts[h], 2));
+            EXPECT_EQ(full.count, golden->full[h].count) << rule->name() << " host " << h;
+            EXPECT_EQ(full.digest, golden->full[h].digest) << rule->name() << " host " << h;
+            EXPECT_EQ(capped.count, golden->capped[h].count) << rule->name() << " host " << h;
+            EXPECT_EQ(capped.digest, golden->capped[h].digest) << rule->name() << " host " << h;
+        }
+    }
+    EXPECT_EQ(checked, expected.size());
 }
 
 TEST(Candidate_engine, RebuildReproducesEveryCandidate)
