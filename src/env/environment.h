@@ -99,8 +99,8 @@ public:
     /// Average candidates per step since construction (Table 3 "complexity").
     double mean_candidates_per_step() const;
 
-    /// Candidate records left unmaterialised because the set reached
-    /// max_candidates.
+    /// Candidate records left unbuilt because the set reached
+    /// max_candidates (Candidate_engine's Step_generated::truncated).
     std::size_t truncated_candidates() const { return truncated_; }
 
     const Rule_set& rules() const { return *rules_; }

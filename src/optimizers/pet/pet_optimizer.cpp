@@ -33,24 +33,26 @@ class Pet_spatial_split_rule final : public Rewrite_rule {
 public:
     Pet_spatial_split_rule() : Rewrite_rule("pet-spatial-split") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        for (const Node_id id : host.node_ids()) {
-            if (out.size() >= limit) break;
+        for (const Node_id id : index.of_kind(Op_kind::conv2d)) {
             const Node& conv = host.node(id);
-            if (conv.kind != Op_kind::conv2d) continue;
             if (conv.params.stride_h != 1 || conv.params.stride_w != 1) continue;
             const Shape& out_shape = host.shape_of({id, 0});
             if (out_shape[2] < 4) continue; // too small to be worth splitting
-            if (split_conv(out.next(), host, id)) out.keep();
+            Rewrite_site site;
+            site.nodes[0] = id;
+            out.push_back(std::move(site));
         }
     }
 
-private:
-    /// Build the split into `g` (a recycled batch slot: copying the host
-    /// over it reuses the slot's buffers). False when the split is invalid.
-    static bool split_conv(Graph& g, const Graph& host, Node_id conv_id)
+    /// Build the split into `g` (recycled storage: copying the host over it
+    /// reuses its buffers). False when the split is invalid.
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
     {
+        const Node_id conv_id = site.nodes[0];
         g = host;
         const Edge x = g.node(conv_id).inputs[0];
         const Edge w = g.node(conv_id).inputs[1];
@@ -91,7 +93,7 @@ private:
 
         g.replace_all_uses({conv_id, 0}, {cat, 0});
         return finalise_rewrite(g, host, static_cast<Node_id>(host.capacity()),
-                                {{{conv_id, 0}, {cat, 0}}});
+                                {{{conv_id, 0}, {cat, 0}}}, hash);
     }
 };
 
@@ -135,7 +137,7 @@ Pet_result optimise_pet(const Graph& input, const Cost_model& cost, const Taso_c
     Rule_set rules = standard_rule_corpus();
     rules.push_back(make_pet_spatial_split_rule());
 
-    const Taso_result inner = optimise_taso_with_cost(
+    const Taso_result inner = optimise_taso_with_pure_cost(
         input, rules, [&cost](const Graph& g) { return pet_graph_cost_ms(cost, g); }, config);
 
     Pet_result result;

@@ -8,6 +8,7 @@
 
 #include "rules/candidate_engine.h"
 #include "support/check.h"
+#include "support/thread_pool.h"
 
 namespace xrl {
 
@@ -32,10 +33,11 @@ struct Cost_greater {
     }
 };
 
-} // namespace
-
-Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
-                                    const Graph_cost_fn& cost, const Taso_config& config)
+/// The search loop behind every entry point. With `pool` null, `cost` is
+/// called serially on the caller's thread, in admission order; otherwise
+/// each pop's novel candidates are costed on `pool`.
+Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_fn& cost,
+                   Thread_pool* pool, const Taso_config& config)
 {
     const auto start = std::chrono::steady_clock::now();
 
@@ -57,11 +59,16 @@ Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
     std::deque<Graph> popped;
     std::optional<Queued_recipe> best; // the best candidate so far; empty = the input
 
-    // One engine for the whole search: matching fans out across the rule
-    // corpus with a shared op-kind index, a candidate is only materialised
-    // after its match-site fingerprint survived dedup, and candidate graphs
-    // stay in the engine's recycled slots (the queue keeps recipes). The
-    // cross-iteration `seen` cache stays here — it spans queue pops.
+    // One pop's novel candidates and their costs.
+    std::vector<const Candidate_engine::Step_candidate*> novel;
+    std::vector<double> costs;
+
+    // One engine for the whole search: every rule lists its sites against a
+    // shared op-kind index, a candidate is only built after its site
+    // fingerprint survived dedup, builds fan out on the shared pool, and
+    // candidate graphs stay in the engine's recycled slots (the queue keeps
+    // recipes). The cross-iteration `seen` cache stays here — it spans
+    // queue pops.
     Candidate_engine engine(rules, Candidate_engine_config{config.max_candidates_per_step, 0});
     const auto rebuild_into = [&](const Queued_recipe& entry, Graph& out) {
         const std::uint64_t hash =
@@ -85,12 +92,26 @@ Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
         else
             rebuild_into(current, host);
 
-        for (const Candidate_engine::Step_candidate& candidate :
-             engine.generate_step(host).candidates) {
-            ++result.candidates_generated;
-            if (!seen.insert(candidate.hash).second) continue;
+        // Cost the pop's novel candidates as one batch, then admit them in
+        // candidate order: admission reads the running best cost, so the
+        // order — not how the batch was costed — decides the result.
+        const Candidate_engine::Step_generated& generated = engine.generate_step(host);
+        result.candidates_generated += static_cast<int>(generated.candidates.size());
+        novel.clear();
+        for (const Candidate_engine::Step_candidate& candidate : generated.candidates)
+            if (seen.insert(candidate.hash).second) novel.push_back(&candidate);
+        costs.resize(novel.size());
+        const auto cost_one = [&](std::size_t i) { costs[i] = cost(*novel[i]->graph); };
+        if (pool != nullptr) {
+            pool->run(novel.size(), cost_one);
+        } else {
+            for (std::size_t i = 0; i < novel.size(); ++i) cost_one(i);
+        }
+
+        for (std::size_t i = 0; i < novel.size(); ++i) {
+            const Candidate_engine::Step_candidate& candidate = *novel[i];
             ++result.rule_candidates[static_cast<std::size_t>(candidate.rule_index)];
-            const double candidate_cost = cost(*candidate.graph);
+            const double candidate_cost = costs[i];
             const bool improves = candidate_cost < result.best_cost_ms;
             if (improves) result.best_cost_ms = candidate_cost;
             const bool admitted = candidate_cost < config.alpha * result.best_cost_ms &&
@@ -111,11 +132,25 @@ Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
     return result;
 }
 
+} // namespace
+
 Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Cost_model& cost,
                           const Taso_config& config)
 {
-    return optimise_taso_with_cost(
+    return optimise_taso_with_pure_cost(
         input, rules, [&cost](const Graph& g) { return cost.graph_cost_ms(g); }, config);
+}
+
+Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
+                                    const Graph_cost_fn& cost, const Taso_config& config)
+{
+    return search(input, rules, cost, nullptr, config);
+}
+
+Taso_result optimise_taso_with_pure_cost(const Graph& input, const Rule_set& rules,
+                                         const Graph_cost_fn& cost, const Taso_config& config)
+{
+    return search(input, rules, cost, &Thread_pool::shared(), config);
 }
 
 namespace {

@@ -8,11 +8,18 @@
 // (as the paper argues, §2.2.2) cannot plan for long-term gains.
 //
 // The queue holds rewrite recipes, not graphs: each entry is its parent's
-// index among the popped graphs, the rule, the match site (or bespoke
-// slot) and the candidate's canonical hash. A popped entry is rebuilt from
-// its parent (Candidate_engine::rebuild, hash-checked), and so is the best
-// graph once at the end, so a search holds at most budget + 1 graphs
-// however many candidates it admits.
+// index among the popped graphs, the rule, the rewrite site and the
+// candidate's canonical hash. A popped entry is rebuilt from its parent
+// (Candidate_engine::rebuild, hash-checked), and so is the best graph once
+// at the end, so a search holds at most budget + 1 graphs however many
+// candidates it admits.
+//
+// Each pop costs its novel candidates — those whose canonical hash the
+// search has not seen — as one batch, then admits them in candidate order:
+// optimise_taso and PET cost the batch in parallel on the shared thread
+// pool; optimise_taso_with_cost costs it serially on the caller's thread.
+// Admission reads the costs in candidate order either way, so every entry
+// point returns the same result for the same cost.
 #pragma once
 
 #include <functional>
@@ -46,15 +53,25 @@ struct Taso_result {
     std::vector<int> rule_candidates; ///< Novel candidates admitted per rule index.
 };
 
-/// Run the search; `cost` supplies the ranking signal (the TASO cost model
-/// by default; PET substitutes its element-wise-blind variant).
+/// Run the search; `cost` supplies the ranking signal (the TASO cost
+/// model). Each pop's costs fan out on the shared pool.
 Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Cost_model& cost,
                           const Taso_config& config = {});
 
-/// Generic cost callback variant (used by the PET emulation).
+/// Generic cost callback variant. `cost` is called serially on the
+/// caller's thread, input first and then in admission order, so it need
+/// not be thread-safe (a timing probe around a cost model may count and
+/// clock each call).
 using Graph_cost_fn = std::function<double(const Graph&)>;
 Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
                                     const Graph_cost_fn& cost, const Taso_config& config);
+
+/// As optimise_taso_with_cost, but `cost` must be pure and safe to call
+/// concurrently (Cost_model's and PET's graph costs are: const, no
+/// caches): each pop's novel candidates are costed on the shared pool.
+/// optimise_taso and optimise_pet run through it.
+Taso_result optimise_taso_with_pure_cost(const Graph& input, const Rule_set& rules,
+                                         const Graph_cost_fn& cost, const Taso_config& config);
 
 /// Register the "taso" backend. Options: "taso.alpha", "taso.budget",
 /// "taso.max_candidates_per_step", "taso.max_queue".

@@ -12,10 +12,19 @@ namespace {
 /// structurally invalid (cycle or failed shape inference). `graph` must be
 /// a copy of `host` mutated only by appending nodes and redirecting the
 /// `rewired` edges — the shared epilogue then infers shapes incrementally.
+/// Bespoke rules report no Rewrite_delta (see Rewrite_rule::build).
 bool finalise_transformed(Graph& graph, const Graph& host,
-                          const std::vector<Rewired_edge>& rewired)
+                          const std::vector<Rewired_edge>& rewired, std::uint64_t* hash)
 {
-    return finalise_rewrite(graph, host, static_cast<Node_id>(host.capacity()), rewired);
+    return finalise_rewrite(graph, host, static_cast<Node_id>(host.capacity()), rewired, hash);
+}
+
+/// A bespoke site naming one or two host nodes.
+Rewrite_site site_at(Node_id first, Node_id second = invalid_node)
+{
+    Rewrite_site site;
+    site.nodes = {first, second};
+    return site;
 }
 
 bool is_graph_output(const Graph& g, Node_id id)
@@ -25,28 +34,16 @@ bool is_graph_output(const Graph& g, Node_id id)
     return false;
 }
 
-/// Host use lists in per-thread reused storage: the fan-out-gated rules
-/// below rebuild them once per rule per step, so fresh vector-of-vectors
-/// allocations would land on the candidate-generation hot path.
-const std::vector<std::vector<Edge_use>>& host_users(const Graph& host)
-{
-    thread_local std::vector<std::vector<Edge_use>> users;
-    host.build_users(users);
-    return users;
-}
-
 class Merge_matmul_shared_lhs_rule final : public Rewrite_rule {
 public:
     Merge_matmul_shared_lhs_rule() : Rewrite_rule("merge-matmul-shared-lhs") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        std::vector<Node_id> matmuls;
-        for (const Node_id id : host.node_ids())
-            if (host.node(id).kind == Op_kind::matmul) matmuls.push_back(id);
-
-        for (std::size_t i = 0; i < matmuls.size() && out.size() < limit; ++i) {
-            for (std::size_t j = i + 1; j < matmuls.size() && out.size() < limit; ++j) {
+        const std::vector<Node_id>& matmuls = index.of_kind(Op_kind::matmul);
+        for (std::size_t i = 0; i < matmuls.size(); ++i) {
+            for (std::size_t j = i + 1; j < matmuls.size(); ++j) {
                 const Node& m1 = host.node(matmuls[i]);
                 const Node& m2 = host.node(matmuls[j]);
                 if (!(m1.params == m2.params)) continue;
@@ -56,15 +53,17 @@ public:
                 if (w1.size() != 2 || w2.size() != 2) continue;
                 if (w1[0] != w2[0]) continue;
                 if (m1.inputs[1] == m2.inputs[1]) continue; // degenerate
-                if (merge(out.next(), host, matmuls[i], matmuls[j], w1[1], w2[1])) out.keep();
+                out.push_back(site_at(matmuls[i], matmuls[j]));
             }
         }
     }
 
-private:
-    static bool merge(Graph& g, const Graph& host, Node_id id1, Node_id id2, std::int64_t n1,
-                      std::int64_t n2)
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
     {
+        const auto [id1, id2] = site.nodes;
+        const std::int64_t n1 = host.shape_of(host.node(id1).inputs[1])[1];
+        const std::int64_t n2 = host.shape_of(host.node(id2).inputs[1])[1];
         g = host;
         // Copy edges/params by value before add_node, which may reallocate
         // the node storage.
@@ -85,7 +84,7 @@ private:
 
         g.replace_all_uses({id1, 0}, {sp, 0});
         g.replace_all_uses({id2, 0}, {sp, 1});
-        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}});
+        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash);
     }
 };
 
@@ -93,14 +92,12 @@ class Merge_conv_shared_input_rule final : public Rewrite_rule {
 public:
     Merge_conv_shared_input_rule() : Rewrite_rule("merge-conv-shared-input") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        std::vector<Node_id> convs;
-        for (const Node_id id : host.node_ids())
-            if (host.node(id).kind == Op_kind::conv2d) convs.push_back(id);
-
-        for (std::size_t i = 0; i < convs.size() && out.size() < limit; ++i) {
-            for (std::size_t j = i + 1; j < convs.size() && out.size() < limit; ++j) {
+        const std::vector<Node_id>& convs = index.of_kind(Op_kind::conv2d);
+        for (std::size_t i = 0; i < convs.size(); ++i) {
+            for (std::size_t j = i + 1; j < convs.size(); ++j) {
                 const Node& c1 = host.node(convs[i]);
                 const Node& c2 = host.node(convs[j]);
                 if (!(c1.params == c2.params)) continue;
@@ -111,15 +108,17 @@ public:
                 // Filter geometry must agree for filter-bank concatenation.
                 if (w1[1] != w2[1] || w1[2] != w2[2] || w1[3] != w2[3]) continue;
                 if (c1.inputs[1] == c2.inputs[1]) continue;
-                if (merge(out.next(), host, convs[i], convs[j], w1[0], w2[0])) out.keep();
+                out.push_back(site_at(convs[i], convs[j]));
             }
         }
     }
 
-private:
-    static bool merge(Graph& g, const Graph& host, Node_id id1, Node_id id2, std::int64_t k1,
-                      std::int64_t k2)
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
     {
+        const auto [id1, id2] = site.nodes;
+        const std::int64_t k1 = host.shape_of(host.node(id1).inputs[1])[0];
+        const std::int64_t k2 = host.shape_of(host.node(id2).inputs[1])[0];
         g = host;
         const Edge x = g.node(id1).inputs[0];
         const Edge w1 = g.node(id1).inputs[1];
@@ -137,7 +136,7 @@ private:
 
         g.replace_all_uses({id1, 0}, {sp, 0});
         g.replace_all_uses({id2, 0}, {sp, 1});
-        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}});
+        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash);
     }
 };
 
@@ -145,12 +144,11 @@ class Eliminate_split_concat_rule final : public Rewrite_rule {
 public:
     Eliminate_split_concat_rule() : Rewrite_rule("eliminate-split-concat") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        for (const Node_id id : host.node_ids()) {
-            if (out.size() >= limit) break;
+        for (const Node_id id : index.of_kind(Op_kind::concat)) {
             const Node& cat = host.node(id);
-            if (cat.kind != Op_kind::concat) continue;
             // All inputs must be consecutive ports 0..n-1 of one split node.
             const Node_id split_id = cat.inputs.front().node;
             const Node& sp = host.node(split_id);
@@ -166,13 +164,18 @@ public:
                 }
             }
             if (!in_order) continue;
-
-            Graph& g = out.next();
-            g = host;
-            const Edge replacement = g.node(split_id).inputs[0];
-            g.replace_all_uses({id, 0}, replacement);
-            if (finalise_transformed(g, host, {{{id, 0}, replacement}})) out.keep();
+            out.push_back(site_at(id));
         }
+    }
+
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
+    {
+        const Node_id id = site.nodes[0];
+        g = host;
+        const Edge replacement = g.node(g.node(id).inputs.front().node).inputs[0];
+        g.replace_all_uses({id, 0}, replacement);
+        return finalise_transformed(g, host, {{{id, 0}, replacement}}, hash);
     }
 };
 
@@ -180,12 +183,11 @@ class Eliminate_concat_split_rule final : public Rewrite_rule {
 public:
     Eliminate_concat_split_rule() : Rewrite_rule("eliminate-concat-split") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        for (const Node_id id : host.node_ids()) {
-            if (out.size() >= limit) break;
+        for (const Node_id id : index.of_kind(Op_kind::split)) {
             const Node& sp = host.node(id);
-            if (sp.kind != Op_kind::split) continue;
             const Node_id cat_id = sp.inputs[0].node;
             const Node& cat = host.node(cat_id);
             if (cat.kind != Op_kind::concat) continue;
@@ -200,19 +202,26 @@ public:
                 }
             }
             if (!sizes_match) continue;
-
-            Graph& g = out.next();
-            g = host;
-            std::vector<Rewired_edge> rewired;
-            rewired.reserve(cat.inputs.size());
-            for (std::size_t piece = 0; piece < cat.inputs.size(); ++piece) {
-                const Edge before{id, static_cast<std::int32_t>(piece)};
-                const Edge after = g.node(cat_id).inputs[piece];
-                g.replace_all_uses(before, after);
-                rewired.push_back({before, after});
-            }
-            if (finalise_transformed(g, host, rewired)) out.keep();
+            out.push_back(site_at(id));
         }
+    }
+
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
+    {
+        const Node_id id = site.nodes[0];
+        const Node_id cat_id = host.node(id).inputs[0].node;
+        const std::size_t pieces = host.node(cat_id).inputs.size();
+        g = host;
+        std::vector<Rewired_edge> rewired;
+        rewired.reserve(pieces);
+        for (std::size_t piece = 0; piece < pieces; ++piece) {
+            const Edge before{id, static_cast<std::int32_t>(piece)};
+            const Edge after = g.node(cat_id).inputs[piece];
+            g.replace_all_uses(before, after);
+            rewired.push_back({before, after});
+        }
+        return finalise_transformed(g, host, rewired, hash);
     }
 };
 
@@ -220,13 +229,12 @@ class Fold_batch_norm_rule final : public Rewrite_rule {
 public:
     Fold_batch_norm_rule() : Rewrite_rule("fold-batch-norm-into-conv") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        const auto& users = host_users(host);
-        for (const Node_id id : host.node_ids()) {
-            if (out.size() >= limit) break;
+        const auto& users = index.users();
+        for (const Node_id id : index.of_kind(Op_kind::batch_norm)) {
             const Node& bn = host.node(id);
-            if (bn.kind != Op_kind::batch_norm) continue;
             const Node_id conv_id = bn.inputs[0].node;
             const Node& conv = host.node(conv_id);
             if (conv.kind != Op_kind::conv2d) continue;
@@ -234,13 +242,14 @@ public:
             // The conv output must feed only this batch norm.
             if (users[static_cast<std::size_t>(conv_id)].size() != 1) continue;
             if (is_graph_output(host, conv_id)) continue;
-            if (fold(out.next(), host, id, conv_id)) out.keep();
+            out.push_back(site_at(id, conv_id));
         }
     }
 
-private:
-    static bool fold(Graph& g, const Graph& host, Node_id bn_id, Node_id conv_id)
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
     {
+        const auto [bn_id, conv_id] = site.nodes;
         g = host;
         const Node& bn = g.node(bn_id);
         const Node& conv = g.node(conv_id);
@@ -276,7 +285,7 @@ private:
         const Node_id y = g.add_node(Op_kind::add, {{folded_conv, 0}, {bias_col, 0}});
 
         g.replace_all_uses({bn_id, 0}, {y, 0});
-        return finalise_transformed(g, host, {{{bn_id, 0}, {y, 0}}});
+        return finalise_transformed(g, host, {{{bn_id, 0}, {y, 0}}}, hash);
     }
 };
 
@@ -284,32 +293,44 @@ class Merge_conv_add_enlarge_rule final : public Rewrite_rule {
 public:
     Merge_conv_add_enlarge_rule() : Rewrite_rule("merge-conv-add-enlarge") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    /// A site is an add of two convolutions that feed only it and can merge
+    /// in at least one order; build tries both orders, the larger kernel
+    /// hosting the enlarged smaller one, and keeps the first that builds.
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        const auto& users = host_users(host);
-        for (const Node_id id : host.node_ids()) {
-            if (out.size() >= limit) break;
+        const auto& users = index.users();
+        for (const Node_id id : index.of_kind(Op_kind::add)) {
             const Node& a = host.node(id);
-            if (a.kind != Op_kind::add) continue;
             const Node_id lhs = a.inputs[0].node;
             const Node_id rhs = a.inputs[1].node;
             if (lhs == rhs) continue;
             if (host.node(lhs).kind != Op_kind::conv2d || host.node(rhs).kind != Op_kind::conv2d)
                 continue;
-            // Try both orders: the larger kernel hosts the enlarged smaller one.
-            for (const auto& [big, small] : {std::pair{lhs, rhs}, std::pair{rhs, lhs}}) {
-                if (!mergeable(host, users, id, big, small)) continue;
-                if (merge(out.next(), host, id, big, small)) {
-                    out.keep();
-                    break;
-                }
-            }
+            // Both convs must feed only the add.
+            const auto feeds_only_add = [&](Node_id conv) {
+                const auto& uses = users[static_cast<std::size_t>(conv)];
+                return uses.size() == 1 && uses.front().user == id &&
+                       !is_graph_output(host, conv);
+            };
+            if (!feeds_only_add(lhs) || !feeds_only_add(rhs)) continue;
+            if (mergeable(host, lhs, rhs) || mergeable(host, rhs, lhs)) out.push_back(site_at(id));
         }
     }
 
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
+    {
+        const Node_id id = site.nodes[0];
+        const Node_id lhs = host.node(id).inputs[0].node;
+        const Node_id rhs = host.node(id).inputs[1].node;
+        for (const auto& [big, small] : {std::pair{lhs, rhs}, std::pair{rhs, lhs}})
+            if (mergeable(host, big, small) && merge(g, host, id, big, small, hash)) return true;
+        return false;
+    }
+
 private:
-    static bool mergeable(const Graph& host, const std::vector<std::vector<Edge_use>>& users,
-                          Node_id add_id, Node_id big, Node_id small)
+    static bool mergeable(const Graph& host, Node_id big, Node_id small)
     {
         const Node& cb = host.node(big);
         const Node& cs = host.node(small);
@@ -319,12 +340,6 @@ private:
         if (cb.params.stride_h != cs.params.stride_h || cb.params.stride_w != cs.params.stride_w)
             return false;
         if (!(cb.inputs[0] == cs.inputs[0])) return false;
-        // Both convs must feed only the add.
-        for (const Node_id conv : {big, small}) {
-            if (users[static_cast<std::size_t>(conv)].size() != 1) return false;
-            if (users[static_cast<std::size_t>(conv)].front().user != add_id) return false;
-            if (is_graph_output(host, conv)) return false;
-        }
         const Shape& wb = host.shape_of(cb.inputs[1]);
         const Shape& ws = host.shape_of(cs.inputs[1]);
         if (wb[0] != ws[0] || wb[1] != ws[1]) return false;
@@ -336,7 +351,8 @@ private:
         return true;
     }
 
-    static bool merge(Graph& g, const Graph& host, Node_id add_id, Node_id big, Node_id small)
+    static bool merge(Graph& g, const Graph& host, Node_id add_id, Node_id big, Node_id small,
+                      std::uint64_t* hash)
     {
         g = host;
         const Edge x = g.node(big).inputs[0];
@@ -353,7 +369,7 @@ private:
         const Node_id merged = g.add_node(Op_kind::conv2d, {x, {w_sum, 0}}, conv_params);
 
         g.replace_all_uses({add_id, 0}, {merged, 0});
-        return finalise_transformed(g, host, {{{add_id, 0}, {merged, 0}}});
+        return finalise_transformed(g, host, {{{add_id, 0}, {merged, 0}}}, hash);
     }
 };
 
@@ -361,13 +377,12 @@ class Fold_embedding_projection_rule final : public Rewrite_rule {
 public:
     Fold_embedding_projection_rule() : Rewrite_rule("fold-embedding-projection") {}
 
-    void apply_all_into(const Graph& host, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        const auto& users = host_users(host);
-        for (const Node_id id : host.node_ids()) {
-            if (out.size() >= limit) break;
+        const auto& users = index.users();
+        for (const Node_id id : index.of_kind(Op_kind::matmul)) {
             const Node& mm = host.node(id);
-            if (mm.kind != Op_kind::matmul) continue;
             if (mm.params.activation != Activation::none) continue;
             const Node_id emb_id = mm.inputs[0].node;
             const Node& emb = host.node(emb_id);
@@ -376,17 +391,23 @@ public:
             if (users[static_cast<std::size_t>(emb_id)].size() != 1) continue;
             if (is_graph_output(host, emb_id)) continue;
             if (host.shape_of(mm.inputs[1]).size() != 2) continue;
-
-            Graph& g = out.next();
-            g = host;
-            const Edge ids = g.node(emb_id).inputs[0];
-            const Edge table = g.node(emb_id).inputs[1];
-            const Edge projection = g.node(id).inputs[1];
-            const Node_id folded_table = g.add_node(Op_kind::matmul, {table, projection});
-            const Node_id folded = g.add_node(Op_kind::embedding, {ids, {folded_table, 0}});
-            g.replace_all_uses({id, 0}, {folded, 0});
-            if (finalise_transformed(g, host, {{{id, 0}, {folded, 0}}})) out.keep();
+            out.push_back(site_at(id));
         }
+    }
+
+    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
+    {
+        const Node_id id = site.nodes[0];
+        const Node_id emb_id = host.node(id).inputs[0].node;
+        g = host;
+        const Edge ids = g.node(emb_id).inputs[0];
+        const Edge table = g.node(emb_id).inputs[1];
+        const Edge projection = g.node(id).inputs[1];
+        const Node_id folded_table = g.add_node(Op_kind::matmul, {table, projection});
+        const Node_id folded = g.add_node(Op_kind::embedding, {ids, {folded_table, 0}});
+        g.replace_all_uses({id, 0}, {folded, 0});
+        return finalise_transformed(g, host, {{{id, 0}, {folded, 0}}}, hash);
     }
 };
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "support/check.h"
+#include "support/fnv.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -18,13 +19,16 @@ Histogram& candidate_phase_histogram(const char* phase)
 
 namespace {
 
-/// Fingerprint of a match site: the binding key the matcher already
-/// computed, mixed with the rule index. Records live only within one
-/// generate_step() call (one host), so the host needs no representation here.
-std::uint64_t match_fingerprint(std::size_t rule_index, const Pattern_match& match)
+/// Fingerprint of a site: the binding key the matcher already computed
+/// (pattern sites) folded with the site's node ids (bespoke sites), mixed
+/// with the rule index. Records live only within one generate_step() call
+/// (one host), so the host needs no representation here.
+std::uint64_t site_fingerprint(std::size_t rule_index, const Rewrite_site& site)
 {
-    return (match.binding_key ^ (static_cast<std::uint64_t>(rule_index) + 1)) *
-           0x100000001b3ULL;
+    std::uint64_t key = site.match.binding_key;
+    for (const Node_id id : site.nodes)
+        if (id != invalid_node) key = fnv1a_mix(key, static_cast<std::uint64_t>(id));
+    return (key ^ (static_cast<std::uint64_t>(rule_index) + 1)) * 0x100000001b3ULL;
 }
 
 } // namespace
@@ -32,82 +36,127 @@ std::uint64_t match_fingerprint(std::size_t rule_index, const Pattern_match& mat
 Candidate_engine::Candidate_engine(const Rule_set& rules, Candidate_engine_config config)
     : rules_(&rules), config_(config)
 {
-    pattern_rules_.reserve(rules.size());
-    for (const auto& rule : rules)
-        pattern_rules_.push_back(dynamic_cast<const Pattern_rule*>(rule.get()));
-
-    // One process-wide pool for every parallel path (candidate fan-out and
-    // the optimization server's jobs); threads == 1 opts out into a strict
-    // serial loop. No pool is ever constructed per call site.
+    // One process-wide pool for every parallel path (candidate builds, the
+    // searches' cost fan-out and the optimization server's jobs); threads
+    // == 1 opts out into a strict serial loop. No pool is ever constructed
+    // per call site.
     if (config_.threads != 1) pool_ = &Thread_pool::shared();
 }
 
-void Candidate_engine::match_and_dedup(const Graph& host)
+void Candidate_engine::find_and_dedup(const Graph& host)
 {
     // Per-phase timing: histogram references resolve once (function-local
     // statics), so the steady-state cost is two clock reads per phase.
     static Histogram& match_histogram = candidate_phase_histogram("match");
     static Histogram& dedup_histogram = candidate_phase_histogram("dedup");
 
+    // Listing sites is cheap next to building them (every pattern rule
+    // together matches in tens of microseconds), so it runs serially; the
+    // fan-out unit is the build.
     per_rule_.resize(rules_->size());
-    for (auto& bucket : per_rule_) bucket.clear();
-    bespoke_.resize(rules_->size());
-
-    const auto run_rule = [&](std::size_t rule_index) {
-        std::vector<Rewrite_candidate>& bucket = per_rule_[rule_index];
-        if (const Pattern_rule* pattern_rule = pattern_rules_[rule_index]) {
-            auto matches = find_matches(host, index_, pattern_rule->pattern(),
-                                        config_.per_rule_limit);
-            bucket.reserve(matches.size());
-            for (Pattern_match& match : matches) {
-                Rewrite_candidate record;
-                record.rule_index = rule_index;
-                record.fingerprint = match_fingerprint(rule_index, match);
-                record.match = std::move(match);
-                bucket.push_back(std::move(record));
-            }
-        } else {
-            // Bespoke rule: materialise eagerly into the rule's recycled
-            // batch; records carry slot indices, not owned graphs.
-            Graph_batch& batch = bespoke_[rule_index];
-            batch.reset();
-            (*rules_)[rule_index]->apply_all_into(host, config_.per_rule_limit, batch);
-            bucket.reserve(batch.size());
-            for (std::size_t slot = 0; slot < batch.size(); ++slot) {
-                Rewrite_candidate record;
-                record.rule_index = rule_index;
-                record.fingerprint = batch[slot].canonical_hash();
-                record.pre_built_slot = static_cast<std::ptrdiff_t>(slot);
-                bucket.push_back(std::move(record));
-            }
-        }
-    };
-
     {
         const Scoped_timer_us timer(match_histogram);
         Span_scope span("candidates/match");
-        if (pool_ != nullptr) {
-            pool_->run(per_rule_.size(), run_rule);
-        } else {
-            for (std::size_t i = 0; i < per_rule_.size(); ++i) run_rule(i);
+        for (std::size_t rule_index = 0; rule_index < rules_->size(); ++rule_index) {
+            per_rule_[rule_index].clear();
+            (*rules_)[rule_index]->find_sites(host, index_, config_.per_rule_limit,
+                                              per_rule_[rule_index]);
         }
         if (span.active()) span.annotate("rules", std::to_string(per_rule_.size()));
     }
 
     // Deterministic order — rule index, then discovery order — and
-    // fingerprint dedup before anything is materialised.
+    // fingerprint dedup before anything is built.
     const Scoped_timer_us timer(dedup_histogram);
     const Span_scope span("candidates/dedup");
     std::size_t total = 0;
-    for (const auto& bucket : per_rule_) total += bucket.size();
+    for (const auto& sites : per_rule_) total += sites.size();
     records_.clear();
     records_.reserve(total);
     fingerprints_seen_.clear();
     fingerprints_seen_.reserve(total);
-    for (auto& bucket : per_rule_)
-        for (Rewrite_candidate& record : bucket)
-            if (fingerprints_seen_.insert(record.fingerprint).second)
-                records_.push_back(std::move(record));
+    for (std::size_t rule_index = 0; rule_index < per_rule_.size(); ++rule_index) {
+        for (Rewrite_site& site : per_rule_[rule_index])
+            if (fingerprints_seen_.insert(site_fingerprint(rule_index, site)).second)
+                records_.push_back({rule_index, std::move(site)});
+    }
+}
+
+void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total)
+{
+    const std::size_t per_rule_limit = config_.per_rule_limit;
+    successes_.assign(rules_->size(), 0);
+    pending_.assign(rules_->size(), 0);
+
+    const auto build_entry = [&](std::size_t i) {
+        Wave_entry& entry = wave_[i];
+        Slot& slot = *entry.slot;
+        slot.delta.valid = false; // bespoke builds report none
+        entry.built = (*rules_)[entry.record->rule_index]->build(
+            host, entry.record->site, slot.graph, &entry.hash, &slot.delta);
+    };
+
+    std::size_t next = 0;
+    while (next < records_.size() && step_.candidates.size() < max_total) {
+        // A wave is the next run of records that the in-order loop would
+        // build whatever the earlier ones' outcomes: at most as many as
+        // candidates can still be kept, and no more of a rule's records
+        // than its success cap has room for. A rule whose cap is already
+        // met contributes nothing; one whose room is taken by records in
+        // this wave ends the wave, since whether its next record is built
+        // depends on how those turn out.
+        wave_.clear();
+        const std::size_t room = max_total - step_.candidates.size();
+        for (; next < records_.size() && wave_.size() < room; ++next) {
+            Rewrite_candidate& record = records_[next];
+            const std::size_t rule = record.rule_index;
+            if (successes_[rule] + pending_[rule] >= per_rule_limit) {
+                if (pending_[rule] == 0) continue;
+                break;
+            }
+            ++pending_[rule];
+            Slot* slot = nullptr;
+            if (spare_.empty()) {
+                slot = slot_pool_.acquire();
+            } else {
+                slot = spare_.back();
+                spare_.pop_back();
+            }
+            wave_.push_back({&record, slot});
+        }
+
+        if (pool_ != nullptr) {
+            pool_->run(wave_.size(), build_entry);
+        } else {
+            for (std::size_t i = 0; i < wave_.size(); ++i) build_entry(i);
+        }
+
+        // In record order: the per-rule success cap, then canonical dedup.
+        for (const Wave_entry& entry : wave_) {
+            const std::size_t rule = entry.record->rule_index;
+            --pending_[rule];
+            if (entry.built) ++successes_[rule];
+            if (!entry.built || !hashes_seen_.insert(entry.hash).second) {
+                spare_.push_back(entry.slot);
+                continue;
+            }
+            step_.candidates.push_back(
+                {&entry.slot->graph, static_cast<int>(rule), entry.hash,
+                 entry.slot->delta.valid ? &entry.slot->delta : nullptr, &entry.record->site});
+            leased_.push_back(entry.slot);
+        }
+    }
+
+    // Records past the cap are only counted — each up to its rule's
+    // remaining success cap, as though every one of them would build.
+    for (; next < records_.size(); ++next) {
+        const std::size_t rule = records_[next].rule_index;
+        if (successes_[rule] >= per_rule_limit) continue;
+        ++successes_[rule];
+        ++step_.truncated;
+    }
+    for (Slot* slot : spare_) slot_pool_.release(slot);
+    spare_.clear();
 }
 
 const Candidate_engine::Step_generated& Candidate_engine::generate_step(
@@ -134,12 +183,11 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
     }
     const std::uint64_t host_hash = via != nullptr ? via->hash : host.canonical_hash();
 
-    // Reclaim last step's slots, then match into the persistent record
-    // buffer (bespoke candidates live in bespoke_'s per-rule batches until
-    // the next call).
+    // Reclaim last step's slots, then list sites into the persistent
+    // record buffer.
     for (Slot* slot : leased_) slot_pool_.release(slot);
     leased_.clear();
-    match_and_dedup(host);
+    find_and_dedup(host);
 
     const Scoped_timer_us timer(materialise_histogram);
     Span_scope span("candidates/materialise");
@@ -150,40 +198,7 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
     step_.truncated = 0;
     hashes_seen_.clear();
     hashes_seen_.insert(host_hash);
-
-    Slot* working = nullptr;
-    for (Rewrite_candidate& record : records_) {
-        if (step_.candidates.size() >= max_total) {
-            ++step_.truncated;
-            continue;
-        }
-        if (record.pre_built_slot >= 0) {
-            // Bespoke rule: already materialised during enumeration into
-            // the rule's batch (alive until the next call); the
-            // fingerprint is its canonical hash. No delta — choosing one
-            // forces an index rebuild next step.
-            if (!hashes_seen_.insert(record.fingerprint).second) continue;
-            Graph* graph =
-                &bespoke_[record.rule_index][static_cast<std::size_t>(record.pre_built_slot)];
-            step_.candidates.push_back({graph, static_cast<int>(record.rule_index),
-                                        record.fingerprint, nullptr, nullptr,
-                                        record.pre_built_slot});
-            continue;
-        }
-        const Pattern_rule* pattern_rule = pattern_rules_[record.rule_index];
-        XRL_EXPECTS(pattern_rule != nullptr);
-        if (working == nullptr) working = slot_pool_.acquire();
-        std::uint64_t hash = 0;
-        if (!apply_match_into(working->graph, host, pattern_rule->pattern(), record.match, &hash,
-                              &working->delta))
-            continue; // invalid site; `working` is reused for the next record
-        if (!hashes_seen_.insert(hash).second) continue;
-        step_.candidates.push_back({&working->graph, static_cast<int>(record.rule_index), hash,
-                                    &working->delta, &record.match});
-        leased_.push_back(working);
-        working = nullptr;
-    }
-    if (working != nullptr) slot_pool_.release(working);
+    build_candidates(host, max_total);
     return step_;
 }
 
@@ -195,23 +210,10 @@ std::uint64_t Candidate_engine::rebuild(const Graph& host, const Recipe& recipe,
 
     const auto rule_index = static_cast<std::size_t>(recipe.rule_index);
     XRL_EXPECTS(rule_index < rules_->size());
-    if (const Pattern_rule* pattern_rule = pattern_rules_[rule_index]) {
-        std::uint64_t hash = 0;
-        const bool applied =
-            apply_match_into(out, host, pattern_rule->pattern(), recipe.match, &hash);
-        XRL_ENSURES(applied);
-        return hash;
-    }
-    // Bespoke rule: its first slot + 1 outputs are the same at any larger
-    // limit, so the candidate is the last of them. The swap hands `out`'s
-    // old buffers to the batch, keeping both sides warm.
-    XRL_EXPECTS(recipe.bespoke_slot >= 0);
-    const auto slot = static_cast<std::size_t>(recipe.bespoke_slot);
-    rebuild_batch_.reset();
-    (*rules_)[rule_index]->apply_all_into(host, slot + 1, rebuild_batch_);
-    XRL_ENSURES(rebuild_batch_.size() == slot + 1);
-    std::swap(out, rebuild_batch_[slot]);
-    return out.canonical_hash();
+    std::uint64_t hash = 0;
+    const bool built = (*rules_)[rule_index]->build(host, recipe.site, out, &hash);
+    XRL_ENSURES(built);
+    return hash;
 }
 
 } // namespace xrl

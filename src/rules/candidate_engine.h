@@ -10,23 +10,27 @@
 //      rule, kept across calls and patched from the chosen candidate's
 //      Rewrite_delta when the caller walks one evolving host;
 //   2. the undo-log matcher behind find_matches (no per-root state copies);
-//   3. lazy candidates: matching yields lightweight records with a cheap
-//      fingerprint (the matcher's match-site binding key mixed with the
-//      rule id) gating materialisation — the graph copy + DCE + shape
-//      inference + canonical hash run only for fingerprint-unique records,
-//      and never for records beyond the caller's candidate cap;
-//   4. thread-pool fan-out across rules with deterministic result ordering
-//      (results are collected into per-rule slots, so the output never
-//      depends on thread scheduling);
-//   5. candidate graphs materialise into recycled pool slots, so a
-//      steady-state step allocates ~nothing; a search that keeps many
-//      candidates but revisits few (TASO's queue) keeps each one's Recipe
-//      and rebuild()s it from its host when needed.
+//   3. sites, then builds: every rule lists its sites first
+//      (Rewrite_rule::find_sites — pattern matches, or the node ids a
+//      bespoke rule reads), each record carrying a cheap fingerprint (the
+//      match's binding key, or the site's node ids, mixed with the rule id)
+//      that dedups repeat discoveries before anything is built; the graph
+//      copy + DCE + shape inference + canonical hash (Rewrite_rule::build)
+//      run only for records the caller's caps can still keep;
+//   4. the unit of parallel work is one candidate: records are built in
+//      waves on the shared thread pool, each into its own slot, and an
+//      in-order serial pass then applies the per-rule success cap and the
+//      canonical-hash dedup — so the output never depends on thread
+//      scheduling, and a wave never builds a record the serial loop would
+//      have skipped;
+//   5. candidate graphs build into recycled pool slots, so a steady-state
+//      step allocates ~nothing; a search that keeps many candidates but
+//      revisits few (TASO's queue) keeps each one's Recipe — the rule and
+//      the site — and rebuild()s it from its host when needed.
 //
-// Rules that are not Pattern_rules (the bespoke shape-dependent rules)
-// cannot defer materialisation — their apply_all_into *is* the site
-// enumeration — so the engine runs them eagerly inside the fan-out and
-// fingerprints them by result hash; everything downstream treats both
+// Pattern and bespoke rules differ only in what their sites hold and in
+// the Rewrite_delta their builds report (bespoke builds report none, so
+// choosing one rebuilds the next step's index); the engine treats both
 // kinds uniformly.
 #pragma once
 
@@ -43,15 +47,16 @@
 namespace xrl {
 
 struct Candidate_engine_config {
-    /// Candidates enumerated per rule per step (the environment's
-    /// per_rule_limit; TASO's max_candidates_per_step).
+    /// Candidates per rule per step (the environment's per_rule_limit;
+    /// TASO's max_candidates_per_step): pattern rules' match cap, bespoke
+    /// rules' success cap.
     std::size_t per_rule_limit = SIZE_MAX;
 
-    /// Fan-out mode: 0 = the process-wide shared pool (sized to the
-    /// hardware), 1 = strictly serial, N > 1 = also the shared pool (the
-    /// per-rule slot collection makes results order-independent, so a
-    /// private width bought nothing but thread churn — engines are
-    /// constructed per search, and the serving layer shares the same
+    /// Build fan-out mode: 0 = the process-wide shared pool (sized to the
+    /// hardware), 1 = strictly serial, N > 1 = also the shared pool (every
+    /// build lands in its own slot and a serial pass keeps them in record
+    /// order, so a private width bought nothing but thread churn — engines
+    /// are constructed per search, and the serving layer shares the same
     /// pool). The result order is identical for every setting.
     std::size_t threads = 0;
 
@@ -74,22 +79,19 @@ public:
 
     const Rule_set& rules() const { return *rules_; }
 
-    /// How to rebuild one candidate from its host: the rule, plus the match
-    /// site (pattern rules) or the candidate's slot in the rule's
-    /// apply_all_into output (bespoke rules). A few hundred bytes, where the
-    /// graph it stands for is the whole host — a search that keeps many
-    /// candidates keeps recipes and rebuilds the few it revisits.
+    /// How to rebuild one candidate from its host: the rule and the site.
+    /// A few hundred bytes, where the graph it stands for is the whole host
+    /// — a search that keeps many candidates keeps recipes and rebuilds the
+    /// few it revisits.
     struct Recipe {
         int rule_index = -1;
-        Pattern_match match;              ///< Pattern rules: the match site.
-        std::ptrdiff_t bespoke_slot = -1; ///< Bespoke rules: index into the rule's output.
+        Rewrite_site site;
     };
 
     /// One generated candidate. The graph lives in a pool slot owned by the
-    /// engine (or, for bespoke rules, in the engine's per-rule batch) and
-    /// stays valid until the next generate_step() call. The owner may move
-    /// `*graph` out (Tensat's seeding rounds keep each round's best); the
-    /// engine refills a moved-from slot the next time it uses it.
+    /// engine and stays valid until the next generate_step() call. The owner
+    /// may move `*graph` out (Tensat's seeding rounds keep each round's
+    /// best); the engine refills a moved-from slot the next time it uses it.
     struct Step_candidate {
         Graph* graph = nullptr;
         int rule_index = -1;
@@ -97,31 +99,32 @@ public:
         /// How `*graph` differs from the host (for the next step's index
         /// patch); null for bespoke rules, which cannot report one.
         const Rewrite_delta* delta = nullptr;
-        /// Pattern rules: the match site, in the engine's record buffer
-        /// (valid until the next generate_step() call); null for bespoke rules.
-        const Pattern_match* match = nullptr;
-        /// Bespoke rules: the slot in the rule's batch; -1 for pattern rules.
-        std::ptrdiff_t bespoke_slot = -1;
+        /// The site, in the engine's record buffer (valid until the next
+        /// generate_step() call).
+        const Rewrite_site* site = nullptr;
 
         /// An owned copy of the recipe, valid beyond the next call.
-        Recipe recipe() const
-        {
-            return {rule_index, match != nullptr ? *match : Pattern_match{}, bespoke_slot};
-        }
+        Recipe recipe() const { return {rule_index, *site}; }
     };
 
     struct Step_generated {
         std::vector<Step_candidate> candidates;
-        std::size_t enumerated = 0; ///< Records produced by enumeration.
-        std::size_t truncated = 0;  ///< Records never materialised: cap reached.
+        /// Records produced by enumeration: fingerprint-unique sites.
+        std::size_t enumerated = 0;
+        /// Records never built because `max_total` was reached — at most
+        /// the rule's remaining success cap per rule (a site past the cap
+        /// might have failed to build, so this is an upper bound).
+        std::size_t truncated = 0;
     };
 
-    /// Generate `host`'s candidates: fingerprint-deduped match records in
+    /// Generate `host`'s candidates: fingerprint-deduped site records in
     /// (rule index, discovery order) order regardless of the thread count,
-    /// materialised until `max_total` candidates survive canonical-hash
-    /// dedup (against the host and against each other) — the exact
-    /// semantics of the per-rule Rewrite_rule::apply_all loop. Records past
-    /// the cap are only counted.
+    /// built until `max_total` candidates survive canonical-hash dedup
+    /// (against the host and against each other) — the exact semantics of
+    /// the per-rule Rewrite_rule::apply_all loop at `per_rule_limit`: a
+    /// rule contributes its first `per_rule_limit` successful builds
+    /// (pattern rules never list more sites than that). Records past the
+    /// cap are only counted.
     ///
     /// The Host_index persists across calls: pass the previous call's
     /// chosen candidate as `via` and the index is patched from its
@@ -135,13 +138,11 @@ public:
                                         const Step_candidate* via = nullptr);
 
     /// Rebuild the candidate `recipe` describes into `out` (recycled
-    /// storage; contents unspecified) and return its canonical hash. When
-    /// `host` is the graph the recipe's candidate was generated from, `out`
-    /// becomes that candidate exactly — same node ids, capacity and hash.
-    /// Pattern rules re-apply the match; bespoke rules re-run the rule with
-    /// `limit = slot + 1` (Rewrite_rule::apply_all_into is prefix-stable)
-    /// and keep the last output. Uses none of generate_step()'s storage, so
-    /// the last step's candidates stay valid.
+    /// storage; contents unspecified) and return its canonical hash: one
+    /// Rewrite_rule::build of the recipe's site. When `host` is the graph
+    /// the recipe's candidate was generated from, `out` becomes that
+    /// candidate exactly — same node ids, capacity and hash. Uses none of
+    /// generate_step()'s storage, so the last step's candidates stay valid.
     std::uint64_t rebuild(const Graph& host, const Recipe& recipe, Graph& out);
 
     /// The persistent index (null before the first generate_step) —
@@ -153,39 +154,47 @@ public:
     const Arena_stats& step_arena_stats() const { return slot_pool_.arena_stats(); }
 
 private:
-    /// A candidate discovered but not yet materialised: which rule, where,
-    /// and a fingerprint that dedups repeat discoveries before the
-    /// expensive apply_match_into. Bespoke rules arrive pre-built, as a
-    /// slot index into the rule's batch in bespoke_.
+    /// A candidate discovered but not yet built: which rule, and where.
     struct Rewrite_candidate {
         std::size_t rule_index = 0;
-        Pattern_match match;              ///< Pattern rules: the match site.
-        std::uint64_t fingerprint = 0;    ///< Cheap pre-materialisation dedup key.
-        std::ptrdiff_t pre_built_slot = -1; ///< Bespoke rules: index into the rule's batch.
+        Rewrite_site site;
     };
 
-    /// Match every rule against index_, then fingerprint-dedup into records_.
-    void match_and_dedup(const Graph& host);
-
-    /// A recycled materialisation target: the graph and the delta that
-    /// turns the host's index into the graph's.
+    /// A recycled build target: the graph and the delta that turns the
+    /// host's index into the graph's.
     struct Slot {
         Graph graph;
         Rewrite_delta delta;
     };
 
+    /// One record of the current build wave and what its build produced.
+    struct Wave_entry {
+        Rewrite_candidate* record = nullptr;
+        Slot* slot = nullptr;
+        bool built = false;
+        std::uint64_t hash = 0;
+    };
+
+    /// List every rule's sites against index_, fingerprint-deduped into
+    /// records_.
+    void find_and_dedup(const Graph& host);
+
+    /// Build records_ in waves until `max_total` candidates are kept.
+    void build_candidates(const Graph& host, std::size_t max_total);
+
     const Rule_set* rules_;
     Candidate_engine_config config_;
-    std::vector<const Pattern_rule*> pattern_rules_; ///< Per rule; null = generic.
     Thread_pool* pool_ = nullptr; ///< The shared pool; null = serial.
 
     Host_index index_;
     bool index_ready_ = false;
-    std::vector<std::vector<Rewrite_candidate>> per_rule_; ///< Match fan-out results.
-    std::vector<Graph_batch> bespoke_; ///< Per rule: eagerly built bespoke candidates.
-    Graph_batch rebuild_batch_;        ///< rebuild()'s bespoke-rule scratch.
+    std::vector<std::vector<Rewrite_site>> per_rule_; ///< find_sites output per rule.
     std::unordered_set<std::uint64_t> fingerprints_seen_;
     std::vector<Rewrite_candidate> records_;
+    std::vector<std::size_t> successes_; ///< Per rule: successful builds this step.
+    std::vector<std::size_t> pending_;   ///< Per rule: records in the current wave.
+    std::vector<Wave_entry> wave_;
+    std::vector<Slot*> spare_; ///< Slots a wave left unkept, reused by the next.
     Pool<Slot> slot_pool_;
     std::vector<Slot*> leased_; ///< Slots backing step_.candidates.
     std::unordered_set<std::uint64_t> hashes_seen_;
@@ -194,10 +203,10 @@ private:
 
 class Histogram;
 
-/// The registry histogram `xrlflow_candidate_phase_us{phase=...}` every
-/// engine instance times its pipeline phases into (index_build, match,
-/// dedup, materialise, finalise_rewrite, rebuild). Exposed so the benches can read
-/// per-phase snapshots into BENCH_candidates.json.
+/// The histogram that every engine instance times its pipeline phases into:
+/// `xrlflow_candidate_phase_us{phase=...}` for index_build, match, dedup,
+/// materialise (every build wave), finalise_rewrite and rebuild. Exposed so
+/// the benches can read per-phase snapshots into BENCH_candidates.json.
 Histogram& candidate_phase_histogram(const char* phase);
 
 } // namespace xrl

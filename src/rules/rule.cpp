@@ -2,6 +2,18 @@
 
 namespace xrl {
 
+void Rewrite_rule::apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const
+{
+    const Host_index index(graph);
+    std::vector<Rewrite_site> sites;
+    find_sites(graph, index, limit, sites);
+    const std::size_t first = out.size();
+    for (const Rewrite_site& site : sites) {
+        if (out.size() - first >= limit) break;
+        if (build(graph, site, out.next())) out.keep();
+    }
+}
+
 std::vector<Graph> Rewrite_rule::apply_all(const Graph& graph, std::size_t limit) const
 {
     Graph_batch batch;
@@ -14,12 +26,17 @@ Pattern_rule::Pattern_rule(Pattern pattern) : Rewrite_rule(pattern.name), patter
     pattern_.finalise();
 }
 
-void Pattern_rule::apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const
+void Pattern_rule::find_sites(const Graph& host, const Host_index& index, std::size_t limit,
+                              std::vector<Rewrite_site>& out) const
 {
-    for (const Pattern_match& match : find_matches(graph, pattern_, limit)) {
-        if (out.size() >= limit) break;
-        if (apply_match_into(out.next(), graph, pattern_, match)) out.keep();
-    }
+    for (Pattern_match& match : find_matches(host, index, pattern_, limit))
+        out.push_back({std::move(match)});
+}
+
+bool Pattern_rule::build(const Graph& host, const Rewrite_site& site, Graph& out,
+                         std::uint64_t* canonical_hash_out, Rewrite_delta* delta_out) const
+{
+    return apply_match_into(out, host, pattern_, site.match, canonical_hash_out, delta_out);
 }
 
 } // namespace xrl

@@ -7,6 +7,8 @@
 // rewrite rule to the target computation graph").
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,6 +56,20 @@ private:
     std::size_t count_ = 0;
 };
 
+/// Where a rule applies on one host, as Rewrite_rule::find_sites lists it:
+/// the match (pattern rules) or the host node ids the rule's build reads
+/// (bespoke rules; unused entries are invalid_node). Ids, never pointers:
+/// a site stays meaningful for any copy of the host it was found on, which
+/// is what lets a search keep sites and rebuild candidates later.
+struct Rewrite_site {
+    Pattern_match match;                                      ///< Pattern rules.
+    std::array<Node_id, 2> nodes{invalid_node, invalid_node}; ///< Bespoke rules.
+};
+
+/// A rewrite rule is two steps: list the sites where it applies, then
+/// build one candidate per site. Splitting them lets a caller decide which
+/// sites to build (caps, dedup) and build many sites in parallel, each
+/// into its own output graph.
 class Rewrite_rule {
 public:
     virtual ~Rewrite_rule() = default;
@@ -63,21 +79,36 @@ public:
 
     const std::string& name() const { return name_; }
 
-    /// Apply the rule at every matching location of `graph`, committing each
-    /// complete transformed graph (validated, shapes inferred) into `out`.
-    /// At most `limit` candidates are produced. `out` is NOT reset first —
-    /// the caller owns the batch lifecycle.
+    /// Append the rule's sites on `host` to `out`, in a deterministic order
+    /// that depends on nothing but `host`. `index` must describe `host`.
     ///
-    /// Contract (Candidate_engine::rebuild relies on it to re-create a
-    /// bespoke candidate from its slot index): the outputs are a
-    /// deterministic function of `graph`, and they are prefix-stable under
-    /// `limit` — the first k outputs at `limit = k` equal the first k at any
-    /// larger limit.
-    virtual void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const = 0;
+    /// Caps: pattern rules stop at `limit` matches. Bespoke rules list
+    /// every site whatever `limit` is — a site may still fail to build, and
+    /// their cap counts successful builds, which only the caller of build()
+    /// can count (apply_all_into below, or the candidate engine).
+    virtual void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
+                            std::vector<Rewrite_site>& out) const = 0;
 
-    /// Convenience wrapper: apply_all_into through a fresh batch. Callers on
-    /// the candidate-generation hot path should hold a reusable Graph_batch
-    /// and call apply_all_into directly.
+    /// Build the candidate for one of `host`'s sites into `out` (recycled
+    /// storage; contents unspecified): complete, validated, shapes
+    /// inferred. Returns false when the rewrite is invalid at this site.
+    /// Optionally reports the result's canonical hash, and the
+    /// Rewrite_delta that patches a Host_index from `host` to `out` —
+    /// pattern rules fill it; bespoke rules leave it untouched, so a
+    /// caller that wants one must mark it invalid first. Pure: const, and
+    /// safe to call concurrently on distinct outputs.
+    virtual bool build(const Graph& host, const Rewrite_site& site, Graph& out,
+                       std::uint64_t* canonical_hash_out = nullptr,
+                       Rewrite_delta* delta_out = nullptr) const = 0;
+
+    /// The reference loop over the two: build `graph`'s sites in order,
+    /// committing each success into `out`, until `limit` candidates were
+    /// produced. `out` is NOT reset first — the caller owns the batch
+    /// lifecycle. Deterministic and prefix-stable under `limit` (the first
+    /// k outputs at `limit = k` equal the first k at any larger limit).
+    void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const;
+
+    /// Convenience wrapper: apply_all_into through a fresh batch.
     std::vector<Graph> apply_all(const Graph& graph, std::size_t limit = SIZE_MAX) const;
 
 protected:
@@ -92,7 +123,11 @@ class Pattern_rule final : public Rewrite_rule {
 public:
     explicit Pattern_rule(Pattern pattern);
 
-    void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const override;
+    void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
+                    std::vector<Rewrite_site>& out) const override;
+    bool build(const Graph& host, const Rewrite_site& site, Graph& out,
+               std::uint64_t* canonical_hash_out = nullptr,
+               Rewrite_delta* delta_out = nullptr) const override;
 
     const Pattern& pattern() const { return pattern_; }
 

@@ -64,8 +64,11 @@ void Thread_pool::worker_loop()
                 return shutting_down_ || !pending_.empty() || !detached_.empty();
             });
             if (shutting_down_) return;
-            if (pending_.empty()) {
-                // No batch blocking a caller — run one detached task.
+            if (!detached_.empty()) {
+                // Posted work first: a batch's caller drains it whether or
+                // not a worker helps, but a posted task has no one else —
+                // a serving job (a memo hit, say) must not wait behind a
+                // search's fan-out.
                 std::function<void()> task = std::move(detached_.front());
                 detached_.pop_front();
                 lock.unlock();

@@ -1,8 +1,9 @@
 // A small blocking thread pool for deterministic fan-out — plus detached
 // tasks for the serving layer.
 //
-// The candidate engine fans pattern matching out across rules; results are
-// written into per-rule slots so the output order never depends on thread
+// The candidate engine fans candidate builds out (one task per candidate)
+// and the TASO/PET searches fan candidate costs out; results are written
+// into per-task slots so the output order never depends on thread
 // scheduling. The pool is intentionally minimal: submit a batch of indexed
 // tasks and block until all of them ran. The calling thread participates in
 // draining the queue, so a pool with zero workers degrades to a plain
@@ -44,7 +45,10 @@ public:
     void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
     /// Detached execution: enqueue `task` to run on some pool worker and
-    /// return immediately. Tasks must not throw (a throwing task
+    /// return immediately. A free worker takes queued posted tasks (FIFO)
+    /// before it helps drain a pending `run` batch — the batch's caller
+    /// drains it regardless, so batches still finish, while a posted task
+    /// runs only on a worker. Tasks must not throw (a throwing task
     /// terminates). With zero workers the task runs inline on the caller —
     /// the serial degradation mirrors `run`'s, so callers never deadlock
     /// waiting for a thread that does not exist. Tasks still queued when

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -73,6 +75,28 @@ TEST(Candidate_engine, ParityWithLegacyLoopOnInception)
     expect_parity(make_inception_v3(Scale::smoke), 4);
 }
 
+/// The standard corpus plus PET's spatial split: the rule set PET searches.
+Rule_set pet_rule_corpus()
+{
+    Rule_set rules = standard_rule_corpus();
+    rules.push_back(make_pet_spatial_split_rule());
+    return rules;
+}
+
+/// Everything that identifies a step's candidate: hash, rule and recipe.
+std::string describe(const Candidate_engine::Step_candidate& c)
+{
+    const Candidate_engine::Recipe recipe = c.recipe();
+    std::ostringstream out;
+    out << c.hash << " rule " << recipe.rule_index << " key " << recipe.site.match.binding_key
+        << " nodes";
+    for (const Node_id id : recipe.site.nodes) out << ' ' << id;
+    for (const auto& [var, edge] : recipe.site.match.var_bindings)
+        out << " v" << var << '=' << edge.node << ':' << edge.port;
+    for (const auto& [node, host] : recipe.site.match.node_map) out << " n" << node << '=' << host;
+    return out.str();
+}
+
 TEST(Candidate_engine, DeterministicAcrossThreadCounts)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
@@ -81,6 +105,42 @@ TEST(Candidate_engine, DeterministicAcrossThreadCounts)
     const auto pooled = engine_candidates(bert, rules, 8, 4);
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(serial, pooled);
+
+    // A 10-step walk with the PET corpus: a serial engine and one on the
+    // shared pool must list the same candidates (hash, rule, recipe) and
+    // count the same truncation at every step, uncapped and capped. The
+    // per-rule cap is below the bespoke rules' site counts on these models,
+    // so build waves end on a rule's success cap too.
+    const Rule_set pet_rules = pet_rule_corpus();
+    for (const Graph& model : {make_inception_v3(Scale::smoke), make_resnext50(Scale::smoke)}) {
+        Candidate_engine serial_engine(pet_rules, Candidate_engine_config{16, 1});
+        Candidate_engine pooled_engine(pet_rules, Candidate_engine_config{16, 0});
+        Graph host = model;
+        Candidate_engine::Step_candidate chosen_a;
+        Candidate_engine::Step_candidate chosen_b;
+        std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+        bool truncated = false;
+        for (int step = 0; step < 10; ++step) {
+            const std::size_t cap = step % 2 == 0 ? SIZE_MAX : 8;
+            const auto& a = serial_engine.generate_step(host, cap, step > 0 ? &chosen_a : nullptr);
+            const auto& b = pooled_engine.generate_step(host, cap, step > 0 ? &chosen_b : nullptr);
+            ASSERT_FALSE(a.candidates.empty()) << "step " << step;
+            ASSERT_EQ(a.candidates.size(), b.candidates.size()) << "step " << step;
+            for (std::size_t i = 0; i < a.candidates.size(); ++i)
+                EXPECT_EQ(describe(a.candidates[i]), describe(b.candidates[i]))
+                    << "step " << step << " candidate " << i;
+            EXPECT_EQ(a.enumerated, b.enumerated) << "step " << step;
+            EXPECT_EQ(a.truncated, b.truncated) << "step " << step;
+            truncated = truncated || a.truncated > 0;
+            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+            // Each engine patches its index from its own copy of the move.
+            const std::size_t pick = (lcg >> 33) % a.candidates.size();
+            chosen_a = a.candidates[pick];
+            chosen_b = b.candidates[pick];
+            host = *chosen_a.graph;
+        }
+        EXPECT_TRUE(truncated);
+    }
 }
 
 TEST(Candidate_engine, CappedStepMaterialisesAtMostCapPlusOneSlots)
@@ -227,11 +287,18 @@ class Host_copy_rule final : public Rewrite_rule {
 public:
     Host_copy_rule() : Rewrite_rule("host-copy") {}
 
-    void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const override
+    void find_sites(const Graph& /*host*/, const Host_index& /*index*/, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
     {
-        if (limit == 0) return;
-        out.next() = graph;
-        out.keep();
+        out.emplace_back();
+    }
+
+    bool build(const Graph& host, const Rewrite_site& /*site*/, Graph& out, std::uint64_t* hash,
+               Rewrite_delta* /*delta*/) const override
+    {
+        out = host;
+        if (hash != nullptr) *hash = out.canonical_hash();
+        return true;
     }
 };
 
@@ -271,14 +338,6 @@ TEST(Candidate_engine, HandlesRulelessCorpus)
     const Candidate_engine::Step_generated& generated = engine.generate_step(host);
     EXPECT_TRUE(generated.candidates.empty());
     EXPECT_EQ(generated.enumerated, 0u);
-}
-
-/// The standard corpus plus PET's spatial split: the rule set PET searches.
-Rule_set pet_rule_corpus()
-{
-    Rule_set rules = standard_rule_corpus();
-    rules.push_back(make_pet_spatial_split_rule());
-    return rules;
 }
 
 /// Two sites each for the bespoke rules no smoke model triggers:
@@ -440,8 +499,9 @@ TEST(Candidate_engine, RebuildReproducesEveryCandidate)
             bool bespoke = false;
             Graph rebuilt;
             for (const Candidate_engine::Step_candidate& c : generated.candidates) {
-                (c.match != nullptr ? pattern : bespoke) = true;
-                EXPECT_NE(c.match != nullptr, c.bespoke_slot >= 0) << "rule " << c.rule_index;
+                const auto& rule = rules[static_cast<std::size_t>(c.rule_index)];
+                (dynamic_cast<const Pattern_rule*>(rule.get()) != nullptr ? pattern : bespoke) =
+                    true;
                 const std::uint64_t hash = engine.rebuild(hosts[h], c.recipe(), rebuilt);
                 EXPECT_EQ(hash, c.hash) << "host " << h << " rule " << c.rule_index;
                 EXPECT_EQ(rebuilt.canonical_hash(), c.hash)

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/optimizer_api.h"
 #include "cost/cost_model.h"
 #include "ir/builder.h"
 #include "ir/executor.h"
+#include "models/models.h"
 #include "optimizers/pet/pet_optimizer.h"
 #include "optimizers/taso/taso_optimizer.h"
 #include "optimizers/tensat/egraph.h"
 #include "optimizers/tensat/tensat_optimizer.h"
 #include "rules/bespoke_rules.h"
+#include "rules/candidate_engine.h"
 #include "rules/corpus.h"
 #include "support/check.h"
 #include "optimizer_test_util.h"
@@ -113,6 +118,69 @@ TEST(Taso, GreedyGetsStuckWhereUphillMoveWins)
     const Taso_result r = optimise_taso(g, rules, cost, greedy);
     // Optimal input stays optimal — sanity check that alpha=1 cannot regress.
     EXPECT_LE(r.best_cost_ms, r.initial_cost_ms + 1e-12);
+}
+
+TEST(Taso, GraphCostFnRunsOnTheCallingThread)
+{
+    // The Graph_cost_fn entry's contract: every call on the caller's thread
+    // (a timing probe around a cost model need not be thread-safe), the
+    // input first and then each pop's novel candidates in admission order.
+    const Cost_model cost(gtx1080_profile());
+    const Rule_set rules = standard_rule_corpus();
+    const Graph model = make_inception_v3(Scale::smoke);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::uint64_t> calls;
+    bool off_thread = false;
+    const Graph_cost_fn recorded = [&](const Graph& g) {
+        off_thread = off_thread || std::this_thread::get_id() != caller;
+        calls.push_back(g.canonical_hash());
+        return cost.graph_cost_ms(g);
+    };
+
+    // One pop: the input, then its candidates in the engine's order (every
+    // one is novel — the engine already drops rewrites equal to the host).
+    Taso_config one_pop;
+    one_pop.budget = 1;
+    optimise_taso_with_cost(model, rules, recorded, one_pop);
+    std::vector<std::uint64_t> expected{model.canonical_hash()};
+    Candidate_engine engine(rules, Candidate_engine_config{one_pop.max_candidates_per_step, 1});
+    for (const Candidate_engine::Step_candidate& c : engine.generate_step(model).candidates)
+        expected.push_back(c.hash);
+    EXPECT_GT(expected.size(), 2u);
+    EXPECT_EQ(calls, expected);
+
+    // A longer search: still one thread, one call per novel candidate.
+    calls.clear();
+    Taso_config config;
+    config.budget = 8;
+    const Taso_result result = optimise_taso_with_cost(model, rules, recorded, config);
+    int novel = 0;
+    for (const int count : result.rule_candidates) novel += count;
+    EXPECT_EQ(calls.size(), static_cast<std::size_t>(novel) + 1);
+    EXPECT_FALSE(off_thread);
+}
+
+TEST(Taso, PooledCostMatchesGraphCostFnEntry)
+{
+    // optimise_taso costs each pop's batch on the shared pool; the result
+    // must be the serial Graph_cost_fn entry's, field for field.
+    const Cost_model cost(gtx1080_profile());
+    const Rule_set rules = standard_rule_corpus();
+    Taso_config config;
+    config.budget = 12;
+    for (const Graph& model : {make_inception_v3(Scale::smoke), make_bert(Scale::smoke)}) {
+        const Taso_result pooled = optimise_taso(model, rules, cost, config);
+        const Taso_result serial = optimise_taso_with_cost(
+            model, rules, [&](const Graph& g) { return cost.graph_cost_ms(g); }, config);
+        EXPECT_EQ(pooled.best_graph.canonical_hash(), serial.best_graph.canonical_hash());
+        EXPECT_EQ(pooled.initial_cost_ms, serial.initial_cost_ms);
+        EXPECT_EQ(pooled.best_cost_ms, serial.best_cost_ms);
+        EXPECT_EQ(pooled.iterations, serial.iterations);
+        EXPECT_EQ(pooled.candidates_generated, serial.candidates_generated);
+        EXPECT_EQ(pooled.stopped_early, serial.stopped_early);
+        EXPECT_EQ(pooled.rule_candidates, serial.rule_candidates);
+        EXPECT_LT(pooled.best_cost_ms, pooled.initial_cost_ms);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <future>
+#include <thread>
 
 #include "support/check.h"
 #include "support/config.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace xrl {
 namespace {
@@ -155,6 +160,49 @@ TEST(Config, ScaleParses)
     EXPECT_EQ(scale_from_env(), Scale::smoke);
     ::unsetenv("XRLFLOW_SCALE");
     EXPECT_EQ(scale_from_env(), Scale::smoke);
+}
+
+TEST(Thread_pool, PostedTaskRunsBeforeHelpingAPendingBatch)
+{
+    // A worker that frees up while a batch is pending and a task is posted
+    // takes the posted task first: the batch's caller drains the batch on
+    // its own, the posted task has only the workers. The synchronisation
+    // state is declared before the pool so it outlives the pool's threads.
+    std::promise<void> worker_busy;
+    std::promise<void> free_worker;
+    std::promise<void> caller_in_batch;
+    std::promise<void> free_batch;
+    std::promise<void> posted_ran;
+    std::atomic<bool> batch_started{false};
+    const std::shared_future<void> worker_gate = free_worker.get_future().share();
+    const std::shared_future<void> batch_gate = free_batch.get_future().share();
+    std::future<void> posted = posted_ran.get_future();
+
+    Thread_pool pool(1);
+    pool.post([&] {
+        worker_busy.set_value();
+        worker_gate.wait();
+    });
+    worker_busy.get_future().wait();
+
+    // The caller claims index 0 and blocks in it; index 1 stays unclaimed.
+    std::thread caller([&] {
+        pool.run(2, [&](std::size_t) {
+            if (!batch_started.exchange(true)) caller_in_batch.set_value();
+            batch_gate.wait();
+        });
+    });
+    caller_in_batch.get_future().wait();
+
+    pool.post([&] { posted_ran.set_value(); });
+    free_worker.set_value();
+    // Helping the batch first would park the worker in index 1 until the
+    // batch gate opens, so the posted task could not run before it.
+    const bool ran_first = posted.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    free_batch.set_value();
+    caller.join();
+    posted.wait();
+    EXPECT_TRUE(ran_first);
 }
 
 } // namespace
