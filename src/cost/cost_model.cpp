@@ -1,7 +1,7 @@
 #include "cost/cost_model.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cmath>
 
 #include "support/check.h"
 
@@ -41,7 +41,57 @@ std::int64_t activation_flops(Activation act, std::int64_t volume)
     return 0;
 }
 
+/// Cost_model's integer unit: 1e-12 ms.
+constexpr double units_per_ms = 1e12;
+
+/// The walk's per-thread scratch: graph costs run once per candidate on
+/// every pool thread, so the mask and worklist must not be fresh
+/// allocations.
+struct Walk_scratch {
+    std::vector<std::uint8_t> reached;
+    std::vector<Node_id> stack;
+};
+
+Walk_scratch& walk_scratch()
+{
+    thread_local Walk_scratch scratch;
+    return scratch;
+}
+
 } // namespace
+
+double Additive_cost::graph_cost_ms(const Graph& graph) const
+{
+    return finish(reachable_sum(graph, *this));
+}
+
+Kind_sums reachable_sum(const Graph& g, const Additive_cost& cost, std::vector<std::int64_t>* terms)
+{
+    Walk_scratch& scratch = walk_scratch();
+    std::vector<std::uint8_t>& reached = scratch.reached;
+    std::vector<Node_id>& stack = scratch.stack;
+    reached.assign(g.capacity(), 0);
+    stack.clear();
+    if (terms != nullptr) terms->assign(g.capacity(), unreached_term);
+    const auto visit = [&](Node_id id) {
+        std::uint8_t& flag = reached[static_cast<std::size_t>(id)];
+        if (flag != 0) return;
+        flag = 1;
+        stack.push_back(id);
+    };
+    for (const Edge& e : g.outputs()) visit(e.node);
+    Kind_sums sums{};
+    while (!stack.empty()) {
+        const Node_id id = stack.back();
+        stack.pop_back();
+        const Node& n = g.node(id);
+        for (const Edge& e : n.inputs) visit(e.node);
+        const std::int64_t term = n.kind == Op_kind::input ? 0 : cost.term(g, id);
+        sums[static_cast<std::size_t>(n.kind)] += term;
+        if (terms != nullptr) (*terms)[static_cast<std::size_t>(id)] = term;
+    }
+    return sums;
+}
 
 bool is_free_op(Op_kind kind)
 {
@@ -138,22 +188,16 @@ double Cost_model::op_cost_ms(const Graph& g, Node_id id) const
            std::max(compute_ms, memory_ms);
 }
 
-double Cost_model::graph_cost_ms(const Graph& g) const
+std::int64_t Cost_model::term(const Graph& g, Node_id id) const
 {
-    // Only nodes that contribute to the outputs count.
-    std::unordered_set<Node_id> reachable;
-    std::vector<Node_id> stack;
-    for (const Edge& e : g.outputs())
-        if (reachable.insert(e.node).second) stack.push_back(e.node);
-    while (!stack.empty()) {
-        const Node_id id = stack.back();
-        stack.pop_back();
-        for (const Edge& e : g.node(id).inputs)
-            if (reachable.insert(e.node).second) stack.push_back(e.node);
-    }
-    double total = 0.0;
-    for (const Node_id id : reachable) total += op_cost_ms(g, id);
-    return total;
+    return std::llround(op_cost_ms(g, id) * units_per_ms);
+}
+
+double Cost_model::finish(const Kind_sums& sums) const
+{
+    std::int64_t total = 0;
+    for (const std::int64_t sum : sums) total += sum;
+    return static_cast<double>(total) / units_per_ms;
 }
 
 } // namespace xrl

@@ -1,7 +1,5 @@
 #include "optimizers/pet/pet_optimizer.h"
 
-#include <unordered_set>
-
 #include "rules/corpus.h"
 #include "support/check.h"
 
@@ -99,32 +97,31 @@ public:
 
 } // namespace
 
-double pet_graph_cost_ms(const Cost_model& cost, const Graph& g)
+// PET predicts latency from flop counts of the compute-heavy kernels:
+// element-wise/data-movement ops are invisible (§2.2.2) and so are
+// kernel-launch overheads and occupancy effects. This blindness is what
+// makes PET shape-sensitive: it cannot see the wins (or losses) of
+// launch-bound graphs such as grouped-convolution ResNext.
+std::int64_t Pet_cost::term(const Graph& g, Node_id id) const
 {
-    std::unordered_set<Node_id> reachable;
-    std::vector<Node_id> stack;
-    for (const Edge& e : g.outputs())
-        if (reachable.insert(e.node).second) stack.push_back(e.node);
-    while (!stack.empty()) {
-        const Node_id id = stack.back();
-        stack.pop_back();
-        for (const Edge& e : g.node(id).inputs)
-            if (reachable.insert(e.node).second) stack.push_back(e.node);
-    }
-    // PET predicts latency from flop counts of the compute-heavy kernels:
-    // element-wise/data-movement ops are invisible (§2.2.2) and so are
-    // kernel-launch overheads and occupancy effects. This blindness is what
-    // makes PET shape-sensitive: it cannot see the wins (or losses) of
-    // launch-bound graphs such as grouped-convolution ResNext.
-    const Device_profile& device = cost.device();
+    return pet_counts_op(g.node(id).kind) ? node_flops(g, id) : 0;
+}
+
+double Pet_cost::finish(const Kind_sums& sums) const
+{
     double total = 0.0;
-    for (const Node_id id : reachable) {
-        const Op_kind kind = g.node(id).kind;
-        if (!pet_counts_op(kind)) continue;
-        total += static_cast<double>(node_flops(g, id)) /
-                 (device.efficiency(kind) * device.flops_per_ms);
+    for (std::size_t k = 0; k < sums.size(); ++k) {
+        if (sums[k] == 0) continue;
+        const auto kind = static_cast<Op_kind>(k);
+        total += static_cast<double>(sums[k]) /
+                 (device_->efficiency(kind) * device_->flops_per_ms);
     }
     return total;
+}
+
+double pet_graph_cost_ms(const Cost_model& cost, const Graph& g)
+{
+    return Pet_cost(cost.device()).graph_cost_ms(g);
 }
 
 std::unique_ptr<Rewrite_rule> make_pet_spatial_split_rule()

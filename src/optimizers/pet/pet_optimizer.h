@@ -21,8 +21,24 @@
 
 namespace xrl {
 
-/// PET's graph cost: sum of op costs over compute-heavy kernels only;
-/// element-wise and data-movement operators are free.
+/// PET's cost model: flop counts of the compute-heavy kernels only;
+/// element-wise and data-movement operators are free. A node's term is its
+/// exact node_flops (0 for kinds PET does not count), and finish() divides
+/// each kind's flop sum by that kind's effective rate, in kind order — so
+/// equal flops tie exactly, wherever they sit in the graph.
+class Pet_cost final : public Additive_cost {
+public:
+    /// `device` must outlive this cost.
+    explicit Pet_cost(const Device_profile& device) : device_(&device) {}
+
+    std::int64_t term(const Graph& graph, Node_id id) const override;
+    double finish(const Kind_sums& sums) const override;
+
+private:
+    const Device_profile* device_;
+};
+
+/// PET's graph cost on `cost`'s device: Pet_cost(cost.device()).
 double pet_graph_cost_ms(const Cost_model& cost, const Graph& graph);
 
 /// Spatial-split transform: conv2d(x) -> concat_h(conv2d(top+halo),

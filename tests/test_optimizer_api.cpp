@@ -426,15 +426,15 @@ TEST(GoldenSearch, TasoBudget20)
     expect_golden_search("taso", {{"taso.budget", 20}},
                          {{"inception", 0xa54e771e9eed337aULL, 20, 718, 729},
                           {"resnext", 0x19199a23ecf9f9bdULL, 20, 381, 440},
-                          {"bert", 0x3639ae5eed133f96ULL, 20, 223, 247}});
+                          {"bert", 0x3639ae5eed133f96ULL, 20, 219, 249}});
 }
 
 TEST(GoldenSearch, PetBudget10)
 {
     expect_golden_search("pet", {{"pet.budget", 10}},
-                         {{"inception", 0xde3dc5abb23d7ea9ULL, 10, 785, -1},
-                          {"resnext", 0xa46937b511db57f8ULL, 10, 381, -1},
-                          {"bert", 0x6020083bdbc917b7ULL, 10, 228, -1}});
+                         {{"inception", 0x31ad906f6179e34aULL, 10, 785, -1},
+                          {"resnext", 0xa46937b511db57f8ULL, 10, 377, -1},
+                          {"bert", 0x629c22de97cf5029ULL, 10, 229, -1}});
 }
 
 TEST(GoldenSearch, TensatThreeIterations)
