@@ -44,9 +44,9 @@ std::int64_t activation_flops(Activation act, std::int64_t volume)
 /// Cost_model's integer unit: 1e-12 ms.
 constexpr double units_per_ms = 1e12;
 
-/// The walk's per-thread scratch: graph costs run once per candidate on
-/// every pool thread, so the mask and worklist must not be fresh
-/// allocations.
+/// The walk's per-thread scratch: a graph cost can run once per candidate,
+/// on every thread that runs a search, so the mask and worklist must not
+/// be fresh allocations.
 struct Walk_scratch {
     std::vector<std::uint8_t> reached;
     std::vector<Node_id> stack;

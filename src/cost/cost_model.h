@@ -51,6 +51,14 @@ public:
 
     /// finish() of the sums over every node reachable from the outputs.
     double graph_cost_ms(const Graph& graph) const;
+
+protected:
+    // Copyable as the derived type only (Cost_model is held by value).
+    Additive_cost() = default;
+    Additive_cost(const Additive_cost&) = default;
+    Additive_cost& operator=(const Additive_cost&) = default;
+    Additive_cost(Additive_cost&&) = default;
+    Additive_cost& operator=(Additive_cost&&) = default;
 };
 
 /// reachable_sum's mark for a node the outputs do not reach.

@@ -31,8 +31,8 @@
 // then the self loop), independently of the others. And the readout sums
 // each member's rows in that member's own topological order in both forms.
 // The distances come from one pass over each candidate in topological
-// order, with no use lists and no Rewrite_delta, so bespoke-rule
-// candidates are covered too.
+// order, with no use lists and no Rewrite_delta, so a candidate is
+// covered whatever its rule reports.
 #pragma once
 
 #include <cstdint>

@@ -48,7 +48,7 @@ public:
     /// Build the split into `g` (recycled storage: copying the host over it
     /// reuses its buffers). False when the split is invalid.
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const Node_id conv_id = site.nodes[0];
         g = host;
@@ -91,7 +91,7 @@ public:
 
         g.replace_all_uses({conv_id, 0}, {cat, 0});
         return finalise_rewrite(g, host, static_cast<Node_id>(host.capacity()),
-                                {{{conv_id, 0}, {cat, 0}}}, hash);
+                                {{{conv_id, 0}, {cat, 0}}}, hash, delta);
     }
 };
 
@@ -134,8 +134,7 @@ Pet_result optimise_pet(const Graph& input, const Cost_model& cost, const Taso_c
     Rule_set rules = standard_rule_corpus();
     rules.push_back(make_pet_spatial_split_rule());
 
-    const Taso_result inner = optimise_taso_with_pure_cost(
-        input, rules, [&cost](const Graph& g) { return pet_graph_cost_ms(cost, g); }, config);
+    const Taso_result inner = optimise_taso(input, rules, Pet_cost(cost.device()), config);
 
     Pet_result result;
     result.best_graph = inner.best_graph;

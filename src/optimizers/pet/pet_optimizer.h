@@ -44,7 +44,7 @@ double pet_graph_cost_ms(const Cost_model& cost, const Graph& graph);
 /// Spatial-split transform: conv2d(x) -> concat_h(conv2d(top+halo),
 /// conv2d(bottom+halo)). Exact on values; "partially equivalent" in PET's
 /// sense because the halo rows are recomputed and corrected via explicit
-/// pad/slice kernels.
+/// pad/slice kernels. Reports its Rewrite_delta like every corpus rule.
 std::unique_ptr<Rewrite_rule> make_pet_spatial_split_rule();
 
 struct Pet_result {
@@ -60,8 +60,9 @@ struct Pet_result {
 };
 
 /// TASO-style backtracking search driven by PET's blind cost model over the
-/// standard corpus plus the spatial-split transform. The heartbeat in
-/// `config` is honoured exactly as in optimise_taso.
+/// standard corpus plus the spatial-split transform: optimise_taso with
+/// Pet_cost, so candidates (splits included) are priced from their deltas.
+/// The heartbeat in `config` is honoured exactly as in optimise_taso.
 Pet_result optimise_pet(const Graph& input, const Cost_model& cost,
                         const Taso_config& config = {});
 

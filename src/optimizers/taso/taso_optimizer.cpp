@@ -8,7 +8,6 @@
 
 #include "rules/candidate_engine.h"
 #include "support/check.h"
-#include "support/thread_pool.h"
 
 namespace xrl {
 
@@ -33,16 +32,17 @@ struct Cost_greater {
     }
 };
 
-/// The search loop behind every entry point. With `pool` null, `cost` is
-/// called serially on the caller's thread, in admission order; otherwise
-/// each pop's novel candidates are costed on `pool`.
-Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_fn& cost,
-                   Thread_pool* pool, const Taso_config& config)
+/// The search loop behind both entry points, on the caller's thread. With
+/// `serial_cost` set, every graph is costed through it, in admission order;
+/// otherwise through `additive`, each candidate priced from its delta.
+Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_fn* serial_cost,
+                   const Additive_cost* additive, const Taso_config& config)
 {
     const auto start = std::chrono::steady_clock::now();
 
     Taso_result result;
-    result.initial_cost_ms = cost(input);
+    result.initial_cost_ms =
+        serial_cost != nullptr ? (*serial_cost)(input) : additive->graph_cost_ms(input);
     result.best_graph = input;
     result.best_cost_ms = result.initial_cost_ms;
 
@@ -59,9 +59,8 @@ Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_f
     std::deque<Graph> popped;
     std::optional<Queued_recipe> best; // the best candidate so far; empty = the input
 
-    // One pop's novel candidates and their costs.
-    std::vector<const Candidate_engine::Step_candidate*> novel;
-    std::vector<double> costs;
+    std::optional<Delta_pricer> pricer;
+    if (serial_cost == nullptr) pricer.emplace(*additive);
 
     // One engine for the whole search: every rule lists its sites against a
     // shared op-kind index, a candidate is only built after its site
@@ -92,26 +91,18 @@ Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_f
         else
             rebuild_into(current, host);
 
-        // Cost the pop's novel candidates as one batch, then admit them in
-        // candidate order: admission reads the running best cost, so the
-        // order — not how the batch was costed — decides the result.
+        // Cost each novel candidate and admit it, in candidate order:
+        // admission reads the running best cost. Pricing from a delta is
+        // O(|delta|) once the host is walked, so it runs on this thread.
         const Candidate_engine::Step_generated& generated = engine.generate_step(host);
         result.candidates_generated += static_cast<int>(generated.candidates.size());
-        novel.clear();
-        for (const Candidate_engine::Step_candidate& candidate : generated.candidates)
-            if (seen.insert(candidate.hash).second) novel.push_back(&candidate);
-        costs.resize(novel.size());
-        const auto cost_one = [&](std::size_t i) { costs[i] = cost(*novel[i]->graph); };
-        if (pool != nullptr) {
-            pool->run(novel.size(), cost_one);
-        } else {
-            for (std::size_t i = 0; i < novel.size(); ++i) cost_one(i);
-        }
-
-        for (std::size_t i = 0; i < novel.size(); ++i) {
-            const Candidate_engine::Step_candidate& candidate = *novel[i];
+        if (pricer.has_value() && !generated.candidates.empty()) pricer->reset(host);
+        for (const Candidate_engine::Step_candidate& candidate : generated.candidates) {
+            if (!seen.insert(candidate.hash).second) continue;
             ++result.rule_candidates[static_cast<std::size_t>(candidate.rule_index)];
-            const double candidate_cost = costs[i];
+            const double candidate_cost = serial_cost != nullptr
+                                              ? (*serial_cost)(*candidate.graph)
+                                              : pricer->cost_ms(*candidate.graph, candidate.delta);
             const bool improves = candidate_cost < result.best_cost_ms;
             if (improves) result.best_cost_ms = candidate_cost;
             const bool admitted = candidate_cost < config.alpha * result.best_cost_ms &&
@@ -134,23 +125,66 @@ Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_f
 
 } // namespace
 
-Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Cost_model& cost,
+Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Additive_cost& cost,
                           const Taso_config& config)
 {
-    return optimise_taso_with_pure_cost(
-        input, rules, [&cost](const Graph& g) { return cost.graph_cost_ms(g); }, config);
+    return search(input, rules, nullptr, &cost, config);
 }
 
 Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
                                     const Graph_cost_fn& cost, const Taso_config& config)
 {
-    return search(input, rules, cost, nullptr, config);
+    return search(input, rules, &cost, nullptr, config);
 }
 
-Taso_result optimise_taso_with_pure_cost(const Graph& input, const Rule_set& rules,
-                                         const Graph_cost_fn& cost, const Taso_config& config)
+double Delta_pricer::reset(const Graph& host)
 {
-    return search(input, rules, cost, &Thread_pool::shared(), config);
+    host_ = &host;
+    sums_ = reachable_sum(host, *cost_, &terms_);
+    return cost_->finish(sums_);
+}
+
+double Delta_pricer::cost_ms(const Graph& candidate, const Rewrite_delta* delta,
+                             bool* from_delta) const
+{
+    const std::optional<double> priced =
+        delta != nullptr ? price(candidate, *delta) : std::nullopt;
+    if (from_delta != nullptr) *from_delta = priced.has_value();
+    if (!priced.has_value()) return cost_->graph_cost_ms(candidate);
+#ifndef NDEBUG
+    XRL_ENSURES(*priced == cost_->graph_cost_ms(candidate));
+#endif
+    return *priced;
+}
+
+std::optional<double> Delta_pricer::price(const Graph& candidate,
+                                          const Rewrite_delta& delta) const
+{
+    // With local shapes every node the host and the candidate share keeps
+    // its term. The candidate's reachable set is then the host's minus
+    // `removed` plus `added`, provided nothing new reads a host node the
+    // host's outputs did not reach (ids past the host's are added nodes).
+    if (!delta.valid || !delta.shapes_local) return std::nullopt;
+    const auto reached = [&](Node_id id) {
+        const auto i = static_cast<std::size_t>(id);
+        return i >= terms_.size() || terms_[i] != unreached_term;
+    };
+    for (const Rewired_edge& rw : delta.rewired)
+        if (!reached(rw.after.node)) return std::nullopt;
+    Kind_sums sums = sums_;
+    for (const Node_id id : delta.removed) {
+        const std::int64_t term = terms_[static_cast<std::size_t>(id)];
+        if (term != unreached_term)
+            sums[static_cast<std::size_t>(host_->node(id).kind)] -= term;
+    }
+    for (const Node_id id : delta.added) {
+        const Node& n = candidate.node(id);
+        for (const Edge& e : n.inputs)
+            if (!reached(e.node)) return std::nullopt;
+        if (n.kind != Op_kind::input)
+            sums[static_cast<std::size_t>(n.kind)] += cost_->term(candidate, id);
+    }
+    return cost_->finish(sums);
 }
 
 namespace {

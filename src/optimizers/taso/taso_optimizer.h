@@ -15,14 +15,17 @@
 // candidates it admits.
 //
 // Each pop costs its novel candidates — those whose canonical hash the
-// search has not seen — as one batch, then admits them in candidate order:
-// optimise_taso and PET cost the batch in parallel on the shared thread
-// pool; optimise_taso_with_cost costs it serially on the caller's thread.
-// Admission reads the costs in candidate order either way, so every entry
-// point returns the same result for the same cost.
+// search has not seen — and admits them in candidate order. optimise_taso
+// (TASO's cost model, and PET's through optimise_pet) prices each
+// candidate from its Rewrite_delta (Delta_pricer): the host is walked once
+// per pop, and a candidate costs O(|delta|), exactly what the full walk
+// would give. optimise_taso_with_cost calls its Graph_cost_fn on
+// every graph. Both run on the caller's thread and admit in candidate
+// order, so both return the same result for the same cost.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,25 +56,52 @@ struct Taso_result {
     std::vector<int> rule_candidates; ///< Novel candidates admitted per rule index.
 };
 
-/// Run the search; `cost` supplies the ranking signal (the TASO cost
-/// model). Each pop's costs fan out on the shared pool.
-Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Cost_model& cost,
+/// Run the search; `cost` supplies the ranking signal (TASO's Cost_model,
+/// or PET's Pet_cost). Candidates are priced from their deltas.
+Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Additive_cost& cost,
                           const Taso_config& config = {});
 
-/// Generic cost callback variant. `cost` is called serially on the
-/// caller's thread, input first and then in admission order, so it need
-/// not be thread-safe (a timing probe around a cost model may count and
-/// clock each call).
+/// Generic cost callback variant. `cost` is called on every graph —
+/// serially on the caller's thread, input first and then in admission
+/// order — so it need not be thread-safe (a timing probe around a cost
+/// model may count and clock each call). For an additive cost it returns
+/// optimise_taso's result exactly.
 using Graph_cost_fn = std::function<double(const Graph&)>;
 Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
                                     const Graph_cost_fn& cost, const Taso_config& config);
 
-/// As optimise_taso_with_cost, but `cost` must be pure and safe to call
-/// concurrently (Cost_model's and PET's graph costs are: const, no
-/// caches): each pop's novel candidates are costed on the shared pool.
-/// optimise_taso and optimise_pet run through it.
-Taso_result optimise_taso_with_pure_cost(const Graph& input, const Rule_set& rules,
-                                         const Graph_cost_fn& cost, const Taso_config& config);
+/// Prices one host's candidates from their Rewrite_delta. reset() walks the
+/// host once, keeping every reachable node's term and the per-kind sums; a
+/// candidate's cost is then those sums minus the terms of the nodes it
+/// removed plus the terms of the nodes it added — O(|delta|) work, and
+/// bit-identical to the full walk because the terms are integers. It falls
+/// back to the full walk whenever the delta cannot prove the result: no
+/// delta, shapes that changed beyond the added nodes, or an added node (or
+/// a splice) reading a host node the host's outputs did not reach. Debug
+/// builds check every delta price against the full walk.
+class Delta_pricer {
+public:
+    /// `cost` must outlive the pricer.
+    explicit Delta_pricer(const Additive_cost& cost) : cost_(&cost) {}
+
+    /// Walk `host` (which must outlive its use here) and return its cost.
+    double reset(const Graph& host);
+
+    /// The cost of `candidate`, built from the host with `delta` (null when
+    /// its rule reported none); `from_delta` reports which path priced it.
+    /// Const: safe to call concurrently between resets.
+    double cost_ms(const Graph& candidate, const Rewrite_delta* delta,
+                   bool* from_delta = nullptr) const;
+
+private:
+    /// The delta price; empty when the delta cannot prove it.
+    std::optional<double> price(const Graph& candidate, const Rewrite_delta& delta) const;
+
+    const Additive_cost* cost_;
+    const Graph* host_ = nullptr;
+    std::vector<std::int64_t> terms_; ///< The host's terms by id (reachable_sum).
+    Kind_sums sums_{};
+};
 
 /// Register the "taso" backend. Options: "taso.alpha", "taso.budget",
 /// "taso.max_candidates_per_step", "taso.max_queue".

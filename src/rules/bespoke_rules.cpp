@@ -11,12 +11,14 @@ namespace {
 /// Clean up a hand-built transformation; returns false when the result is
 /// structurally invalid (cycle or failed shape inference). `graph` must be
 /// a copy of `host` mutated only by appending nodes and redirecting the
-/// `rewired` edges — the shared epilogue then infers shapes incrementally.
-/// Bespoke rules report no Rewrite_delta (see Rewrite_rule::build).
+/// `rewired` edges — the shared epilogue then infers shapes incrementally
+/// and reports the Rewrite_delta.
 bool finalise_transformed(Graph& graph, const Graph& host,
-                          const std::vector<Rewired_edge>& rewired, std::uint64_t* hash)
+                          const std::vector<Rewired_edge>& rewired, std::uint64_t* hash,
+                          Rewrite_delta* delta)
 {
-    return finalise_rewrite(graph, host, static_cast<Node_id>(host.capacity()), rewired, hash);
+    return finalise_rewrite(graph, host, static_cast<Node_id>(host.capacity()), rewired, hash,
+                            delta);
 }
 
 /// A bespoke site naming one or two host nodes.
@@ -59,7 +61,7 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const auto [id1, id2] = site.nodes;
         const std::int64_t n1 = host.shape_of(host.node(id1).inputs[1])[1];
@@ -84,7 +86,8 @@ public:
 
         g.replace_all_uses({id1, 0}, {sp, 0});
         g.replace_all_uses({id2, 0}, {sp, 1});
-        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash);
+        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash,
+                                    delta);
     }
 };
 
@@ -114,7 +117,7 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const auto [id1, id2] = site.nodes;
         const std::int64_t k1 = host.shape_of(host.node(id1).inputs[1])[0];
@@ -136,7 +139,8 @@ public:
 
         g.replace_all_uses({id1, 0}, {sp, 0});
         g.replace_all_uses({id2, 0}, {sp, 1});
-        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash);
+        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash,
+                                    delta);
     }
 };
 
@@ -169,13 +173,13 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const Node_id id = site.nodes[0];
         g = host;
         const Edge replacement = g.node(g.node(id).inputs.front().node).inputs[0];
         g.replace_all_uses({id, 0}, replacement);
-        return finalise_transformed(g, host, {{{id, 0}, replacement}}, hash);
+        return finalise_transformed(g, host, {{{id, 0}, replacement}}, hash, delta);
     }
 };
 
@@ -207,7 +211,7 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const Node_id id = site.nodes[0];
         const Node_id cat_id = host.node(id).inputs[0].node;
@@ -221,7 +225,7 @@ public:
             g.replace_all_uses(before, after);
             rewired.push_back({before, after});
         }
-        return finalise_transformed(g, host, rewired, hash);
+        return finalise_transformed(g, host, rewired, hash, delta);
     }
 };
 
@@ -247,7 +251,7 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const auto [bn_id, conv_id] = site.nodes;
         g = host;
@@ -285,7 +289,7 @@ public:
         const Node_id y = g.add_node(Op_kind::add, {{folded_conv, 0}, {bias_col, 0}});
 
         g.replace_all_uses({bn_id, 0}, {y, 0});
-        return finalise_transformed(g, host, {{{bn_id, 0}, {y, 0}}}, hash);
+        return finalise_transformed(g, host, {{{bn_id, 0}, {y, 0}}}, hash, delta);
     }
 };
 
@@ -319,13 +323,14 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const Node_id id = site.nodes[0];
         const Node_id lhs = host.node(id).inputs[0].node;
         const Node_id rhs = host.node(id).inputs[1].node;
         for (const auto& [big, small] : {std::pair{lhs, rhs}, std::pair{rhs, lhs}})
-            if (mergeable(host, big, small) && merge(g, host, id, big, small, hash)) return true;
+            if (mergeable(host, big, small) && merge(g, host, id, big, small, hash, delta))
+                return true;
         return false;
     }
 
@@ -352,7 +357,7 @@ private:
     }
 
     static bool merge(Graph& g, const Graph& host, Node_id add_id, Node_id big, Node_id small,
-                      std::uint64_t* hash)
+                      std::uint64_t* hash, Rewrite_delta* delta)
     {
         g = host;
         const Edge x = g.node(big).inputs[0];
@@ -369,7 +374,7 @@ private:
         const Node_id merged = g.add_node(Op_kind::conv2d, {x, {w_sum, 0}}, conv_params);
 
         g.replace_all_uses({add_id, 0}, {merged, 0});
-        return finalise_transformed(g, host, {{{add_id, 0}, {merged, 0}}}, hash);
+        return finalise_transformed(g, host, {{{add_id, 0}, {merged, 0}}}, hash, delta);
     }
 };
 
@@ -396,7 +401,7 @@ public:
     }
 
     bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+               Rewrite_delta* delta) const override
     {
         const Node_id id = site.nodes[0];
         const Node_id emb_id = host.node(id).inputs[0].node;
@@ -407,7 +412,7 @@ public:
         const Node_id folded_table = g.add_node(Op_kind::matmul, {table, projection});
         const Node_id folded = g.add_node(Op_kind::embedding, {ids, {folded_table, 0}});
         g.replace_all_uses({id, 0}, {folded, 0});
-        return finalise_transformed(g, host, {{{id, 0}, {folded, 0}}}, hash);
+        return finalise_transformed(g, host, {{{id, 0}, {folded, 0}}}, hash, delta);
     }
 };
 

@@ -91,7 +91,7 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
     const auto build_entry = [&](std::size_t i) {
         Wave_entry& entry = wave_[i];
         Slot& slot = *entry.slot;
-        slot.delta.valid = false; // bespoke builds report none
+        slot.delta.valid = false; // stays so if the rule reports none
         entry.built = (*rules_)[entry.record->rule_index]->build(
             host, entry.record->site, slot.graph, &entry.hash, &slot.delta);
     };

@@ -28,10 +28,10 @@
 //      revisits few (TASO's queue) keeps each one's Recipe — the rule and
 //      the site — and rebuild()s it from its host when needed.
 //
-// Pattern and bespoke rules differ only in what their sites hold and in
-// the Rewrite_delta their builds report (bespoke builds report none, so
-// choosing one rebuilds the next step's index); the engine treats both
-// kinds uniformly.
+// Pattern and bespoke rules differ only in what their sites hold; both
+// report each build's Rewrite_delta, so the next step's index is patched
+// whichever kind was chosen, and TASO and PET price every candidate from
+// its delta. The engine treats both kinds uniformly.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +97,7 @@ public:
         int rule_index = -1;
         std::uint64_t hash = 0; ///< canonical_hash of `*graph` as generated.
         /// How `*graph` differs from the host (for the next step's index
-        /// patch); null for bespoke rules, which cannot report one.
+        /// patch and for delta pricing); null when the rule reported none.
         const Rewrite_delta* delta = nullptr;
         /// The site, in the engine's record buffer (valid until the next
         /// generate_step() call).

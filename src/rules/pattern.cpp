@@ -528,6 +528,7 @@ bool finalise_rewrite(Graph& g, const Graph& host, Node_id first_new_node,
             }
         }
         if (!incremental) g.infer_shapes();
+        if (delta_out != nullptr) delta_out->shapes_local = incremental;
 
         // The epilogue's own cycle check already ran, and dead-node
         // elimination cannot introduce a cycle — skip the re-check.

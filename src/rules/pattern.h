@@ -122,8 +122,12 @@ struct Rewrite_delta {
     std::vector<Node_id> stale_use_producers;
     /// The splice points (uses moved from before.node to after.node).
     std::vector<Rewired_edge> rewired;
-    /// False: the producer could not describe the change (bespoke rules);
-    /// the index must be rebuilt.
+    /// True when incremental shape inference held: every node the host and
+    /// the result share kept its shapes, so only the added nodes' shapes
+    /// (and costs) are new. False when the full pass ran.
+    bool shapes_local = false;
+    /// False: the producer did not describe the change (a failed build, or
+    /// a rule that reports no delta); the index must be rebuilt.
     bool valid = false;
 };
 

@@ -93,10 +93,11 @@ public:
     /// storage; contents unspecified): complete, validated, shapes
     /// inferred. Returns false when the rewrite is invalid at this site.
     /// Optionally reports the result's canonical hash, and the
-    /// Rewrite_delta that patches a Host_index from `host` to `out` —
-    /// pattern rules fill it; bespoke rules leave it untouched, so a
-    /// caller that wants one must mark it invalid first. Pure: const, and
-    /// safe to call concurrently on distinct outputs.
+    /// Rewrite_delta that patches a Host_index from `host` to `out` (and
+    /// prices `out` from the host's cost terms). Every rule in the corpus
+    /// fills it through finalise_rewrite; a rule that cannot leaves it
+    /// untouched, so a caller that wants one must mark it invalid first.
+    /// Pure: const, and safe to call concurrently on distinct outputs.
     virtual bool build(const Graph& host, const Rewrite_site& site, Graph& out,
                        std::uint64_t* canonical_hash_out = nullptr,
                        Rewrite_delta* delta_out = nullptr) const = 0;

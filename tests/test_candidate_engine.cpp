@@ -8,11 +8,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cost/cost_model.h"
 #include "cost/e2e_simulator.h"
 #include "env/environment.h"
 #include "ir/builder.h"
 #include "models/models.h"
 #include "optimizers/pet/pet_optimizer.h"
+#include "optimizers/taso/taso_optimizer.h"
 #include "rules/candidate_engine.h"
 #include "rules/corpus.h"
 #include "support/fnv.h"
@@ -237,7 +239,8 @@ TEST(Candidate_engine, MovedOutCandidatesLeaveNextStepIntact)
         bool pattern = false;
         bool bespoke = false;
         for (const Candidate_engine::Step_candidate& c : generated.candidates) {
-            (c.delta != nullptr ? pattern : bespoke) = true;
+            const auto& rule = rules[static_cast<std::size_t>(c.rule_index)];
+            (dynamic_cast<const Pattern_rule*>(rule.get()) != nullptr ? pattern : bespoke) = true;
             moved.emplace_back(std::move(*c.graph), c.hash);
         }
         EXPECT_TRUE(pattern) << "step " << step;
@@ -514,6 +517,55 @@ TEST(Candidate_engine, RebuildReproducesEveryCandidate)
             EXPECT_TRUE(pattern) << "host " << h;
             EXPECT_TRUE(bespoke) << "host " << h;
         }
+    }
+}
+
+TEST(Delta_pricer, EveryCandidateMatchesTheFullWalk)
+{
+    // Along a 10-step walk on each host, every candidate of every rule —
+    // pattern rules, the bespoke rules and PET's split — priced from its
+    // delta must equal the full walk bit for bit, under both cost models.
+    // Every rule here reports a delta and keeps shapes local, so none may
+    // fall back to the full walk.
+    const Cost_model cost(gtx1080_profile());
+    const Pet_cost pet(cost.device());
+    const std::array<const Additive_cost*, 2> models = {&cost, &pet};
+    const Rule_set rules = pet_rule_corpus();
+    std::vector<int> from_delta(rules.size(), 0);
+    int fallbacks = 0;
+    for (const Graph& initial : {make_inception_v3(Scale::smoke), make_resnext50(Scale::smoke),
+                                 make_bert(Scale::smoke, 32), bespoke_sites_host()}) {
+        Candidate_engine engine(rules, Candidate_engine_config{16, 1});
+        Graph host = initial;
+        std::uint64_t lcg = 0x853c49e6748fea9bULL;
+        for (int step = 0; step < 10; ++step) {
+            const Candidate_engine::Step_generated& generated = engine.generate_step(host);
+            if (generated.candidates.empty()) break;
+            for (const Additive_cost* model : models) {
+                Delta_pricer pricer(*model);
+                EXPECT_EQ(pricer.reset(host), model->graph_cost_ms(host));
+                for (const Candidate_engine::Step_candidate& c : generated.candidates) {
+                    const std::string& rule = rules[static_cast<std::size_t>(c.rule_index)]->name();
+                    ASSERT_NE(c.delta, nullptr) << rule;
+                    bool exact = false;
+                    EXPECT_EQ(pricer.cost_ms(*c.graph, c.delta, &exact),
+                              model->graph_cost_ms(*c.graph))
+                        << rule << " step " << step;
+                    if (exact) {
+                        ++from_delta[static_cast<std::size_t>(c.rule_index)];
+                    } else {
+                        ++fallbacks;
+                    }
+                }
+            }
+            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+            host = *generated.candidates[(lcg >> 33) % generated.candidates.size()].graph;
+        }
+    }
+    EXPECT_EQ(fallbacks, 0);
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        if (dynamic_cast<const Pattern_rule*>(rules[i].get()) != nullptr) continue;
+        EXPECT_GT(from_delta[i], 0) << rules[i]->name() << " was never priced from its delta";
     }
 }
 

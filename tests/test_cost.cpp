@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "cost/cost_model.h"
 #include "cost/device.h"
 #include "cost/e2e_simulator.h"
 #include "ir/builder.h"
+#include "optimizers/pet/pet_optimizer.h"
 
 namespace xrl {
 namespace {
@@ -90,6 +94,58 @@ TEST(CostModel, GraphCostIsSumOfOpCosts)
     double sum = 0.0;
     for (const Node_id id : g.node_ids()) sum += cost.op_cost_ms(g, id);
     EXPECT_NEAR(cost.graph_cost_ms(g), sum, 1e-12);
+}
+
+/// Four branches over one input, concatenated in a fixed order; `order`
+/// says in which order the branches' nodes are appended, and `dead` adds
+/// an unused convolution after the first branch.
+Graph branchy_graph(const std::array<int, 4>& order, bool dead)
+{
+    Graph_builder b;
+    const Edge x = b.input({1, 8, 15, 15});
+    std::array<Edge, 4> branch;
+    for (const int i : order) {
+        switch (i) {
+        case 0: branch[0] = b.relu(b.conv2d(x, b.weight({8, 8, 3, 3}), 1, 1)); break;
+        case 1: branch[1] = b.conv2d(x, b.weight({6, 8, 1, 1}), 1, 0, Activation::relu); break;
+        case 2: branch[2] = b.conv2d(b.avg_pool2d(x, 3, 1, 1), b.weight({5, 8, 1, 1})); break;
+        default: branch[3] = b.add(b.max_pool2d(x, 3, 1, 1), x); break;
+        }
+        if (dead && i == order[0]) b.conv2d(x, b.weight({8, 8, 5, 5}), 1, 2);
+    }
+    return b.finish({b.concat(1, {branch[0], branch[1], branch[2], branch[3]})});
+}
+
+TEST(CostModel, GraphCostIsOrderFree)
+{
+    // The same graph with its nodes appended in another order (other ids,
+    // so another walk order) plus a dead node: both cost models must give
+    // bit-identical costs, because their sums are integers.
+    const Graph forward = branchy_graph({0, 1, 2, 3}, false);
+    const Graph backward = branchy_graph({3, 2, 1, 0}, true);
+    ASSERT_GT(backward.size(), forward.size());
+    const Cost_model cost(gtx1080_profile());
+    EXPECT_EQ(cost.graph_cost_ms(forward), cost.graph_cost_ms(backward));
+    EXPECT_EQ(pet_graph_cost_ms(cost, forward), pet_graph_cost_ms(cost, backward));
+    EXPECT_GT(pet_graph_cost_ms(cost, forward), 0.0);
+}
+
+TEST(Pet, OneByOneSplitTiesExactly)
+{
+    // Splitting a 1x1 convolution spatially needs no halo: the two halves
+    // do exactly the original flops. PET sees only those flops, so the
+    // split ties with the original exactly — not a rounding "improvement"
+    // either way — while the honest cost model charges the pad and concat.
+    Graph_builder b;
+    const Edge x = b.input({1, 8, 11, 11});
+    const Edge w = b.weight({16, 8, 1, 1});
+    const Graph g = b.finish({b.conv2d(x, w)});
+    const std::vector<Graph> split = make_pet_spatial_split_rule()->apply_all(g);
+    ASSERT_EQ(split.size(), 1u);
+
+    const Cost_model cost(gtx1080_profile());
+    EXPECT_EQ(pet_graph_cost_ms(cost, split.front()), pet_graph_cost_ms(cost, g));
+    EXPECT_GT(cost.graph_cost_ms(split.front()), cost.graph_cost_ms(g));
 }
 
 TEST(CostModel, IgnoresDeadNodes)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -471,6 +473,41 @@ TEST(Pet, OptimiserRunsAndReportsBothCosts)
     EXPECT_GT(result.final_ms, 0.0);
     EXPECT_EQ(result.final_ms, result.metadata.at("honest_ms"));
     EXPECT_LE(result.metadata.at("pet_believed_ms"), result.final_ms + 1e-12);
+}
+
+/// The standard corpus plus PET's spatial split: the rule set PET searches.
+Rule_set pet_rule_corpus()
+{
+    Rule_set rules = standard_rule_corpus();
+    rules.push_back(make_pet_spatial_split_rule());
+    return rules;
+}
+
+TEST(Pet, DeltaPricedSearchMatchesGraphCostFnEntry)
+{
+    // optimise_pet prices candidates from their deltas; the result must be
+    // the serial Graph_cost_fn entry's over the same corpus, field for
+    // field.
+    const Cost_model cost(gtx1080_profile());
+    const Rule_set rules = pet_rule_corpus();
+    Taso_config config;
+    config.budget = 12;
+    for (const Graph& model : {make_inception_v3(Scale::smoke), make_resnext50(Scale::smoke),
+                               make_bert(Scale::smoke)}) {
+        const Pet_result pet = optimise_pet(model, cost, config);
+        const Taso_result serial = optimise_taso_with_cost(
+            model, rules, [&](const Graph& g) { return pet_graph_cost_ms(cost, g); }, config);
+        std::map<std::string, int> serial_counts;
+        for (std::size_t i = 0; i < serial.rule_candidates.size(); ++i)
+            if (serial.rule_candidates[i] > 0)
+                serial_counts[rules[i]->name()] = serial.rule_candidates[i];
+        EXPECT_EQ(pet.best_graph.canonical_hash(), serial.best_graph.canonical_hash());
+        EXPECT_EQ(pet.pet_cost_ms, serial.best_cost_ms);
+        EXPECT_EQ(pet.honest_cost_ms, cost.graph_cost_ms(serial.best_graph));
+        EXPECT_EQ(pet.iterations, serial.iterations);
+        EXPECT_EQ(pet.stopped_early, serial.stopped_early);
+        EXPECT_EQ(pet.rule_candidates, serial_counts);
+    }
 }
 
 } // namespace
