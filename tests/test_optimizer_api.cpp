@@ -3,10 +3,12 @@
 // progress callback, and memoisation in Optimization_service.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "core/optimization_service.h"
 #include "core/optimizer_api.h"
+#include "core/result_serial.h"
 #include "core/xrlflow.h"
 #include "ir/builder.h"
 #include "models/models.h"
@@ -16,6 +18,7 @@
 #include "rules/bespoke_rules.h"
 #include "rules/corpus.h"
 #include "support/check.h"
+#include "support/fnv.h"
 #include "optimizer_test_util.h"
 
 namespace xrl {
@@ -443,6 +446,76 @@ TEST(GoldenSearch, TensatThreeIterations)
                          {{"inception", 0xa161525f5b6f8936ULL, 2, 6, -1},
                           {"resnext", 0x1dc4511510990be0ULL, 2, 1, -1},
                           {"bert", 0xe76e573d8267f0eaULL, 3, 40, -1}});
+}
+
+// ---------------------------------------------------------------------------
+// Golden full results: every Optimize_result field but wall_seconds, pinned
+// bit-exactly. The digest hashes the result's serialised form (the binary
+// graph, doubles by bit pattern, the rule_counts and metadata maps), so
+// initial/final ms, cancelled, device and every metadata key and value are
+// covered, not only the search-level numbers above.
+// ---------------------------------------------------------------------------
+
+/// Every field but the wall-clock ones: wall_seconds and xrlflow's
+/// metadata["training_seconds"].
+std::uint64_t result_digest(Optimize_result result)
+{
+    result.wall_seconds = 0.0;
+    result.metadata.erase("training_seconds");
+    return fnv1a_bytes(fnv1a_offset, result_to_bytes(result));
+}
+
+/// The fields behind a digest, for a readable failure message.
+std::string describe(const Optimize_result& result)
+{
+    char line[256];
+    std::snprintf(line, sizeof line, "%s/%s steps=%d initial=%a final=%a cancelled=%d graph=%016llx",
+                  result.backend.c_str(), result.device.c_str(), result.steps, result.initial_ms,
+                  result.final_ms, result.cancelled ? 1 : 0,
+                  static_cast<unsigned long long>(result.best_graph.canonical_hash()));
+    std::string out = line;
+    for (const auto& [rule, count] : result.rule_counts)
+        out += " " + rule + "=" + std::to_string(count);
+    for (const auto& [key, value] : result.metadata) {
+        std::snprintf(line, sizeof line, " %s=%a", key.c_str(), value);
+        out += line;
+    }
+    return out;
+}
+
+TEST(GoldenResult, EveryFieldButWallTime)
+{
+    struct Golden {
+        const char* backend;
+        const char* model;
+        std::uint64_t digest;
+    };
+    const Golden expected[] = {
+        {"taso", "inception", 0x0982ece02eb60a20ULL},
+        {"taso", "resnext", 0x48ffa3ee8543c6abULL},
+        {"taso", "bert", 0x34e66d65a2b30e73ULL},
+        {"pet", "inception", 0x45e1b98c020ae5bcULL},
+        {"pet", "resnext", 0xd3090f56014b1a5fULL},
+        {"pet", "bert", 0xfd20035533525192ULL},
+        {"tensat", "inception", 0x229e38ccbc4dc30bULL},
+        {"tensat", "resnext", 0x437ce47db33d5e11ULL},
+        {"tensat", "bert", 0xcc0a76f95c306e62ULL},
+        {"xrlflow", "bert", 0x6d155a5a812ef479ULL},
+    };
+    const Rule_set rules = standard_rule_corpus();
+    const Optimizer_context context =
+        api_context(rules, {{"taso.budget", 20},
+                            {"pet.budget", 10},
+                            {"tensat.max_iterations", 3},
+                            {"xrlflow.episodes", 0}});
+    std::map<std::string, std::unique_ptr<Optimizer>> optimizers;
+    for (const Golden& golden : expected) {
+        std::unique_ptr<Optimizer>& optimizer = optimizers[golden.backend];
+        if (!optimizer) optimizer = make_optimizer(golden.backend, context);
+        const Optimize_result result = optimizer->optimize(golden_model(golden.model), {});
+        EXPECT_EQ(result_digest(result), golden.digest)
+            << golden.model << ": " << describe(result);
+    }
 }
 
 } // namespace
