@@ -23,10 +23,10 @@ int main()
     std::printf("------------------------------------------------\n");
     for (const Model_spec& spec : evaluation_models(setup.scale)) {
         const Graph model = spec.build();
-        const Taso_result taso = optimise_taso(model, rules, cost, taso_config);
+        const Optimize_result taso = optimise_taso(model, rules, cost, taso_config);
         const auto system = trained_system(rules, spec, setup);
         const Optimisation_outcome outcome = system->optimise(model);
-        std::printf("%-14s %14.2f %18.2f\n", spec.name.c_str(), taso.optimisation_seconds,
+        std::printf("%-14s %14.2f %18.2f\n", spec.name.c_str(), taso.wall_seconds,
                     outcome.optimisation_seconds);
         std::fflush(stdout);
     }

@@ -29,10 +29,10 @@ int main()
 
     // Baseline: TASO's cost-model-guided backtracking search.
     const Cost_model cost(gtx1080_profile());
-    const Taso_result taso = optimise_taso(bert, rules, cost);
+    const Optimize_result taso = optimise_taso(bert, rules, cost);
     const Latency_stats taso_ms = simulator.measure_repeated(taso.best_graph, 5);
     std::printf("TASO   : %.4f ms (%.1f%% speedup, %.2f s)\n", taso_ms.mean_ms,
-                (initial.mean_ms / taso_ms.mean_ms - 1.0) * 100.0, taso.optimisation_seconds);
+                (initial.mean_ms / taso_ms.mean_ms - 1.0) * 100.0, taso.wall_seconds);
 
     // X-RLflow: train briefly, then optimise greedily.
     Xrlflow_config config;

@@ -37,7 +37,7 @@ int main()
     }
 
     const Rule_set rules = standard_rule_corpus();
-    const Taso_result taso = optimise_taso(model, rules, cost);
+    const Optimize_result taso = optimise_taso(model, rules, cost);
     std::printf("TASO    : %.4f -> %.4f ms end-to-end\n", simulator.noiseless_ms(model),
                 simulator.noiseless_ms(taso.best_graph));
 

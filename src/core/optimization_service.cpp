@@ -29,7 +29,7 @@ Optimization_service::Optimization_service(Service_config config)
 
 std::vector<std::string> Optimization_service::backends() const
 {
-    return Optimizer_registry::built_in().names();
+    return backend_names();
 }
 
 std::unique_ptr<Optimizer> Optimization_service::acquire_instance(const std::string& backend)

@@ -1,13 +1,17 @@
 #include "core/optimizer_api.h"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/xrlflow.h"
 #include "optimizers/pet/pet_optimizer.h"
 #include "optimizers/taso/taso_optimizer.h"
 #include "optimizers/tensat/tensat_optimizer.h"
+#include "rules/bespoke_rules.h"
+#include "rules/corpus.h"
 #include "support/check.h"
 
 namespace xrl {
@@ -134,61 +138,128 @@ bool Progress_driver::cancelled() const { return state_->cancelled; }
 double Progress_driver::elapsed_seconds() const { return state_->elapsed(); }
 
 // ---------------------------------------------------------------------------
-// Optimizer_registry
+// Backends
 // ---------------------------------------------------------------------------
 
-void Optimizer_registry::add(std::string name, Factory factory)
-{
-    XRL_EXPECTS(!name.empty());
-    XRL_EXPECTS(factory != nullptr);
-    XRL_EXPECTS(!factories_.contains(name));
-    factories_.emplace(std::move(name), std::move(factory));
-}
+namespace {
 
-bool Optimizer_registry::contains(const std::string& name) const
-{
-    return factories_.contains(name);
-}
+/// A search with its backend's options already applied: runs `graph` on
+/// `cost` with the request's iteration budget (0 = the backend's) and
+/// heartbeat.
+using Search_fn = std::function<Optimize_result(const Graph& graph, int iteration_budget,
+                                                Search_heartbeat heartbeat,
+                                                const Cost_model& cost)>;
 
-std::vector<std::string> Optimizer_registry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto& [name, factory] : factories_) out.push_back(name);
-    return out;
-}
-
-std::unique_ptr<Optimizer> Optimizer_registry::create(const std::string& name,
-                                                      const Optimizer_context& context) const
-{
-    const auto it = factories_.find(name);
-    if (it == factories_.end()) {
-        std::ostringstream os;
-        os << "unknown optimizer backend '" << name << "'; registered backends:";
-        for (const auto& [known, factory] : factories_) os << ' ' << known;
-        throw std::invalid_argument(os.str());
+/// TASO, PET and Tensat behind Optimizer: each request runs the search on
+/// its own device's cost model — one instance serves the whole fleet —
+/// and the result is stamped with the backend and that device.
+class Search_backend final : public Optimizer {
+public:
+    Search_backend(std::string name, const Optimizer_context& context, Search_fn search)
+        : name_(std::move(name)), context_(context), search_(std::move(search))
+    {
     }
-    XRL_EXPECTS(context.rules != nullptr);
-    XRL_EXPECTS(context.devices != nullptr);
-    return it->second(context);
+
+    std::string name() const override { return name_; }
+
+    Optimize_result optimize(const Graph& graph, const Optimize_request& request) override
+    {
+        const Progress_driver driver(name_, request);
+        const Cost_model& cost = context_.cost_for(request);
+        Optimize_result result =
+            search_(graph, request.iteration_budget, driver.heartbeat(), cost);
+        result.backend = name_;
+        result.device = cost.device().name;
+        return result;
+    }
+
+private:
+    std::string name_;
+    Optimizer_context context_;
+    Search_fn search_;
+};
+
+/// "taso" and "pet": TASO's search, with option "<name>.budget". PET
+/// searches its own corpus (the standard one plus the spatial split).
+std::unique_ptr<Optimizer> make_greedy_backend(std::string name, const Optimizer_context& context)
+{
+    Taso_config base;
+    base.budget = static_cast<int>(context.option_or(name + ".budget", base.budget));
+    const bool pet = name == "pet";
+    const Rule_set& rules = *context.rules;
+    return std::make_unique<Search_backend>(
+        std::move(name), context,
+        [base, pet, &rules](const Graph& graph, int iteration_budget, Search_heartbeat heartbeat,
+                            const Cost_model& cost) {
+            Taso_config config = base;
+            if (iteration_budget > 0) config.budget = iteration_budget;
+            config.heartbeat = std::move(heartbeat);
+            return pet ? optimise_pet(graph, cost, config)
+                       : optimise_taso(graph, rules, cost, config);
+        });
 }
 
-const Optimizer_registry& Optimizer_registry::built_in()
+/// "tensat": the curated patterns plus the bespoke multi-output merges as
+/// k-limited multi-pattern rewrites (§4.6). Option "tensat.max_iterations".
+std::unique_ptr<Optimizer> make_tensat_backend(const Optimizer_context& context)
 {
-    static const Optimizer_registry registry = [] {
-        Optimizer_registry r;
-        register_taso_backend(r);
-        register_pet_backend(r);
-        register_tensat_backend(r);
-        register_xrlflow_backend(r);
-        return r;
+    Tensat_config base;
+    base.max_iterations =
+        static_cast<int>(context.option_or("tensat.max_iterations", base.max_iterations));
+    auto patterns = std::make_shared<const std::vector<Pattern>>(curated_patterns());
+    auto multi_pattern_rules = std::make_shared<Rule_set>();
+    multi_pattern_rules->push_back(make_merge_matmul_shared_lhs_rule());
+    multi_pattern_rules->push_back(make_merge_conv_shared_input_rule());
+    return std::make_unique<Search_backend>(
+        "tensat", context,
+        [base, patterns, multi_pattern_rules](const Graph& graph, int iteration_budget,
+                                              Search_heartbeat heartbeat,
+                                              const Cost_model& cost) {
+            Tensat_config config = base;
+            if (iteration_budget > 0) config.max_iterations = iteration_budget;
+            config.heartbeat = std::move(heartbeat);
+            return optimise_tensat(graph, *patterns, *multi_pattern_rules, cost, config);
+        });
+}
+
+struct Backend_entry {
+    std::string_view name;
+    std::unique_ptr<Optimizer> (*make)(const Optimizer_context&);
+};
+
+/// The backend table, sorted by name.
+constexpr Backend_entry backends[] = {
+    {"pet", [](const Optimizer_context& context) { return make_greedy_backend("pet", context); }},
+    {"taso", [](const Optimizer_context& context) { return make_greedy_backend("taso", context); }},
+    {"tensat", make_tensat_backend},
+    {"xrlflow", make_xrlflow_backend},
+};
+static_assert(std::ranges::is_sorted(backends, {}, &Backend_entry::name));
+
+} // namespace
+
+const std::vector<std::string>& backend_names()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const Backend_entry& entry : backends) out.emplace_back(entry.name);
+        return out;
     }();
-    return registry;
+    return names;
 }
 
 std::unique_ptr<Optimizer> make_optimizer(const std::string& name, const Optimizer_context& context)
 {
-    return Optimizer_registry::built_in().create(name, context);
+    for (const Backend_entry& entry : backends) {
+        if (entry.name != name) continue;
+        XRL_EXPECTS(context.rules != nullptr);
+        XRL_EXPECTS(context.devices != nullptr);
+        return entry.make(context);
+    }
+    std::ostringstream os;
+    os << "unknown optimizer backend '" << name << "'; registered backends:";
+    for (const Backend_entry& entry : backends) os << ' ' << entry.name;
+    throw std::invalid_argument(os.str());
 }
 
 } // namespace xrl

@@ -2,10 +2,8 @@
 //
 // The paper's evaluation is a head-to-head of four search strategies —
 // TASO's backtracking search, PET's partially-equivalent search, Tensat's
-// equality saturation, and X-RLflow's learned policy — and every bench,
-// example, and test used to re-implement the comparison glue against four
-// incompatible entry points. This header defines the one interface they all
-// stand behind:
+// equality saturation, and X-RLflow's learned policy. This header defines
+// the one interface they all stand behind:
 //
 //   * `Optimize_request`  — budget (wall-clock / iterations), seed,
 //     deterministic-vs-sampled mode, the target device the search optimises
@@ -13,10 +11,11 @@
 //     cancellation.
 //   * `Optimize_result`   — best graph, initial/final latency, speedup,
 //     steps, wall time, per-rule application counts, and backend-specific
-//     metadata as key/value doubles.
+//     metadata as key/value doubles. The TASO, PET and Tensat searches
+//     return it directly (optimise_taso, optimise_pet, optimise_tensat).
 //   * `Optimizer`         — the abstract backend: name() + optimize().
-//   * `Optimizer_registry`— string-keyed factories ("taso", "pet",
-//     "tensat", "xrlflow") so backends slot in interchangeably.
+//   * `make_optimizer`    — the fixed backend table: "pet", "taso",
+//     "tensat" and "xrlflow" (`backend_names()`).
 //
 // The device is first-class: a backend runs against a Device_registry (the
 // fleet's accelerators) and resolves its cost model *per request* from the
@@ -122,9 +121,10 @@ struct Optimizer_context {
     /// from the context (Optimization_service holds it via its config).
     Policy_store* policy_store = nullptr;
 
-    /// Backend-specific knobs, namespaced by backend ("taso.alpha",
-    /// "tensat.max_iterations", "xrlflow.episodes", ...). Unknown keys are
-    /// ignored; missing keys fall back to the backend's defaults.
+    /// Backend-specific knobs, namespaced by backend: "taso.budget",
+    /// "pet.budget", "tensat.max_iterations" and the "xrlflow.*" keys
+    /// (core/xrlflow.h). Unknown keys are ignored; missing keys fall back
+    /// to the backend's defaults.
     std::map<std::string, double> options;
 
     double option_or(const std::string& key, double fallback) const
@@ -187,36 +187,16 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Registry
+// Backends
 // ---------------------------------------------------------------------------
 
-/// String-keyed optimizer factories. `built_in()` serves the four paper
-/// backends; custom backends can be added to a mutable registry instance.
-class Optimizer_registry {
-public:
-    using Factory = std::function<std::unique_ptr<Optimizer>(const Optimizer_context&)>;
+/// The backend names make_optimizer serves, sorted: "pet", "taso",
+/// "tensat", "xrlflow".
+const std::vector<std::string>& backend_names();
 
-    /// Register a backend; throws Contract_violation on duplicate names.
-    void add(std::string name, Factory factory);
-
-    bool contains(const std::string& name) const;
-
-    /// Registered backend names, sorted.
-    std::vector<std::string> names() const;
-
-    /// Construct a backend; throws std::invalid_argument for unknown names
-    /// (the message lists what is registered) and Contract_violation when
-    /// the context is missing its rule corpus or cost model.
-    std::unique_ptr<Optimizer> create(const std::string& name, const Optimizer_context& context) const;
-
-    /// The registry holding "taso", "pet", "tensat" and "xrlflow".
-    static const Optimizer_registry& built_in();
-
-private:
-    std::map<std::string, Factory> factories_;
-};
-
-/// Shorthand for Optimizer_registry::built_in().create(name, context).
+/// Construct a backend; throws std::invalid_argument for unknown names
+/// (the message lists the known ones) and Contract_violation when the
+/// context is missing its rule corpus or device registry.
 std::unique_ptr<Optimizer> make_optimizer(const std::string& name, const Optimizer_context& context);
 
 } // namespace xrl

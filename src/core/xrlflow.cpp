@@ -251,11 +251,9 @@ private:
 
 } // namespace
 
-void register_xrlflow_backend(Optimizer_registry& registry)
+std::unique_ptr<Optimizer> make_xrlflow_backend(const Optimizer_context& context)
 {
-    registry.add("xrlflow", [](const Optimizer_context& context) -> std::unique_ptr<Optimizer> {
-        return std::make_unique<Xrlflow_backend>(context);
-    });
+    return std::make_unique<Xrlflow_backend>(context);
 }
 
 } // namespace xrl

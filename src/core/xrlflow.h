@@ -83,7 +83,7 @@ private:
     std::uint64_t episode_seed_ = 0;
 };
 
-/// Register the "xrlflow" backend. The adapter trains a policy per distinct
+/// The "xrlflow" backend (make_optimizer serves it). The adapter trains a policy per distinct
 /// (graph, seed, episodes, target device) on first use and reuses it
 /// afterwards — the device is part of the key because the simulator that
 /// produces the reward is device-specific. Training
@@ -93,6 +93,6 @@ private:
 /// "xrlflow.episodes" (training episodes, default 8), "xrlflow.rollouts"
 /// (sampled inference episodes when the request is non-deterministic),
 /// "xrlflow.hidden_dim", "xrlflow.max_candidates", "xrlflow.max_steps".
-void register_xrlflow_backend(Optimizer_registry& registry);
+std::unique_ptr<Optimizer> make_xrlflow_backend(const Optimizer_context& context);
 
 } // namespace xrl

@@ -1,7 +1,6 @@
 #include "optimizers/pet/pet_optimizer.h"
 
 #include "rules/corpus.h"
-#include "support/check.h"
 
 namespace xrl {
 
@@ -129,78 +128,20 @@ std::unique_ptr<Rewrite_rule> make_pet_spatial_split_rule()
     return std::make_unique<Pet_spatial_split_rule>();
 }
 
-Pet_result optimise_pet(const Graph& input, const Cost_model& cost, const Taso_config& config)
+Optimize_result optimise_pet(const Graph& input, const Cost_model& cost, const Taso_config& config)
 {
     Rule_set rules = standard_rule_corpus();
     rules.push_back(make_pet_spatial_split_rule());
 
-    const Taso_result inner = optimise_taso(input, rules, Pet_cost(cost.device()), config);
-
-    Pet_result result;
-    result.best_graph = inner.best_graph;
-    result.pet_cost_ms = inner.best_cost_ms;
-    result.honest_cost_ms = cost.graph_cost_ms(inner.best_graph);
-    result.iterations = inner.iterations;
-    result.optimisation_seconds = inner.optimisation_seconds;
-    result.stopped_early = inner.stopped_early;
-    for (std::size_t i = 0; i < inner.rule_candidates.size(); ++i)
-        if (inner.rule_candidates[i] > 0)
-            result.rule_candidates[rules[i]->name()] = inner.rule_candidates[i];
+    // The latency fields report the *honest* cost model — PET's own
+    // element-wise-blind estimate is only metadata, because trusting it is
+    // exactly the failure mode the paper documents (§2.2.2).
+    Optimize_result result = optimise_taso(input, rules, Pet_cost(cost.device()), config);
+    const double believed_ms = result.final_ms;
+    result.initial_ms = cost.graph_cost_ms(input);
+    result.final_ms = cost.graph_cost_ms(result.best_graph);
+    result.metadata = {{"pet_believed_ms", believed_ms}, {"honest_ms", result.final_ms}};
     return result;
-}
-
-namespace {
-
-class Pet_backend final : public Optimizer {
-public:
-    explicit Pet_backend(const Optimizer_context& context) : context_(context)
-    {
-        base_.alpha = context.option_or("pet.alpha", base_.alpha);
-        base_.budget = static_cast<int>(context.option_or("pet.budget", base_.budget));
-    }
-
-    std::string name() const override { return "pet"; }
-
-    Optimize_result optimize(const Graph& graph, const Optimize_request& request) override
-    {
-        Taso_config config = base_;
-        if (request.iteration_budget > 0) config.budget = request.iteration_budget;
-        const Progress_driver driver(name(), request);
-        config.heartbeat = driver.heartbeat();
-
-        const Cost_model& cost = context_.cost_for(request);
-        const Pet_result inner = optimise_pet(graph, cost, config);
-
-        // The unified latency fields report the *honest* cost model — PET's
-        // own element-wise-blind estimate is only metadata, because trusting
-        // it is exactly the failure mode the paper documents (§2.2.2).
-        Optimize_result result;
-        result.backend = name();
-        result.device = cost.device().name;
-        result.best_graph = inner.best_graph;
-        result.initial_ms = cost.graph_cost_ms(graph);
-        result.final_ms = inner.honest_cost_ms;
-        result.steps = inner.iterations;
-        result.wall_seconds = inner.optimisation_seconds;
-        result.cancelled = inner.stopped_early;
-        result.rule_counts = inner.rule_candidates;
-        result.metadata["pet_believed_ms"] = inner.pet_cost_ms;
-        result.metadata["honest_ms"] = inner.honest_cost_ms;
-        return result;
-    }
-
-private:
-    Optimizer_context context_;
-    Taso_config base_;
-};
-
-} // namespace
-
-void register_pet_backend(Optimizer_registry& registry)
-{
-    registry.add("pet", [](const Optimizer_context& context) -> std::unique_ptr<Optimizer> {
-        return std::make_unique<Pet_backend>(context);
-    });
 }
 
 } // namespace xrl

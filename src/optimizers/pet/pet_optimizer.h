@@ -12,7 +12,6 @@
 //      shape sensitivity.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "cost/cost_model.h"
@@ -47,27 +46,16 @@ double pet_graph_cost_ms(const Cost_model& cost, const Graph& graph);
 /// pad/slice kernels. Reports its Rewrite_delta like every corpus rule.
 std::unique_ptr<Rewrite_rule> make_pet_spatial_split_rule();
 
-struct Pet_result {
-    Graph best_graph;
-    double pet_cost_ms = 0.0;      ///< What PET believes it achieved.
-    double honest_cost_ms = 0.0;   ///< Full cost model of the same graph.
-    int iterations = 0;
-    double optimisation_seconds = 0.0;
-    bool stopped_early = false;    ///< Heartbeat asked the search to stop.
-
-    /// Novel candidates admitted per rule name (corpus + spatial split).
-    std::map<std::string, int> rule_candidates;
-};
-
 /// TASO-style backtracking search driven by PET's blind cost model over the
 /// standard corpus plus the spatial-split transform: optimise_taso with
 /// Pet_cost, so candidates (splits included) are priced from their deltas.
 /// The heartbeat in `config` is honoured exactly as in optimise_taso.
-Pet_result optimise_pet(const Graph& input, const Cost_model& cost,
-                        const Taso_config& config = {});
-
-/// Register the "pet" backend. Shares TASO's search knobs under the "pet."
-/// prefix: "pet.alpha", "pet.budget".
-void register_pet_backend(Optimizer_registry& registry);
+/// `initial_ms` and `final_ms` are `cost`'s honest costs of the input and
+/// the best graph; `metadata` holds only "pet_believed_ms" (what PET's own
+/// model believes it achieved) and "honest_ms". `rule_counts` covers the
+/// corpus and the spatial split. `backend` and `device` are left to the
+/// caller.
+Optimize_result optimise_pet(const Graph& input, const Cost_model& cost,
+                             const Taso_config& config = {});
 
 } // namespace xrl

@@ -35,23 +35,24 @@ struct Cost_greater {
 /// The search loop behind both entry points, on the caller's thread. With
 /// `serial_cost` set, every graph is costed through it, in admission order;
 /// otherwise through `additive`, each candidate priced from its delta.
-Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_fn* serial_cost,
-                   const Additive_cost* additive, const Taso_config& config)
+Optimize_result search(const Graph& input, const Rule_set& rules, const Graph_cost_fn* serial_cost,
+                       const Additive_cost* additive, const Taso_config& config)
 {
     const auto start = std::chrono::steady_clock::now();
 
-    Taso_result result;
-    result.initial_cost_ms =
+    Optimize_result result;
+    result.initial_ms =
         serial_cost != nullptr ? (*serial_cost)(input) : additive->graph_cost_ms(input);
     result.best_graph = input;
-    result.best_cost_ms = result.initial_cost_ms;
+    result.final_ms = result.initial_ms;
 
     std::priority_queue<Queued_recipe, std::vector<Queued_recipe>, Cost_greater> queue;
     std::unordered_set<std::uint64_t> seen;
     std::size_t order = 0;
-    queue.push({result.initial_cost_ms, order++, -1, {}, input.canonical_hash()});
+    queue.push({result.initial_ms, order++, -1, {}, input.canonical_hash()});
     seen.insert(queue.top().hash);
-    result.rule_candidates.assign(rules.size(), 0);
+    std::vector<int> admitted_per_rule(rules.size(), 0); // novel candidates per rule index
+    int candidates_generated = 0;
 
     // Every popped graph, rebuilt from its parent's entry here. Deque
     // elements never move, so a child's rebuild reads its parent in place;
@@ -75,14 +76,14 @@ Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_f
         XRL_ENSURES(hash == entry.hash);
     };
 
-    while (!queue.empty() && result.iterations < config.budget) {
-        if (config.heartbeat && !config.heartbeat(result.iterations, result.best_cost_ms)) {
-            result.stopped_early = true;
+    while (!queue.empty() && result.steps < config.budget) {
+        if (config.heartbeat && !config.heartbeat(result.steps, result.final_ms)) {
+            result.cancelled = true;
             break;
         }
         const Queued_recipe current = queue.top(); // a recipe: a few hundred bytes
         queue.pop();
-        ++result.iterations;
+        ++result.steps;
 
         const auto parent = static_cast<std::ptrdiff_t>(popped.size());
         Graph& host = popped.emplace_back();
@@ -95,17 +96,17 @@ Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_f
         // admission reads the running best cost. Pricing from a delta is
         // O(|delta|) once the host is walked, so it runs on this thread.
         const Candidate_engine::Step_generated& generated = engine.generate_step(host);
-        result.candidates_generated += static_cast<int>(generated.candidates.size());
+        candidates_generated += static_cast<int>(generated.candidates.size());
         if (pricer.has_value() && !generated.candidates.empty()) pricer->reset(host);
         for (const Candidate_engine::Step_candidate& candidate : generated.candidates) {
             if (!seen.insert(candidate.hash).second) continue;
-            ++result.rule_candidates[static_cast<std::size_t>(candidate.rule_index)];
+            ++admitted_per_rule[static_cast<std::size_t>(candidate.rule_index)];
             const double candidate_cost = serial_cost != nullptr
                                               ? (*serial_cost)(*candidate.graph)
                                               : pricer->cost_ms(*candidate.graph, candidate.delta);
-            const bool improves = candidate_cost < result.best_cost_ms;
-            if (improves) result.best_cost_ms = candidate_cost;
-            const bool admitted = candidate_cost < config.alpha * result.best_cost_ms &&
+            const bool improves = candidate_cost < result.final_ms;
+            if (improves) result.final_ms = candidate_cost;
+            const bool admitted = candidate_cost < config.alpha * result.final_ms &&
                                   queue.size() < config.max_queue;
             if (!improves && !admitted) continue;
             Queued_recipe entry{candidate_cost, order, parent, candidate.recipe(), candidate.hash};
@@ -118,21 +119,25 @@ Taso_result search(const Graph& input, const Rule_set& rules, const Graph_cost_f
     }
     if (best.has_value()) rebuild_into(*best, result.best_graph);
 
-    result.optimisation_seconds =
+    for (std::size_t i = 0; i < rules.size(); ++i)
+        if (admitted_per_rule[i] > 0) result.rule_counts[rules[i]->name()] = admitted_per_rule[i];
+    result.metadata["candidates_generated"] = candidates_generated;
+    result.metadata["alpha"] = config.alpha;
+    result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     return result;
 }
 
 } // namespace
 
-Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Additive_cost& cost,
-                          const Taso_config& config)
+Optimize_result optimise_taso(const Graph& input, const Rule_set& rules,
+                              const Additive_cost& cost, const Taso_config& config)
 {
     return search(input, rules, nullptr, &cost, config);
 }
 
-Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
-                                    const Graph_cost_fn& cost, const Taso_config& config)
+Optimize_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
+                                        const Graph_cost_fn& cost, const Taso_config& config)
 {
     return search(input, rules, &cost, nullptr, config);
 }
@@ -185,66 +190,6 @@ std::optional<double> Delta_pricer::price(const Graph& candidate,
             sums[static_cast<std::size_t>(n.kind)] += cost_->term(candidate, id);
     }
     return cost_->finish(sums);
-}
-
-namespace {
-
-class Taso_backend final : public Optimizer {
-public:
-    explicit Taso_backend(const Optimizer_context& context) : context_(context)
-    {
-        base_.alpha = context.option_or("taso.alpha", base_.alpha);
-        base_.budget = static_cast<int>(context.option_or("taso.budget", base_.budget));
-        base_.max_candidates_per_step = static_cast<std::size_t>(
-            context.option_or("taso.max_candidates_per_step",
-                              static_cast<double>(base_.max_candidates_per_step)));
-        base_.max_queue = static_cast<std::size_t>(
-            context.option_or("taso.max_queue", static_cast<double>(base_.max_queue)));
-    }
-
-    std::string name() const override { return "taso"; }
-
-    Optimize_result optimize(const Graph& graph, const Optimize_request& request) override
-    {
-        Taso_config config = base_;
-        if (request.iteration_budget > 0) config.budget = request.iteration_budget;
-        const Progress_driver driver(name(), request);
-        config.heartbeat = driver.heartbeat();
-
-        // The cost model is per request, not per backend instance: the same
-        // instance serves every device in the fleet.
-        const Cost_model& cost = context_.cost_for(request);
-        const Taso_result inner = optimise_taso(graph, *context_.rules, cost, config);
-
-        Optimize_result result;
-        result.backend = name();
-        result.device = cost.device().name;
-        result.best_graph = inner.best_graph;
-        result.initial_ms = inner.initial_cost_ms;
-        result.final_ms = inner.best_cost_ms;
-        result.steps = inner.iterations;
-        result.wall_seconds = inner.optimisation_seconds;
-        result.cancelled = inner.stopped_early;
-        for (std::size_t i = 0; i < inner.rule_candidates.size(); ++i)
-            if (inner.rule_candidates[i] > 0)
-                result.rule_counts[(*context_.rules)[i]->name()] = inner.rule_candidates[i];
-        result.metadata["candidates_generated"] = inner.candidates_generated;
-        result.metadata["alpha"] = config.alpha;
-        return result;
-    }
-
-private:
-    Optimizer_context context_;
-    Taso_config base_;
-};
-
-} // namespace
-
-void register_taso_backend(Optimizer_registry& registry)
-{
-    registry.add("taso", [](const Optimizer_context& context) -> std::unique_ptr<Optimizer> {
-        return std::make_unique<Taso_backend>(context);
-    });
 }
 
 } // namespace xrl

@@ -26,8 +26,6 @@
 
 #include <functional>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/optimizer_api.h"
@@ -45,21 +43,14 @@ struct Taso_config {
     Search_heartbeat heartbeat;   ///< Checked once per queue pop; false stops the search.
 };
 
-struct Taso_result {
-    Graph best_graph;
-    double initial_cost_ms = 0.0;
-    double best_cost_ms = 0.0;
-    int iterations = 0;
-    int candidates_generated = 0;
-    double optimisation_seconds = 0.0;
-    bool stopped_early = false;       ///< Heartbeat asked the search to stop.
-    std::vector<int> rule_candidates; ///< Novel candidates admitted per rule index.
-};
-
 /// Run the search; `cost` supplies the ranking signal (TASO's Cost_model,
-/// or PET's Pet_cost). Candidates are priced from their deltas.
-Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Additive_cost& cost,
-                          const Taso_config& config = {});
+/// or PET's Pet_cost). Candidates are priced from their deltas. The result
+/// reports `cost`'s ms; `steps` counts queue pops, `rule_counts` the novel
+/// candidates admitted per rule, and `metadata` holds
+/// "candidates_generated" and "alpha". `backend` and `device` are left to
+/// the caller.
+Optimize_result optimise_taso(const Graph& input, const Rule_set& rules,
+                              const Additive_cost& cost, const Taso_config& config = {});
 
 /// Generic cost callback variant. `cost` is called on every graph —
 /// serially on the caller's thread, input first and then in admission
@@ -67,8 +58,8 @@ Taso_result optimise_taso(const Graph& input, const Rule_set& rules, const Addit
 /// model may count and clock each call). For an additive cost it returns
 /// optimise_taso's result exactly.
 using Graph_cost_fn = std::function<double(const Graph&)>;
-Taso_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
-                                    const Graph_cost_fn& cost, const Taso_config& config);
+Optimize_result optimise_taso_with_cost(const Graph& input, const Rule_set& rules,
+                                        const Graph_cost_fn& cost, const Taso_config& config);
 
 /// Prices one host's candidates from their Rewrite_delta. reset() walks the
 /// host once, keeping every reachable node's term and the per-kind sums; a
@@ -102,9 +93,5 @@ private:
     std::vector<std::int64_t> terms_; ///< The host's terms by id (reachable_sum).
     Kind_sums sums_{};
 };
-
-/// Register the "taso" backend. Options: "taso.alpha", "taso.budget",
-/// "taso.max_candidates_per_step", "taso.max_queue".
-void register_taso_backend(Optimizer_registry& registry);
 
 } // namespace xrl

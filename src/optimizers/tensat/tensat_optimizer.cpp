@@ -198,13 +198,13 @@ int apply_pattern_to_egraph(E_graph& eg, const Pattern& pattern, std::size_t mat
     return unions;
 }
 
-Tensat_result optimise_tensat(const Graph& input, const std::vector<Pattern>& patterns,
-                              const Rule_set& multi_pattern_rules, const Cost_model& cost,
-                              const Tensat_config& config)
+Optimize_result optimise_tensat(const Graph& input, const std::vector<Pattern>& patterns,
+                                const Rule_set& multi_pattern_rules, const Cost_model& cost,
+                                const Tensat_config& config)
 {
     const auto start = std::chrono::steady_clock::now();
-    Tensat_result result;
-    result.initial_cost_ms = cost.graph_cost_ms(input);
+    Optimize_result result;
+    result.initial_ms = cost.graph_cost_ms(input);
 
     // Multi-pattern rules: Tensat bounds their application to k rounds
     // (k = 1 by default); we apply them greedily up to k times before
@@ -237,111 +237,46 @@ Tensat_result optimise_tensat(const Graph& input, const std::vector<Pattern>& pa
     for (const Pattern& p : patterns)
         if (is_egraph_compatible(p)) usable.push_back(p);
 
-    result.saturated = false;
+    bool saturated = false;
     for (int iter = 0; iter < config.max_iterations; ++iter) {
-        if (config.heartbeat && !config.heartbeat(result.iterations, result.initial_cost_ms)) {
-            result.stopped_early = true;
+        if (config.heartbeat && !config.heartbeat(result.steps, result.initial_ms)) {
+            result.cancelled = true;
             break;
         }
-        ++result.iterations;
+        ++result.steps;
         const std::size_t nodes_before = enc.egraph.num_nodes();
         int unions = 0;
         for (const Pattern& p : usable) {
             const int made = apply_pattern_to_egraph(enc.egraph, p, config.match_limit_per_rule);
-            if (made > 0) result.unions_per_pattern[p.name] += made;
+            if (made > 0) result.rule_counts[p.name] += made;
             unions += made;
             if (enc.egraph.num_nodes() > config.node_limit) break;
         }
         enc.egraph.rebuild();
         if (enc.egraph.num_nodes() > config.node_limit) break;
         if (unions == 0 && enc.egraph.num_nodes() == nodes_before) {
-            result.saturated = true;
+            saturated = true;
             break;
         }
     }
 
-    result.egraph_nodes = enc.egraph.num_nodes();
-    result.egraph_classes = enc.egraph.num_classes();
+    result.metadata["egraph_nodes"] = static_cast<double>(enc.egraph.num_nodes());
+    result.metadata["egraph_classes"] = static_cast<double>(enc.egraph.num_classes());
+    result.metadata["saturated"] = saturated ? 1.0 : 0.0;
+    result.metadata["multi_pattern_k"] = config.multi_pattern_limit_k;
 
     auto extracted = extract_best(enc.egraph, enc.roots, cost);
     XRL_ENSURES(extracted.has_value());
     result.best_graph = std::move(*extracted);
-    result.best_cost_ms = cost.graph_cost_ms(result.best_graph);
+    result.final_ms = cost.graph_cost_ms(result.best_graph);
     // Defensive: extraction should never lose to its own seed.
-    if (result.best_cost_ms > cost.graph_cost_ms(seeded)) {
+    if (result.final_ms > cost.graph_cost_ms(seeded)) {
         result.best_graph = std::move(seeded);
-        result.best_cost_ms = cost.graph_cost_ms(result.best_graph);
+        result.final_ms = cost.graph_cost_ms(result.best_graph);
     }
-    result.optimisation_seconds =
+    result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     return result;
-}
-
-namespace {
-
-class Tensat_backend final : public Optimizer {
-public:
-    explicit Tensat_backend(const Optimizer_context& context)
-        : context_(context), patterns_(curated_patterns())
-    {
-        base_.max_iterations =
-            static_cast<int>(context.option_or("tensat.max_iterations", base_.max_iterations));
-        base_.node_limit = static_cast<std::size_t>(
-            context.option_or("tensat.node_limit", static_cast<double>(base_.node_limit)));
-        base_.multi_pattern_limit_k =
-            static_cast<int>(context.option_or("tensat.k", base_.multi_pattern_limit_k));
-        base_.match_limit_per_rule = static_cast<std::size_t>(context.option_or(
-            "tensat.match_limit_per_rule", static_cast<double>(base_.match_limit_per_rule)));
-        // Tensat's multi-pattern rewrites: the multi-output merges the
-        // single-output e-graph cannot express (§4.6).
-        multi_pattern_rules_.push_back(make_merge_matmul_shared_lhs_rule());
-        multi_pattern_rules_.push_back(make_merge_conv_shared_input_rule());
-    }
-
-    std::string name() const override { return "tensat"; }
-
-    Optimize_result optimize(const Graph& graph, const Optimize_request& request) override
-    {
-        Tensat_config config = base_;
-        if (request.iteration_budget > 0) config.max_iterations = request.iteration_budget;
-        const Progress_driver driver(name(), request);
-        config.heartbeat = driver.heartbeat();
-
-        const Cost_model& cost = context_.cost_for(request);
-        const Tensat_result inner =
-            optimise_tensat(graph, patterns_, multi_pattern_rules_, cost, config);
-
-        Optimize_result result;
-        result.backend = name();
-        result.device = cost.device().name;
-        result.best_graph = inner.best_graph;
-        result.initial_ms = inner.initial_cost_ms;
-        result.final_ms = inner.best_cost_ms;
-        result.steps = inner.iterations;
-        result.wall_seconds = inner.optimisation_seconds;
-        result.cancelled = inner.stopped_early;
-        result.rule_counts = inner.unions_per_pattern;
-        result.metadata["egraph_nodes"] = static_cast<double>(inner.egraph_nodes);
-        result.metadata["egraph_classes"] = static_cast<double>(inner.egraph_classes);
-        result.metadata["saturated"] = inner.saturated ? 1.0 : 0.0;
-        result.metadata["multi_pattern_k"] = config.multi_pattern_limit_k;
-        return result;
-    }
-
-private:
-    Optimizer_context context_;
-    Tensat_config base_;
-    std::vector<Pattern> patterns_;
-    Rule_set multi_pattern_rules_;
-};
-
-} // namespace
-
-void register_tensat_backend(Optimizer_registry& registry)
-{
-    registry.add("tensat", [](const Optimizer_context& context) -> std::unique_ptr<Optimizer> {
-        return std::make_unique<Tensat_backend>(context);
-    });
 }
 
 } // namespace xrl

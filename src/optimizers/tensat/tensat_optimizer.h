@@ -10,8 +10,6 @@
 // BERT-style attention stacks).
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/optimizer_api.h"
@@ -32,19 +30,6 @@ struct Tensat_config {
     Search_heartbeat heartbeat;
 };
 
-struct Tensat_result {
-    Graph best_graph;
-    double initial_cost_ms = 0.0;
-    double best_cost_ms = 0.0;
-    int iterations = 0;
-    bool saturated = false;
-    std::size_t egraph_nodes = 0;
-    std::size_t egraph_classes = 0;
-    double optimisation_seconds = 0.0;
-    bool stopped_early = false;                      ///< Heartbeat stopped saturation.
-    std::map<std::string, int> unions_per_pattern;   ///< E-graph unions per pattern name.
-};
-
 /// Find all matches of a single-output pattern in the e-graph and splice in
 /// the target, merging it with each matched class. Returns the number of
 /// unions performed. (Exposed for tests.)
@@ -54,14 +39,13 @@ int apply_pattern_to_egraph(E_graph& egraph, const Pattern& pattern, std::size_t
 /// multi-output operators in either side).
 bool is_egraph_compatible(const Pattern& pattern);
 
-Tensat_result optimise_tensat(const Graph& input, const std::vector<Pattern>& patterns,
-                              const Rule_set& multi_pattern_rules, const Cost_model& cost,
-                              const Tensat_config& config = {});
-
-/// Register the "tensat" backend (curated patterns + the bespoke
-/// multi-output merge rules as k-limited multi-pattern rewrites). Options:
-/// "tensat.max_iterations", "tensat.node_limit", "tensat.k",
-/// "tensat.match_limit_per_rule".
-void register_tensat_backend(Optimizer_registry& registry);
+/// Saturate, then extract the best graph under `cost`. `steps` counts
+/// saturation iterations, `rule_counts` the e-graph unions per pattern
+/// name, and `metadata` holds "egraph_nodes", "egraph_classes", "saturated"
+/// (0 or 1) and "multi_pattern_k". `backend` and `device` are left to the
+/// caller.
+Optimize_result optimise_tensat(const Graph& input, const std::vector<Pattern>& patterns,
+                                const Rule_set& multi_pattern_rules, const Cost_model& cost,
+                                const Tensat_config& config = {});
 
 } // namespace xrl

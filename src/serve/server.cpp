@@ -143,10 +143,10 @@ Job_handle Optimization_server::submit_hashed(std::uint64_t model_hash, const st
                                               const Submit_options& options)
 {
     validate_request(request, service_.devices()); // budgets + target device
-    if (!Optimizer_registry::built_in().contains(backend)) {
+    if (!std::ranges::binary_search(backend_names(), backend)) {
         std::ostringstream os;
         os << "unknown optimizer backend '" << backend << "'; registered backends:";
-        for (const std::string& name : Optimizer_registry::built_in().names()) os << ' ' << name;
+        for (const std::string& name : backend_names()) os << ' ' << name;
         throw std::invalid_argument(os.str());
     }
     // NaN fails the first comparison; the cap keeps the duration_cast to

@@ -40,7 +40,7 @@ Telemetry::Telemetry(const std::string& metrics_shard)
 {
     // The server admits only built-in backends, so every series it can
     // touch exists from here on.
-    for (const std::string& name : Optimizer_registry::built_in().names()) {
+    for (const std::string& name : backend_names()) {
         const Metric_labels labels{{"backend", name}, {"shard", metrics_shard}};
         backends_.emplace(
             name,

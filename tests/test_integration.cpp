@@ -97,7 +97,7 @@ TEST(GraphIo, RoundTripExecutesIdentically)
     const Cost_model cost(gtx1080_profile());
     Taso_config config;
     config.budget = 5;
-    const Taso_result optimised = optimise_taso(g, rules, cost, config);
+    const Optimize_result optimised = optimise_taso(g, rules, cost, config);
 
     const std::string path =
         (std::filesystem::temp_directory_path() / "xrl_graph_roundtrip.txt").string();
@@ -240,8 +240,8 @@ TEST(Pipeline, TasoNeverIncreasesCostOnZoo)
     config.budget = 8;
     for (const Model_spec& spec : evaluation_models(Scale::smoke)) {
         const Graph model = spec.build();
-        const Taso_result result = optimise_taso(model, rules, cost, config);
-        EXPECT_LE(result.best_cost_ms, result.initial_cost_ms + 1e-12) << spec.name;
+        const Optimize_result result = optimise_taso(model, rules, cost, config);
+        EXPECT_LE(result.final_ms, result.initial_ms + 1e-12) << spec.name;
         EXPECT_NO_THROW(result.best_graph.validate()) << spec.name;
     }
 }
@@ -255,9 +255,9 @@ TEST(Pipeline, TensatHandlesTransformerAndConvnet)
         Graph model;
         for (const Model_spec& spec : evaluation_models(Scale::smoke))
             if (spec.name == name) model = spec.build();
-        const Tensat_result result =
+        const Optimize_result result =
             optimise_tensat(model, curated_patterns(), Rule_set{}, cost, config);
-        EXPECT_LE(result.best_cost_ms, result.initial_cost_ms + 1e-12) << name;
+        EXPECT_LE(result.final_ms, result.initial_ms + 1e-12) << name;
         EXPECT_NO_THROW(result.best_graph.validate()) << name;
     }
 }
@@ -269,13 +269,13 @@ TEST(Pipeline, OptimiseThenExportThenReload)
     const Cost_model cost(gtx1080_profile());
     Taso_config config;
     config.budget = 10;
-    const Taso_result result = optimise_taso(model, rules, cost, config);
+    const Optimize_result result = optimise_taso(model, rules, cost, config);
 
     std::ostringstream os;
     serialise_graph_text(os, result.best_graph);
     std::istringstream is(os.str());
     const Graph loaded = deserialise_graph_text(is);
-    EXPECT_NEAR(cost.graph_cost_ms(loaded), result.best_cost_ms, 1e-9);
+    EXPECT_NEAR(cost.graph_cost_ms(loaded), result.final_ms, 1e-9);
 }
 
 TEST(Pipeline, EmbeddingFoldIsCostModelRejectedButE2eAccepted)
@@ -335,10 +335,10 @@ TEST(Determinism, TasoIsDeterministic)
     Taso_config config;
     config.budget = 6;
     const Graph model = make_squeezenet(Scale::smoke);
-    const Taso_result a = optimise_taso(model, rules, cost, config);
-    const Taso_result b = optimise_taso(model, rules, cost, config);
+    const Optimize_result a = optimise_taso(model, rules, cost, config);
+    const Optimize_result b = optimise_taso(model, rules, cost, config);
     EXPECT_EQ(a.best_graph.canonical_hash(), b.best_graph.canonical_hash());
-    EXPECT_EQ(a.best_cost_ms, b.best_cost_ms);
+    EXPECT_EQ(a.final_ms, b.final_ms);
 }
 
 } // namespace

@@ -68,7 +68,7 @@ TEST_P(Zoo_semantics, TasoPipelinePreservesFunction)
     const Cost_model cost(gtx1080_profile());
     Taso_config config;
     config.budget = 12;
-    const Taso_result result = optimise_taso(m.graph, rules, cost, config);
+    const Optimize_result result = optimise_taso(m.graph, rules, cost, config);
 
     Rng rng(static_cast<std::uint64_t>(GetParam()) + 90210);
     const Binding_map bindings = bindings_for(m.graph, rng);

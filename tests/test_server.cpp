@@ -947,7 +947,7 @@ TEST(Telemetry, ServerStatsEqualTheRegistryDeltaSinceConstruction)
     std::map<std::string, double> before;
     for (const std::string& counter : counters)
         before[counter] = registry_sum(series(counter), shard_label);
-    const std::vector<std::string> backends = Optimizer_registry::built_in().names();
+    const std::vector<std::string>& backends = backend_names();
     for (const std::string& backend : backends) {
         for (const std::string& counter : per_backend)
             before[backend + counter] = registry_sum(series(counter), backend_label(backend));
