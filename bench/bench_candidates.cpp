@@ -3,14 +3,16 @@
 // environment steps-per-second on a fixed trajectory.
 //
 // Emits BENCH_candidates.json (path overridable via argv[1]) recording the
-// numbers behind the README's "Candidate generation" section. The env
-// rollout always takes action 0, so every run walks the same graph
-// trajectory and the number isolates candidate generation.
+// numbers behind the README's "Candidate generation" section, with a
+// "host" block naming the machine they were measured on. The env rollout
+// always takes action 0, so every run walks the same graph trajectory and
+// the number isolates candidate generation.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -46,11 +48,44 @@ double time_us(F&& f)
     }
 }
 
+/// `text` as a JSON string literal.
+std::string json_string(const std::string& text)
+{
+    std::string out = "\"";
+    for (const char c : text) {
+        if (c == '"' || c == '\\') out += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+    return out + "\"";
+}
+
+/// The "host" block: a throughput figure only compares with one measured
+/// on the same kind of machine, built by the same compiler.
+std::string host_json()
+{
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const std::size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+        if (value != std::string::npos) cpu = line.substr(value);
+        break;
+    }
+#if defined(__clang__)
+    const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = "gcc " __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+    return "{\"hardware_threads\": " + std::to_string(std::thread::hardware_concurrency()) +
+           ", \"cpu_model\": " + json_string(cpu) + ", \"compiler\": " + json_string(compiler) +
+           "}";
+}
+
 struct Env_throughput {
     double steps_per_second = 0.0;
     int steps = 0;
-    Pool_stats pool;
-    Arena_stats arena;
 };
 
 Env_throughput env_rollout(const Graph& model, const Rule_set& rules, int max_steps)
@@ -79,8 +114,6 @@ Env_throughput env_rollout(const Graph& model, const Rule_set& rules, int max_st
         env.reset();
     }
     out.steps_per_second = out.steps / seconds_since(start);
-    out.pool = env.engine().step_pool_stats();
-    out.arena = env.engine().step_arena_stats();
     return out;
 }
 
@@ -129,6 +162,7 @@ int main(int argc, char** argv)
 
     std::ofstream json(json_path);
     json << "{\n"
+         << "  \"host\": " << host_json() << ",\n"
          << "  \"per_rule_limit\": " << per_rule_limit << ",\n"
          << "  \"candidate_pass_us\": {\n"
          << "    \"bert\": {\"engine\": " << bert_us << "},\n"
@@ -137,15 +171,6 @@ int main(int argc, char** argv)
          << "  \"env_steps_per_second\": {\n"
          << "    \"bert\": {\"engine\": " << env.steps_per_second << ", \"steps\": " << env.steps
          << "}\n"
-         << "  },\n"
-         << "  \"arena\": {\n"
-         << "    \"pool_slots\": " << env.pool.slots
-         << ", \"pool_high_water_slots\": " << env.pool.high_water_slots
-         << ", \"pool_acquires\": " << env.pool.acquires
-         << ", \"pool_reuses\": " << env.pool.reuses << ",\n"
-         << "    \"arena_chunks\": " << env.arena.chunks
-         << ", \"arena_reserved_bytes\": " << env.arena.reserved_bytes
-         << ", \"arena_high_water_bytes\": " << env.arena.high_water_bytes << "\n"
          << "  },\n"
          << "  \"candidate_phase_us\": {\n"
          << phase_json << "\n"

@@ -106,7 +106,7 @@ Env_step Environment::step(int action)
         terminal = true;
     } else {
         const Candidate& chosen = candidates_[static_cast<std::size_t>(action)];
-        // Copy out of the pool slot before regeneration recycles it.
+        // Copy out of the engine slot before regeneration recycles it.
         current_ = *chosen.graph;
         ++rule_counts_[static_cast<std::size_t>(chosen.rule_index)];
         regenerate_candidates(&last_step_->candidates[static_cast<std::size_t>(action)]);

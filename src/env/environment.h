@@ -105,10 +105,6 @@ public:
 
     const Rule_set& rules() const { return *rules_; }
 
-    /// The candidate engine — pool/arena statistics for the bench artifacts
-    /// and the index for the A/B parity gate.
-    const Candidate_engine& engine() const { return engine_; }
-
     /// Replace the default Eq. 2 reward.
     void register_reward_callback(Reward_callback callback);
 

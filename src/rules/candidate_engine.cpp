@@ -116,11 +116,11 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
             }
             ++pending_[rule];
             Slot* slot = nullptr;
-            if (spare_.empty()) {
-                slot = slot_pool_.acquire();
+            if (free_.empty()) {
+                slot = &slots_.emplace_back();
             } else {
-                slot = spare_.back();
-                spare_.pop_back();
+                slot = free_.back();
+                free_.pop_back();
             }
             wave_.push_back({&record, slot});
         }
@@ -137,7 +137,7 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
             --pending_[rule];
             if (entry.built) ++successes_[rule];
             if (!entry.built || !hashes_seen_.insert(entry.hash).second) {
-                spare_.push_back(entry.slot);
+                free_.push_back(entry.slot);
                 continue;
             }
             step_.candidates.push_back(
@@ -155,8 +155,6 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
         ++successes_[rule];
         ++step_.truncated;
     }
-    for (Slot* slot : spare_) slot_pool_.release(slot);
-    spare_.clear();
 }
 
 const Candidate_engine::Step_generated& Candidate_engine::generate_step(
@@ -166,7 +164,7 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
     static Histogram& materialise_histogram = candidate_phase_histogram("materialise");
 
     // Index upkeep first: `via` points into last step's storage (its delta
-    // lives in a pool slot), so it must be consumed before any reuse below.
+    // lives in an engine slot), so it must be consumed before any reuse below.
     {
         const Scoped_timer_us timer(index_histogram);
         const Span_scope span("candidates/index_build");
@@ -185,7 +183,7 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
 
     // Reclaim last step's slots, then list sites into the persistent
     // record buffer.
-    for (Slot* slot : leased_) slot_pool_.release(slot);
+    free_.insert(free_.end(), leased_.begin(), leased_.end());
     leased_.clear();
     find_and_dedup(host);
 

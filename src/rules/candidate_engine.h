@@ -23,7 +23,7 @@
 //      canonical-hash dedup — so the output never depends on thread
 //      scheduling, and a wave never builds a record the serial loop would
 //      have skipped;
-//   5. candidate graphs build into recycled pool slots, so a steady-state
+//   5. candidate graphs build into recycled slots, so a steady-state
 //      step allocates ~nothing; a search that keeps many candidates but
 //      revisits few (TASO's queue) keeps each one's Recipe — the rule and
 //      the site — and rebuild()s it from its host when needed.
@@ -35,13 +35,13 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <unordered_set>
 #include <vector>
 
 #include "ir/graph.h"
 #include "rules/pattern.h"
 #include "rules/rule.h"
-#include "support/arena.h"
 #include "support/thread_pool.h"
 
 namespace xrl {
@@ -88,7 +88,7 @@ public:
         Rewrite_site site;
     };
 
-    /// One generated candidate. The graph lives in a pool slot owned by the
+    /// One generated candidate. The graph lives in a slot owned by the
     /// engine and stays valid until the next generate_step() call. The owner
     /// may move `*graph` out (Tensat's seeding rounds keep each round's
     /// best); the engine refills a moved-from slot the next time it uses it.
@@ -149,9 +149,8 @@ public:
     /// exposed for the incremental-vs-rebuild A/B gate.
     const Host_index* step_index() const { return index_ready_ ? &index_ : nullptr; }
 
-    /// Pool/arena statistics of the candidate slot pool (bench artifacts).
-    const Pool_stats& step_pool_stats() const { return slot_pool_.stats(); }
-    const Arena_stats& step_arena_stats() const { return slot_pool_.arena_stats(); }
+    /// Build slots constructed so far; a slot is recycled, never freed.
+    std::size_t slot_count() const { return slots_.size(); }
 
 private:
     /// A candidate discovered but not yet built: which rule, and where.
@@ -194,8 +193,10 @@ private:
     std::vector<std::size_t> successes_; ///< Per rule: successful builds this step.
     std::vector<std::size_t> pending_;   ///< Per rule: records in the current wave.
     std::vector<Wave_entry> wave_;
-    std::vector<Slot*> spare_; ///< Slots a wave left unkept, reused by the next.
-    Pool<Slot> slot_pool_;
+    /// Every build slot. Deque elements never move, so slot pointers stay
+    /// valid, and a recycled slot keeps its graph's buffers warm.
+    std::deque<Slot> slots_;
+    std::vector<Slot*> free_;   ///< Slots not backing a candidate, reused first.
     std::vector<Slot*> leased_; ///< Slots backing step_.candidates.
     std::unordered_set<std::uint64_t> hashes_seen_;
     Step_generated step_;

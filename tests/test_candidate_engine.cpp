@@ -147,14 +147,14 @@ TEST(Candidate_engine, DeterministicAcrossThreadCounts)
 
 TEST(Candidate_engine, CappedStepMaterialisesAtMostCapPlusOneSlots)
 {
-    // Laziness: past the cap, records are only counted. A fresh engine's
-    // pool therefore hands out one slot per kept pattern candidate plus at
+    // Laziness: past the cap, records are only counted. A fresh engine
+    // therefore constructs one slot per kept pattern candidate plus at
     // most one working slot that an invalid site left unused.
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
     Candidate_engine full_engine(rules, Candidate_engine_config{8, 1});
     const std::size_t full = full_engine.generate_step(bert).candidates.size();
-    const std::size_t full_acquires = full_engine.step_pool_stats().acquires;
+    const std::size_t full_slots = full_engine.slot_count();
 
     constexpr std::size_t cap = 3;
     Candidate_engine engine(rules, Candidate_engine_config{8, 1});
@@ -162,8 +162,8 @@ TEST(Candidate_engine, CappedStepMaterialisesAtMostCapPlusOneSlots)
     ASSERT_GT(full, cap + 1);
     EXPECT_EQ(capped.candidates.size(), cap);
     EXPECT_GT(capped.truncated, 0u);
-    EXPECT_LE(engine.step_pool_stats().acquires, cap + 1);
-    EXPECT_GT(full_acquires, cap + 1);
+    EXPECT_LE(engine.slot_count(), cap + 1);
+    EXPECT_GT(full_slots, cap + 1);
 }
 
 TEST(Candidate_engine, StepCandidateHashIsCanonicalHash)
