@@ -170,6 +170,9 @@ public:
             search_(graph, request.iteration_budget, driver.heartbeat(), cost);
         result.backend = name_;
         result.device = cost.device().name;
+        // The result outlives the search (memo cache, server jobs, the
+        // daemon's retained job table): drop the room rewrites reserved.
+        result.best_graph.shrink_to_fit();
         return result;
     }
 
@@ -179,23 +182,45 @@ private:
     Search_fn search_;
 };
 
-/// "taso" and "pet": TASO's search, with option "<name>.budget". PET
-/// searches its own corpus (the standard one plus the spatial split).
-std::unique_ptr<Optimizer> make_greedy_backend(std::string name, const Optimizer_context& context)
+/// TASO's config with the "<backend>.budget" option ("taso", "pet").
+Taso_config greedy_config(const Optimizer_context& context, const std::string& backend)
 {
-    Taso_config base;
-    base.budget = static_cast<int>(context.option_or(name + ".budget", base.budget));
-    const bool pet = name == "pet";
-    const Rule_set& rules = *context.rules;
+    Taso_config config;
+    config.budget = static_cast<int>(context.option_or(backend + ".budget", config.budget));
+    return config;
+}
+
+/// `config` with the request's iteration budget, when it sets one, and
+/// heartbeat.
+Taso_config for_request(Taso_config config, int iteration_budget, Search_heartbeat heartbeat)
+{
+    if (iteration_budget > 0) config.budget = iteration_budget;
+    config.heartbeat = std::move(heartbeat);
+    return config;
+}
+
+std::unique_ptr<Optimizer> make_taso_backend(const Optimizer_context& context)
+{
     return std::make_unique<Search_backend>(
-        std::move(name), context,
-        [base, pet, &rules](const Graph& graph, int iteration_budget, Search_heartbeat heartbeat,
-                            const Cost_model& cost) {
-            Taso_config config = base;
-            if (iteration_budget > 0) config.budget = iteration_budget;
-            config.heartbeat = std::move(heartbeat);
-            return pet ? optimise_pet(graph, cost, config)
-                       : optimise_taso(graph, rules, cost, config);
+        "taso", context,
+        [base = greedy_config(context, "taso"), &rules = *context.rules](
+            const Graph& graph, int iteration_budget, Search_heartbeat heartbeat,
+            const Cost_model& cost) {
+            return optimise_taso(graph, rules, cost,
+                                 for_request(base, iteration_budget, std::move(heartbeat)));
+        });
+}
+
+/// PET searches its own corpus: the standard one plus the spatial split.
+std::unique_ptr<Optimizer> make_pet_backend(const Optimizer_context& context)
+{
+    return std::make_unique<Search_backend>(
+        "pet", context,
+        [base = greedy_config(context, "pet")](const Graph& graph, int iteration_budget,
+                                               Search_heartbeat heartbeat,
+                                               const Cost_model& cost) {
+            return optimise_pet(graph, cost,
+                                for_request(base, iteration_budget, std::move(heartbeat)));
         });
 }
 
@@ -229,8 +254,8 @@ struct Backend_entry {
 
 /// The backend table, sorted by name.
 constexpr Backend_entry backends[] = {
-    {"pet", [](const Optimizer_context& context) { return make_greedy_backend("pet", context); }},
-    {"taso", [](const Optimizer_context& context) { return make_greedy_backend("taso", context); }},
+    {"pet", make_pet_backend},
+    {"taso", make_taso_backend},
     {"tensat", make_tensat_backend},
     {"xrlflow", make_xrlflow_backend},
 };

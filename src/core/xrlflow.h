@@ -83,10 +83,10 @@ private:
     std::uint64_t episode_seed_ = 0;
 };
 
-/// The "xrlflow" backend (make_optimizer serves it). The adapter trains a policy per distinct
-/// (graph, seed, episodes, target device) on first use and reuses it
-/// afterwards — the device is part of the key because the simulator that
-/// produces the reward is device-specific. Training
+/// The "xrlflow" backend, as make_optimizer serves it. The adapter trains a
+/// policy per distinct (graph, seed, episodes, target device) on first use
+/// and reuses it afterwards — the device is part of the key because the
+/// simulator that produces the reward is device-specific. Training
 /// counts against the request's wall clock but runs as one uninterruptible
 /// phase (PPO needs whole update windows); cancellation is checked before
 /// training starts and at every inference step. Options:

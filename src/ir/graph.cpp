@@ -43,6 +43,12 @@ void Graph::reserve(std::size_t capacity)
     alive_.reserve(capacity);
 }
 
+void Graph::shrink_to_fit()
+{
+    nodes_.shrink_to_fit();
+    alive_.shrink_to_fit();
+}
+
 Node_id Graph::add_node(Op_kind kind, std::vector<Edge> inputs, Op_params params, std::string name)
 {
     for (const Edge& e : inputs) {

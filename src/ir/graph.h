@@ -117,6 +117,10 @@ public:
     /// Pre-allocate node storage (rewrites know how many nodes they add).
     void reserve(std::size_t capacity);
 
+    /// Release node storage reserved beyond the id space (for a graph that
+    /// is kept, not rewritten further). Nodes move; none is copied.
+    void shrink_to_fit();
+
     /// Append a node; inputs must reference alive nodes. Returns its id.
     Node_id add_node(Op_kind kind, std::vector<Edge> inputs, Op_params params = {},
                      std::string name = "");
