@@ -10,6 +10,9 @@
 //      cost model believes is free, so PET over-applies it on branch-heavy
 //      graphs (ResNeXt) and pays at end-to-end time — the paper's observed
 //      shape sensitivity.
+//
+// make_optimizer serves optimise_pet as "pet" (core/optimizer_api.h), with
+// one option: "pet.budget".
 #pragma once
 
 #include <memory>

@@ -22,6 +22,10 @@
 // would give. optimise_taso_with_cost calls its Graph_cost_fn on
 // every graph. Both run on the caller's thread and admit in candidate
 // order, so both return the same result for the same cost.
+//
+// make_optimizer serves this search as "taso" (core/optimizer_api.h), with
+// one option: "taso.budget". The other Taso_config fields keep their
+// defaults there.
 #pragma once
 
 #include <functional>

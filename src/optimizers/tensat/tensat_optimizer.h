@@ -8,6 +8,11 @@
 // rewrite rules" — are limited to k applications (k = 1 by default, the
 // setting the paper identifies as the reason Tensat under-performs on
 // BERT-style attention stacks).
+//
+// make_optimizer serves this search as "tensat" (core/optimizer_api.h):
+// the curated patterns plus the bespoke multi-output merges as k-limited
+// multi-pattern rewrites, with one option: "tensat.max_iterations". The
+// other Tensat_config fields keep their defaults there.
 #pragma once
 
 #include <vector>
