@@ -164,8 +164,8 @@ TEST(Taso, GraphCostFnRunsOnTheCallingThread)
 
 TEST(Taso, PooledCostMatchesGraphCostFnEntry)
 {
-    // optimise_taso costs each pop's batch on the shared pool; the result
-    // must be the serial Graph_cost_fn entry's, field for field.
+    // optimise_taso prices candidates from their deltas; the result must be
+    // the serial Graph_cost_fn entry's, field for field.
     const Cost_model cost(gtx1080_profile());
     const Rule_set rules = standard_rule_corpus();
     Taso_config config;
