@@ -11,11 +11,6 @@ namespace xrl {
 
 namespace {
 
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value)
-{
-    return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
-}
-
 std::uint64_t hash_payload(const Tensor& t)
 {
     std::uint64_t h = 0xfeedULL;
@@ -35,6 +30,24 @@ std::int32_t num_outputs(const Node& node)
     if (node.kind == Op_kind::split)
         return static_cast<std::int32_t>(node.params.split_sizes.size());
     return 1;
+}
+
+std::uint64_t node_hash_prefix(const Node& node)
+{
+    return hash_combine(hash_combine(0x51edULL, static_cast<std::uint64_t>(node.kind)),
+                        hash_params(node.params));
+}
+
+std::uint64_t node_hash_finish(std::uint64_t partial, Node_id id, const Node& node)
+{
+    std::uint64_t h = partial;
+    if (node.kind == Op_kind::constant && node.payload != nullptr)
+        h = hash_combine(h, hash_payload(*node.payload));
+    if (node.kind == Op_kind::input || node.kind == Op_kind::weight) {
+        // Source identity matters: two distinct inputs must not collide.
+        h = hash_combine(h, static_cast<std::uint64_t>(id));
+    }
+    return h;
 }
 
 void Graph::reserve(std::size_t capacity)
@@ -224,12 +237,13 @@ std::uint64_t Graph::canonical_hash() const
     // Throws (like the topological sort it replaced) when that sub-DAG
     // contains a cycle.
     Traversal_scratch& scratch = traversal_scratch();
-    std::vector<std::uint64_t>& node_hash = scratch.node_hash;
-    node_hash.assign(nodes_.size(), 0);
+    std::vector<std::uint64_t>& terms = scratch.node_hash;
+    terms.assign(nodes_.size(), 0);
     std::vector<std::uint8_t>& state = scratch.colour;
     state.assign(nodes_.size(), 0); // 0 new, 1 in progress, 2 done
     std::vector<std::pair<Node_id, std::uint32_t>>& stack = scratch.stack; // node, next slot
     stack.clear();
+    const auto term = [&terms](Node_id id) { return terms[static_cast<std::size_t>(id)]; };
     for (const Edge& out : outputs_) {
         if (state[static_cast<std::size_t>(out.node)] == 2) continue;
         state[static_cast<std::size_t>(out.node)] = 1;
@@ -249,29 +263,12 @@ std::uint64_t Graph::canonical_hash() const
                 }
                 continue;
             }
-            std::uint64_t h = hash_combine(0x51edULL, static_cast<std::uint64_t>(n.kind));
-            h = hash_combine(h, hash_params(n.params));
-            for (const Edge& e : n.inputs) {
-                h = hash_combine(h, node_hash[static_cast<std::size_t>(e.node)]);
-                h = hash_combine(h, static_cast<std::uint64_t>(e.port));
-            }
-            if (n.kind == Op_kind::constant && n.payload != nullptr)
-                h = hash_combine(h, hash_payload(*n.payload));
-            if (n.kind == Op_kind::input || n.kind == Op_kind::weight) {
-                // Source identity matters: two distinct inputs must not collide.
-                h = hash_combine(h, static_cast<std::uint64_t>(id));
-            }
-            node_hash[static_cast<std::size_t>(id)] = h;
+            terms[static_cast<std::size_t>(id)] = node_hash(id, n, node_hash_prefix(n), term);
             state[static_cast<std::size_t>(id)] = 2;
             stack.pop_back();
         }
     }
-    std::uint64_t h = 0xabcdULL;
-    for (const Edge& e : outputs_) {
-        h = hash_combine(h, node_hash[static_cast<std::size_t>(e.node)]);
-        h = hash_combine(h, static_cast<std::uint64_t>(e.port));
-    }
-    return h;
+    return outputs_hash(outputs_, term);
 }
 
 std::uint64_t Graph::model_hash() const
@@ -381,12 +378,25 @@ int Graph::eliminate_dead_nodes()
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (alive_[i] == 0 || reachable[i] != 0) continue;
         if (nodes_[i].kind == Op_kind::input) continue;
-        alive_[i] = 0;
-        nodes_[i] = Node{};
-        --alive_count_;
+        tombstone(i);
         ++removed;
     }
     return removed;
+}
+
+void Graph::erase_dead_nodes(const std::vector<Node_id>& dead)
+{
+    for (const Node_id id : dead) {
+        XRL_EXPECTS(is_alive(id) && nodes_[static_cast<std::size_t>(id)].kind != Op_kind::input);
+        tombstone(static_cast<std::size_t>(id));
+    }
+}
+
+void Graph::tombstone(std::size_t i)
+{
+    alive_[i] = 0;
+    nodes_[i] = Node{};
+    --alive_count_;
 }
 
 namespace {
@@ -429,23 +439,40 @@ bool Graph::infer_shapes_appended(Node_id first_new)
     return true;
 }
 
+void Graph::validate_node(std::size_t i) const
+{
+    const Node& n = nodes_[i];
+    for (const Edge& e : n.inputs) {
+        XRL_ENSURES(is_alive(e.node));
+        XRL_ENSURES(e.port >= 0 && e.port < num_outputs(node(e.node)));
+    }
+    if (!n.output_shapes.empty())
+        XRL_ENSURES(static_cast<std::int32_t>(n.output_shapes.size()) == num_outputs(n));
+}
+
 void Graph::validate(bool check_acyclic) const
 {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (alive_[i] == 0) continue;
-        const Node& n = nodes_[i];
-        for (const Edge& e : n.inputs) {
-            XRL_ENSURES(is_alive(e.node));
-            XRL_ENSURES(e.port >= 0 && e.port < num_outputs(node(e.node)));
-        }
-        if (!n.output_shapes.empty())
-            XRL_ENSURES(static_cast<std::int32_t>(n.output_shapes.size()) == num_outputs(n));
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        if (alive_[i] != 0) validate_node(i);
+    validate_outputs();
+    if (check_acyclic) XRL_ENSURES(is_acyclic());
+}
+
+void Graph::validate_nodes(const std::vector<Node_id>& ids) const
+{
+    for (const Node_id id : ids) {
+        XRL_ENSURES(is_alive(id));
+        validate_node(static_cast<std::size_t>(id));
     }
+    validate_outputs();
+}
+
+void Graph::validate_outputs() const
+{
     for (const Edge& e : outputs_) {
         XRL_ENSURES(is_alive(e.node));
         XRL_ENSURES(e.port >= 0 && e.port < num_outputs(node(e.node)));
     }
-    if (check_acyclic) XRL_ENSURES(is_acyclic());
 }
 
 std::string Graph::to_dot() const

@@ -105,6 +105,46 @@ struct Node {
 /// Number of output ports an op kind produces (split: one per piece).
 std::int32_t num_outputs(const Node& node);
 
+// -- canonical_hash, one node at a time ---------------------------------------
+//
+// Graph::canonical_hash is a Merkle hash: a node's term mixes its own
+// prefix (kind and params) with its producers' terms. The functions below
+// are its only definition, shared by Graph::canonical_hash and the rewrite
+// epilogue's memoised hash (Host_memo), so the two cannot drift.
+
+/// A node's own part of its term: its kind and params. Hashing the params
+/// is the costly part, which is why a host memo keeps it per node.
+std::uint64_t node_hash_prefix(const Node& node);
+
+/// node_hash's tail: a constant's payload and a source's id.
+std::uint64_t node_hash_finish(std::uint64_t partial, Node_id id, const Node& node);
+
+/// A node's term from its prefix: each input's producer term and port,
+/// then node_hash_finish. `producer_term(Node_id)` returns a producer's term.
+template <typename Producer_term>
+std::uint64_t node_hash(Node_id id, const Node& node, std::uint64_t prefix,
+                        const Producer_term& producer_term)
+{
+    std::uint64_t h = prefix;
+    for (const Edge& e : node.inputs) {
+        h = hash_combine(h, producer_term(e.node));
+        h = hash_combine(h, static_cast<std::uint64_t>(e.port));
+    }
+    return node_hash_finish(h, id, node);
+}
+
+/// The graph's hash from its output producers' terms.
+template <typename Producer_term>
+std::uint64_t outputs_hash(const std::vector<Edge>& outputs, const Producer_term& producer_term)
+{
+    std::uint64_t h = 0xabcdULL;
+    for (const Edge& e : outputs) {
+        h = hash_combine(h, producer_term(e.node));
+        h = hash_combine(h, static_cast<std::uint64_t>(e.port));
+    }
+    return h;
+}
+
 /// Directed acyclic graph of operators with value semantics.
 ///
 /// Node ids are stable: erasing leaves a tombstone so surviving ids keep
@@ -196,6 +236,11 @@ public:
     /// external interface of the graph never changes.
     int eliminate_dead_nodes();
 
+    /// Tombstone `dead`, which the caller proved to be exactly the nodes
+    /// eliminate_dead_nodes() would drop: the same result, without the
+    /// whole-graph reachability walk.
+    void erase_dead_nodes(const std::vector<Node_id>& dead);
+
     /// Run shape inference over the whole graph in topological order.
     void infer_shapes();
 
@@ -212,6 +257,10 @@ public:
     /// `check_acyclic = false` because its own cycle check already ran.
     void validate(bool check_acyclic = true) const;
 
+    /// validate(false) restricted to the alive nodes `ids` and the outputs:
+    /// for a rewrite whose other nodes are the checked host's, unchanged.
+    void validate_nodes(const std::vector<Node_id>& ids) const;
+
     /// Graphviz DOT rendering for debugging / documentation.
     std::string to_dot() const;
 
@@ -221,6 +270,10 @@ private:
     /// reproduce, so it works on the representation directly.
     friend void serialise_graph_binary(Byte_writer& out, const Graph& graph);
     friend Graph deserialise_graph_binary(Byte_reader& in);
+
+    void validate_node(std::size_t i) const;
+    void validate_outputs() const;
+    void tombstone(std::size_t i);
 
     std::vector<Node> nodes_;
     std::vector<std::uint8_t> alive_;

@@ -58,12 +58,6 @@ static_assert(sizeof(kind_table) / sizeof(kind_table[0]) == static_cast<std::siz
 
 constexpr const char* activation_table[] = {"none", "relu", "gelu", "tanh", "sigmoid"};
 
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value)
-{
-    // Boost-style mix with a 64-bit golden-ratio constant.
-    return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
-}
-
 std::uint64_t hash_i64(std::int64_t v)
 {
     auto x = static_cast<std::uint64_t>(v);

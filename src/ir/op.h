@@ -131,6 +131,13 @@ struct Op_params {
     bool operator==(const Op_params&) const = default;
 };
 
+/// The mixing step of every structural hash here (parameters, graphs):
+/// Boost-style, with a 64-bit golden-ratio constant.
+inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value)
+{
+    return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
+}
+
 /// Stable hash of the parameter block (order-sensitive over all fields).
 std::uint64_t hash_params(const Op_params& params);
 

@@ -44,10 +44,8 @@ public:
         }
     }
 
-    /// Build the split into `g` (recycled storage: copying the host over it
-    /// reuses its buffers). False when the split is invalid.
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const Node_id conv_id = site.nodes[0];
         g = host;
@@ -89,8 +87,8 @@ public:
             g.add_node(Op_kind::concat, {{conv_top, 0}, {conv_bottom, 0}}, cat_params);
 
         g.replace_all_uses({conv_id, 0}, {cat, 0});
-        return finalise_rewrite(g, host, static_cast<Node_id>(host.capacity()),
-                                {{{conv_id, 0}, {cat, 0}}}, hash, delta);
+        rewired = {{{conv_id, 0}, {cat, 0}}};
+        return true;
     }
 };
 
@@ -130,8 +128,13 @@ std::unique_ptr<Rewrite_rule> make_pet_spatial_split_rule()
 
 Optimize_result optimise_pet(const Graph& input, const Cost_model& cost, const Taso_config& config)
 {
-    Rule_set rules = standard_rule_corpus();
-    rules.push_back(make_pet_spatial_split_rule());
+    // Rules are immutable and their builds pure, so one corpus serves every
+    // search in the process, concurrent ones included.
+    static const Rule_set rules = [] {
+        Rule_set corpus = standard_rule_corpus();
+        corpus.push_back(make_pet_spatial_split_rule());
+        return corpus;
+    }();
 
     // The latency fields report the *honest* cost model — PET's own
     // element-wise-blind estimate is only metadata, because trusting it is

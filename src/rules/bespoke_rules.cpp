@@ -8,19 +8,6 @@ namespace xrl {
 
 namespace {
 
-/// Clean up a hand-built transformation; returns false when the result is
-/// structurally invalid (cycle or failed shape inference). `graph` must be
-/// a copy of `host` mutated only by appending nodes and redirecting the
-/// `rewired` edges — the shared epilogue then infers shapes incrementally
-/// and reports the Rewrite_delta.
-bool finalise_transformed(Graph& graph, const Graph& host,
-                          const std::vector<Rewired_edge>& rewired, std::uint64_t* hash,
-                          Rewrite_delta* delta)
-{
-    return finalise_rewrite(graph, host, static_cast<Node_id>(host.capacity()), rewired, hash,
-                            delta);
-}
-
 /// A bespoke site naming one or two host nodes.
 Rewrite_site site_at(Node_id first, Node_id second = invalid_node)
 {
@@ -60,8 +47,8 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const auto [id1, id2] = site.nodes;
         const std::int64_t n1 = host.shape_of(host.node(id1).inputs[1])[1];
@@ -86,8 +73,8 @@ public:
 
         g.replace_all_uses({id1, 0}, {sp, 0});
         g.replace_all_uses({id2, 0}, {sp, 1});
-        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash,
-                                    delta);
+        rewired = {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}};
+        return true;
     }
 };
 
@@ -116,8 +103,8 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const auto [id1, id2] = site.nodes;
         const std::int64_t k1 = host.shape_of(host.node(id1).inputs[1])[0];
@@ -139,8 +126,8 @@ public:
 
         g.replace_all_uses({id1, 0}, {sp, 0});
         g.replace_all_uses({id2, 0}, {sp, 1});
-        return finalise_transformed(g, host, {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}}, hash,
-                                    delta);
+        rewired = {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}};
+        return true;
     }
 };
 
@@ -172,14 +159,15 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const Node_id id = site.nodes[0];
         g = host;
         const Edge replacement = g.node(g.node(id).inputs.front().node).inputs[0];
         g.replace_all_uses({id, 0}, replacement);
-        return finalise_transformed(g, host, {{{id, 0}, replacement}}, hash, delta);
+        rewired = {{{id, 0}, replacement}};
+        return true;
     }
 };
 
@@ -210,22 +198,21 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const Node_id id = site.nodes[0];
         const Node_id cat_id = host.node(id).inputs[0].node;
         const std::size_t pieces = host.node(cat_id).inputs.size();
         g = host;
-        std::vector<Rewired_edge> rewired;
-        rewired.reserve(pieces);
+        rewired.clear();
         for (std::size_t piece = 0; piece < pieces; ++piece) {
             const Edge before{id, static_cast<std::int32_t>(piece)};
             const Edge after = g.node(cat_id).inputs[piece];
             g.replace_all_uses(before, after);
             rewired.push_back({before, after});
         }
-        return finalise_transformed(g, host, rewired, hash, delta);
+        return true;
     }
 };
 
@@ -250,8 +237,8 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const auto [bn_id, conv_id] = site.nodes;
         g = host;
@@ -289,7 +276,8 @@ public:
         const Node_id y = g.add_node(Op_kind::add, {{folded_conv, 0}, {bias_col, 0}});
 
         g.replace_all_uses({bn_id, 0}, {y, 0});
-        return finalise_transformed(g, host, {{{bn_id, 0}, {y, 0}}}, hash, delta);
+        rewired = {{{bn_id, 0}, {y, 0}}};
+        return true;
     }
 };
 
@@ -298,8 +286,10 @@ public:
     Merge_conv_add_enlarge_rule() : Rewrite_rule("merge-conv-add-enlarge") {}
 
     /// A site is an add of two convolutions that feed only it and can merge
-    /// in at least one order; build tries both orders, the larger kernel
-    /// hosting the enlarged smaller one, and keeps the first that builds.
+    /// in at least one order; splice merges in the first order that can, the
+    /// larger kernel hosting the enlarged smaller one. (Both orders can
+    /// merge only when the kernels are the same size, and then the two
+    /// splices mirror each other.)
     void find_sites(const Graph& host, const Host_index& index, std::size_t /*limit*/,
                     std::vector<Rewrite_site>& out) const override
     {
@@ -322,15 +312,17 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const Node_id id = site.nodes[0];
         const Node_id lhs = host.node(id).inputs[0].node;
         const Node_id rhs = host.node(id).inputs[1].node;
-        for (const auto& [big, small] : {std::pair{lhs, rhs}, std::pair{rhs, lhs}})
-            if (mergeable(host, big, small) && merge(g, host, id, big, small, hash, delta))
-                return true;
+        for (const auto& [big, small] : {std::pair{lhs, rhs}, std::pair{rhs, lhs}}) {
+            if (!mergeable(host, big, small)) continue;
+            merge(g, host, id, big, small, rewired);
+            return true;
+        }
         return false;
     }
 
@@ -356,8 +348,8 @@ private:
         return true;
     }
 
-    static bool merge(Graph& g, const Graph& host, Node_id add_id, Node_id big, Node_id small,
-                      std::uint64_t* hash, Rewrite_delta* delta)
+    static void merge(Graph& g, const Graph& host, Node_id add_id, Node_id big, Node_id small,
+                      std::vector<Rewired_edge>& rewired)
     {
         g = host;
         const Edge x = g.node(big).inputs[0];
@@ -374,7 +366,7 @@ private:
         const Node_id merged = g.add_node(Op_kind::conv2d, {x, {w_sum, 0}}, conv_params);
 
         g.replace_all_uses({add_id, 0}, {merged, 0});
-        return finalise_transformed(g, host, {{{add_id, 0}, {merged, 0}}}, hash, delta);
+        rewired = {{{add_id, 0}, {merged, 0}}};
     }
 };
 
@@ -400,8 +392,8 @@ public:
         }
     }
 
-    bool build(const Graph& host, const Rewrite_site& site, Graph& g, std::uint64_t* hash,
-               Rewrite_delta* delta) const override
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+                std::vector<Rewired_edge>& rewired) const override
     {
         const Node_id id = site.nodes[0];
         const Node_id emb_id = host.node(id).inputs[0].node;
@@ -412,7 +404,8 @@ public:
         const Node_id folded_table = g.add_node(Op_kind::matmul, {table, projection});
         const Node_id folded = g.add_node(Op_kind::embedding, {ids, {folded_table, 0}});
         g.replace_all_uses({id, 0}, {folded, 0});
-        return finalise_transformed(g, host, {{{id, 0}, {folded, 0}}}, hash, delta);
+        rewired = {{{id, 0}, {folded, 0}}};
+        return true;
     }
 };
 

@@ -85,15 +85,15 @@ void Candidate_engine::find_and_dedup(const Graph& host)
 void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total)
 {
     const std::size_t per_rule_limit = config_.per_rule_limit;
+    const Host_view view{host, index_, memo_};
     successes_.assign(rules_->size(), 0);
     pending_.assign(rules_->size(), 0);
 
     const auto build_entry = [&](std::size_t i) {
         Wave_entry& entry = wave_[i];
         Slot& slot = *entry.slot;
-        slot.delta.valid = false; // stays so if the rule reports none
         entry.built = (*rules_)[entry.record->rule_index]->build(
-            host, entry.record->site, slot.graph, &entry.hash, &slot.delta);
+            view, entry.record->site, slot.graph, &entry.hash, &slot.delta);
     };
 
     std::size_t next = 0;
@@ -142,7 +142,7 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
             }
             step_.candidates.push_back(
                 {&entry.slot->graph, static_cast<int>(rule), entry.hash,
-                 entry.slot->delta.valid ? &entry.slot->delta : nullptr, &entry.record->site});
+                 &entry.slot->delta, &entry.record->site});
             leased_.push_back(entry.slot);
         }
     }
@@ -178,8 +178,12 @@ const Candidate_engine::Step_generated& Candidate_engine::generate_step(
             index_.rebuild(host);
         }
         index_ready_ = true;
+        // The memo every build of this step reads, built here on the
+        // caller's thread before any build fans out.
+        memo_.rebuild(host);
     }
-    const std::uint64_t host_hash = via != nullptr ? via->hash : host.canonical_hash();
+    XRL_ENSURES(via == nullptr || via->hash == memo_.canonical_hash());
+    const std::uint64_t host_hash = memo_.canonical_hash();
 
     // Reclaim last step's slots, then list sites into the persistent
     // record buffer.
@@ -208,8 +212,11 @@ std::uint64_t Candidate_engine::rebuild(const Graph& host, const Recipe& recipe,
 
     const auto rule_index = static_cast<std::size_t>(recipe.rule_index);
     XRL_EXPECTS(rule_index < rules_->size());
+    rebuild_index_.rebuild(host);
+    rebuild_memo_.rebuild(host);
     std::uint64_t hash = 0;
-    const bool built = (*rules_)[rule_index]->build(host, recipe.site, out, &hash);
+    const bool built = (*rules_)[rule_index]->build({host, rebuild_index_, rebuild_memo_},
+                                                    recipe.site, out, &hash);
     XRL_ENSURES(built);
     return hash;
 }

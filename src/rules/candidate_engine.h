@@ -8,15 +8,21 @@
 //
 //   1. an op-kind index of the host graph (Host_index), shared by every
 //      rule, kept across calls and patched from the chosen candidate's
-//      Rewrite_delta when the caller walks one evolving host;
+//      Rewrite_delta when the caller walks one evolving host; and the
+//      host's memo (Host_memo: per-node hash prefixes, Merkle terms and
+//      depths, the canonical hash, the nodes the outputs do not reach),
+//      built once per call;
 //   2. the undo-log matcher behind find_matches (no per-root state copies);
 //   3. sites, then builds: every rule lists its sites first
 //      (Rewrite_rule::find_sites — pattern matches, or the node ids a
 //      bespoke rule reads), each record carrying a cheap fingerprint (the
 //      match's binding key, or the site's node ids, mixed with the rule id)
-//      that dedups repeat discoveries before anything is built; the graph
-//      copy + DCE + shape inference + canonical hash (Rewrite_rule::build)
-//      run only for records the caller's caps can still keep;
+//      that dedups repeat discoveries before anything is built; a build
+//      (Rewrite_rule::build) — the host copy and the rule's splice, then
+//      finalise_rewrite's cycle check, dead-node sweep, shape inference,
+//      validation, canonical hash and delta, all local to the splice and
+//      read from the index and memo — runs only for records the caller's
+//      caps can still keep;
 //   4. the unit of parallel work is one candidate: records are built in
 //      waves on the shared thread pool, each into its own slot, and an
 //      in-order serial pass then applies the per-rule success cap and the
@@ -28,8 +34,8 @@
 //      revisits few (TASO's queue) keeps each one's Recipe — the rule and
 //      the site — and rebuild()s it from its host when needed.
 //
-// Pattern and bespoke rules differ only in what their sites hold; both
-// report each build's Rewrite_delta, so the next step's index is patched
+// Pattern and bespoke rules differ only in what their sites hold and how
+// they splice; every build reports its Rewrite_delta, so the next step's index is patched
 // whichever kind was chosen, and TASO and PET price every candidate from
 // its delta. The engine treats both kinds uniformly.
 #pragma once
@@ -97,7 +103,7 @@ public:
         int rule_index = -1;
         std::uint64_t hash = 0; ///< canonical_hash of `*graph` as generated.
         /// How `*graph` differs from the host (for the next step's index
-        /// patch and for delta pricing); null when the rule reported none.
+        /// patch and for delta pricing); every build reports one.
         const Rewrite_delta* delta = nullptr;
         /// The site, in the engine's record buffer (valid until the next
         /// generate_step() call).
@@ -128,9 +134,10 @@ public:
     ///
     /// The Host_index persists across calls: pass the previous call's
     /// chosen candidate as `via` and the index is patched from its
-    /// Rewrite_delta instead of rebuilt, and the host's hash comes from
-    /// via->hash (pass null on the first step, after a reset, or when the
-    /// host changed some other way, e.g. a search popping its queue).
+    /// Rewrite_delta instead of rebuilt (pass null on the first step, after
+    /// a reset, or when the host changed some other way, e.g. a search
+    /// popping its queue). The Host_memo is rebuilt every call; the host's
+    /// canonical hash comes from it.
     /// The returned reference and every candidate in it are invalidated by
     /// the next call; `via` is read before any step storage is reused. NOT
     /// thread-safe — one owner per engine (see docs/CONCURRENCY.md).
@@ -139,7 +146,8 @@ public:
 
     /// Rebuild the candidate `recipe` describes into `out` (recycled
     /// storage; contents unspecified) and return its canonical hash: one
-    /// Rewrite_rule::build of the recipe's site. When `host` is the graph
+    /// Rewrite_rule::build of the recipe's site, against an index and memo
+    /// of `host` built for this call. When `host` is the graph
     /// the recipe's candidate was generated from, `out` becomes that
     /// candidate exactly — same node ids, capacity and hash. Uses none of
     /// generate_step()'s storage, so the last step's candidates stay valid.
@@ -187,6 +195,9 @@ private:
 
     Host_index index_;
     bool index_ready_ = false;
+    Host_memo memo_;           ///< Of the current step's host.
+    Host_index rebuild_index_; ///< rebuild()'s, kept for their storage.
+    Host_memo rebuild_memo_;
     std::vector<std::vector<Rewrite_site>> per_rule_; ///< find_sites output per rule.
     std::unordered_set<std::uint64_t> fingerprints_seen_;
     std::vector<Rewrite_candidate> records_;
@@ -205,8 +216,9 @@ private:
 class Histogram;
 
 /// The histogram that every engine instance times its pipeline phases into:
-/// `xrlflow_candidate_phase_us{phase=...}` for index_build, match, dedup,
-/// materialise (every build wave), finalise_rewrite and rebuild. Exposed so
+/// `xrlflow_candidate_phase_us{phase=...}` for index_build (the Host_index
+/// and the Host_memo), match, dedup, materialise (every build wave),
+/// finalise_rewrite and rebuild. Exposed so
 /// the benches can read per-phase snapshots into BENCH_candidates.json.
 Histogram& candidate_phase_histogram(const char* phase);
 

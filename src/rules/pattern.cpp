@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "rules/candidate_engine.h"
 #include "support/check.h"
-#include "support/metrics.h"
 
 namespace xrl {
 
@@ -428,18 +426,12 @@ private:
     std::vector<Pattern_match> results_;
 };
 
-bool edge_shape_known(const Graph& g, const Edge& e)
-{
-    return static_cast<std::size_t>(e.port) < g.node(e.node).output_shapes.size();
-}
-
-/// Per-thread scratch for apply_match_into: the buffers are tiny but the
+/// Per-thread scratch for splice_match: the buffers are tiny but the
 /// function runs once per materialised candidate, so fresh vectors would be
 /// the dominant allocation of the engine's hot loop.
 struct Apply_scratch {
     std::vector<Edge> target_var_edges;
     std::vector<Node_id> instantiated;
-    std::vector<Rewired_edge> rewired;
 };
 
 Apply_scratch& apply_scratch()
@@ -479,80 +471,20 @@ std::vector<Pattern_match> find_matches(const Graph& host, const Host_index& ind
     return Matcher(host, index, pattern, limit).run();
 }
 
-bool finalise_rewrite(Graph& g, const Graph& host, Node_id first_new_node,
-                      const std::vector<Rewired_edge>& rewired, std::uint64_t* canonical_hash_out,
-                      Rewrite_delta* delta_out)
-{
-    // Histogram only (no span): this runs once per materialised candidate —
-    // span records would dominate the trace buffer without adding shape.
-    static Histogram& finalise_histogram = candidate_phase_histogram("finalise_rewrite");
-    const Scoped_timer_us timer(finalise_histogram);
-    if (delta_out != nullptr) delta_out->valid = false;
-    try {
-        if (!g.is_acyclic()) return false; // the rewrite closed a cycle
-        g.eliminate_dead_nodes();
-
-        // The node set is final after dead-node elimination; record what
-        // changed relative to the host while the host is at hand.
-        if (delta_out != nullptr) {
-            delta_out->removed.clear();
-            delta_out->added.clear();
-            delta_out->stale_use_producers.clear();
-            delta_out->rewired = rewired;
-            const std::size_t first =
-                first_new_node > 0 ? static_cast<std::size_t>(first_new_node) : 0;
-            for (std::size_t i = 0; i < first && i < host.capacity(); ++i) {
-                const auto id = static_cast<Node_id>(i);
-                if (!host.is_alive(id) || g.is_alive(id)) continue;
-                delta_out->removed.push_back(id);
-                for (const Edge& e : host.node(id).inputs)
-                    delta_out->stale_use_producers.push_back(e.node);
-            }
-            for (std::size_t i = first; i < g.capacity(); ++i)
-                if (g.is_alive(static_cast<Node_id>(i)))
-                    delta_out->added.push_back(static_cast<Node_id>(i));
-        }
-
-        // The appended nodes always need shapes; the rest of the graph is
-        // untouched as long as every splice carries the same shape as the
-        // edge it replaced, so the full re-inference pass is skipped.
-        bool incremental = g.infer_shapes_appended(first_new_node);
-        if (incremental) {
-            for (const Rewired_edge& rw : rewired) {
-                if (!g.is_alive(rw.after.node)) continue; // splice ended up unused
-                if (!edge_shape_known(host, rw.before) || !edge_shape_known(g, rw.after) ||
-                    !(host.shape_of(rw.before) == g.shape_of(rw.after))) {
-                    incremental = false;
-                    break;
-                }
-            }
-        }
-        if (!incremental) g.infer_shapes();
-        if (delta_out != nullptr) delta_out->shapes_local = incremental;
-
-        // The epilogue's own cycle check already ran, and dead-node
-        // elimination cannot introduce a cycle — skip the re-check.
-        g.validate(/*check_acyclic=*/false);
-        if (canonical_hash_out != nullptr) *canonical_hash_out = g.canonical_hash();
-        if (delta_out != nullptr) delta_out->valid = true;
-        return true;
-    } catch (const Contract_violation&) {
-        // Shape inference rejected this instantiation (the rule does not
-        // apply at this site for these operand shapes).
-        return false;
-    }
-}
-
 std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern, const Pattern_match& match)
 {
+    const Host_index index(host);
+    const Host_memo memo(host);
     Graph out;
-    if (!apply_match_into(out, host, pattern, match)) return std::nullopt;
+    std::vector<Rewired_edge> rewired;
+    if (!splice_match(out, host, pattern, match, rewired) ||
+        !finalise_rewrite(out, {host, index, memo}, rewired))
+        return std::nullopt;
     return out;
 }
 
-bool apply_match_into(Graph& out, const Graph& host, const Pattern& pattern,
-                      const Pattern_match& match, std::uint64_t* canonical_hash_out,
-                      Rewrite_delta* delta_out)
+bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
+                  const Pattern_match& match, std::vector<Rewired_edge>& rewired)
 {
     XRL_EXPECTS(!pattern.target_order.empty()); // Pattern::finalise() was called
     // Copy-assignment into a recycled `out` reuses its nested buffers
@@ -562,7 +494,6 @@ bool apply_match_into(Graph& out, const Graph& host, const Pattern& pattern,
     // reservation would reallocate on every recycle.
     out = host;
     out.reserve(host.capacity() + pattern.target.size() + host.capacity() / 8);
-    const Node_id first_new = static_cast<Node_id>(host.capacity());
 
     // Map source variable index -> bound host edge, then target variable
     // node -> that edge. Target node ids are dense and tiny, so flat
@@ -624,7 +555,6 @@ bool apply_match_into(Graph& out, const Graph& host, const Pattern& pattern,
         }
 
         // Rewire each source output to the corresponding target output.
-        std::vector<Rewired_edge>& rewired = scratch.rewired;
         rewired.clear();
         rewired.reserve(pattern.source.outputs().size());
         for (std::size_t k = 0; k < pattern.source.outputs().size(); ++k) {
@@ -645,7 +575,7 @@ bool apply_match_into(Graph& out, const Graph& host, const Pattern& pattern,
             rewired.push_back({old_edge, new_edge});
         }
 
-        return finalise_rewrite(out, host, first_new, rewired, canonical_hash_out, delta_out);
+        return true;
     } catch (const Contract_violation&) {
         // Instantiation itself rejected the site (unbound variable or a
         // malformed constant payload).

@@ -102,6 +102,8 @@ std::uint64_t match_binding_key(const std::vector<std::pair<Node_id, Edge>>& var
 struct Rewired_edge {
     Edge before;
     Edge after;
+
+    bool operator==(const Rewired_edge&) const = default;
 };
 
 /// What one rewrite did to the host's node set, reported by
@@ -111,10 +113,11 @@ struct Rewired_edge {
 /// to that graph (which the environment has already overwritten by the
 /// time the next step's index is needed).
 struct Rewrite_delta {
-    /// Host ids (< first_new_node) alive before the rewrite, dead after.
+    /// Host ids (below the host's capacity) alive before the rewrite, dead
+    /// after.
     std::vector<Node_id> removed;
-    /// Appended ids (>= first_new_node) that survived dead-node elimination,
-    /// ascending.
+    /// Appended ids (from the host's capacity on) that survived dead-node
+    /// elimination, ascending.
     std::vector<Node_id> added;
     /// Producers of the removed nodes' inputs — every use list that may hold
     /// an entry whose user died (apply_delta filters exactly these, plus the
@@ -126,9 +129,11 @@ struct Rewrite_delta {
     /// the result share kept its shapes, so only the added nodes' shapes
     /// (and costs) are new. False when the full pass ran.
     bool shapes_local = false;
-    /// False: the producer did not describe the change (a failed build, or
-    /// a rule that reports no delta); the index must be rebuilt.
+    /// False: the producer did not describe the change (a failed build);
+    /// the index must be rebuilt.
     bool valid = false;
+
+    bool operator==(const Rewrite_delta&) const = default;
 };
 
 /// Per-host acceleration structure, shareable across every rule matched
@@ -177,6 +182,55 @@ private:
     std::vector<Node_id> touched_;
 };
 
+/// What the rewrite epilogue reads about one host instead of walking the
+/// whole host again for every candidate built from it. Per alive node: its
+/// canonical-hash prefix and term (node_hash_prefix and node_hash, so a
+/// candidate rehashes only what its splice changed) and its depth, the
+/// longest input path from a source (which bounds the cycle check to the
+/// splice). For the graph: its canonical hash, and the alive non-input nodes
+/// its outputs do not reach — pre-DCE clutter, which dead-node elimination
+/// drops from every candidate. Built once per host on the caller's thread,
+/// then read-only, so concurrent builds share it (docs/CONCURRENCY.md).
+class Host_memo {
+public:
+    /// Empty memo; call rebuild() before use.
+    Host_memo() = default;
+    explicit Host_memo(const Graph& host) { rebuild(host); }
+
+    /// Recompute from scratch, reusing this instance's storage. `host` must
+    /// be acyclic.
+    void rebuild(const Graph& host);
+
+    std::uint64_t canonical_hash() const { return canonical_hash_; }
+    std::uint64_t prefix(Node_id id) const { return facts_[static_cast<std::size_t>(id)].prefix; }
+    std::uint64_t term(Node_id id) const { return facts_[static_cast<std::size_t>(id)].term; }
+    std::int32_t depth(Node_id id) const { return facts_[static_cast<std::size_t>(id)].depth; }
+    bool unreachable(Node_id id) const { return facts_[static_cast<std::size_t>(id)].unreachable; }
+    /// The unreachable nodes, ascending.
+    const std::vector<Node_id>& unreachable_ids() const { return unreachable_; }
+
+private:
+    struct Node_facts {
+        std::uint64_t prefix = 0;
+        std::uint64_t term = 0;
+        std::int32_t depth = -1; ///< -1: not yet visited (or a tombstone).
+        bool unreachable = false;
+    };
+
+    std::vector<Node_facts> facts_;
+    std::vector<Node_id> unreachable_;
+    std::uint64_t canonical_hash_ = 0;
+    std::vector<std::pair<Node_id, std::uint32_t>> stack_; ///< rebuild() scratch.
+};
+
+/// One host as a rewrite's build reads it: the graph, its Host_index and its
+/// Host_memo, all three describing the same graph.
+struct Host_view {
+    const Graph& graph;
+    const Host_index& index;
+    const Host_memo& memo;
+};
+
 /// Find (up to `limit`) matches of `pattern.source` in `host`.
 ///
 /// Enforced conditions: operator kinds and arities agree; params agree per
@@ -200,27 +254,44 @@ std::vector<Pattern_match> find_matches(const Graph& host, const Host_index& ind
 std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern,
                                  const Pattern_match& match);
 
-/// Allocation-reusing variant: writes the result into `out` (a recycled
-/// pool slot keeps every nested buffer warm — the candidate engine's hot
-/// path). Returns false when the rewrite is invalid at this site, leaving
-/// `out` unspecified. Optionally reports the canonical hash and the
-/// Rewrite_delta for incremental Host_index maintenance.
-bool apply_match_into(Graph& out, const Graph& host, const Pattern& pattern,
-                      const Pattern_match& match, std::uint64_t* canonical_hash_out = nullptr,
-                      Rewrite_delta* delta_out = nullptr);
+/// The splice alone (Pattern_rule's Rewrite_rule::splice): writes `host`
+/// with `pattern.target` appended and the matched outputs' uses redirected
+/// into `out` (recycled storage: a warm slot keeps its nested buffers), and
+/// the redirected edges into `rewired`. Returns false when instantiation
+/// rejects the site; finalise_rewrite does the rest.
+bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
+                  const Pattern_match& match, std::vector<Rewired_edge>& rewired);
 
-/// Shared epilogue for substitution-style rewrites (pattern substitution
-/// and the bespoke shape-dependent rules). `g` is a copy of `host` that was
-/// mutated by appending nodes (ids >= `first_new_node`) and redirecting the
-/// `rewired` edges. Performs the cycle check, dead-node elimination, shape
-/// inference — incrementally over the appended nodes when every splice
-/// keeps the shape it replaced, the full pass otherwise — and validation.
+/// The shared epilogue of every rewrite (Rewrite_rule::build). `g` is a copy
+/// of `host.graph` mutated only by appending nodes (ids from the host's
+/// capacity on) and redirecting the `rewired` edges; no host node's kind,
+/// params or payload changed. Performs the cycle check, dead-node
+/// elimination, shape inference — incrementally over the appended nodes
+/// when every splice keeps the shape it replaced, the full pass otherwise —
+/// validation, and optionally the canonical hash and the node-set delta
+/// relative to the host (for incremental index upkeep and delta pricing).
+///
+/// Every step but a failed incremental shape inference is local to the
+/// splice, read from `host`'s index and memo: the cycle check follows only
+/// paths through redirected slots, no deeper than their shallowest user;
+/// dead nodes cascade from the redirected producers over the use lists,
+/// plus the memo's unreachable nodes; validation covers the appended nodes
+/// and the redirected users; the hash recomputes only appended nodes and
+/// the host nodes downstream of a redirected slot, and runs hash_params on
+/// appended nodes only. Debug builds also run finalise_rewrite_full on a
+/// copy and assert identical graph bytes, hash and delta.
+///
 /// Returns false (graph state unspecified) when the rewrite is structurally
-/// invalid at this site; optionally reports the result's canonical hash and
-/// the node-set delta relative to `host` (for incremental index upkeep).
-bool finalise_rewrite(Graph& g, const Graph& host, Node_id first_new_node,
-                      const std::vector<Rewired_edge>& rewired,
+/// invalid at this site.
+bool finalise_rewrite(Graph& g, const Host_view& host, const std::vector<Rewired_edge>& rewired,
                       std::uint64_t* canonical_hash_out = nullptr,
                       Rewrite_delta* delta_out = nullptr);
+
+/// The same epilogue from whole-graph passes (is_acyclic,
+/// eliminate_dead_nodes, a scan of the id space for the delta, validate,
+/// canonical_hash): the reference finalise_rewrite is checked against.
+bool finalise_rewrite_full(Graph& g, const Graph& host, const std::vector<Rewired_edge>& rewired,
+                           std::uint64_t* canonical_hash_out = nullptr,
+                           Rewrite_delta* delta_out = nullptr);
 
 } // namespace xrl

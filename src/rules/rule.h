@@ -69,7 +69,9 @@ struct Rewrite_site {
 /// A rewrite rule is two steps: list the sites where it applies, then
 /// build one candidate per site. Splitting them lets a caller decide which
 /// sites to build (caps, dedup) and build many sites in parallel, each
-/// into its own output graph.
+/// into its own output graph. A build is the rule's splice followed by the
+/// shared epilogue, finalise_rewrite, so every rule reports its canonical
+/// hash and Rewrite_delta the same way.
 class Rewrite_rule {
 public:
     virtual ~Rewrite_rule() = default;
@@ -89,18 +91,26 @@ public:
     virtual void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
                             std::vector<Rewrite_site>& out) const = 0;
 
-    /// Build the candidate for one of `host`'s sites into `out` (recycled
-    /// storage; contents unspecified): complete, validated, shapes
-    /// inferred. Returns false when the rewrite is invalid at this site.
-    /// Optionally reports the result's canonical hash, and the
-    /// Rewrite_delta that patches a Host_index from `host` to `out` (and
-    /// prices `out` from the host's cost terms). Every rule in the corpus
-    /// fills it through finalise_rewrite; a rule that cannot leaves it
-    /// untouched, so a caller that wants one must mark it invalid first.
-    /// Pure: const, and safe to call concurrently on distinct outputs.
-    virtual bool build(const Graph& host, const Rewrite_site& site, Graph& out,
-                       std::uint64_t* canonical_hash_out = nullptr,
-                       Rewrite_delta* delta_out = nullptr) const = 0;
+    /// The rule's own part of a build: write into `out` (recycled storage;
+    /// contents unspecified) a copy of `host` with nodes appended and uses
+    /// redirected by Graph::replace_all_uses, recording each redirect in
+    /// `rewired` (cleared first). A splice never edits a host node's kind,
+    /// params or payload, and leaves shapes, dead nodes and checks to
+    /// finalise_rewrite. Returns false when the site cannot be spliced.
+    virtual bool splice(const Graph& host, const Rewrite_site& site, Graph& out,
+                        std::vector<Rewired_edge>& rewired) const = 0;
+
+    /// Build the candidate for one of the host's sites into `out` (recycled
+    /// storage): splice(), then finalise_rewrite against the host's index
+    /// and memo. The result is complete, validated, shapes inferred.
+    /// Returns false when the rewrite is invalid at this site. Optionally
+    /// reports the result's canonical hash, and the Rewrite_delta that
+    /// patches a Host_index from the host to `out` (and prices `out` from
+    /// the host's cost terms). Pure: const, and safe to call concurrently
+    /// on distinct outputs with one shared `host`.
+    bool build(const Host_view& host, const Rewrite_site& site, Graph& out,
+               std::uint64_t* canonical_hash_out = nullptr,
+               Rewrite_delta* delta_out = nullptr) const;
 
     /// The reference loop over the two: build `graph`'s sites in order,
     /// committing each success into `out`, until `limit` candidates were
@@ -126,9 +136,8 @@ public:
 
     void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
                     std::vector<Rewrite_site>& out) const override;
-    bool build(const Graph& host, const Rewrite_site& site, Graph& out,
-               std::uint64_t* canonical_hash_out = nullptr,
-               Rewrite_delta* delta_out = nullptr) const override;
+    bool splice(const Graph& host, const Rewrite_site& site, Graph& out,
+                std::vector<Rewired_edge>& rewired) const override;
 
     const Pattern& pattern() const { return pattern_; }
 

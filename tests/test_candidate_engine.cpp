@@ -12,12 +12,14 @@
 #include "cost/e2e_simulator.h"
 #include "env/environment.h"
 #include "ir/builder.h"
+#include "ir/graph_io.h"
 #include "models/models.h"
 #include "optimizers/pet/pet_optimizer.h"
 #include "optimizers/taso/taso_optimizer.h"
 #include "rules/candidate_engine.h"
 #include "rules/corpus.h"
 #include "support/fnv.h"
+#include "support/record_file.h"
 
 namespace xrl {
 namespace {
@@ -296,11 +298,11 @@ public:
         out.emplace_back();
     }
 
-    bool build(const Graph& host, const Rewrite_site& /*site*/, Graph& out, std::uint64_t* hash,
-               Rewrite_delta* /*delta*/) const override
+    bool splice(const Graph& host, const Rewrite_site& /*site*/, Graph& out,
+                std::vector<Rewired_edge>& rewired) const override
     {
         out = host;
-        if (hash != nullptr) *hash = out.canonical_hash();
+        rewired.clear();
         return true;
     }
 };
@@ -567,6 +569,219 @@ TEST(Delta_pricer, EveryCandidateMatchesTheFullWalk)
         if (dynamic_cast<const Pattern_rule*>(rules[i].get()) != nullptr) continue;
         EXPECT_GT(from_delta[i], 0) << rules[i]->name() << " was never priced from its delta";
     }
+}
+
+/// The bit-exact binary form: ids, tombstones, params, shapes.
+std::string graph_bytes(const Graph& g)
+{
+    Byte_writer out;
+    serialise_graph_binary(out, g);
+    return out.take();
+}
+
+/// One build's epilogue both ways: the candidate `splice` wrote (with its
+/// `rewired` edges) finalised against `host`'s index and memo, and a copy
+/// of it finalised by the whole-graph passes. Both must accept or reject
+/// it alike; when they accept, the graph bytes, the canonical hash and
+/// every Rewrite_delta field must agree. Returns whether it built, leaving
+/// the memo-finalised candidate in `built`.
+bool expect_same_finalise(const Host_view& host, const std::vector<Rewired_edge>& rewired,
+                          Graph& built, const std::string& what)
+{
+    Graph full = built;
+    std::uint64_t hash = 0;
+    std::uint64_t full_hash = 0;
+    Rewrite_delta delta;
+    Rewrite_delta full_delta;
+    const bool ok = finalise_rewrite(built, host, rewired, &hash, &delta);
+    const bool full_ok = finalise_rewrite_full(full, host.graph, rewired, &full_hash, &full_delta);
+    EXPECT_EQ(ok, full_ok) << what;
+    if (!ok || !full_ok) return false;
+    EXPECT_EQ(graph_bytes(built), graph_bytes(full)) << what;
+    EXPECT_EQ(hash, full_hash) << what;
+    EXPECT_EQ(hash, built.canonical_hash()) << what;
+    EXPECT_EQ(delta.removed, full_delta.removed) << what;
+    EXPECT_EQ(delta.added, full_delta.added) << what;
+    EXPECT_EQ(delta.stale_use_producers, full_delta.stale_use_producers) << what;
+    EXPECT_EQ(delta.rewired, full_delta.rewired) << what;
+    EXPECT_EQ(delta.shapes_local, full_delta.shapes_local) << what;
+    EXPECT_TRUE(delta.valid && full_delta.valid) << what;
+    return true;
+}
+
+/// A 10-step walk from `initial`: at each step every site of every rule is
+/// spliced once and finalised both ways (expect_same_finalise), and the
+/// next host is one of the step's candidates. Counts each rule's builds.
+void walk_finalise_parity(const Graph& initial, const Rule_set& rules, std::vector<int>& built)
+{
+    Graph host = initial;
+    std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+    std::vector<Rewrite_site> sites;
+    std::vector<Rewired_edge> rewired;
+    Graph candidate;
+    for (int step = 0; step < 10; ++step) {
+        const Host_index index(host);
+        const Host_memo memo(host);
+        ASSERT_EQ(memo.canonical_hash(), host.canonical_hash()) << "step " << step;
+        const Host_view view{host, index, memo};
+        Graph next;
+        int successes = 0;
+        for (std::size_t r = 0; r < rules.size(); ++r) {
+            sites.clear();
+            rules[r]->find_sites(host, index, SIZE_MAX, sites);
+            for (std::size_t i = 0; i < sites.size(); ++i) {
+                if (!rules[r]->splice(host, sites[i], candidate, rewired)) continue;
+                const std::string what = rules[r]->name() + " step " + std::to_string(step) +
+                                         " site " + std::to_string(i);
+                if (!expect_same_finalise(view, rewired, candidate, what)) continue;
+                ++built[r];
+                // Reservoir pick: every candidate is equally likely next.
+                lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+                if ((lcg >> 33) % static_cast<std::uint64_t>(++successes) == 0) next = candidate;
+            }
+        }
+        if (successes == 0) return;
+        host = std::move(next);
+    }
+}
+
+TEST(Candidate_engine, MemoFinaliseMatchesFullPasses)
+{
+    // Every candidate of every rule — pattern rules, the bespoke rules and
+    // PET's split — finalised against its host's memo equals the whole-graph
+    // passes' result: walks on paper-structure InceptionV3, ResNeXt-50 and
+    // BERT and on the hand-built host, plus each pattern rule's own source
+    // graph (the rules no model triggers).
+    const Rule_set rules = pet_rule_corpus();
+    std::vector<int> built(rules.size(), 0);
+    for (const Graph& initial :
+         {make_inception_v3(Scale::paper, 32), make_resnext50(Scale::paper, 32),
+          make_bert(Scale::paper, 8), bespoke_sites_host()})
+        walk_finalise_parity(initial, rules, built);
+    for (const auto& rule : rules)
+        if (const auto* pattern = dynamic_cast<const Pattern_rule*>(rule.get()))
+            walk_finalise_parity(pattern->pattern().source, rules, built);
+    for (std::size_t r = 0; r < rules.size(); ++r)
+        EXPECT_GT(built[r], 0) << rules[r]->name() << " was never exercised";
+}
+
+/// A rule with one site, which redirects every use of `from` to `to`.
+class Redirect_rule final : public Rewrite_rule {
+public:
+    Redirect_rule(Edge from, Edge to) : Rewrite_rule("redirect"), from_(from), to_(to) {}
+
+    void find_sites(const Graph& /*host*/, const Host_index& /*index*/, std::size_t /*limit*/,
+                    std::vector<Rewrite_site>& out) const override
+    {
+        out.emplace_back();
+    }
+
+    bool splice(const Graph& host, const Rewrite_site& /*site*/, Graph& out,
+                std::vector<Rewired_edge>& rewired) const override
+    {
+        out = host;
+        out.replace_all_uses(from_, to_);
+        rewired = {{from_, to_}};
+        return true;
+    }
+
+private:
+    Edge from_;
+    Edge to_;
+};
+
+/// `rule`'s one candidate on `host`, finalised both ways (see
+/// expect_same_finalise); its delta in `delta`.
+bool redirect_both_ways(const Graph& host, const Redirect_rule& rule, Rewrite_delta& delta)
+{
+    const Host_index index(host);
+    const Host_memo memo(host);
+    const Host_view view{host, index, memo};
+    Graph candidate;
+    std::vector<Rewired_edge> rewired;
+    EXPECT_TRUE(rule.splice(host, Rewrite_site{}, candidate, rewired));
+    Graph again = candidate;
+    if (!expect_same_finalise(view, rewired, again, "redirect")) return false;
+    Graph built;
+    EXPECT_TRUE(rule.build(view, Rewrite_site{}, built, nullptr, &delta));
+    return true;
+}
+
+TEST(Candidate_engine, MemoFinaliseDropsHostClutterLikeFullDce)
+{
+    // A host that still carries nodes its outputs do not reach (pre-DCE
+    // clutter, as an unoptimised model can): every candidate drops them, and
+    // its delta lists them as removed, exactly as full dead-node
+    // elimination does — unless the rewrite reads one again, which brings
+    // it and what it reads back.
+    Graph_builder b;
+    const Edge x = b.input({1, 3, 8, 8});
+    const Edge y = b.relu(x);
+    const Edge clutter = b.sigmoid(x);
+    const Edge clutter_user = b.exp(clutter);
+    const Edge conv = b.conv2d(y, b.weight({4, 3, 3, 3}), 1, 1);
+    const Edge out = b.tanh(b.batch_norm(conv, 4));
+    const Edge deep_clutter = b.relu(b.exp(clutter_user));
+    const Graph host = b.finish({out});
+    ASSERT_EQ(Host_memo(host).unreachable_ids(),
+              (std::vector<Node_id>{clutter.node, clutter_user.node,
+                                    deep_clutter.node - 1, deep_clutter.node}));
+
+    // Every site of the PET corpus: fold-batch-norm, the split, patterns.
+    const Rule_set rules = pet_rule_corpus();
+    const Host_index index(host);
+    const Host_memo memo(host);
+    const Host_view view{host, index, memo};
+    int built = 0;
+    std::vector<Rewrite_site> sites;
+    std::vector<Rewired_edge> rewired;
+    for (const auto& rule : rules) {
+        sites.clear();
+        rule->find_sites(host, index, SIZE_MAX, sites);
+        for (const Rewrite_site& site : sites) {
+            Graph candidate;
+            if (!rule->splice(host, site, candidate, rewired)) continue;
+            if (!expect_same_finalise(view, rewired, candidate, rule->name())) continue;
+            ++built;
+            Rewrite_delta delta;
+            Graph again;
+            ASSERT_TRUE(rule->build(view, site, again, nullptr, &delta));
+            for (const Node_id id : memo.unreachable_ids()) {
+                EXPECT_FALSE(again.is_alive(id)) << rule->name();
+                EXPECT_NE(std::find(delta.removed.begin(), delta.removed.end(), id),
+                          delta.removed.end())
+                    << rule->name() << " kept clutter node " << id;
+            }
+        }
+    }
+    EXPECT_GT(built, 1);
+
+    // Reading the clutter again: y's uses move to `clutter`, so y dies and
+    // `clutter` lives; what only clutter read stays dead.
+    Rewrite_delta delta;
+    ASSERT_TRUE(redirect_both_ways(host, Redirect_rule(y, clutter), delta));
+    EXPECT_EQ(delta.removed, (std::vector<Node_id>{y.node, clutter_user.node,
+                                                   deep_clutter.node - 1, deep_clutter.node}));
+    // And reading the deepest clutter revives the chain beneath it.
+    ASSERT_TRUE(redirect_both_ways(host, Redirect_rule(y, deep_clutter), delta));
+    EXPECT_EQ(delta.removed, (std::vector<Node_id>{y.node}));
+}
+
+TEST(Candidate_engine, MemoFinaliseRejectsACycleThroughTheSplice)
+{
+    // Redirecting y's uses to a node that reads y closes a cycle through
+    // the splice; redirecting them to a node beside y does not.
+    Graph_builder b;
+    const Edge x = b.input({4, 4});
+    const Edge y = b.relu(x);
+    const Edge z = b.tanh(b.sigmoid(y));
+    const Edge side = b.exp(x);
+    const Graph host = b.finish({b.add(z, side)});
+    Rewrite_delta delta;
+    EXPECT_FALSE(redirect_both_ways(host, Redirect_rule(y, z), delta));
+    EXPECT_FALSE(delta.valid);
+    EXPECT_TRUE(redirect_both_ways(host, Redirect_rule(y, side), delta));
+    EXPECT_TRUE(delta.valid);
 }
 
 } // namespace

@@ -357,6 +357,23 @@ TEST(MergeMatmul, SkipsWhenMergeWouldCreateCycle)
     const Graph host = b.finish({m2});
     const auto rule = make_merge_matmul_shared_lhs_rule();
     EXPECT_TRUE(rule->apply_all(host).empty());
+
+    // The site is listed and spliced; the cycle closes through the splice,
+    // and both epilogues — the memo's local check and the whole-graph
+    // passes — reject it.
+    const Host_index index(host);
+    const Host_memo memo(host);
+    std::vector<Rewrite_site> sites;
+    rule->find_sites(host, index, SIZE_MAX, sites);
+    ASSERT_EQ(sites.size(), 1u);
+    Graph spliced;
+    std::vector<Rewired_edge> rewired;
+    ASSERT_TRUE(rule->splice(host, sites.front(), spliced, rewired));
+    Graph copy = spliced;
+    Rewrite_delta delta;
+    EXPECT_FALSE(finalise_rewrite(spliced, {host, index, memo}, rewired, nullptr, &delta));
+    EXPECT_FALSE(delta.valid);
+    EXPECT_FALSE(finalise_rewrite_full(copy, host, rewired));
 }
 
 TEST(MergeConv, MergesSharedInputFilters)
