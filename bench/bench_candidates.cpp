@@ -1,6 +1,7 @@
 // Candidate-generation engine benchmark: one uncapped candidate pass
-// (Candidate_engine::generate_step from a rebuilt index) per model, plus
-// environment steps-per-second on a fixed trajectory.
+// (Candidate_engine::generate_step from a rebuilt index) per model,
+// environment steps-per-second on a fixed trajectory, and the host copy
+// every candidate build starts from.
 //
 // Emits BENCH_candidates.json (path overridable via argv[1]) recording the
 // numbers behind the README's "Candidate generation" section, with a
@@ -117,6 +118,14 @@ Env_throughput env_rollout(const Graph& model, const Rule_set& rules, int max_st
     return out;
 }
 
+/// One warm-slot host copy on this thread: copy-assigning `host` into a
+/// graph that already holds it, as a build does into a recycled slot.
+double host_copy_us(const Graph& host)
+{
+    Graph slot = host;
+    return time_us([&] { slot = host; });
+}
+
 } // namespace
 
 int main(int argc, char** argv)
@@ -140,6 +149,13 @@ int main(int argc, char** argv)
 
     const Env_throughput env = env_rollout(bert, rules, 12);
     std::printf("\n%-28s %12.1f/s\n", "env rollout (bert)", env.steps_per_second);
+
+    // Ungated: the copy behind every build, on the paper-scale convnets.
+    const double inception_copy_us = host_copy_us(make_inception_v3(Scale::paper));
+    const double resnext_copy_us = host_copy_us(make_resnext50(Scale::paper));
+    std::printf("\n%-28s %14s\n", "host copy (paper)", "warm slot (us)");
+    std::printf("%-28s %14.2f\n", "inception-v3", inception_copy_us);
+    std::printf("%-28s %14.2f\n", "resnext-50", resnext_copy_us);
 
     // Per-phase engine timings, straight from the registry histograms the
     // engine publishes (every generate_step() above observed them).
@@ -171,6 +187,10 @@ int main(int argc, char** argv)
          << "  \"env_steps_per_second\": {\n"
          << "    \"bert\": {\"engine\": " << env.steps_per_second << ", \"steps\": " << env.steps
          << "}\n"
+         << "  },\n"
+         << "  \"host_copy_us\": {\n"
+         << "    \"inception\": " << inception_copy_us << ",\n"
+         << "    \"resnext50\": " << resnext_copy_us << "\n"
          << "  },\n"
          << "  \"candidate_phase_us\": {\n"
          << phase_json << "\n"

@@ -121,13 +121,13 @@ std::int64_t node_flops(const Graph& g, Node_id id)
     case Op_kind::matmul: {
         const Shape& a = g.shape_of(n.inputs[0]);
         const std::int64_t k = a.back();
-        return 2 * out_volume * k + activation_flops(n.params.activation, out_volume);
+        return 2 * out_volume * k + activation_flops(n.params->activation, out_volume);
     }
     case Op_kind::conv2d: {
         const Shape& w = g.shape_of(n.inputs[1]);
         // 2 * N*K*OH*OW * (C/g)*R*S
         return 2 * out_volume * w[1] * w[2] * w[3] +
-               activation_flops(n.params.activation, out_volume);
+               activation_flops(n.params->activation, out_volume);
     }
     case Op_kind::add:
     case Op_kind::sub:
@@ -147,7 +147,7 @@ std::int64_t node_flops(const Graph& g, Node_id id)
         return 4 * out_volume;
     case Op_kind::max_pool2d:
     case Op_kind::avg_pool2d:
-        return out_volume * n.params.kernel_h * n.params.kernel_w;
+        return out_volume * n.params->kernel_h * n.params->kernel_w;
     case Op_kind::global_avg_pool:
         return input_volume(g, id);
     case Op_kind::batch_norm:
@@ -179,7 +179,7 @@ double Cost_model::op_cost_ms(const Graph& g, Node_id id) const
     // Grouped convolutions launch one kernel per group (pre-Volta CuDNN
     // loops over groups), and each group's kernel is small: utilisation is
     // judged per group.
-    const std::int64_t launches = n.kind == Op_kind::conv2d ? n.params.groups : 1;
+    const std::int64_t launches = n.kind == Op_kind::conv2d ? n.params->groups : 1;
     const double util = device_.utilisation(n.kind, flops / launches);
     const double effective_rate = device_.efficiency(n.kind) * util * device_.flops_per_ms;
     const double compute_ms = static_cast<double>(flops) / effective_rate;

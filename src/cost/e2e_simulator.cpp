@@ -105,7 +105,7 @@ E2e_breakdown E2e_simulator::analyse(const Graph& g) const
             continue;
         }
         const std::int64_t flops = node_flops(g, id);
-        const std::int64_t launches = n.kind == Op_kind::conv2d ? n.params.groups : 1;
+        const std::int64_t launches = n.kind == Op_kind::conv2d ? n.params->groups : 1;
         const double util = device.utilisation(n.kind, flops / launches);
         const double compute_ms =
             static_cast<double>(flops) / (device.efficiency(n.kind) * util * device.flops_per_ms);

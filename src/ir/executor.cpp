@@ -70,20 +70,20 @@ std::vector<Tensor> execute(const Graph& graph, const Binding_map& bindings, std
             out = {*n.payload};
             break;
         case Op_kind::matmul:
-            out = {apply_activation(matmul(in(n, 0), in(n, 1)), n.params.activation)};
+            out = {apply_activation(matmul(in(n, 0), in(n, 1)), n.params->activation)};
             break;
         case Op_kind::conv2d: {
             Conv2d_spec spec;
-            spec.stride_h = n.params.stride_h;
-            spec.stride_w = n.params.stride_w;
-            spec.pad_h = n.params.pad_h;
-            spec.pad_w = n.params.pad_w;
-            spec.groups = n.params.groups;
-            out = {apply_activation(conv2d(in(n, 0), in(n, 1), spec), n.params.activation)};
+            spec.stride_h = n.params->stride_h;
+            spec.stride_w = n.params->stride_w;
+            spec.pad_h = n.params->pad_h;
+            spec.pad_w = n.params->pad_w;
+            spec.groups = n.params->groups;
+            out = {apply_activation(conv2d(in(n, 0), in(n, 1), spec), n.params->activation)};
             break;
         }
         case Op_kind::relu: out = {relu(in(n, 0))}; break;
-        case Op_kind::leaky_relu: out = {leaky_relu(in(n, 0), n.params.scalar)}; break;
+        case Op_kind::leaky_relu: out = {leaky_relu(in(n, 0), n.params->scalar)}; break;
         case Op_kind::gelu: out = {gelu(in(n, 0))}; break;
         case Op_kind::sigmoid: out = {sigmoid(in(n, 0))}; break;
         case Op_kind::tanh: out = {tanh_op(in(n, 0))}; break;
@@ -94,7 +94,7 @@ std::vector<Tensor> execute(const Graph& graph, const Binding_map& bindings, std
         case Op_kind::dropout:
             out = {in(n, 0)};
             break;
-        case Op_kind::scale: out = {scale(in(n, 0), n.params.scalar)}; break;
+        case Op_kind::scale: out = {scale(in(n, 0), n.params->scalar)}; break;
         case Op_kind::add: out = {add(in(n, 0), in(n, 1))}; break;
         case Op_kind::sub: out = {sub(in(n, 0), in(n, 1))}; break;
         case Op_kind::mul: out = {mul(in(n, 0), in(n, 1))}; break;
@@ -102,52 +102,52 @@ std::vector<Tensor> execute(const Graph& graph, const Binding_map& bindings, std
         case Op_kind::max_pool2d:
         case Op_kind::avg_pool2d: {
             Pool2d_spec spec;
-            spec.kernel_h = n.params.kernel_h;
-            spec.kernel_w = n.params.kernel_w;
-            spec.stride_h = n.params.stride_h;
-            spec.stride_w = n.params.stride_w;
-            spec.pad_h = n.params.pad_h;
-            spec.pad_w = n.params.pad_w;
+            spec.kernel_h = n.params->kernel_h;
+            spec.kernel_w = n.params->kernel_w;
+            spec.stride_h = n.params->stride_h;
+            spec.stride_w = n.params->stride_w;
+            spec.pad_h = n.params->pad_h;
+            spec.pad_w = n.params->pad_w;
             out = {n.kind == Op_kind::max_pool2d ? max_pool2d(in(n, 0), spec)
                                                  : avg_pool2d(in(n, 0), spec)};
             break;
         }
         case Op_kind::global_avg_pool: out = {global_avg_pool(in(n, 0))}; break;
         case Op_kind::batch_norm:
-            out = {batch_norm(in(n, 0), in(n, 1), in(n, 2), in(n, 3), in(n, 4), n.params.epsilon)};
+            out = {batch_norm(in(n, 0), in(n, 1), in(n, 2), in(n, 3), in(n, 4), n.params->epsilon)};
             break;
         case Op_kind::layer_norm:
-            out = {layer_norm(in(n, 0), in(n, 1), in(n, 2), n.params.epsilon)};
+            out = {layer_norm(in(n, 0), in(n, 1), in(n, 2), n.params->epsilon)};
             break;
         case Op_kind::softmax: out = {softmax(in(n, 0))}; break;
         case Op_kind::concat: {
             std::vector<Tensor> parts;
             parts.reserve(n.inputs.size());
             for (std::size_t slot = 0; slot < n.inputs.size(); ++slot) parts.push_back(in(n, slot));
-            out = {concat(parts, n.params.axis)};
+            out = {concat(parts, n.params->axis)};
             break;
         }
         case Op_kind::split:
-            out = split(in(n, 0), n.params.axis, n.params.split_sizes);
+            out = split(in(n, 0), n.params->axis, n.params->split_sizes);
             break;
         case Op_kind::slice:
-            out = {slice(in(n, 0), n.params.axis, n.params.begin, n.params.end)};
+            out = {slice(in(n, 0), n.params->axis, n.params->begin, n.params->end)};
             break;
-        case Op_kind::reshape: out = {in(n, 0).reshaped(n.params.target_shape)}; break;
+        case Op_kind::reshape: out = {in(n, 0).reshaped(n.params->target_shape)}; break;
         case Op_kind::transpose: {
-            if (n.params.perm.empty()) {
+            if (n.params->perm.empty()) {
                 out = {transpose_last2(in(n, 0))};
             } else {
-                out = {transpose(in(n, 0), n.params.perm)};
+                out = {transpose(in(n, 0), n.params->perm)};
             }
             break;
         }
-        case Op_kind::pad: out = {pad(in(n, 0), n.params.pads_before, n.params.pads_after)}; break;
-        case Op_kind::reduce_sum: out = {reduce_sum(in(n, 0), n.params.axis, n.params.keep_dim)}; break;
-        case Op_kind::reduce_mean: out = {reduce_mean(in(n, 0), n.params.axis, n.params.keep_dim)}; break;
+        case Op_kind::pad: out = {pad(in(n, 0), n.params->pads_before, n.params->pads_after)}; break;
+        case Op_kind::reduce_sum: out = {reduce_sum(in(n, 0), n.params->axis, n.params->keep_dim)}; break;
+        case Op_kind::reduce_mean: out = {reduce_mean(in(n, 0), n.params->axis, n.params->keep_dim)}; break;
         case Op_kind::embedding: out = {embedding(in(n, 0), in(n, 1))}; break;
         case Op_kind::enlarge:
-            out = {enlarge_kernel(in(n, 0), n.params.target_r, n.params.target_s)};
+            out = {enlarge_kernel(in(n, 0), n.params->target_r, n.params->target_s)};
             break;
         case Op_kind::count_:
             XRL_EXPECTS(false);

@@ -28,14 +28,8 @@ std::uint64_t hash_payload(const Tensor& t)
 std::int32_t num_outputs(const Node& node)
 {
     if (node.kind == Op_kind::split)
-        return static_cast<std::int32_t>(node.params.split_sizes.size());
+        return static_cast<std::int32_t>(node.params->split_sizes.size());
     return 1;
-}
-
-std::uint64_t node_hash_prefix(const Node& node)
-{
-    return hash_combine(hash_combine(0x51edULL, static_cast<std::uint64_t>(node.kind)),
-                        hash_params(node.params));
 }
 
 std::uint64_t node_hash_finish(std::uint64_t partial, Node_id id, const Node& node)
@@ -62,7 +56,8 @@ void Graph::shrink_to_fit()
     alive_.shrink_to_fit();
 }
 
-Node_id Graph::add_node(Op_kind kind, std::vector<Edge> inputs, Op_params params, std::string name)
+Node_id Graph::add_node(Op_kind kind, std::vector<Edge> inputs, Shared_params params,
+                        std::string name)
 {
     for (const Edge& e : inputs) {
         XRL_EXPECTS(is_alive(e.node));

@@ -40,9 +40,10 @@ struct Edge_use {
 
 /// Immutable, structurally-shared list of a node's output shapes. Shape
 /// inference replaces a node's shapes wholesale and never mutates them in
-/// place, so graph copies share one allocation per node — which makes the
-/// full-graph copy behind every candidate materialisation cheap (the hot
-/// path of candidate generation).
+/// place, so graph copies share one allocation per node. A node's params
+/// are shared the same way (Shared_params, ir/op.h), so the full-graph copy
+/// behind every candidate materialisation copies handles, not contents (the
+/// hot path of candidate generation).
 class Shape_list {
 public:
     Shape_list() = default;
@@ -95,7 +96,7 @@ private:
 /// An operator instance.
 struct Node {
     Op_kind kind = Op_kind::input;
-    Op_params params;
+    Shared_params params;                   ///< Read as `params->field`.
     std::vector<Edge> inputs;
     Shape_list output_shapes;               ///< Filled by Graph::infer_shapes().
     std::shared_ptr<const Tensor> payload;  ///< Literal value for `constant` nodes.
@@ -112,9 +113,13 @@ std::int32_t num_outputs(const Node& node);
 // are its only definition, shared by Graph::canonical_hash and the rewrite
 // epilogue's memoised hash (Host_memo), so the two cannot drift.
 
-/// A node's own part of its term: its kind and params. Hashing the params
-/// is the costly part, which is why a host memo keeps it per node.
-std::uint64_t node_hash_prefix(const Node& node);
+/// A node's own part of its term: its kind and params (whose hash the
+/// params block caches).
+inline std::uint64_t node_hash_prefix(const Node& node)
+{
+    return hash_combine(hash_combine(0x51edULL, static_cast<std::uint64_t>(node.kind)),
+                        node.params.hash());
+}
 
 /// node_hash's tail: a constant's payload and a source's id.
 std::uint64_t node_hash_finish(std::uint64_t partial, Node_id id, const Node& node);
@@ -162,7 +167,9 @@ public:
     void shrink_to_fit();
 
     /// Append a node; inputs must reference alive nodes. Returns its id.
-    Node_id add_node(Op_kind kind, std::vector<Edge> inputs, Op_params params = {},
+    /// `params` is another node's block (shared) or an Op_params (wrapped
+    /// in a new block).
+    Node_id add_node(Op_kind kind, std::vector<Edge> inputs, Shared_params params = {},
                      std::string name = "");
 
     /// Append a `constant` node carrying `value`.

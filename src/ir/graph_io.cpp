@@ -54,7 +54,7 @@ void serialise_graph_text(std::ostream& os, const Graph& graph)
         const Shape shape = n.output_shapes.empty() ? Shape{} : n.output_shapes.front();
         os << " shape " << shape.size();
         for (const std::int64_t dim : shape) os << ' ' << dim;
-        os << " { " << params_to_string(n.params) << " }\n";
+        os << " { " << params_to_string(*n.params) << " }\n";
     }
     os << "outputs " << graph.outputs().size();
     for (const Edge& e : graph.outputs()) os << ' ' << renumber.at(e.node) << ':' << e.port;
@@ -241,7 +241,7 @@ void serialise_graph_binary(Byte_writer& out, const Graph& graph)
         if (!alive) continue;
         const Node& n = graph.nodes_[id];
         out.enumerated(n.kind, Op_kind::input, last_op_kind, "op kind");
-        fields(out, n.params);
+        fields(out, *n.params);
         out.list(n.inputs);
         out.list(n.output_shapes);
         out.flag(n.payload != nullptr);
@@ -269,7 +269,9 @@ Graph deserialise_graph_binary(Byte_reader& in)
         if (in.u8() == 0) continue; // tombstone: Node{} stays
         Node& n = graph.nodes_[id];
         in.enumerated(n.kind, Op_kind::input, last_op_kind, "op kind");
-        fields(in, n.params);
+        Op_params params;
+        fields(in, params);
+        n.params = std::move(params);
         in.list(n.inputs);
         check_edges(n.inputs, capacity);
         std::vector<Shape> shapes;

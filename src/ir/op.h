@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -140,6 +141,74 @@ inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value)
 
 /// Stable hash of the parameter block (order-sensitive over all fields).
 std::uint64_t hash_params(const Op_params& params);
+
+/// Immutable, structurally-shared parameter block: one Op_params and its
+/// hash_params, computed once when the block is made. Nothing edits a
+/// node's params in place (a rewrite that changes them makes a new block),
+/// so graph copies share one block per node, as Shape_list shares output
+/// shapes, and hashing a node reads the cached hash. The null handle stands
+/// for default params: it holds no allocation, and copying it touches no
+/// reference count.
+class Shared_params {
+public:
+    Shared_params() = default;
+    Shared_params(Op_params params)
+        : block_(params == Op_params{}
+                     ? nullptr
+                     : std::make_shared<const Block>(std::move(params)))
+    {
+    }
+
+    const Op_params& operator*() const { return block_ == nullptr ? defaults() : block_->params; }
+    const Op_params* operator->() const { return &**this; }
+
+    /// hash_params(**this), cached.
+    std::uint64_t hash() const { return block_ == nullptr ? default_hash() : block_->hash; }
+
+    /// A new block equal to this one but for its fused activation.
+    Shared_params with_activation(Activation activation) const
+    {
+        Op_params changed = **this;
+        changed.activation = activation;
+        return changed;
+    }
+
+    /// Value equality. A block equals itself; otherwise the cached hashes
+    /// are compared before the values.
+    friend bool operator==(const Shared_params& a, const Shared_params& b)
+    {
+        return a.block_ == b.block_ || (a.hash() == b.hash() && *a == *b);
+    }
+
+    /// True when both handles share one block (not merely equal values).
+    bool shares_storage_with(const Shared_params& other) const
+    {
+        return block_ != nullptr && block_ == other.block_;
+    }
+
+    /// Handles referencing this block (0 for default params).
+    long use_count() const { return block_ == nullptr ? 0 : block_.use_count(); }
+
+private:
+    struct Block {
+        explicit Block(Op_params p) : params(std::move(p)), hash(hash_params(params)) {}
+        Op_params params;
+        std::uint64_t hash;
+    };
+
+    static const Op_params& defaults()
+    {
+        static const Op_params none;
+        return none;
+    }
+    static std::uint64_t default_hash()
+    {
+        static const std::uint64_t h = hash_params(Op_params{});
+        return h;
+    }
+
+    std::shared_ptr<const Block> block_;
+};
 
 /// Compact "k=v" rendering of the non-default parameter fields.
 std::string params_to_string(const Op_params& params);

@@ -39,7 +39,7 @@ std::vector<Shape> infer_conv2d(const Graph& g, const Node& n)
     const Shape& x = in_shape(g, n, 0);
     const Shape& w = in_shape(g, n, 1);
     XRL_EXPECTS(x.size() == 4 && w.size() == 4);
-    const auto& p = n.params;
+    const Op_params& p = *n.params;
     XRL_EXPECTS(p.groups >= 1);
     XRL_EXPECTS(x[1] % p.groups == 0);
     XRL_EXPECTS(w[1] == x[1] / p.groups);
@@ -55,7 +55,7 @@ std::vector<Shape> infer_pool(const Graph& g, const Node& n)
     XRL_EXPECTS(n.inputs.size() == 1);
     const Shape& x = in_shape(g, n, 0);
     XRL_EXPECTS(x.size() == 4);
-    const auto& p = n.params;
+    const Op_params& p = *n.params;
     XRL_EXPECTS(p.kernel_h > 0 && p.kernel_w > 0);
     const std::int64_t oh = (x[2] + 2 * p.pad_h - p.kernel_h) / p.stride_h + 1;
     const std::int64_t ow = (x[3] + 2 * p.pad_w - p.kernel_w) / p.stride_w + 1;
@@ -140,7 +140,7 @@ std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
     case Op_kind::concat: {
         XRL_EXPECTS(!n.inputs.empty());
         Shape out = in_shape(g, n, 0);
-        const std::int64_t axis = n.params.axis;
+        const std::int64_t axis = n.params->axis;
         XRL_EXPECTS(axis >= 0 && axis < static_cast<std::int64_t>(out.size()));
         for (std::size_t slot = 1; slot < n.inputs.size(); ++slot) {
             const Shape& s = in_shape(g, n, slot);
@@ -155,12 +155,12 @@ std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
     case Op_kind::split: {
         XRL_EXPECTS(n.inputs.size() == 1);
         const Shape& x = in_shape(g, n, 0);
-        const std::int64_t axis = n.params.axis;
+        const std::int64_t axis = n.params->axis;
         XRL_EXPECTS(axis >= 0 && axis < static_cast<std::int64_t>(x.size()));
-        XRL_EXPECTS(!n.params.split_sizes.empty());
+        XRL_EXPECTS(!n.params->split_sizes.empty());
         std::int64_t total = 0;
         std::vector<Shape> out;
-        for (const std::int64_t piece : n.params.split_sizes) {
+        for (const std::int64_t piece : n.params->split_sizes) {
             XRL_EXPECTS(piece > 0);
             Shape s = x;
             s[static_cast<std::size_t>(axis)] = piece;
@@ -174,25 +174,25 @@ std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
     case Op_kind::slice: {
         XRL_EXPECTS(n.inputs.size() == 1);
         Shape x = in_shape(g, n, 0);
-        const std::int64_t axis = n.params.axis;
+        const std::int64_t axis = n.params->axis;
         XRL_EXPECTS(axis >= 0 && axis < static_cast<std::int64_t>(x.size()));
-        XRL_EXPECTS(n.params.begin >= 0 && n.params.begin < n.params.end);
-        XRL_EXPECTS(n.params.end <= x[static_cast<std::size_t>(axis)]);
-        x[static_cast<std::size_t>(axis)] = n.params.end - n.params.begin;
+        XRL_EXPECTS(n.params->begin >= 0 && n.params->begin < n.params->end);
+        XRL_EXPECTS(n.params->end <= x[static_cast<std::size_t>(axis)]);
+        x[static_cast<std::size_t>(axis)] = n.params->end - n.params->begin;
         return {x};
     }
 
     case Op_kind::reshape: {
         XRL_EXPECTS(n.inputs.size() == 1);
         const Shape& x = in_shape(g, n, 0);
-        XRL_EXPECTS(shape_volume(n.params.target_shape) == shape_volume(x));
-        return {n.params.target_shape};
+        XRL_EXPECTS(shape_volume(n.params->target_shape) == shape_volume(x));
+        return {n.params->target_shape};
     }
 
     case Op_kind::transpose: {
         XRL_EXPECTS(n.inputs.size() == 1);
         const Shape& x = in_shape(g, n, 0);
-        std::vector<std::int64_t> perm = n.params.perm;
+        std::vector<std::int64_t> perm = n.params->perm;
         if (perm.empty()) {
             XRL_EXPECTS(x.size() >= 2);
             perm.resize(x.size());
@@ -211,10 +211,10 @@ std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
     case Op_kind::pad: {
         XRL_EXPECTS(n.inputs.size() == 1);
         Shape x = in_shape(g, n, 0);
-        XRL_EXPECTS(n.params.pads_before.size() == x.size());
-        XRL_EXPECTS(n.params.pads_after.size() == x.size());
+        XRL_EXPECTS(n.params->pads_before.size() == x.size());
+        XRL_EXPECTS(n.params->pads_after.size() == x.size());
         for (std::size_t i = 0; i < x.size(); ++i)
-            x[i] += n.params.pads_before[i] + n.params.pads_after[i];
+            x[i] += n.params->pads_before[i] + n.params->pads_after[i];
         return {x};
     }
 
@@ -222,12 +222,12 @@ std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
     case Op_kind::reduce_mean: {
         XRL_EXPECTS(n.inputs.size() == 1);
         const Shape& x = in_shape(g, n, 0);
-        const std::int64_t axis = n.params.axis;
+        const std::int64_t axis = n.params->axis;
         XRL_EXPECTS(axis >= 0 && axis < static_cast<std::int64_t>(x.size()));
         Shape out;
         for (std::size_t d = 0; d < x.size(); ++d) {
             if (static_cast<std::int64_t>(d) == axis) {
-                if (n.params.keep_dim) out.push_back(1);
+                if (n.params->keep_dim) out.push_back(1);
             } else {
                 out.push_back(x[d]);
             }
@@ -248,10 +248,10 @@ std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
         XRL_EXPECTS(n.inputs.size() == 1);
         const Shape& w = in_shape(g, n, 0);
         XRL_EXPECTS(w.size() == 4);
-        XRL_EXPECTS(n.params.target_r >= w[2] && n.params.target_s >= w[3]);
-        XRL_EXPECTS((n.params.target_r - w[2]) % 2 == 0);
-        XRL_EXPECTS((n.params.target_s - w[3]) % 2 == 0);
-        return {Shape{w[0], w[1], n.params.target_r, n.params.target_s}};
+        XRL_EXPECTS(n.params->target_r >= w[2] && n.params->target_s >= w[3]);
+        XRL_EXPECTS((n.params->target_r - w[2]) % 2 == 0);
+        XRL_EXPECTS((n.params->target_s - w[3]) % 2 == 0);
+        return {Shape{w[0], w[1], n.params->target_r, n.params->target_s}};
     }
 
     case Op_kind::count_:

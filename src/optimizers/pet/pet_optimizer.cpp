@@ -35,7 +35,7 @@ public:
     {
         for (const Node_id id : index.of_kind(Op_kind::conv2d)) {
             const Node& conv = host.node(id);
-            if (conv.params.stride_h != 1 || conv.params.stride_w != 1) continue;
+            if (conv.params->stride_h != 1 || conv.params->stride_w != 1) continue;
             const Shape& out_shape = host.shape_of({id, 0});
             if (out_shape[2] < 4) continue; // too small to be worth splitting
             Rewrite_site site;
@@ -51,7 +51,7 @@ public:
         g = host;
         const Edge x = g.node(conv_id).inputs[0];
         const Edge w = g.node(conv_id).inputs[1];
-        const Op_params conv_params = g.node(conv_id).params;
+        const Op_params conv_params = *g.node(conv_id).params;
         const Shape w_shape = g.shape_of(w);
         const Shape out_shape = g.shape_of({conv_id, 0});
         const std::int64_t r = w_shape[2];

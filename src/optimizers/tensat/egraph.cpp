@@ -28,7 +28,7 @@ std::uint64_t enode_hash(const E_node& n)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     h = mix(h, static_cast<std::uint64_t>(n.kind));
-    h = mix(h, hash_params(n.params));
+    h = mix(h, n.params.hash());
     for (const Eclass_id c : n.children) h = mix(h, static_cast<std::uint64_t>(c));
     h = mix(h, static_cast<std::uint64_t>(n.leaf_id + 1));
     h = mix(h, static_cast<std::uint64_t>(n.proj_port + 1));

@@ -27,7 +27,7 @@ using Eclass_id = std::int32_t;
 /// An operator over e-class operands.
 struct E_node {
     Op_kind kind = Op_kind::input;
-    Op_params params;
+    Shared_params params;
     std::vector<Eclass_id> children;
 
     /// For leaves (input/weight): the originating graph node, preserving

@@ -18,12 +18,13 @@ bool is_pattern_variable(const Graph& g, Node_id id)
     return g.node(id).kind == Op_kind::input;
 }
 
-/// A successful e-match. Matched operator parameters are stored by value:
-/// the e-graph is mutated after matching, so pointers into it would dangle.
+/// A successful e-match. Matched operator parameters are kept as their shared
+/// blocks, not as pointers into e-nodes: the e-graph is mutated after
+/// matching, so those would dangle.
 struct Ematch {
     std::unordered_map<Node_id, Eclass_id> vars;        // pattern var -> class
     std::unordered_map<Node_id, Eclass_id> node_class;  // pattern node -> class
-    std::unordered_map<Node_id, Op_params> node_params; // pattern node -> matched params
+    std::unordered_map<Node_id, Shared_params> node_params; // pattern node -> matched params
 };
 
 /// Recursive e-matching with continuations: pattern DAGs are explored
@@ -58,7 +59,7 @@ private:
         if (mode == Param_match::exact) return pattern_node.params == enode.params;
         const auto act_it = pattern_.required_activation.find(pattern_id);
         if (act_it != pattern_.required_activation.end())
-            return enode.params.activation == act_it->second;
+            return enode.params->activation == act_it->second;
         return true;
     }
 
@@ -170,7 +171,8 @@ int apply_pattern_to_egraph(E_graph& eg, const Pattern& pattern, std::size_t mat
                 if (transfer != pattern.param_transfers.end()) {
                     enode.params = m.node_params.at(transfer->second.from_source_node);
                     if (transfer->second.set_activation.has_value())
-                        enode.params.activation = *transfer->second.set_activation;
+                        enode.params =
+                            enode.params.with_activation(*transfer->second.set_activation);
                 }
                 for (const Edge& e : tn.inputs) {
                     const auto it = instantiated.find(e.node);

@@ -59,7 +59,7 @@ public:
         const Edge x = g.node(id1).inputs[0];
         const Edge w1 = g.node(id1).inputs[1];
         const Edge w2 = g.node(id2).inputs[1];
-        const Op_params matmul_params = g.node(id1).params;
+        const Shared_params matmul_params = g.node(id1).params;
         Op_params concat_params;
         concat_params.axis = 1;
         const Node_id wc = g.add_node(Op_kind::concat, {w1, w2}, concat_params);
@@ -91,7 +91,7 @@ public:
                 const Node& c1 = host.node(convs[i]);
                 const Node& c2 = host.node(convs[j]);
                 if (!(c1.params == c2.params)) continue;
-                if (c1.params.groups != 1) continue;
+                if (c1.params->groups != 1) continue;
                 if (!(c1.inputs[0] == c2.inputs[0])) continue;
                 const Shape& w1 = host.shape_of(c1.inputs[1]);
                 const Shape& w2 = host.shape_of(c2.inputs[1]);
@@ -113,7 +113,7 @@ public:
         const Edge x = g.node(id1).inputs[0];
         const Edge w1 = g.node(id1).inputs[1];
         const Edge w2 = g.node(id2).inputs[1];
-        const Op_params conv_params = g.node(id1).params;
+        const Shared_params conv_params = g.node(id1).params;
         Op_params concat_params;
         concat_params.axis = 0; // filter-bank axis K
         const Node_id wc = g.add_node(Op_kind::concat, {w1, w2}, concat_params);
@@ -144,8 +144,8 @@ public:
             const Node_id split_id = cat.inputs.front().node;
             const Node& sp = host.node(split_id);
             if (sp.kind != Op_kind::split) continue;
-            if (sp.params.axis != cat.params.axis) continue;
-            if (cat.inputs.size() != sp.params.split_sizes.size()) continue;
+            if (sp.params->axis != cat.params->axis) continue;
+            if (cat.inputs.size() != sp.params->split_sizes.size()) continue;
             bool in_order = true;
             for (std::size_t port = 0; port < cat.inputs.size(); ++port) {
                 if (cat.inputs[port].node != split_id ||
@@ -183,12 +183,12 @@ public:
             const Node_id cat_id = sp.inputs[0].node;
             const Node& cat = host.node(cat_id);
             if (cat.kind != Op_kind::concat) continue;
-            if (cat.params.axis != sp.params.axis) continue;
-            if (cat.inputs.size() != sp.params.split_sizes.size()) continue;
+            if (cat.params->axis != sp.params->axis) continue;
+            if (cat.inputs.size() != sp.params->split_sizes.size()) continue;
             bool sizes_match = true;
-            const auto axis = static_cast<std::size_t>(cat.params.axis);
+            const auto axis = static_cast<std::size_t>(cat.params->axis);
             for (std::size_t piece = 0; piece < cat.inputs.size(); ++piece) {
-                if (host.shape_of(cat.inputs[piece])[axis] != sp.params.split_sizes[piece]) {
+                if (host.shape_of(cat.inputs[piece])[axis] != sp.params->split_sizes[piece]) {
                     sizes_match = false;
                     break;
                 }
@@ -229,7 +229,7 @@ public:
             const Node_id conv_id = bn.inputs[0].node;
             const Node& conv = host.node(conv_id);
             if (conv.kind != Op_kind::conv2d) continue;
-            if (conv.params.activation != Activation::none) continue;
+            if (conv.params->activation != Activation::none) continue;
             // The conv output must feed only this batch norm.
             if (users[static_cast<std::size_t>(conv_id)].size() != 1) continue;
             if (is_graph_output(host, conv_id)) continue;
@@ -251,8 +251,8 @@ public:
         const Edge mean = bn.inputs[3];
         const Edge variance = bn.inputs[4];
         const std::int64_t k = g.shape_of(w)[0];
-        const Op_params conv_params = conv.params;
-        const float eps = bn.params.epsilon;
+        const Shared_params conv_params = conv.params;
+        const float eps = bn.params->epsilon;
 
         // d = gamma / sqrt(var + eps)   -- weight-only arithmetic.
         const Node_id eps_c = g.add_constant(Tensor::scalar(eps), "bn-eps");
@@ -331,10 +331,10 @@ private:
     {
         const Node& cb = host.node(big);
         const Node& cs = host.node(small);
-        if (cb.params.activation != Activation::none || cs.params.activation != Activation::none)
+        if (cb.params->activation != Activation::none || cs.params->activation != Activation::none)
             return false;
-        if (cb.params.groups != 1 || cs.params.groups != 1) return false;
-        if (cb.params.stride_h != cs.params.stride_h || cb.params.stride_w != cs.params.stride_w)
+        if (cb.params->groups != 1 || cs.params->groups != 1) return false;
+        if (cb.params->stride_h != cs.params->stride_h || cb.params->stride_w != cs.params->stride_w)
             return false;
         if (!(cb.inputs[0] == cs.inputs[0])) return false;
         const Shape& wb = host.shape_of(cb.inputs[1]);
@@ -343,8 +343,8 @@ private:
         if (wb[2] < ws[2] || wb[3] < ws[3]) return false;
         if ((wb[2] - ws[2]) % 2 != 0 || (wb[3] - ws[3]) % 2 != 0) return false;
         // Padding must line up so the enlarged kernel sees the same window.
-        if (cb.params.pad_h - cs.params.pad_h != (wb[2] - ws[2]) / 2) return false;
-        if (cb.params.pad_w - cs.params.pad_w != (wb[3] - ws[3]) / 2) return false;
+        if (cb.params->pad_h - cs.params->pad_h != (wb[2] - ws[2]) / 2) return false;
+        if (cb.params->pad_w - cs.params->pad_w != (wb[3] - ws[3]) / 2) return false;
         return true;
     }
 
@@ -355,7 +355,7 @@ private:
         const Edge x = g.node(big).inputs[0];
         const Edge w_big = g.node(big).inputs[1];
         const Edge w_small = g.node(small).inputs[1];
-        const Op_params conv_params = g.node(big).params;
+        const Shared_params conv_params = g.node(big).params;
         const Shape wb = g.shape_of(w_big);
 
         Op_params enlarge_params;
@@ -380,7 +380,7 @@ public:
         const auto& users = index.users();
         for (const Node_id id : index.of_kind(Op_kind::matmul)) {
             const Node& mm = host.node(id);
-            if (mm.params.activation != Activation::none) continue;
+            if (mm.params->activation != Activation::none) continue;
             const Node_id emb_id = mm.inputs[0].node;
             const Node& emb = host.node(emb_id);
             if (emb.kind != Op_kind::embedding) continue;

@@ -9,9 +9,9 @@
 //   1. an op-kind index of the host graph (Host_index), shared by every
 //      rule, kept across calls and patched from the chosen candidate's
 //      Rewrite_delta when the caller walks one evolving host; and the
-//      host's memo (Host_memo: per-node hash prefixes, Merkle terms and
-//      depths, the canonical hash, the nodes the outputs do not reach),
-//      built once per call;
+//      host's memo (Host_memo: per-node Merkle terms and depths, the
+//      canonical hash, the nodes the outputs do not reach), built once
+//      per call;
 //   2. the undo-log matcher behind find_matches (no per-root state copies);
 //   3. sites, then builds: every rule lists its sites first
 //      (Rewrite_rule::find_sites — pattern matches, or the node ids a

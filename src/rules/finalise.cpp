@@ -52,8 +52,8 @@ void Host_memo::rebuild(const Graph& host)
                 continue;
             }
             Node_facts& facts = facts_[static_cast<std::size_t>(id)];
-            facts.prefix = node_hash_prefix(n);
-            facts.term = node_hash(id, n, facts.prefix, [this](Node_id p) { return term(p); });
+            facts.term =
+                node_hash(id, n, node_hash_prefix(n), [this](Node_id p) { return term(p); });
             std::int32_t depth = 0;
             for (const Edge& e : n.inputs) depth = std::max(depth, this->depth(e.node) + 1);
             facts.depth = depth;
@@ -390,8 +390,7 @@ bool finalise_local(Graph& g, const Host_view& host, const std::vector<Rewired_e
                     if (!kept(child) && !s.has(child, Flag::hashed)) s.stack.emplace_back(child, 0);
                     continue;
                 }
-                const std::uint64_t prefix = is_host(id) ? memo.prefix(id) : node_hash_prefix(n);
-                s.terms[static_cast<std::size_t>(id)] = node_hash(id, n, prefix, term);
+                s.terms[static_cast<std::size_t>(id)] = node_hash(id, n, node_hash_prefix(n), term);
                 s.set(id, Flag::hashed);
                 s.stack.pop_back();
             }

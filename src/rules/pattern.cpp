@@ -292,7 +292,7 @@ private:
         if (mode == Param_match::exact) return pattern_node.params == host_node.params;
         const auto act_it = pattern_.required_activation.find(pattern_id);
         if (act_it != pattern_.required_activation.end())
-            return host_node.params.activation == act_it->second;
+            return host_node.params->activation == act_it->second;
         return true;
     }
 
@@ -488,10 +488,11 @@ bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
 {
     XRL_EXPECTS(!pattern.target_order.empty()); // Pattern::finalise() was called
     // Copy-assignment into a recycled `out` reuses its nested buffers
-    // (nodes, inputs, params, names) — the allocation-free hot path. The
-    // eighth-of-capacity slack amortises node-array regrowth across pool
-    // reuses: the host gains a few ids per accepted rewrite, so an exact
-    // reservation would reallocate on every recycle.
+    // (nodes, inputs, names) and shares each node's params block and shape
+    // list — the allocation-free hot path. The eighth-of-capacity slack
+    // amortises node-array regrowth across pool reuses: the host gains a
+    // few ids per accepted rewrite, so an exact reservation would
+    // reallocate on every recycle.
     out = host;
     out.reserve(host.capacity() + pattern.target.size() + host.capacity() / 8);
 
@@ -541,14 +542,14 @@ bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
             inputs.reserve(tn.inputs.size());
             for (const Edge& e : tn.inputs) inputs.push_back(resolve(e));
 
-            Op_params params = tn.params;
+            Shared_params params = tn.params;
             const auto transfer = pattern.param_transfers.find(tid);
             if (transfer != pattern.param_transfers.end()) {
                 const Node_id matched_host = match.mapped_node(transfer->second.from_source_node);
                 XRL_EXPECTS(matched_host != invalid_node);
-                params = host.node(matched_host).params;
+                params = host.node(matched_host).params; // the host's block, shared
                 if (transfer->second.set_activation.has_value())
-                    params.activation = *transfer->second.set_activation;
+                    params = params.with_activation(*transfer->second.set_activation);
             }
             const Node_id nid = out.add_node(tn.kind, std::move(inputs), std::move(params), tn.name);
             instantiated[static_cast<std::size_t>(tid)] = nid;

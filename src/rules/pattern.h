@@ -184,13 +184,13 @@ private:
 
 /// What the rewrite epilogue reads about one host instead of walking the
 /// whole host again for every candidate built from it. Per alive node: its
-/// canonical-hash prefix and term (node_hash_prefix and node_hash, so a
-/// candidate rehashes only what its splice changed) and its depth, the
-/// longest input path from a source (which bounds the cycle check to the
-/// splice). For the graph: its canonical hash, and the alive non-input nodes
-/// its outputs do not reach — pre-DCE clutter, which dead-node elimination
-/// drops from every candidate. Built once per host on the caller's thread,
-/// then read-only, so concurrent builds share it (docs/CONCURRENCY.md).
+/// canonical-hash term (node_hash, so a candidate rehashes only what its
+/// splice changed) and its depth, the longest input path from a source
+/// (which bounds the cycle check to the splice). For the graph: its
+/// canonical hash, and the alive non-input nodes its outputs do not reach —
+/// pre-DCE clutter, which dead-node elimination drops from every candidate.
+/// Built once per host on the caller's thread, then read-only, so
+/// concurrent builds share it (docs/CONCURRENCY.md).
 class Host_memo {
 public:
     /// Empty memo; call rebuild() before use.
@@ -202,7 +202,6 @@ public:
     void rebuild(const Graph& host);
 
     std::uint64_t canonical_hash() const { return canonical_hash_; }
-    std::uint64_t prefix(Node_id id) const { return facts_[static_cast<std::size_t>(id)].prefix; }
     std::uint64_t term(Node_id id) const { return facts_[static_cast<std::size_t>(id)].term; }
     std::int32_t depth(Node_id id) const { return facts_[static_cast<std::size_t>(id)].depth; }
     bool unreachable(Node_id id) const { return facts_[static_cast<std::size_t>(id)].unreachable; }
@@ -211,7 +210,6 @@ public:
 
 private:
     struct Node_facts {
-        std::uint64_t prefix = 0;
         std::uint64_t term = 0;
         std::int32_t depth = -1; ///< -1: not yet visited (or a tombstone).
         bool unreachable = false;
@@ -277,8 +275,8 @@ bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
 /// dead nodes cascade from the redirected producers over the use lists,
 /// plus the memo's unreachable nodes; validation covers the appended nodes
 /// and the redirected users; the hash recomputes only appended nodes and
-/// the host nodes downstream of a redirected slot, and runs hash_params on
-/// appended nodes only. Debug builds also run finalise_rewrite_full on a
+/// the host nodes downstream of a redirected slot, each reading its params
+/// block's cached hash. Debug builds also run finalise_rewrite_full on a
 /// copy and assert identical graph bytes, hash and delta.
 ///
 /// Returns false (graph state unspecified) when the rewrite is structurally

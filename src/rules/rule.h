@@ -20,7 +20,8 @@ namespace xrl {
 
 /// Recycled output storage for apply_all_into. Candidate graphs are written
 /// into slots whose nested buffers (node arrays, input lists, names) stay
-/// allocated across calls, so a steady-state rule application copies into
+/// allocated across calls, and whose nodes share the host's params blocks
+/// and shape lists, so a steady-state rule application copies handles into
 /// warm memory instead of cloning the host from scratch. Protocol: take a
 /// slot with next(), build the candidate in it, call keep() on success —
 /// a slot not kept is handed out again by the following next().

@@ -37,7 +37,7 @@ void serialise_graph(std::ostream& os, const char* label, const Graph& g)
         const Shape shape = n.output_shapes.empty() ? Shape{} : n.output_shapes.front();
         os << " shape " << shape.size();
         for (const std::int64_t dim : shape) os << ' ' << dim;
-        os << " { " << params_to_string(n.params) << " }\n";
+        os << " { " << params_to_string(*n.params) << " }\n";
     }
     os << "  outputs " << g.outputs().size();
     for (const Edge& e : g.outputs()) os << ' ' << e.node << ':' << e.port;
@@ -91,7 +91,9 @@ Graph deserialise_graph(std::istream& is)
             }
             const Op_kind kind = op_kind_from_name(kind_name);
             const Node_id id = g.add_node(kind, std::move(inputs), params_from_string(params_text));
-            if (is_source(kind)) g.node_mut(id).output_shapes = {shape};
+            // Not `= {shape}`: GCC 12 misreports that initializer list as
+            // -Wfree-nonheap-object under -fsanitize=thread -O2.
+            if (is_source(kind)) g.node_mut(id).output_shapes = std::vector<Shape>(1, shape);
             id_map.emplace(file_id, id);
         } else if (token == "outputs") {
             std::size_t num_outputs = 0;

@@ -3,9 +3,12 @@
 #include "ir/builder.h"
 #include "ir/executor.h"
 #include "ir/graph.h"
+#include "ir/graph_io.h"
 #include "ir/op.h"
 #include "ir/shape_inference.h"
+#include "models/models.h"
 #include "support/check.h"
+#include "support/record_file.h"
 #include "tensor/kernels.h"
 
 namespace xrl {
@@ -193,6 +196,55 @@ TEST(Graph, ReinferenceKeepsStructuralSharingWhenShapesAreUnchanged)
     for (const Node_id id : g.node_ids())
         EXPECT_TRUE(extended.node(id).output_shapes.shares_storage_with(
             g.node(id).output_shapes));
+}
+
+TEST(Graph, ParamsAreStructurallySharedAcrossCopies)
+{
+    // Copies share each node's params block, as they share its Shape_list;
+    // a node with default params holds no block at all.
+    Graph_builder b;
+    const Edge x = b.input({1, 4, 8, 8});
+    const Edge w = b.weight({4, 4, 3, 3});
+    const Graph g = b.finish({b.relu(b.conv2d(x, w, 1, 1, Activation::relu))});
+    const Graph copy1 = g;
+    const Graph copy2 = copy1;
+    int blocks = 0;
+    for (const Node_id id : g.node_ids()) {
+        const Shared_params& original = g.node(id).params;
+        if (*original == Op_params{}) {
+            EXPECT_EQ(original.use_count(), 0) << id;
+            continue;
+        }
+        ++blocks;
+        EXPECT_TRUE(copy1.node(id).params.shares_storage_with(original));
+        EXPECT_TRUE(copy2.node(id).params.shares_storage_with(original));
+        EXPECT_EQ(original.use_count(), 3);
+    }
+    EXPECT_EQ(blocks, 1); // the conv's; the sources and the relu have default params
+    EXPECT_EQ(Shared_params(Op_params{}).use_count(), 0);
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+    // A node holds handles, not its params' contents.
+    EXPECT_LE(sizeof(Node), 112U);
+#endif
+
+    // Every block caches the hash of its own params, and the binary form
+    // (which writes params field by field) round-trips each zoo model.
+    for (const Model_spec& spec : evaluation_models(Scale::paper)) {
+        const Graph model = spec.build();
+        for (const Node_id id : model.node_ids()) {
+            const Shared_params& params = model.node(id).params;
+            ASSERT_EQ(params.hash(), hash_params(*params)) << spec.name << " node " << id;
+        }
+        Byte_writer out;
+        serialise_graph_binary(out, model);
+        const std::string bytes = out.take();
+        Byte_reader in(bytes);
+        const Graph back = deserialise_graph_binary(in);
+        Byte_writer again;
+        serialise_graph_binary(again, back);
+        EXPECT_EQ(again.take(), bytes) << spec.name;
+        EXPECT_EQ(back.canonical_hash(), model.canonical_hash()) << spec.name;
+    }
 }
 
 TEST(Graph, CanonicalHashEqualForIsomorphicConstruction)

@@ -49,7 +49,7 @@ TEST(Models, ResnextUsesGroupedConvolutions)
     bool found_grouped = false;
     for (const Node_id id : g.node_ids()) {
         const Node& n = g.node(id);
-        if (n.kind == Op_kind::conv2d && n.params.groups > 1) found_grouped = true;
+        if (n.kind == Op_kind::conv2d && n.params->groups > 1) found_grouped = true;
     }
     EXPECT_TRUE(found_grouped);
     EXPECT_NO_THROW(g.validate());

@@ -326,7 +326,7 @@ TEST(Egraph, RewriteThenExtractImproves)
     bool found_fused = false;
     for (const Node_id id : extracted->node_ids())
         if (extracted->node(id).kind == Op_kind::matmul &&
-            extracted->node(id).params.activation == Activation::relu)
+            extracted->node(id).params->activation == Activation::relu)
             found_fused = true;
     EXPECT_TRUE(found_fused);
 }

@@ -246,7 +246,7 @@ TEST(ApplyMatch, FusesActivationIntoMatmul)
     for (const Node_id id : transformed->node_ids()) {
         if (transformed->node(id).kind == Op_kind::matmul) {
             ++matmuls;
-            EXPECT_EQ(transformed->node(id).params.activation, Activation::relu);
+            EXPECT_EQ(transformed->node(id).params->activation, Activation::relu);
         }
         if (transformed->node(id).kind == Op_kind::relu) ++relus;
     }

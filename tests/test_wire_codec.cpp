@@ -328,7 +328,10 @@ constexpr std::size_t empty_graph_bytes = 12;
 TEST(WireDecode, ActivationOutOfRangeIsBadPayload)
 {
     Submit submit = golden_submit();
-    submit.graph.node_mut(3).params.activation = static_cast<Activation>(200);
+    // Params blocks are immutable: give node 3 a fresh one.
+    Op_params params = *submit.graph.node(3).params;
+    params.activation = static_cast<Activation>(200);
+    submit.graph.node_mut(3).params = std::move(params);
     expect_bad_payload<Submit>(encode(submit), "unknown activation 200");
 }
 
