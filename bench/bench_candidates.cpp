@@ -1,7 +1,8 @@
 // Candidate-generation engine benchmark: one uncapped candidate pass
 // (Candidate_engine::generate_step from a rebuilt index) per model,
-// environment steps-per-second on a fixed trajectory, and the host copy
-// every candidate build starts from.
+// environment steps-per-second on a fixed trajectory (its candidates are
+// built as overlays, then materialised), and the host copy behind every
+// materialised candidate.
 //
 // Emits BENCH_candidates.json (path overridable via argv[1]) recording the
 // numbers behind the README's "Candidate generation" section, with a
@@ -119,7 +120,8 @@ Env_throughput env_rollout(const Graph& model, const Rule_set& rules, int max_st
 }
 
 /// One warm-slot host copy on this thread: copy-assigning `host` into a
-/// graph that already holds it, as a build does into a recycled slot.
+/// graph that already holds it, as materialising a candidate does into
+/// recycled storage.
 double host_copy_us(const Graph& host)
 {
     Graph slot = host;
@@ -150,7 +152,8 @@ int main(int argc, char** argv)
     const Env_throughput env = env_rollout(bert, rules, 12);
     std::printf("\n%-28s %12.1f/s\n", "env rollout (bert)", env.steps_per_second);
 
-    // Ungated: the copy behind every build, on the paper-scale convnets.
+    // Ungated: the copy behind every materialised candidate, on the
+    // paper-scale convnets.
     const double inception_copy_us = host_copy_us(make_inception_v3(Scale::paper));
     const double resnext_copy_us = host_copy_us(make_resnext50(Scale::paper));
     std::printf("\n%-28s %14s\n", "host copy (paper)", "warm slot (us)");

@@ -9,19 +9,19 @@ namespace xrl {
 
 namespace {
 
-std::int64_t volume_of(const Graph& g, Edge e)
+std::int64_t volume_of(const Graph_reader& g, Edge e)
 {
     return shape_volume(g.shape_of(e));
 }
 
-std::int64_t output_volume(const Graph& g, Node_id id)
+std::int64_t output_volume(const Graph_reader& g, Node_id id)
 {
     std::int64_t total = 0;
     for (const Shape& s : g.node(id).output_shapes) total += shape_volume(s);
     return total;
 }
 
-std::int64_t input_volume(const Graph& g, Node_id id)
+std::int64_t input_volume(const Graph_reader& g, Node_id id)
 {
     std::int64_t total = 0;
     for (const Edge& e : g.node(id).inputs) total += volume_of(g, e);
@@ -113,7 +113,7 @@ bool is_free_op(Op_kind kind)
     }
 }
 
-std::int64_t node_flops(const Graph& g, Node_id id)
+std::int64_t node_flops(const Graph_reader& g, Node_id id)
 {
     const Node& n = g.node(id);
     const std::int64_t out_volume = output_volume(g, id);
@@ -164,14 +164,14 @@ std::int64_t node_flops(const Graph& g, Node_id id)
     }
 }
 
-std::int64_t node_bytes(const Graph& g, Node_id id)
+std::int64_t node_bytes(const Graph_reader& g, Node_id id)
 {
     const Node& n = g.node(id);
     if (is_free_op(n.kind)) return 0;
     return 4 * (input_volume(g, id) + output_volume(g, id));
 }
 
-double Cost_model::op_cost_ms(const Graph& g, Node_id id) const
+double Cost_model::op_cost_ms(const Graph_reader& g, Node_id id) const
 {
     const Node& n = g.node(id);
     if (is_free_op(n.kind)) return 0.0;
@@ -188,7 +188,7 @@ double Cost_model::op_cost_ms(const Graph& g, Node_id id) const
            std::max(compute_ms, memory_ms);
 }
 
-std::int64_t Cost_model::term(const Graph& g, Node_id id) const
+std::int64_t Cost_model::term(const Graph_reader& g, Node_id id) const
 {
     return std::llround(op_cost_ms(g, id) * units_per_ms);
 }

@@ -20,14 +20,15 @@
 
 #include "cost/device.h"
 #include "ir/graph.h"
+#include "ir/graph_overlay.h"
 
 namespace xrl {
 
 /// Floating point operations performed by a node (0 for data movement).
-std::int64_t node_flops(const Graph& graph, Node_id id);
+std::int64_t node_flops(const Graph_reader& graph, Node_id id);
 
 /// Bytes moved by a node (inputs read + outputs written, 4 B/element).
-std::int64_t node_bytes(const Graph& graph, Node_id id);
+std::int64_t node_bytes(const Graph_reader& graph, Node_id id);
 
 /// Ops with no kernel at all (views / erased at runtime).
 bool is_free_op(Op_kind kind);
@@ -43,8 +44,9 @@ class Additive_cost {
 public:
     virtual ~Additive_cost() = default;
 
-    /// The node's term; never negative.
-    virtual std::int64_t term(const Graph& graph, Node_id id) const = 0;
+    /// The node's term; never negative. `graph` is a Graph or a candidate's
+    /// overlay (Delta_pricer prices added nodes without materialising).
+    virtual std::int64_t term(const Graph_reader& graph, Node_id id) const = 0;
 
     /// The cost in ms of a node set whose terms sum to `sums` per kind.
     virtual double finish(const Kind_sums& sums) const = 0;
@@ -79,11 +81,11 @@ public:
 
     /// Kernel time for one operator in isolation: launch overhead plus the
     /// roofline max of compute and memory time.
-    double op_cost_ms(const Graph& graph, Node_id id) const;
+    double op_cost_ms(const Graph_reader& graph, Node_id id) const;
 
     /// op_cost_ms in integer units of 1e-12 ms: fine enough that a graph's
     /// quantised sum stays within a few 1e-12 ms of the double sum.
-    std::int64_t term(const Graph& graph, Node_id id) const override;
+    std::int64_t term(const Graph_reader& graph, Node_id id) const override;
 
     /// The summed units, divided once.
     double finish(const Kind_sums& sums) const override;

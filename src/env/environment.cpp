@@ -1,5 +1,7 @@
 #include "env/environment.h"
 
+#include <utility>
+
 #include "support/check.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -34,17 +36,18 @@ void Environment::reset()
 
 void Environment::regenerate_candidates(const Candidate_engine::Step_candidate* via)
 {
-    // Candidates beyond the action-space cap are counted but never
-    // materialised (the GNN only observes the capped set). The step graphs
-    // live in the engine's pool until the next call.
+    // Candidates beyond the action-space cap are counted but never built
+    // (the GNN only observes the capped set). The capped set's overlays are
+    // materialised into graphs_, kept until the next call.
     const Candidate_engine::Step_generated& generated =
         engine_.generate_step(current_, static_cast<std::size_t>(config_.max_candidates), via);
     last_step_ = &generated;
     truncated_ += generated.truncated;
+    engine_.materialise(graphs_);
     candidates_.clear();
     candidates_.reserve(generated.candidates.size());
-    for (const Candidate_engine::Step_candidate& candidate : generated.candidates)
-        candidates_.push_back({candidate.graph, candidate.rule_index});
+    for (std::size_t i = 0; i < generated.candidates.size(); ++i)
+        candidates_.push_back({&graphs_[i], generated.candidates[i].rule_index});
     candidate_observations_ += static_cast<std::int64_t>(candidates_.size());
     ++candidate_steps_;
 }
@@ -105,10 +108,11 @@ Env_step Environment::step(int action)
     if (is_noop) {
         terminal = true;
     } else {
-        const Candidate& chosen = candidates_[static_cast<std::size_t>(action)];
-        // Copy out of the engine slot before regeneration recycles it.
-        current_ = *chosen.graph;
-        ++rule_counts_[static_cast<std::size_t>(chosen.rule_index)];
+        const auto chosen = static_cast<std::size_t>(action);
+        // Swap the chosen graph in: the old host's storage is recycled by
+        // the next materialisation.
+        std::swap(current_, graphs_[chosen]);
+        ++rule_counts_[static_cast<std::size_t>(candidates_[chosen].rule_index)];
         regenerate_candidates(&last_step_->candidates[static_cast<std::size_t>(action)]);
         if (candidates_.empty()) terminal = true;
         if (steps_ >= config_.max_steps) terminal = true;

@@ -37,8 +37,8 @@ struct Env_config {
     Invalid_action_policy invalid_policy = Invalid_action_policy::forbid;
 };
 
-/// One applicable substitution. `graph` points into the candidate engine's
-/// step storage and is invalidated by the next step()/reset().
+/// One applicable substitution. `graph` points into the environment's
+/// materialised candidate set and is invalidated by the next step()/reset().
 struct Candidate {
     const Graph* graph = nullptr;
     int rule_index = -1;
@@ -122,6 +122,9 @@ private:
     Candidate_engine engine_;
 
     std::vector<Candidate> candidates_;
+    /// The candidates' graphs: the engine's overlays materialised, because
+    /// the encoder and current_ read graphs. Recycled storage.
+    std::vector<Graph> graphs_;
     /// The step candidates backing candidates_ (for the next step's `via`).
     const Candidate_engine::Step_generated* last_step_ = nullptr;
     std::vector<int> rule_counts_;

@@ -294,18 +294,6 @@ std::uint64_t Graph::model_hash() const
     return h;
 }
 
-void Graph::replace_all_uses(Edge from, Edge to)
-{
-    XRL_EXPECTS(is_alive(from.node) && is_alive(to.node));
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (alive_[i] == 0) continue;
-        for (Edge& e : nodes_[i].inputs)
-            if (e == from) e = to;
-    }
-    for (Edge& e : outputs_)
-        if (e == from) e = to;
-}
-
 void Graph::erase_node(Node_id id)
 {
     XRL_EXPECTS(is_alive(id));
@@ -379,33 +367,12 @@ int Graph::eliminate_dead_nodes()
     return removed;
 }
 
-void Graph::erase_dead_nodes(const std::vector<Node_id>& dead)
-{
-    for (const Node_id id : dead) {
-        XRL_EXPECTS(is_alive(id) && nodes_[static_cast<std::size_t>(id)].kind != Op_kind::input);
-        tombstone(static_cast<std::size_t>(id));
-    }
-}
-
 void Graph::tombstone(std::size_t i)
 {
     alive_[i] = 0;
     nodes_[i] = Node{};
     --alive_count_;
 }
-
-namespace {
-
-/// Re-inference preserves structural sharing: sources keep their
-/// construction-time shapes, and any node whose inferred shapes equal its
-/// current ones keeps its Shape_list allocation (shared with every copy of
-/// the graph) instead of replacing it with an equal fresh one.
-bool keeps_existing_shapes(const Node& n)
-{
-    return (n.kind == Op_kind::input || n.kind == Op_kind::weight) && !n.output_shapes.empty();
-}
-
-} // namespace
 
 void Graph::infer_shapes()
 {
@@ -451,15 +418,6 @@ void Graph::validate(bool check_acyclic) const
         if (alive_[i] != 0) validate_node(i);
     validate_outputs();
     if (check_acyclic) XRL_ENSURES(is_acyclic());
-}
-
-void Graph::validate_nodes(const std::vector<Node_id>& ids) const
-{
-    for (const Node_id id : ids) {
-        XRL_ENSURES(is_alive(id));
-        validate_node(static_cast<std::size_t>(id));
-    }
-    validate_outputs();
 }
 
 void Graph::validate_outputs() const

@@ -232,9 +232,6 @@ public:
 
     // -- mutation ------------------------------------------------------------
 
-    /// Redirect every use of `from` (including graph outputs) to `to`.
-    void replace_all_uses(Edge from, Edge to);
-
     /// Remove a node. Precondition: nothing uses its outputs.
     void erase_node(Node_id id);
 
@@ -242,11 +239,6 @@ public:
     /// removed. Source nodes (inputs) are kept even when unused so the
     /// external interface of the graph never changes.
     int eliminate_dead_nodes();
-
-    /// Tombstone `dead`, which the caller proved to be exactly the nodes
-    /// eliminate_dead_nodes() would drop: the same result, without the
-    /// whole-graph reachability walk.
-    void erase_dead_nodes(const std::vector<Node_id>& dead);
 
     /// Run shape inference over the whole graph in topological order.
     void infer_shapes();
@@ -264,10 +256,6 @@ public:
     /// `check_acyclic = false` because its own cycle check already ran.
     void validate(bool check_acyclic = true) const;
 
-    /// validate(false) restricted to the alive nodes `ids` and the outputs:
-    /// for a rewrite whose other nodes are the checked host's, unchanged.
-    void validate_nodes(const std::vector<Node_id>& ids) const;
-
     /// Graphviz DOT rendering for debugging / documentation.
     std::string to_dot() const;
 
@@ -277,6 +265,9 @@ private:
     /// reproduce, so it works on the representation directly.
     friend void serialise_graph_binary(Byte_writer& out, const Graph& graph);
     friend Graph deserialise_graph_binary(Byte_reader& in);
+    /// Graph_overlay::materialise applies its edits to the host copy in
+    /// place, tombstones included.
+    friend class Graph_overlay;
 
     void validate_node(std::size_t i) const;
     void validate_outputs() const;

@@ -9,13 +9,13 @@ namespace xrl {
 
 namespace {
 
-const Shape& in_shape(const Graph& g, const Node& n, std::size_t slot)
+const Shape& in_shape(const Graph_reader& g, const Node& n, std::size_t slot)
 {
     XRL_EXPECTS(slot < n.inputs.size());
     return g.shape_of(n.inputs[slot]);
 }
 
-std::vector<Shape> infer_matmul(const Graph& g, const Node& n)
+std::vector<Shape> infer_matmul(const Graph_reader& g, const Node& n)
 {
     XRL_EXPECTS(n.inputs.size() == 2);
     const Shape& a = in_shape(g, n, 0);
@@ -33,7 +33,7 @@ std::vector<Shape> infer_matmul(const Graph& g, const Node& n)
     return {Shape{a[0], a[1], b[1]}};
 }
 
-std::vector<Shape> infer_conv2d(const Graph& g, const Node& n)
+std::vector<Shape> infer_conv2d(const Graph_reader& g, const Node& n)
 {
     XRL_EXPECTS(n.inputs.size() == 2);
     const Shape& x = in_shape(g, n, 0);
@@ -50,7 +50,7 @@ std::vector<Shape> infer_conv2d(const Graph& g, const Node& n)
     return {Shape{x[0], w[0], oh, ow}};
 }
 
-std::vector<Shape> infer_pool(const Graph& g, const Node& n)
+std::vector<Shape> infer_pool(const Graph_reader& g, const Node& n)
 {
     XRL_EXPECTS(n.inputs.size() == 1);
     const Shape& x = in_shape(g, n, 0);
@@ -65,7 +65,12 @@ std::vector<Shape> infer_pool(const Graph& g, const Node& n)
 
 } // namespace
 
-std::vector<Shape> infer_output_shapes(const Graph& g, Node_id id)
+bool keeps_existing_shapes(const Node& n)
+{
+    return (n.kind == Op_kind::input || n.kind == Op_kind::weight) && !n.output_shapes.empty();
+}
+
+std::vector<Shape> infer_output_shapes(const Graph_reader& g, Node_id id)
 {
     const Node& n = g.node(id);
     switch (n.kind) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ir/graph.h"
+#include "ir/graph_overlay.h"
 
 namespace xrl {
 
@@ -11,6 +12,12 @@ namespace xrl {
 /// shapes. Source nodes (input/weight) return their pre-assigned shapes;
 /// constants return their payload shape. Throws Contract_violation on
 /// malformed operands.
-std::vector<Shape> infer_output_shapes(const Graph& graph, Node_id id);
+std::vector<Shape> infer_output_shapes(const Graph_reader& graph, Node_id id);
+
+/// Re-inference never replaces a source's construction-time shapes: true
+/// for an input or weight that has them. (Every other node keeps its
+/// Shape_list allocation when the inferred shapes equal it, so graph copies
+/// keep sharing it.)
+bool keeps_existing_shapes(const Node& n);
 
 } // namespace xrl

@@ -44,16 +44,16 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const Node_id conv_id = site.nodes[0];
-        g = host;
-        const Edge x = g.node(conv_id).inputs[0];
-        const Edge w = g.node(conv_id).inputs[1];
-        const Op_params conv_params = *g.node(conv_id).params;
-        const Shape w_shape = g.shape_of(w);
-        const Shape out_shape = g.shape_of({conv_id, 0});
+        const Edge x = host.node(conv_id).inputs[0];
+        const Edge w = host.node(conv_id).inputs[1];
+        const Op_params& conv_params = *host.node(conv_id).params;
+        const Shape& w_shape = host.shape_of(w);
+        const Shape& out_shape = host.shape_of({conv_id, 0});
         const std::int64_t r = w_shape[2];
         const std::int64_t oh = out_shape[2];
         const std::int64_t h1 = oh / 2;
@@ -86,7 +86,7 @@ public:
         const Node_id cat =
             g.add_node(Op_kind::concat, {{conv_top, 0}, {conv_bottom, 0}}, cat_params);
 
-        g.replace_all_uses({conv_id, 0}, {cat, 0});
+        g.replace_all_uses({conv_id, 0}, {cat, 0}, view.index.users());
         rewired = {{{conv_id, 0}, {cat, 0}}};
         return true;
     }
@@ -99,7 +99,7 @@ public:
 // kernel-launch overheads and occupancy effects. This blindness is what
 // makes PET shape-sensitive: it cannot see the wins (or losses) of
 // launch-bound graphs such as grouped-convolution ResNext.
-std::int64_t Pet_cost::term(const Graph& g, Node_id id) const
+std::int64_t Pet_cost::term(const Graph_reader& g, Node_id id) const
 {
     return pet_counts_op(g.node(id).kind) ? node_flops(g, id) : 0;
 }

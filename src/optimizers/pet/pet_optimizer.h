@@ -33,7 +33,7 @@ public:
     /// `device` must outlive this cost.
     explicit Pet_cost(const Device_profile& device) : device_(&device) {}
 
-    std::int64_t term(const Graph& graph, Node_id id) const override;
+    std::int64_t term(const Graph_reader& graph, Node_id id) const override;
     double finish(const Kind_sums& sums) const override;
 
 private:

@@ -62,13 +62,14 @@ Optimize_result search(const Graph& input, const Rule_set& rules, const Graph_co
 
     std::optional<Delta_pricer> pricer;
     if (serial_cost == nullptr) pricer.emplace(*additive);
+    Graph costed; // the serial cost's view of each candidate, recycled
 
     // One engine for the whole search: every rule lists its sites against a
     // shared op-kind index, a candidate is only built after its site
     // fingerprint survived dedup, builds fan out on the shared pool, and
-    // candidate graphs stay in the engine's recycled slots (the queue keeps
-    // recipes). The cross-iteration `seen` cache stays here — it spans
-    // queue pops.
+    // candidates stay overlays in the engine's recycled slots (the queue
+    // keeps recipes; only pops and the best graph are materialised). The
+    // cross-iteration `seen` cache stays here — it spans queue pops.
     Candidate_engine engine(rules, Candidate_engine_config{config.max_candidates_per_step, 0});
     const auto rebuild_into = [&](const Queued_recipe& entry, Graph& out) {
         const std::uint64_t hash =
@@ -101,9 +102,13 @@ Optimize_result search(const Graph& input, const Rule_set& rules, const Graph_co
         for (const Candidate_engine::Step_candidate& candidate : generated.candidates) {
             if (!seen.insert(candidate.hash).second) continue;
             ++admitted_per_rule[static_cast<std::size_t>(candidate.rule_index)];
-            const double candidate_cost = serial_cost != nullptr
-                                              ? (*serial_cost)(*candidate.graph)
-                                              : pricer->cost_ms(*candidate.graph, candidate.delta);
+            double candidate_cost = 0.0;
+            if (serial_cost != nullptr) {
+                candidate.graph->materialise(costed);
+                candidate_cost = (*serial_cost)(costed);
+            } else {
+                candidate_cost = pricer->cost_ms(*candidate.graph, candidate.delta);
+            }
             const bool improves = candidate_cost < result.final_ms;
             if (improves) result.final_ms = candidate_cost;
             const bool admitted = candidate_cost < config.alpha * result.final_ms &&
@@ -149,20 +154,21 @@ double Delta_pricer::reset(const Graph& host)
     return cost_->finish(sums_);
 }
 
-double Delta_pricer::cost_ms(const Graph& candidate, const Rewrite_delta* delta,
+double Delta_pricer::cost_ms(const Graph_overlay& candidate, const Rewrite_delta* delta,
                              bool* from_delta) const
 {
+    XRL_EXPECTS(&candidate.host() == host_);
     const std::optional<double> priced =
         delta != nullptr ? price(candidate, *delta) : std::nullopt;
     if (from_delta != nullptr) *from_delta = priced.has_value();
-    if (!priced.has_value()) return cost_->graph_cost_ms(candidate);
+    if (!priced.has_value()) return cost_->graph_cost_ms(Graph(candidate));
 #ifndef NDEBUG
-    XRL_ENSURES(*priced == cost_->graph_cost_ms(candidate));
+    XRL_ENSURES(*priced == cost_->graph_cost_ms(Graph(candidate)));
 #endif
     return *priced;
 }
 
-std::optional<double> Delta_pricer::price(const Graph& candidate,
+std::optional<double> Delta_pricer::price(const Graph_overlay& candidate,
                                           const Rewrite_delta& delta) const
 {
     // With local shapes every node the host and the candidate share keeps

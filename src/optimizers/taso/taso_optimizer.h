@@ -19,9 +19,10 @@
 // (TASO's cost model, and PET's through optimise_pet) prices each
 // candidate from its Rewrite_delta (Delta_pricer): the host is walked once
 // per pop, and a candidate costs O(|delta|), exactly what the full walk
-// would give. optimise_taso_with_cost calls its Graph_cost_fn on
-// every graph. Both run on the caller's thread and admit in candidate
-// order, so both return the same result for the same cost.
+// would give, read from the candidate's overlay with no graph copied.
+// optimise_taso_with_cost materialises every candidate and calls its
+// Graph_cost_fn on it. Both run on the caller's thread and admit in
+// candidate order, so both return the same result for the same cost.
 //
 // make_optimizer serves this search as "taso" (core/optimizer_api.h), with
 // one option: "taso.budget". The other Taso_config fields keep their
@@ -68,9 +69,10 @@ Optimize_result optimise_taso_with_cost(const Graph& input, const Rule_set& rule
 /// Prices one host's candidates from their Rewrite_delta. reset() walks the
 /// host once, keeping every reachable node's term and the per-kind sums; a
 /// candidate's cost is then those sums minus the terms of the nodes it
-/// removed plus the terms of the nodes it added — O(|delta|) work, and
-/// bit-identical to the full walk because the terms are integers. It falls
-/// back to the full walk whenever the delta cannot prove the result: no
+/// removed plus the terms of the nodes it added, read from its overlay —
+/// O(|delta|) work with no graph copied, and bit-identical to the full walk
+/// because the terms are integers. It falls back to the full walk of the
+/// materialised candidate whenever the delta cannot prove the result: no
 /// delta, shapes that changed beyond the added nodes, or an added node (or
 /// a splice) reading a host node the host's outputs did not reach. Debug
 /// builds check every delta price against the full walk.
@@ -82,15 +84,15 @@ public:
     /// Walk `host` (which must outlive its use here) and return its cost.
     double reset(const Graph& host);
 
-    /// The cost of `candidate`, built from the host with `delta` (null when
-    /// its rule reported none); `from_delta` reports which path priced it.
-    /// Const: safe to call concurrently between resets.
-    double cost_ms(const Graph& candidate, const Rewrite_delta* delta,
+    /// The cost of `candidate`, an overlay on the host, with `delta` (null
+    /// when its rule reported none); `from_delta` reports which path priced
+    /// it. Const: safe to call concurrently between resets.
+    double cost_ms(const Graph_overlay& candidate, const Rewrite_delta* delta,
                    bool* from_delta = nullptr) const;
 
 private:
     /// The delta price; empty when the delta cannot prove it.
-    std::optional<double> price(const Graph& candidate, const Rewrite_delta& delta) const;
+    std::optional<double> price(const Graph_overlay& candidate, const Rewrite_delta& delta) const;
 
     const Additive_cost* cost_;
     const Graph* host_ = nullptr;

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 
+#include "optimizers/taso/taso_optimizer.h"
 #include "rules/bespoke_rules.h"
 #include "rules/candidate_engine.h"
 #include "rules/corpus.h"
@@ -213,24 +215,27 @@ Optimize_result optimise_tensat(const Graph& input, const std::vector<Pattern>& 
     // encoding, which reproduces the BERT-vs-convnet behaviour of §4.6.
     // Candidates come from the shared engine (deduped, deterministic
     // order), which cannot change the greedy winner: duplicates tie on
-    // cost and the strict comparison keeps the first occurrence.
+    // cost and the strict comparison keeps the first occurrence. Each is
+    // priced from its overlay and delta (bit-identical to the full walk),
+    // and only the round's winner is materialised.
     Candidate_engine seed_engine(multi_pattern_rules, Candidate_engine_config{64, 0});
+    Delta_pricer pricer(cost);
     Graph seeded = input;
+    Graph winner;
     for (int round = 0; round < config.multi_pattern_limit_k; ++round) {
-        Graph best = seeded;
-        double best_cost = cost.graph_cost_ms(seeded);
-        bool improved = false;
+        double best_cost = pricer.reset(seeded);
+        const Graph_overlay* best = nullptr;
         for (const Candidate_engine::Step_candidate& candidate :
              seed_engine.generate_step(seeded).candidates) {
-            const double c = cost.graph_cost_ms(*candidate.graph);
+            const double c = pricer.cost_ms(*candidate.graph, candidate.delta);
             if (c < best_cost) {
                 best_cost = c;
-                best = std::move(*candidate.graph);
-                improved = true;
+                best = candidate.graph;
             }
         }
-        if (!improved) break;
-        seeded = std::move(best);
+        if (best == nullptr) break;
+        best->materialise(winner);
+        std::swap(seeded, winner);
     }
 
     Egraph_encoding enc = encode_graph(seeded);

@@ -47,32 +47,30 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const auto [id1, id2] = site.nodes;
         const std::int64_t n1 = host.shape_of(host.node(id1).inputs[1])[1];
         const std::int64_t n2 = host.shape_of(host.node(id2).inputs[1])[1];
-        g = host;
-        // Copy edges/params by value before add_node, which may reallocate
-        // the node storage.
-        const Edge x = g.node(id1).inputs[0];
-        const Edge w1 = g.node(id1).inputs[1];
-        const Edge w2 = g.node(id2).inputs[1];
-        const Shared_params matmul_params = g.node(id1).params;
+        const Edge x = host.node(id1).inputs[0];
+        const Edge w1 = host.node(id1).inputs[1];
+        const Edge w2 = host.node(id2).inputs[1];
+        const Shared_params matmul_params = host.node(id1).params;
         Op_params concat_params;
         concat_params.axis = 1;
         const Node_id wc = g.add_node(Op_kind::concat, {w1, w2}, concat_params);
         const Node_id merged = g.add_node(Op_kind::matmul, {x, {wc, 0}}, matmul_params);
 
-        const auto out_rank = static_cast<std::int64_t>(g.shape_of({id1, 0}).size());
+        const auto out_rank = static_cast<std::int64_t>(host.shape_of({id1, 0}).size());
         Op_params split_params;
         split_params.axis = out_rank - 1;
         split_params.split_sizes = {n1, n2};
         const Node_id sp = g.add_node(Op_kind::split, {{merged, 0}}, split_params);
 
-        g.replace_all_uses({id1, 0}, {sp, 0});
-        g.replace_all_uses({id2, 0}, {sp, 1});
+        g.replace_all_uses({id1, 0}, {sp, 0}, view.index.users());
+        g.replace_all_uses({id2, 0}, {sp, 1}, view.index.users());
         rewired = {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}};
         return true;
     }
@@ -103,17 +101,17 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const auto [id1, id2] = site.nodes;
         const std::int64_t k1 = host.shape_of(host.node(id1).inputs[1])[0];
         const std::int64_t k2 = host.shape_of(host.node(id2).inputs[1])[0];
-        g = host;
-        const Edge x = g.node(id1).inputs[0];
-        const Edge w1 = g.node(id1).inputs[1];
-        const Edge w2 = g.node(id2).inputs[1];
-        const Shared_params conv_params = g.node(id1).params;
+        const Edge x = host.node(id1).inputs[0];
+        const Edge w1 = host.node(id1).inputs[1];
+        const Edge w2 = host.node(id2).inputs[1];
+        const Shared_params conv_params = host.node(id1).params;
         Op_params concat_params;
         concat_params.axis = 0; // filter-bank axis K
         const Node_id wc = g.add_node(Op_kind::concat, {w1, w2}, concat_params);
@@ -124,8 +122,8 @@ public:
         split_params.split_sizes = {k1, k2};
         const Node_id sp = g.add_node(Op_kind::split, {{merged, 0}}, split_params);
 
-        g.replace_all_uses({id1, 0}, {sp, 0});
-        g.replace_all_uses({id2, 0}, {sp, 1});
+        g.replace_all_uses({id1, 0}, {sp, 0}, view.index.users());
+        g.replace_all_uses({id2, 0}, {sp, 1}, view.index.users());
         rewired = {{{id1, 0}, {sp, 0}}, {{id2, 0}, {sp, 1}}};
         return true;
     }
@@ -159,13 +157,13 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const Node_id id = site.nodes[0];
-        g = host;
-        const Edge replacement = g.node(g.node(id).inputs.front().node).inputs[0];
-        g.replace_all_uses({id, 0}, replacement);
+        const Edge replacement = host.node(host.node(id).inputs.front().node).inputs[0];
+        g.replace_all_uses({id, 0}, replacement, view.index.users());
         rewired = {{{id, 0}, replacement}};
         return true;
     }
@@ -198,18 +196,18 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const Node_id id = site.nodes[0];
         const Node_id cat_id = host.node(id).inputs[0].node;
         const std::size_t pieces = host.node(cat_id).inputs.size();
-        g = host;
         rewired.clear();
         for (std::size_t piece = 0; piece < pieces; ++piece) {
             const Edge before{id, static_cast<std::int32_t>(piece)};
-            const Edge after = g.node(cat_id).inputs[piece];
-            g.replace_all_uses(before, after);
+            const Edge after = host.node(cat_id).inputs[piece];
+            g.replace_all_uses(before, after, view.index.users());
             rewired.push_back({before, after});
         }
         return true;
@@ -237,20 +235,20 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const auto [bn_id, conv_id] = site.nodes;
-        g = host;
-        const Node& bn = g.node(bn_id);
-        const Node& conv = g.node(conv_id);
+        const Node& bn = host.node(bn_id);
+        const Node& conv = host.node(conv_id);
         const Edge x = conv.inputs[0];
         const Edge w = conv.inputs[1];
         const Edge gamma = bn.inputs[1];
         const Edge beta = bn.inputs[2];
         const Edge mean = bn.inputs[3];
         const Edge variance = bn.inputs[4];
-        const std::int64_t k = g.shape_of(w)[0];
+        const std::int64_t k = host.shape_of(w)[0];
         const Shared_params conv_params = conv.params;
         const float eps = bn.params->epsilon;
 
@@ -275,7 +273,7 @@ public:
         const Node_id bias_col = g.add_node(Op_kind::reshape, {{bias, 0}}, reshape_b);
         const Node_id y = g.add_node(Op_kind::add, {{folded_conv, 0}, {bias_col, 0}});
 
-        g.replace_all_uses({bn_id, 0}, {y, 0});
+        g.replace_all_uses({bn_id, 0}, {y, 0}, view.index.users());
         rewired = {{{bn_id, 0}, {y, 0}}};
         return true;
     }
@@ -312,15 +310,16 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const Node_id id = site.nodes[0];
         const Node_id lhs = host.node(id).inputs[0].node;
         const Node_id rhs = host.node(id).inputs[1].node;
         for (const auto& [big, small] : {std::pair{lhs, rhs}, std::pair{rhs, lhs}}) {
             if (!mergeable(host, big, small)) continue;
-            merge(g, host, id, big, small, rewired);
+            merge(g, view, id, big, small, rewired);
             return true;
         }
         return false;
@@ -348,15 +347,15 @@ private:
         return true;
     }
 
-    static void merge(Graph& g, const Graph& host, Node_id add_id, Node_id big, Node_id small,
-                      std::vector<Rewired_edge>& rewired)
+    static void merge(Graph_overlay& g, const Host_view& view, Node_id add_id, Node_id big,
+                      Node_id small, std::vector<Rewired_edge>& rewired)
     {
-        g = host;
-        const Edge x = g.node(big).inputs[0];
-        const Edge w_big = g.node(big).inputs[1];
-        const Edge w_small = g.node(small).inputs[1];
-        const Shared_params conv_params = g.node(big).params;
-        const Shape wb = g.shape_of(w_big);
+        const Graph& host = view.graph;
+        const Edge x = host.node(big).inputs[0];
+        const Edge w_big = host.node(big).inputs[1];
+        const Edge w_small = host.node(small).inputs[1];
+        const Shared_params conv_params = host.node(big).params;
+        const Shape& wb = host.shape_of(w_big);
 
         Op_params enlarge_params;
         enlarge_params.target_r = wb[2];
@@ -365,7 +364,7 @@ private:
         const Node_id w_sum = g.add_node(Op_kind::add, {w_big, {enlarged, 0}});
         const Node_id merged = g.add_node(Op_kind::conv2d, {x, {w_sum, 0}}, conv_params);
 
-        g.replace_all_uses({add_id, 0}, {merged, 0});
+        g.replace_all_uses({add_id, 0}, {merged, 0}, view.index.users());
         rewired = {{{add_id, 0}, {merged, 0}}};
     }
 };
@@ -392,18 +391,18 @@ public:
         }
     }
 
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& g,
+    bool splice(const Host_view& view, const Rewrite_site& site, Graph_overlay& g,
                 std::vector<Rewired_edge>& rewired) const override
     {
+        const Graph& host = view.graph;
         const Node_id id = site.nodes[0];
         const Node_id emb_id = host.node(id).inputs[0].node;
-        g = host;
-        const Edge ids = g.node(emb_id).inputs[0];
-        const Edge table = g.node(emb_id).inputs[1];
-        const Edge projection = g.node(id).inputs[1];
+        const Edge ids = host.node(emb_id).inputs[0];
+        const Edge table = host.node(emb_id).inputs[1];
+        const Edge projection = host.node(id).inputs[1];
         const Node_id folded_table = g.add_node(Op_kind::matmul, {table, projection});
         const Node_id folded = g.add_node(Op_kind::embedding, {ids, {folded_table, 0}});
-        g.replace_all_uses({id, 0}, {folded, 0});
+        g.replace_all_uses({id, 0}, {folded, 0}, view.index.users());
         rewired = {{{id, 0}, {folded, 0}}};
         return true;
     }

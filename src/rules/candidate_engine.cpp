@@ -93,7 +93,7 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
         Wave_entry& entry = wave_[i];
         Slot& slot = *entry.slot;
         entry.built = (*rules_)[entry.record->rule_index]->build(
-            view, entry.record->site, slot.graph, &entry.hash, &slot.delta);
+            view, entry.record->site, slot.overlay, &entry.hash, &slot.delta);
     };
 
     std::size_t next = 0;
@@ -141,7 +141,7 @@ void Candidate_engine::build_candidates(const Graph& host, std::size_t max_total
                 continue;
             }
             step_.candidates.push_back(
-                {&entry.slot->graph, static_cast<int>(rule), entry.hash,
+                {&entry.slot->overlay, static_cast<int>(rule), entry.hash,
                  &entry.slot->delta, &entry.record->site});
             leased_.push_back(entry.slot);
         }
@@ -216,9 +216,23 @@ std::uint64_t Candidate_engine::rebuild(const Graph& host, const Recipe& recipe,
     rebuild_memo_.rebuild(host);
     std::uint64_t hash = 0;
     const bool built = (*rules_)[rule_index]->build({host, rebuild_index_, rebuild_memo_},
-                                                    recipe.site, out, &hash);
+                                                    recipe.site, rebuild_overlay_, &hash);
     XRL_ENSURES(built);
+    rebuild_overlay_.materialise(out);
     return hash;
+}
+
+void Candidate_engine::materialise(std::vector<Graph>& out)
+{
+    static Histogram& materialise_histogram = candidate_phase_histogram("materialise");
+    const Scoped_timer_us timer(materialise_histogram);
+    const Span_scope span("candidates/materialise");
+
+    // On the owner's thread: a copy is a few microseconds, and a second pool
+    // wave per step cost more than it saved on the environment's models
+    // (smoke BERT env rollout, bench_candidates).
+    out.resize(step_.candidates.size());
+    for (std::size_t i = 0; i < out.size(); ++i) step_.candidates[i].graph->materialise(out[i]);
 }
 
 } // namespace xrl

@@ -18,26 +18,31 @@
 //      bespoke rule reads), each record carrying a cheap fingerprint (the
 //      match's binding key, or the site's node ids, mixed with the rule id)
 //      that dedups repeat discoveries before anything is built; a build
-//      (Rewrite_rule::build) — the host copy and the rule's splice, then
+//      (Rewrite_rule::build) — the rule's splice into an overlay on the
+//      host (appended nodes, copy-on-write copies of the host nodes whose
+//      slots it redirects, found through the index's use lists), then
 //      finalise_rewrite's cycle check, dead-node sweep, shape inference,
 //      validation, canonical hash and delta, all local to the splice and
 //      read from the index and memo — runs only for records the caller's
-//      caps can still keep;
+//      caps can still keep, and never copies the host;
 //   4. the unit of parallel work is one candidate: records are built in
 //      waves on the shared thread pool, each into its own slot, and an
 //      in-order serial pass then applies the per-rule success cap and the
 //      canonical-hash dedup — so the output never depends on thread
 //      scheduling, and a wave never builds a record the serial loop would
 //      have skipped;
-//   5. candidate graphs build into recycled slots, so a steady-state
-//      step allocates ~nothing; a search that keeps many candidates but
-//      revisits few (TASO's queue) keeps each one's Recipe — the rule and
-//      the site — and rebuild()s it from its host when needed.
+//   5. candidate overlays build into recycled slots, and a candidate
+//      becomes a Graph (Graph_overlay::materialise: host copy plus overlay)
+//      only where a caller needs one — the environment's capped set
+//      (materialise()), TASO's and PET's pops and best graph (rebuild()
+//      from a kept Recipe, the rule and the site), Tensat's seeding winner.
+//      TASO, PET and Tensat's seeding price every candidate from its
+//      overlay and delta without materialising it.
 //
 // Pattern and bespoke rules differ only in what their sites hold and how
-// they splice; every build reports its Rewrite_delta, so the next step's index is patched
-// whichever kind was chosen, and TASO and PET price every candidate from
-// its delta. The engine treats both kinds uniformly.
+// they splice; every build reports its Rewrite_delta, so the next step's
+// index is patched whichever kind was chosen. The engine treats both kinds
+// uniformly.
 #pragma once
 
 #include <cstdint>
@@ -94,16 +99,16 @@ public:
         Rewrite_site site;
     };
 
-    /// One generated candidate. The graph lives in a slot owned by the
-    /// engine and stays valid until the next generate_step() call. The owner
-    /// may move `*graph` out (Tensat's seeding rounds keep each round's
-    /// best); the engine refills a moved-from slot the next time it uses it.
+    /// One generated candidate. Its graph is an overlay on the step's host,
+    /// in a slot owned by the engine: valid until the next generate_step()
+    /// call, and only while the host is unchanged. Materialise it
+    /// (Graph_overlay::materialise) to keep it or to read it as a Graph.
     struct Step_candidate {
-        Graph* graph = nullptr;
+        const Graph_overlay* graph = nullptr;
         int rule_index = -1;
-        std::uint64_t hash = 0; ///< canonical_hash of `*graph` as generated.
-        /// How `*graph` differs from the host (for the next step's index
-        /// patch and for delta pricing); every build reports one.
+        std::uint64_t hash = 0; ///< canonical_hash of the candidate graph.
+        /// How the candidate differs from the host (for the next step's
+        /// index patch and for delta pricing); every build reports one.
         const Rewrite_delta* delta = nullptr;
         /// The site, in the engine's record buffer (valid until the next
         /// generate_step() call).
@@ -147,11 +152,17 @@ public:
     /// Rebuild the candidate `recipe` describes into `out` (recycled
     /// storage; contents unspecified) and return its canonical hash: one
     /// Rewrite_rule::build of the recipe's site, against an index and memo
-    /// of `host` built for this call. When `host` is the graph
+    /// of `host` built for this call, materialised. When `host` is the graph
     /// the recipe's candidate was generated from, `out` becomes that
     /// candidate exactly — same node ids, capacity and hash. Uses none of
     /// generate_step()'s storage, so the last step's candidates stay valid.
     std::uint64_t rebuild(const Graph& host, const Recipe& recipe, Graph& out);
+
+    /// Materialise every candidate of the last generate_step() into `out`,
+    /// resized to the candidate count (elements are recycled storage):
+    /// `out[i]` becomes candidate i's graph, copied on the caller's thread.
+    /// `out` must not hold the step's host.
+    void materialise(std::vector<Graph>& out);
 
     /// The persistent index (null before the first generate_step) —
     /// exposed for the incremental-vs-rebuild A/B gate.
@@ -167,10 +178,10 @@ private:
         Rewrite_site site;
     };
 
-    /// A recycled build target: the graph and the delta that turns the
-    /// host's index into the graph's.
+    /// A recycled build target: the candidate's overlay and the delta that
+    /// turns the host's index into the candidate's.
     struct Slot {
-        Graph graph;
+        Graph_overlay overlay;
         Rewrite_delta delta;
     };
 
@@ -198,6 +209,7 @@ private:
     Host_memo memo_;           ///< Of the current step's host.
     Host_index rebuild_index_; ///< rebuild()'s, kept for their storage.
     Host_memo rebuild_memo_;
+    Graph_overlay rebuild_overlay_;
     std::vector<std::vector<Rewrite_site>> per_rule_; ///< find_sites output per rule.
     std::unordered_set<std::uint64_t> fingerprints_seen_;
     std::vector<Rewrite_candidate> records_;
@@ -217,9 +229,10 @@ class Histogram;
 
 /// The histogram that every engine instance times its pipeline phases into:
 /// `xrlflow_candidate_phase_us{phase=...}` for index_build (the Host_index
-/// and the Host_memo), match, dedup, materialise (every build wave),
-/// finalise_rewrite and rebuild. Exposed so
-/// the benches can read per-phase snapshots into BENCH_candidates.json.
+/// and the Host_memo), match, dedup, materialise (every build wave of
+/// overlays, and every wave of Candidate_engine::materialise), finalise_rewrite
+/// and rebuild (an overlay build plus its materialisation). Exposed so the
+/// benches can read per-phase snapshots into BENCH_candidates.json.
 Histogram& candidate_phase_histogram(const char* phase);
 
 } // namespace xrl

@@ -1,12 +1,14 @@
 // The rewrite epilogue (finalise_rewrite) and the per-host memo it reads.
 //
 // A candidate is its host with a few nodes appended and a few slots
-// redirected. Every whole-graph pass the epilogue used to run per candidate
-// — cycle check, dead-node elimination, the delta's scan of the id space,
-// validation and the canonical hash — has an answer for the host already,
-// and the candidate differs from it only around the splice. The host's
-// answers live in Host_memo (built once per host) and Host_index (its use
-// lists); finalise_rewrite works from them and touches only the splice.
+// redirected, held as a Graph_overlay on the host. Every whole-graph pass
+// the epilogue used to run per candidate — cycle check, dead-node
+// elimination, the delta's scan of the id space, validation and the
+// canonical hash — has an answer for the host already, and the candidate
+// differs from it only around the splice. The host's answers live in
+// Host_memo (built once per host) and Host_index (its use lists);
+// finalise_rewrite works from them, touches only the splice and records its
+// tombstones and shapes in the overlay.
 #include "rules/pattern.h"
 
 #include <algorithm>
@@ -95,16 +97,19 @@ void Host_memo::rebuild(const Graph& host)
 
 namespace {
 
-/// The appended nodes always need shapes; the rest of the graph is
-/// untouched as long as every splice carries the same shape as the edge it
-/// replaced, so the full re-inference pass is skipped. Returns whether
-/// inference stayed local.
-bool infer_rewrite_shapes(Graph& g, const Graph& host, const std::vector<Rewired_edge>& rewired)
+/// The appended nodes always need shapes (`appended`: whether inference
+/// over them completed); the rest of the graph is untouched as long as
+/// every splice carries the same shape as the edge it replaced, so the full
+/// re-inference pass is skipped. Returns whether inference stayed local.
+/// `Candidate` is the candidate as a Graph or a Graph_overlay.
+template <typename Candidate>
+bool finish_rewrite_shapes(Candidate& g, bool appended, const Graph& host,
+                           const std::vector<Rewired_edge>& rewired)
 {
-    const auto shape_known = [](const Graph& graph, const Edge& e) {
+    const auto shape_known = [](const auto& graph, const Edge& e) {
         return static_cast<std::size_t>(e.port) < graph.node(e.node).output_shapes.size();
     };
-    bool incremental = g.infer_shapes_appended(static_cast<Node_id>(host.capacity()));
+    bool incremental = appended;
     if (incremental) {
         for (const Rewired_edge& rw : rewired) {
             if (!g.is_alive(rw.after.node)) continue; // splice ended up unused
@@ -187,8 +192,9 @@ using Flag = Finalise_scratch::Flag;
 /// finalise_rewrite from the host's memo and index. The steps, in order:
 /// find the redirected slots, check cycles through them, sweep dead nodes,
 /// fill the delta, infer shapes, validate, hash.
-bool finalise_local(Graph& g, const Host_view& host, const std::vector<Rewired_edge>& rewired,
-                    std::uint64_t* hash_out, Rewrite_delta* delta_out)
+bool finalise_local(Graph_overlay& g, const Host_view& host,
+                    const std::vector<Rewired_edge>& rewired, std::uint64_t* hash_out,
+                    Rewrite_delta* delta_out)
 {
     const Graph& h = host.graph;
     const Host_memo& memo = host.memo;
@@ -350,7 +356,7 @@ bool finalise_local(Graph& g, const Host_view& host, const std::vector<Rewired_e
 
     // 5. Shapes, then the checks validate() makes, on the nodes that differ
     // from the host's: the appended ones and the redirected users.
-    const bool shapes_local = infer_rewrite_shapes(g, h, rewired);
+    const bool shapes_local = finish_rewrite_shapes(g, g.infer_shapes_appended(), h, rewired);
     if (delta_out != nullptr) delta_out->shapes_local = shapes_local;
     s.work.clear();
     for (const Node_id user : s.users)
@@ -412,17 +418,20 @@ std::string graph_bytes(const Graph& g)
 
 } // namespace
 
-bool finalise_rewrite(Graph& g, const Host_view& host, const std::vector<Rewired_edge>& rewired,
-                      std::uint64_t* canonical_hash_out, Rewrite_delta* delta_out)
+bool finalise_rewrite(Graph_overlay& g, const Host_view& host,
+                      const std::vector<Rewired_edge>& rewired, std::uint64_t* canonical_hash_out,
+                      Rewrite_delta* delta_out)
 {
-    // Histogram only (no span): this runs once per materialised candidate —
-    // span records would dominate the trace buffer without adding shape.
+    // Histogram only (no span): this runs once per candidate build — span
+    // records would dominate the trace buffer without adding shape.
     static Histogram& finalise_histogram = candidate_phase_histogram("finalise_rewrite");
     const Scoped_timer_us timer(finalise_histogram);
     if (delta_out != nullptr) delta_out->valid = false;
 #ifndef NDEBUG
-    // The whole-graph passes on a copy must agree to the byte.
-    Graph full = g;
+    // The splice materialised, through the whole-graph passes, must agree
+    // with the overlay's result to the byte.
+    Graph full;
+    g.materialise(full);
     std::uint64_t hash = 0;
     Rewrite_delta delta;
     if (canonical_hash_out == nullptr) canonical_hash_out = &hash;
@@ -443,7 +452,7 @@ bool finalise_rewrite(Graph& g, const Host_view& host, const std::vector<Rewired
     if (built) {
         XRL_ENSURES(*canonical_hash_out == full_hash);
         XRL_ENSURES(*delta_out == full_delta);
-        XRL_ENSURES(graph_bytes(g) == graph_bytes(full));
+        XRL_ENSURES(graph_bytes(Graph(g)) == graph_bytes(full));
     }
 #endif
     return built;
@@ -477,7 +486,8 @@ bool finalise_rewrite_full(Graph& g, const Graph& host, const std::vector<Rewire
                     delta_out->added.push_back(static_cast<Node_id>(i));
         }
 
-        const bool shapes_local = infer_rewrite_shapes(g, host, rewired);
+        const bool shapes_local = finish_rewrite_shapes(
+            g, g.infer_shapes_appended(static_cast<Node_id>(first)), host, rewired);
         if (delta_out != nullptr) delta_out->shapes_local = shapes_local;
         // The cycle check already ran, and dead-node elimination cannot
         // introduce a cycle — skip the re-check.

@@ -475,26 +475,21 @@ std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern, cons
 {
     const Host_index index(host);
     const Host_memo memo(host);
-    Graph out;
+    const Host_view view{host, index, memo};
+    Graph_overlay overlay;
+    overlay.reset(host);
     std::vector<Rewired_edge> rewired;
-    if (!splice_match(out, host, pattern, match, rewired) ||
-        !finalise_rewrite(out, {host, index, memo}, rewired))
+    if (!splice_match(overlay, view, pattern, match, rewired) ||
+        !finalise_rewrite(overlay, view, rewired))
         return std::nullopt;
-    return out;
+    return Graph(overlay);
 }
 
-bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
+bool splice_match(Graph_overlay& out, const Host_view& host, const Pattern& pattern,
                   const Pattern_match& match, std::vector<Rewired_edge>& rewired)
 {
     XRL_EXPECTS(!pattern.target_order.empty()); // Pattern::finalise() was called
-    // Copy-assignment into a recycled `out` reuses its nested buffers
-    // (nodes, inputs, names) and shares each node's params block and shape
-    // list — the allocation-free hot path. The eighth-of-capacity slack
-    // amortises node-array regrowth across pool reuses: the host gains a
-    // few ids per accepted rewrite, so an exact reservation would
-    // reallocate on every recycle.
-    out = host;
-    out.reserve(host.capacity() + pattern.target.size() + host.capacity() / 8);
+    XRL_EXPECTS(&out.host() == &host.graph);
 
     // Map source variable index -> bound host edge, then target variable
     // node -> that edge. Target node ids are dense and tiny, so flat
@@ -547,7 +542,7 @@ bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
             if (transfer != pattern.param_transfers.end()) {
                 const Node_id matched_host = match.mapped_node(transfer->second.from_source_node);
                 XRL_EXPECTS(matched_host != invalid_node);
-                params = host.node(matched_host).params; // the host's block, shared
+                params = host.graph.node(matched_host).params; // the host's block, shared
                 if (transfer->second.set_activation.has_value())
                     params = params.with_activation(*transfer->second.set_activation);
             }
@@ -572,7 +567,7 @@ bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
             }
             const Edge new_edge = resolve(pattern.target.outputs()[k]);
             if (old_edge == new_edge) continue;
-            out.replace_all_uses(old_edge, new_edge);
+            out.replace_all_uses(old_edge, new_edge, host.index.users());
             rewired.push_back({old_edge, new_edge});
         }
 

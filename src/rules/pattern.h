@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ir/graph.h"
+#include "ir/graph_overlay.h"
 #include "ir/op.h"
 
 namespace xrl {
@@ -244,7 +245,7 @@ std::vector<Pattern_match> find_matches(const Graph& host, const Pattern& patter
 std::vector<Pattern_match> find_matches(const Graph& host, const Host_index& index,
                                         const Pattern& pattern, std::size_t limit = SIZE_MAX);
 
-/// Splice `pattern.target` into a copy of `host` at `match`.
+/// Splice `pattern.target` into `host` at `match`.
 ///
 /// Returns the transformed graph (shapes inferred, dead nodes removed,
 /// validated), or std::nullopt when the transformation is structurally
@@ -252,20 +253,21 @@ std::vector<Pattern_match> find_matches(const Graph& host, const Host_index& ind
 std::optional<Graph> apply_match(const Graph& host, const Pattern& pattern,
                                  const Pattern_match& match);
 
-/// The splice alone (Pattern_rule's Rewrite_rule::splice): writes `host`
-/// with `pattern.target` appended and the matched outputs' uses redirected
-/// into `out` (recycled storage: a warm slot keeps its nested buffers), and
-/// the redirected edges into `rewired`. Returns false when instantiation
-/// rejects the site; finalise_rewrite does the rest.
-bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
+/// The splice alone (Pattern_rule's Rewrite_rule::splice): appends
+/// `pattern.target` to `out`, an unedited overlay on `host.graph`, and
+/// redirects the matched outputs' uses to it — found through the host's use
+/// lists, so no host node is scanned or copied but the ones redirected —
+/// recording the redirected edges in `rewired`. Returns false when
+/// instantiation rejects the site; finalise_rewrite does the rest.
+bool splice_match(Graph_overlay& out, const Host_view& host, const Pattern& pattern,
                   const Pattern_match& match, std::vector<Rewired_edge>& rewired);
 
-/// The shared epilogue of every rewrite (Rewrite_rule::build). `g` is a copy
-/// of `host.graph` mutated only by appending nodes (ids from the host's
-/// capacity on) and redirecting the `rewired` edges; no host node's kind,
-/// params or payload changed. Performs the cycle check, dead-node
-/// elimination, shape inference — incrementally over the appended nodes
-/// when every splice keeps the shape it replaced, the full pass otherwise —
+/// The shared epilogue of every rewrite (Rewrite_rule::build). `g` is an
+/// overlay on `host.graph` edited only by appending nodes and redirecting
+/// the `rewired` edges; no host node's kind, params or payload changed.
+/// Performs the cycle check, dead-node elimination (tombstones in the
+/// overlay), shape inference — incrementally over the appended nodes when
+/// every splice keeps the shape it replaced, the full pass otherwise —
 /// validation, and optionally the canonical hash and the node-set delta
 /// relative to the host (for incremental index upkeep and delta pricing).
 ///
@@ -276,18 +278,21 @@ bool splice_match(Graph& out, const Graph& host, const Pattern& pattern,
 /// plus the memo's unreachable nodes; validation covers the appended nodes
 /// and the redirected users; the hash recomputes only appended nodes and
 /// the host nodes downstream of a redirected slot, each reading its params
-/// block's cached hash. Debug builds also run finalise_rewrite_full on a
-/// copy and assert identical graph bytes, hash and delta.
+/// block's cached hash. Debug builds also materialise the splice, run
+/// finalise_rewrite_full on it and assert that `g` materialises to the same
+/// graph bytes, with the same hash and delta.
 ///
-/// Returns false (graph state unspecified) when the rewrite is structurally
-/// invalid at this site.
-bool finalise_rewrite(Graph& g, const Host_view& host, const std::vector<Rewired_edge>& rewired,
+/// Returns false (overlay state unspecified) when the rewrite is
+/// structurally invalid at this site.
+bool finalise_rewrite(Graph_overlay& g, const Host_view& host,
+                      const std::vector<Rewired_edge>& rewired,
                       std::uint64_t* canonical_hash_out = nullptr,
                       Rewrite_delta* delta_out = nullptr);
 
-/// The same epilogue from whole-graph passes (is_acyclic,
-/// eliminate_dead_nodes, a scan of the id space for the delta, validate,
-/// canonical_hash): the reference finalise_rewrite is checked against.
+/// The same epilogue from whole-graph passes on a materialised candidate
+/// (is_acyclic, eliminate_dead_nodes, a scan of the id space for the delta,
+/// validate, canonical_hash): the reference finalise_rewrite is checked
+/// against. `g` is `host` with the splice's edits applied.
 bool finalise_rewrite_full(Graph& g, const Graph& host, const std::vector<Rewired_edge>& rewired,
                            std::uint64_t* canonical_hash_out = nullptr,
                            Rewrite_delta* delta_out = nullptr);

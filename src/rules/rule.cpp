@@ -2,13 +2,14 @@
 
 namespace xrl {
 
-bool Rewrite_rule::build(const Host_view& host, const Rewrite_site& site, Graph& out,
+bool Rewrite_rule::build(const Host_view& host, const Rewrite_site& site, Graph_overlay& out,
                          std::uint64_t* canonical_hash_out, Rewrite_delta* delta_out) const
 {
     // Per-thread: builds of one host run concurrently on the pool.
     thread_local std::vector<Rewired_edge> rewired;
     if (delta_out != nullptr) delta_out->valid = false;
-    return splice(host.graph, site, out, rewired) &&
+    out.reset(host.graph);
+    return splice(host, site, out, rewired) &&
            finalise_rewrite(out, host, rewired, canonical_hash_out, delta_out);
 }
 
@@ -18,10 +19,13 @@ void Rewrite_rule::apply_all_into(const Graph& graph, std::size_t limit, Graph_b
     const Host_memo memo(graph);
     std::vector<Rewrite_site> sites;
     find_sites(graph, index, limit, sites);
+    Graph_overlay candidate;
     const std::size_t first = out.size();
     for (const Rewrite_site& site : sites) {
         if (out.size() - first >= limit) break;
-        if (build({graph, index, memo}, site, out.next())) out.keep();
+        if (!build({graph, index, memo}, site, candidate)) continue;
+        candidate.materialise(out.next());
+        out.keep();
     }
 }
 
@@ -44,7 +48,7 @@ void Pattern_rule::find_sites(const Graph& host, const Host_index& index, std::s
         out.push_back({std::move(match)});
 }
 
-bool Pattern_rule::splice(const Graph& host, const Rewrite_site& site, Graph& out,
+bool Pattern_rule::splice(const Host_view& host, const Rewrite_site& site, Graph_overlay& out,
                           std::vector<Rewired_edge>& rewired) const
 {
     return splice_match(out, host, pattern_, site.match, rewired);

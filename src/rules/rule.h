@@ -23,7 +23,7 @@ namespace xrl {
 /// allocated across calls, and whose nodes share the host's params blocks
 /// and shape lists, so a steady-state rule application copies handles into
 /// warm memory instead of cloning the host from scratch. Protocol: take a
-/// slot with next(), build the candidate in it, call keep() on success —
+/// slot with next(), write the candidate into it, call keep() to commit —
 /// a slot not kept is handed out again by the following next().
 class Graph_batch {
 public:
@@ -92,29 +92,31 @@ public:
     virtual void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
                             std::vector<Rewrite_site>& out) const = 0;
 
-    /// The rule's own part of a build: write into `out` (recycled storage;
-    /// contents unspecified) a copy of `host` with nodes appended and uses
-    /// redirected by Graph::replace_all_uses, recording each redirect in
-    /// `rewired` (cleared first). A splice never edits a host node's kind,
-    /// params or payload, and leaves shapes, dead nodes and checks to
+    /// The rule's own part of a build: edit `out`, an unedited overlay on
+    /// `host.graph`, by appending nodes (Graph_overlay::add_node) and
+    /// redirecting uses (Graph_overlay::replace_all_uses over the host
+    /// index's use lists), recording each redirect in `rewired` (cleared
+    /// first). A splice never copies the host, never edits a host node's
+    /// kind, params or payload, and leaves shapes, dead nodes and checks to
     /// finalise_rewrite. Returns false when the site cannot be spliced.
-    virtual bool splice(const Graph& host, const Rewrite_site& site, Graph& out,
+    virtual bool splice(const Host_view& host, const Rewrite_site& site, Graph_overlay& out,
                         std::vector<Rewired_edge>& rewired) const = 0;
 
     /// Build the candidate for one of the host's sites into `out` (recycled
-    /// storage): splice(), then finalise_rewrite against the host's index
-    /// and memo. The result is complete, validated, shapes inferred.
-    /// Returns false when the rewrite is invalid at this site. Optionally
-    /// reports the result's canonical hash, and the Rewrite_delta that
-    /// patches a Host_index from the host to `out` (and prices `out` from
-    /// the host's cost terms). Pure: const, and safe to call concurrently
-    /// on distinct outputs with one shared `host`.
-    bool build(const Host_view& host, const Rewrite_site& site, Graph& out,
+    /// storage), as an overlay on `host.graph`: splice(), then
+    /// finalise_rewrite against the host's index and memo. The result is
+    /// complete, validated, shapes inferred; Graph_overlay::materialise
+    /// turns it into a Graph. Returns false when the rewrite is invalid at
+    /// this site. Optionally reports the result's canonical hash, and the
+    /// Rewrite_delta that patches a Host_index from the host to the result
+    /// (and prices it from the host's cost terms). Pure: const, and safe to
+    /// call concurrently on distinct outputs with one shared `host`.
+    bool build(const Host_view& host, const Rewrite_site& site, Graph_overlay& out,
                std::uint64_t* canonical_hash_out = nullptr,
                Rewrite_delta* delta_out = nullptr) const;
 
     /// The reference loop over the two: build `graph`'s sites in order,
-    /// committing each success into `out`, until `limit` candidates were
+    /// materialising each success into `out`, until `limit` candidates were
     /// produced. `out` is NOT reset first — the caller owns the batch
     /// lifecycle. Deterministic and prefix-stable under `limit` (the first
     /// k outputs at `limit = k` equal the first k at any larger limit).
@@ -137,7 +139,7 @@ public:
 
     void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
                     std::vector<Rewrite_site>& out) const override;
-    bool splice(const Graph& host, const Rewrite_site& site, Graph& out,
+    bool splice(const Host_view& host, const Rewrite_site& site, Graph_overlay& out,
                 std::vector<Rewired_edge>& rewired) const override;
 
     const Pattern& pattern() const { return pattern_; }

@@ -176,7 +176,7 @@ TEST(Candidate_engine, StepCandidateHashIsCanonicalHash)
     const Candidate_engine::Step_generated& generated = engine.generate_step(bert);
     ASSERT_FALSE(generated.candidates.empty());
     for (const Candidate_engine::Step_candidate& c : generated.candidates)
-        EXPECT_EQ(c.hash, c.graph->canonical_hash()) << "rule " << c.rule_index;
+        EXPECT_EQ(c.hash, Graph(*c.graph).canonical_hash()) << "rule " << c.rule_index;
 }
 
 TEST(Candidate_engine, TruncatesAtTheCapWithoutMaterialising)
@@ -222,17 +222,16 @@ TEST(Candidate_engine, EnvironmentCandidatesMatchLegacyPath)
     EXPECT_TRUE(capped);
 }
 
-TEST(Candidate_engine, MovedOutCandidatesLeaveNextStepIntact)
+TEST(Candidate_engine, MaterialisedCandidatesOutliveTheStep)
 {
-    // The move-out contract: an owner may take every candidate graph out of
-    // the engine's storage (pattern slots and bespoke batches alike); the
-    // next step, on a different host, is still exactly a fresh engine's,
-    // and the moved graphs stay intact.
+    // An owner keeps a candidate by materialising it (pattern and bespoke
+    // candidates alike); the next step, on a different host, is still
+    // exactly a fresh engine's, and the kept graphs stay intact.
     const Rule_set rules = standard_rule_corpus();
     const std::vector<Graph> hosts = {make_bert(Scale::smoke, 32), make_bert(Scale::smoke, 16),
                                       make_inception_v3(Scale::smoke)};
     Candidate_engine engine(rules, Candidate_engine_config{4, 1});
-    std::vector<std::pair<Graph, std::uint64_t>> moved;
+    std::vector<std::pair<Graph, std::uint64_t>> kept;
     for (std::size_t step = 0; step < hosts.size(); ++step) {
         const Candidate_engine::Step_generated& generated = engine.generate_step(hosts[step]);
         if (step > 0) {
@@ -243,12 +242,12 @@ TEST(Candidate_engine, MovedOutCandidatesLeaveNextStepIntact)
         for (const Candidate_engine::Step_candidate& c : generated.candidates) {
             const auto& rule = rules[static_cast<std::size_t>(c.rule_index)];
             (dynamic_cast<const Pattern_rule*>(rule.get()) != nullptr ? pattern : bespoke) = true;
-            moved.emplace_back(std::move(*c.graph), c.hash);
+            kept.emplace_back(Graph(*c.graph), c.hash);
         }
         EXPECT_TRUE(pattern) << "step " << step;
         EXPECT_TRUE(bespoke) << "step " << step;
     }
-    for (const auto& [graph, hash] : moved) EXPECT_EQ(graph.canonical_hash(), hash);
+    for (const auto& [graph, hash] : kept) EXPECT_EQ(graph.canonical_hash(), hash);
 }
 
 /// One scripted incremental rollout: deterministic action picks, recording
@@ -298,10 +297,9 @@ public:
         out.emplace_back();
     }
 
-    bool splice(const Graph& host, const Rewrite_site& /*site*/, Graph& out,
+    bool splice(const Host_view& /*host*/, const Rewrite_site& /*site*/, Graph_overlay& /*out*/,
                 std::vector<Rewired_edge>& rewired) const override
     {
-        out = host;
         rewired.clear();
         return true;
     }
@@ -579,16 +577,40 @@ std::string graph_bytes(const Graph& g)
     return out.take();
 }
 
-/// One build's epilogue both ways: the candidate `splice` wrote (with its
-/// `rewired` edges) finalised against `host`'s index and memo, and a copy
-/// of it finalised by the whole-graph passes. Both must accept or reject
-/// it alike; when they accept, the graph bytes, the canonical hash and
-/// every Rewrite_delta field must agree. Returns whether it built, leaving
-/// the memo-finalised candidate in `built` and its delta in `delta`.
-bool expect_same_finalise(const Host_view& host, const std::vector<Rewired_edge>& rewired,
-                          Graph& built, const std::string& what, Rewrite_delta& delta)
+/// The host copy plus a splice's edits, made through Graph's own API
+/// (add_node, node_mut, set_outputs) — not Graph_overlay::materialise — for
+/// the reference the overlay is checked against.
+Graph host_copy_with_splice(const Graph_overlay& spliced)
 {
-    Graph full = built;
+    const Graph& host = spliced.host();
+    Graph g = host;
+    for (Node_id id = 0; static_cast<std::size_t>(id) < host.capacity(); ++id)
+        if (host.is_alive(id)) g.node_mut(id).inputs = spliced.node(id).inputs;
+    // Inputs last: a redirect may point an appended node at a later one.
+    for (Node_id id = spliced.first_appended(); static_cast<std::size_t>(id) < spliced.capacity();
+         ++id) {
+        const Node& n = spliced.node(id);
+        EXPECT_EQ(g.add_node(n.kind, {}, n.params, n.name), id);
+        g.node_mut(id).payload = n.payload;
+    }
+    for (Node_id id = spliced.first_appended(); static_cast<std::size_t>(id) < spliced.capacity();
+         ++id)
+        g.node_mut(id).inputs = spliced.node(id).inputs;
+    g.set_outputs(spliced.outputs());
+    return g;
+}
+
+/// One build's epilogue both ways: the candidate `splice` wrote into the
+/// overlay `built` (with its `rewired` edges) finalised against `host`'s
+/// index and memo, and a host copy with the same edits finalised by the
+/// whole-graph passes. Both must accept or reject it alike; when they
+/// accept, the materialised overlay's bytes, the canonical hash and every
+/// Rewrite_delta field must agree. Returns whether it built, leaving the
+/// memo-finalised candidate in `built` and its delta in `delta`.
+bool expect_same_finalise(const Host_view& host, const std::vector<Rewired_edge>& rewired,
+                          Graph_overlay& built, const std::string& what, Rewrite_delta& delta)
+{
+    Graph full = host_copy_with_splice(built);
     std::uint64_t hash = 0;
     std::uint64_t full_hash = 0;
     Rewrite_delta full_delta;
@@ -596,9 +618,10 @@ bool expect_same_finalise(const Host_view& host, const std::vector<Rewired_edge>
     const bool full_ok = finalise_rewrite_full(full, host.graph, rewired, &full_hash, &full_delta);
     EXPECT_EQ(ok, full_ok) << what;
     if (!ok || !full_ok) return false;
-    EXPECT_EQ(graph_bytes(built), graph_bytes(full)) << what;
+    const Graph materialised = built;
+    EXPECT_EQ(graph_bytes(materialised), graph_bytes(full)) << what;
     EXPECT_EQ(hash, full_hash) << what;
-    EXPECT_EQ(hash, built.canonical_hash()) << what;
+    EXPECT_EQ(hash, materialised.canonical_hash()) << what;
     EXPECT_EQ(delta.removed, full_delta.removed) << what;
     EXPECT_EQ(delta.added, full_delta.added) << what;
     EXPECT_EQ(delta.stale_use_producers, full_delta.stale_use_producers) << what;
@@ -617,7 +640,7 @@ void walk_finalise_parity(const Graph& initial, const Rule_set& rules, std::vect
     std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
     std::vector<Rewrite_site> sites;
     std::vector<Rewired_edge> rewired;
-    Graph candidate;
+    Graph_overlay candidate;
     Rewrite_delta delta;
     for (int step = 0; step < 10; ++step) {
         const Host_index index(host);
@@ -630,7 +653,8 @@ void walk_finalise_parity(const Graph& initial, const Rule_set& rules, std::vect
             sites.clear();
             rules[r]->find_sites(host, index, SIZE_MAX, sites);
             for (std::size_t i = 0; i < sites.size(); ++i) {
-                if (!rules[r]->splice(host, sites[i], candidate, rewired)) continue;
+                candidate.reset(host);
+                if (!rules[r]->splice(view, sites[i], candidate, rewired)) continue;
                 const std::string what = rules[r]->name() + " step " + std::to_string(step) +
                                          " site " + std::to_string(i);
                 if (!expect_same_finalise(view, rewired, candidate, what, delta)) continue;
@@ -676,11 +700,10 @@ public:
         out.emplace_back();
     }
 
-    bool splice(const Graph& host, const Rewrite_site& /*site*/, Graph& out,
+    bool splice(const Host_view& host, const Rewrite_site& /*site*/, Graph_overlay& out,
                 std::vector<Rewired_edge>& rewired) const override
     {
-        out = host;
-        out.replace_all_uses(from_, to_);
+        out.replace_all_uses(from_, to_, host.index.users());
         rewired = {{from_, to_}};
         return true;
     }
@@ -697,9 +720,10 @@ bool redirect_both_ways(const Graph& host, const Redirect_rule& rule, Rewrite_de
     const Host_index index(host);
     const Host_memo memo(host);
     const Host_view view{host, index, memo};
-    Graph candidate;
+    Graph_overlay candidate;
+    candidate.reset(host);
     std::vector<Rewired_edge> rewired;
-    EXPECT_TRUE(rule.splice(host, Rewrite_site{}, candidate, rewired));
+    EXPECT_TRUE(rule.splice(view, Rewrite_site{}, candidate, rewired));
     return expect_same_finalise(view, rewired, candidate, "redirect", delta);
 }
 
@@ -736,9 +760,10 @@ TEST(Candidate_engine, MemoFinaliseDropsHostClutterLikeFullDce)
         sites.clear();
         rule->find_sites(host, index, SIZE_MAX, sites);
         for (const Rewrite_site& site : sites) {
-            Graph candidate;
+            Graph_overlay candidate;
+            candidate.reset(host);
             Rewrite_delta delta;
-            if (!rule->splice(host, site, candidate, rewired)) continue;
+            if (!rule->splice(view, site, candidate, rewired)) continue;
             if (!expect_same_finalise(view, rewired, candidate, rule->name(), delta)) continue;
             ++built;
             for (const Node_id id : memo.unreachable_ids()) {
@@ -777,6 +802,123 @@ TEST(Candidate_engine, MemoFinaliseRejectsACycleThroughTheSplice)
     EXPECT_FALSE(delta.valid);
     EXPECT_TRUE(redirect_both_ways(host, Redirect_rule(y, side), delta));
     EXPECT_TRUE(delta.valid);
+}
+
+/// Every site of every rule on `host`, built as an overlay
+/// (Rewrite_rule::build) and, for reference, spliced into a host copy and
+/// finalised by the whole-graph passes: acceptance, hash, every delta field
+/// and the materialised bytes must agree, and each cost model must price
+/// the overlay from its delta exactly as it walks the materialised graph.
+/// Returns one accepted candidate, materialised (the host when none was).
+Graph expect_overlays_match_full_builds(const Graph& host, const Rule_set& rules,
+                                        const std::string& label, std::vector<int>& built)
+{
+    const Cost_model cost(gtx1080_profile());
+    const Pet_cost pet(cost.device());
+    Delta_pricer pricers[] = {Delta_pricer(cost), Delta_pricer(pet)};
+    for (Delta_pricer& pricer : pricers) pricer.reset(host);
+    const Host_index index(host);
+    const Host_memo memo(host);
+    const Host_view view{host, index, memo};
+    std::vector<Rewrite_site> sites;
+    std::vector<Rewired_edge> rewired;
+    Graph_overlay overlay;
+    Graph_overlay spliced;
+    Graph next = host;
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        sites.clear();
+        rules[r]->find_sites(host, index, SIZE_MAX, sites);
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+            const std::string what =
+                label + " " + rules[r]->name() + " site " + std::to_string(i);
+            std::uint64_t hash = 0;
+            Rewrite_delta delta;
+            const bool ok = rules[r]->build(view, sites[i], overlay, &hash, &delta);
+
+            spliced.reset(host);
+            bool full_ok = rules[r]->splice(view, sites[i], spliced, rewired);
+            Graph full = host_copy_with_splice(spliced);
+            std::uint64_t full_hash = 0;
+            Rewrite_delta full_delta;
+            full_ok = full_ok &&
+                      finalise_rewrite_full(full, host, rewired, &full_hash, &full_delta);
+            EXPECT_EQ(ok, full_ok) << what;
+            if (!ok || !full_ok) continue;
+            ++built[r];
+
+            const Graph materialised = overlay;
+            EXPECT_EQ(graph_bytes(materialised), graph_bytes(full)) << what;
+            EXPECT_EQ(materialised.capacity(), overlay.capacity()) << what;
+            EXPECT_EQ(materialised.size(), overlay.size()) << what;
+            EXPECT_EQ(hash, full_hash) << what;
+            EXPECT_EQ(hash, materialised.canonical_hash()) << what;
+            EXPECT_EQ(delta, full_delta) << what;
+            EXPECT_TRUE(delta.valid) << what;
+            for (std::size_t m = 0; m < 2; ++m) {
+                const Additive_cost& model = m == 0 ? static_cast<const Additive_cost&>(cost) : pet;
+                EXPECT_EQ(pricers[m].cost_ms(overlay, &delta), model.graph_cost_ms(materialised))
+                    << what << " cost model " << m;
+            }
+            if (built[r] % 7 == 1) next = materialised;
+        }
+    }
+    return next;
+}
+
+TEST(Candidate_engine, OverlayMaterialisesToTheFullBuild)
+{
+    // Overlay builds against host copies, on paper-structure InceptionV3,
+    // ResNeXt-50 and BERT and on the hand-built host, three steps each so
+    // later hosts carry tombstones and appended ids.
+    const Rule_set rules = pet_rule_corpus();
+    std::vector<int> built(rules.size(), 0);
+    const std::vector<std::pair<std::string, Graph>> hosts = {
+        {"inception_v3", make_inception_v3(Scale::paper, 32)},
+        {"resnext50", make_resnext50(Scale::paper, 32)},
+        {"bert", make_bert(Scale::paper, 8)},
+        {"bespoke", bespoke_sites_host()}};
+    for (const auto& [name, initial] : hosts) {
+        Graph host = initial;
+        for (int step = 0; step < 3; ++step)
+            host = expect_overlays_match_full_builds(host, rules,
+                                                     name + " step " + std::to_string(step), built);
+    }
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        if (dynamic_cast<const Pattern_rule*>(rules[r].get()) != nullptr) continue;
+        EXPECT_GT(built[r], 0) << rules[r]->name() << " was never built";
+    }
+}
+
+TEST(Candidate_engine, OverlayReinfersShapesASpliceChanged)
+{
+    // Redirecting y (4x4) to a 1x4 input changes the shape of everything
+    // downstream of the splice: the full shape pass runs, the overlay
+    // copies the host nodes whose shapes changed, and the result still
+    // materialises to the whole-graph epilogue's bytes and is priced by the
+    // full walk.
+    Graph_builder b;
+    const Edge x = b.input({4, 4});
+    const Edge row = b.input({1, 4});
+    const Edge y = b.relu(x);
+    const Edge z = b.tanh(y);
+    const Graph host = b.finish({b.add(z, x), b.sigmoid(row)});
+    Rewrite_delta delta;
+    ASSERT_TRUE(redirect_both_ways(host, Redirect_rule(y, row), delta));
+    EXPECT_FALSE(delta.shapes_local);
+
+    const Host_index index(host);
+    const Host_memo memo(host);
+    Graph_overlay overlay;
+    ASSERT_TRUE(Redirect_rule(y, row).build({host, index, memo}, Rewrite_site{}, overlay, nullptr,
+                                            &delta));
+    EXPECT_EQ(overlay.shape_of(z), (Shape{1, 4}));
+    EXPECT_EQ(host.shape_of(z), (Shape{4, 4}));
+    const Cost_model cost(gtx1080_profile());
+    Delta_pricer pricer(cost);
+    pricer.reset(host);
+    bool from_delta = true;
+    EXPECT_EQ(pricer.cost_ms(overlay, &delta, &from_delta), cost.graph_cost_ms(Graph(overlay)));
+    EXPECT_FALSE(from_delta);
 }
 
 } // namespace

@@ -120,20 +120,6 @@ TEST(Graph, UsersTracksAllUses)
     EXPECT_TRUE(users[static_cast<std::size_t>(z.node)].empty());
 }
 
-TEST(Graph, ReplaceAllUsesRedirects)
-{
-    Graph_builder b;
-    const Edge x = b.input({2, 2});
-    const Edge r = b.relu(x);
-    const Edge i = b.identity(x);
-    Graph g = b.finish({r, i});
-    // Redirect uses of x to the identity output (for r only; identity keeps
-    // its own input to avoid a self-loop, so do it by hand).
-    g.node_mut(r.node).inputs[0] = i;
-    g.replace_all_uses(r, i);
-    EXPECT_EQ(g.outputs()[0], i);
-}
-
 TEST(Graph, EraseRequiresNoUsers)
 {
     Graph_builder b;

@@ -366,12 +366,14 @@ TEST(MergeMatmul, SkipsWhenMergeWouldCreateCycle)
     std::vector<Rewrite_site> sites;
     rule->find_sites(host, index, SIZE_MAX, sites);
     ASSERT_EQ(sites.size(), 1u);
-    Graph spliced;
+    const Host_view view{host, index, memo};
+    Graph_overlay spliced;
+    spliced.reset(host);
     std::vector<Rewired_edge> rewired;
-    ASSERT_TRUE(rule->splice(host, sites.front(), spliced, rewired));
+    ASSERT_TRUE(rule->splice(view, sites.front(), spliced, rewired));
     Graph copy = spliced;
     Rewrite_delta delta;
-    EXPECT_FALSE(finalise_rewrite(spliced, {host, index, memo}, rewired, nullptr, &delta));
+    EXPECT_FALSE(finalise_rewrite(spliced, view, rewired, nullptr, &delta));
     EXPECT_FALSE(delta.valid);
     EXPECT_FALSE(finalise_rewrite_full(copy, host, rewired));
 }
