@@ -1,8 +1,8 @@
 // Candidate-generation engine benchmark: one uncapped candidate pass
 // (Candidate_engine::generate_step from a rebuilt index) per model,
 // environment steps-per-second on a fixed trajectory (its candidates are
-// built as overlays, then materialised), and the host copy behind every
-// materialised candidate.
+// built as overlays, and only the chosen one is materialised), and the
+// host copy behind every materialised candidate.
 //
 // Emits BENCH_candidates.json (path overridable via argv[1]) recording the
 // numbers behind the README's "Candidate generation" section, with a

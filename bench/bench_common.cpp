@@ -73,7 +73,7 @@ std::string policy_cache_path(const std::string& model_name, const Bench_setup& 
         if (c == ' ' || c == '/') c = '_';
     const char* scale_name = setup.scale == Scale::paper ? "paper" : "smoke";
     return "xrlflow_policies/" + clean + "_" + scale_name + "_" +
-           std::to_string(setup.episodes) + ".bin";
+           std::to_string(setup.episodes) + "_seed" + std::to_string(setup.seed) + ".bin";
 }
 
 std::unique_ptr<Xrlflow> trained_system(const Rule_set& rules, const Model_spec& spec,

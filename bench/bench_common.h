@@ -49,7 +49,7 @@ Service_config default_service_config(const Bench_setup& setup);
 std::unique_ptr<Xrlflow> trained_system(const Rule_set& rules, const Model_spec& spec,
                                         const Bench_setup& setup);
 
-/// ./xrlflow_policies/<model>_<scale>_<episodes>.bin
+/// ./xrlflow_policies/<model>_<scale>_<episodes>_seed<seed>.bin
 std::string policy_cache_path(const std::string& model_name, const Bench_setup& setup);
 
 /// Print an 80-column horizontal rule and a centred title.

@@ -14,13 +14,6 @@ namespace xrl {
 
 namespace {
 
-void collect_candidates(std::vector<const Graph*>& candidate_ptrs, const Environment& env)
-{
-    candidate_ptrs.clear();
-    candidate_ptrs.reserve(env.candidates().size());
-    for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
-}
-
 Histogram& train_phase_histogram(const char* phase)
 {
     return Metrics_registry::global().histogram(
@@ -46,13 +39,12 @@ Episode_stats Trainer::run_episode(bool greedy, bool record)
     stats.best_latency_ms = env_->initial_latency_ms();
 
     Meta_encoder encoder;
-    std::vector<const Graph*> candidate_ptrs;
     const int hops = agent_->config().gnn.num_gat_layers;
     while (!env_->done()) {
-        collect_candidates(candidate_ptrs, *env_);
         const Graph& current = env_->current_graph();
+        const std::vector<Graph_reader>& candidates = env_->candidate_overlays();
         const std::vector<std::uint8_t> mask = env_->action_mask();
-        const Encoded_graph& compact = encoder.encode_compact(current, candidate_ptrs, hops);
+        const Encoded_graph& compact = encoder.encode_compact(current, candidates, hops);
         Agent::Decision decision;
         {
             const Storage_recycler::Scope recycling(rollout_storage_);
@@ -61,7 +53,7 @@ Episode_stats Trainer::run_episode(bool greedy, bool record)
         // The PPO tape trains on the full meta-graph; copy it out before
         // step() invalidates the candidates (the encoder's buffer is reused).
         Encoded_graph state;
-        if (record) state = encoder.encode(current, candidate_ptrs);
+        if (record) state = encoder.encode(current, candidates);
         const Env_step outcome = env_->step(decision.action);
 
         stats.episode_return += outcome.reward;

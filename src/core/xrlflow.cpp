@@ -54,7 +54,6 @@ Optimisation_outcome Xrlflow::optimise(const Graph& model, const Inference_optio
     // The policy's forward tapes reuse one another's storage across steps
     // and rollouts instead of returning it to the allocator every step.
     Storage_recycler act_storage;
-    std::vector<const Graph*> candidate_ptrs;
     for (int rollout = 0; rollout < rollouts && !outcome.stopped_early; ++rollout) {
         Environment env(model, *rules_, simulator, config_.env);
         const bool greedy = rollout == 0;
@@ -65,10 +64,9 @@ Optimisation_outcome Xrlflow::optimise(const Graph& model, const Inference_optio
                 outcome.stopped_early = true;
                 break;
             }
-            candidate_ptrs.clear();
-            for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
-            const Encoded_graph& state = encoder.encode_compact(
-                env.current_graph(), candidate_ptrs, config_.agent.gnn.num_gat_layers);
+            const Encoded_graph& state =
+                encoder.encode_compact(env.current_graph(), env.candidate_overlays(),
+                                       config_.agent.gnn.num_gat_layers);
             Agent::Decision decision;
             {
                 const Storage_recycler::Scope recycling(act_storage);

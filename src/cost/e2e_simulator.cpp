@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "support/check.h"
 
@@ -10,19 +9,17 @@ namespace xrl {
 
 namespace {
 
-std::unordered_set<Node_id> reachable_from_outputs(const Graph& g)
+/// analyse's per-thread buffers: only their capacity outlives a call.
+struct Analyse_scratch {
+    std::vector<std::uint8_t> reachable;
+    std::vector<std::uint8_t> foldable;
+    std::vector<std::uint8_t> fused;
+};
+
+Analyse_scratch& analyse_scratch()
 {
-    std::unordered_set<Node_id> reachable;
-    std::vector<Node_id> stack;
-    for (const Edge& e : g.outputs())
-        if (reachable.insert(e.node).second) stack.push_back(e.node);
-    while (!stack.empty()) {
-        const Node_id id = stack.back();
-        stack.pop_back();
-        for (const Edge& e : g.node(id).inputs)
-            if (reachable.insert(e.node).second) stack.push_back(e.node);
-    }
-    return reachable;
+    thread_local Analyse_scratch scratch;
+    return scratch;
 }
 
 } // namespace
@@ -30,16 +27,21 @@ std::unordered_set<Node_id> reachable_from_outputs(const Graph& g)
 E2e_breakdown E2e_simulator::analyse(const Graph& g) const
 {
     const Device_profile& device = cost_model_.device();
-    const auto reachable = reachable_from_outputs(g);
-    const auto order = g.topo_order();
-    const auto users = g.build_users();
+    Analyse_scratch& scratch = analyse_scratch();
+    std::vector<std::uint8_t>& reachable = scratch.reachable;
+    g.reachable_mask(reachable);
+    const auto is_reachable = [&](Node_id id) {
+        return reachable[static_cast<std::size_t>(id)] != 0;
+    };
+    const Topo_walk& walk = topo_walk(g);
+    const std::vector<Node_id>& order = walk.order;
 
     // Number of *reachable* consumers per node (fusion needs single-consumer
     // producers).
     auto reachable_consumers = [&](Node_id id) {
         int count = 0;
-        for (const Edge_use& use : users[static_cast<std::size_t>(id)])
-            if (reachable.contains(use.user)) ++count;
+        for (const Edge_use& use : walk.users(id))
+            if (is_reachable(use.user)) ++count;
         for (const Edge& e : g.outputs())
             if (e.node == id) ++count;
         return count;
@@ -48,7 +50,8 @@ E2e_breakdown E2e_simulator::analyse(const Graph& g) const
     // Pass 1: constant folding. A node is foldable when it has inputs and
     // every operand comes from a weight/constant or another foldable node —
     // it can be evaluated once offline and cached.
-    std::vector<std::uint8_t> foldable(g.capacity(), 0);
+    std::vector<std::uint8_t>& foldable = scratch.foldable;
+    foldable.assign(g.capacity(), 0);
     for (const Node_id id : order) {
         const Node& n = g.node(id);
         if (n.kind == Op_kind::input) continue;
@@ -68,11 +71,12 @@ E2e_breakdown E2e_simulator::analyse(const Graph& g) const
     // this op. Binary elementwise ops fuse when their *other* operand is
     // static (e.g. folded bias tensors).
     auto is_runtime_kernel = [&](Node_id id) {
-        return reachable.contains(id) && !is_free_op(g.node(id).kind) &&
+        return is_reachable(id) && !is_free_op(g.node(id).kind) &&
                foldable[static_cast<std::size_t>(id)] == 0;
     };
 
-    std::vector<std::uint8_t> fused(g.capacity(), 0);
+    std::vector<std::uint8_t>& fused = scratch.fused;
+    fused.assign(g.capacity(), 0);
     for (const Node_id id : order) {
         if (!is_runtime_kernel(id)) continue;
         const Node& n = g.node(id);
@@ -97,7 +101,7 @@ E2e_breakdown E2e_simulator::analyse(const Graph& g) const
     // Pass 3: accumulate the schedule.
     E2e_breakdown b;
     for (const Node_id id : order) {
-        if (!reachable.contains(id)) continue;
+        if (!is_reachable(id)) continue;
         const Node& n = g.node(id);
         if (is_free_op(n.kind)) continue;
         if (foldable[static_cast<std::size_t>(id)] != 0) {

@@ -31,31 +31,42 @@ void Environment::reset()
     initial_latency_ms_ = simulator_->measure_ms(current_);
     last_latency_ms_ = initial_latency_ms_;
     regenerate_candidates(nullptr);
-    if (candidates_.empty()) done_ = true;
+    if (overlays_.empty()) done_ = true;
 }
 
 void Environment::regenerate_candidates(const Candidate_engine::Step_candidate* via)
 {
     // Candidates beyond the action-space cap are counted but never built
-    // (the GNN only observes the capped set). The capped set's overlays are
-    // materialised into graphs_, kept until the next call.
+    // (the GNN only observes the capped set). The capped set stays in the
+    // engine's slots as overlays on current_, until the next call.
     const Candidate_engine::Step_generated& generated =
         engine_.generate_step(current_, static_cast<std::size_t>(config_.max_candidates), via);
     last_step_ = &generated;
     truncated_ += generated.truncated;
-    engine_.materialise(graphs_);
-    candidates_.clear();
-    candidates_.reserve(generated.candidates.size());
-    for (std::size_t i = 0; i < generated.candidates.size(); ++i)
-        candidates_.push_back({&graphs_[i], generated.candidates[i].rule_index});
-    candidate_observations_ += static_cast<std::int64_t>(candidates_.size());
+    overlays_.clear();
+    for (const Candidate_engine::Step_candidate& c : generated.candidates)
+        overlays_.emplace_back(*c.graph);
+    materialised_ = false;
+    candidate_observations_ += static_cast<std::int64_t>(overlays_.size());
     ++candidate_steps_;
+}
+
+const std::vector<Candidate>& Environment::candidates() const
+{
+    if (!materialised_) {
+        engine_.materialise(graphs_);
+        candidates_.clear();
+        for (std::size_t i = 0; i < graphs_.size(); ++i)
+            candidates_.push_back({&graphs_[i], last_step_->candidates[i].rule_index});
+        materialised_ = true;
+    }
+    return candidates_;
 }
 
 std::vector<std::uint8_t> Environment::action_mask() const
 {
     std::vector<std::uint8_t> mask(static_cast<std::size_t>(action_space()), 0);
-    for (std::size_t i = 0; i < candidates_.size(); ++i) mask[i] = 1;
+    for (std::size_t i = 0; i < overlays_.size(); ++i) mask[i] = 1;
     mask.back() = 1; // No-Op is always legal
     return mask;
 }
@@ -90,7 +101,7 @@ Env_step Environment::step(int action)
 
     const bool is_noop = action == noop_action();
     const bool is_valid_candidate =
-        action >= 0 && action < static_cast<int>(candidates_.size());
+        action >= 0 && action < static_cast<int>(overlays_.size());
 
     if (!is_noop && !is_valid_candidate) {
         if (config_.invalid_policy == Invalid_action_policy::penalise) {
@@ -108,13 +119,15 @@ Env_step Environment::step(int action)
     if (is_noop) {
         terminal = true;
     } else {
-        const auto chosen = static_cast<std::size_t>(action);
-        // Swap the chosen graph in: the old host's storage is recycled by
-        // the next materialisation.
-        std::swap(current_, graphs_[chosen]);
-        ++rule_counts_[static_cast<std::size_t>(candidates_[chosen].rule_index)];
-        regenerate_candidates(&last_step_->candidates[static_cast<std::size_t>(action)]);
-        if (candidates_.empty()) terminal = true;
+        // Materialise the chosen overlay and swap it in: the old host's
+        // storage is recycled by the next step's materialisation.
+        const Candidate_engine::Step_candidate& chosen =
+            last_step_->candidates[static_cast<std::size_t>(action)];
+        chosen.graph->materialise(spare_);
+        std::swap(current_, spare_);
+        ++rule_counts_[static_cast<std::size_t>(chosen.rule_index)];
+        regenerate_candidates(&chosen);
+        if (overlays_.empty()) terminal = true;
         if (steps_ >= config_.max_steps) terminal = true;
     }
 

@@ -1,7 +1,9 @@
 // The OpenAI-Gym-style environment of §3.3.1.
 //
 // reset() returns to the unoptimised graph; step(action) applies the chosen
-// candidate substitution and regenerates the candidate set. The action
+// candidate substitution and regenerates the candidate set. Candidates stay
+// overlays on the current graph, in the candidate engine's slots, and the
+// rollout encodes them so; step() materialises only the chosen one. The action
 // space is padded to a constant (max_candidates) plus a final No-Op action,
 // with a boolean mask marking the live entries (§3.3.2 invalid action
 // masking). The reward is Eq. 2 — percentage latency improvement, measured
@@ -16,6 +18,7 @@
 
 #include "cost/e2e_simulator.h"
 #include "ir/graph.h"
+#include "ir/graph_overlay.h"
 #include "rules/candidate_engine.h"
 #include "rules/rule.h"
 
@@ -37,8 +40,9 @@ struct Env_config {
     Invalid_action_policy invalid_policy = Invalid_action_policy::forbid;
 };
 
-/// One applicable substitution. `graph` points into the environment's
-/// materialised candidate set and is invalidated by the next step()/reset().
+/// One applicable substitution, materialised. `graph` points into the
+/// environment's copies of its candidates and is invalidated by the next
+/// step()/reset().
 struct Candidate {
     const Graph* graph = nullptr;
     int rule_index = -1;
@@ -77,7 +81,16 @@ public:
     // -- state ----------------------------------------------------------------
 
     const Graph& current_graph() const { return current_; }
-    const std::vector<Candidate>& candidates() const { return candidates_; }
+
+    /// The candidates as graphs. The first call in a step materialises
+    /// every candidate (a host copy each); the rollout loops read
+    /// candidate_overlays() instead.
+    const std::vector<Candidate>& candidates() const;
+
+    /// The candidates as overlays on current_graph(), in candidates()
+    /// order: what the engine built, read without a copy. Invalidated by
+    /// the next step()/reset().
+    const std::vector<Graph_reader>& candidate_overlays() const { return overlays_; }
 
     int action_space() const { return config_.max_candidates + 1; }
     int noop_action() const { return config_.max_candidates; }
@@ -121,12 +134,19 @@ private:
     Env_config config_;
     Candidate_engine engine_;
 
-    std::vector<Candidate> candidates_;
-    /// The candidates' graphs: the engine's overlays materialised, because
-    /// the encoder and current_ read graphs. Recycled storage.
-    std::vector<Graph> graphs_;
-    /// The step candidates backing candidates_ (for the next step's `via`).
+    /// The step's candidates: the engine's overlays on current_, in its
+    /// build slots. Only the chosen one is materialised, into spare_.
+    std::vector<Graph_reader> overlays_;
+    /// The step candidates behind overlays_ (rules, deltas, the next
+    /// step's `via`).
     const Candidate_engine::Step_generated* last_step_ = nullptr;
+    /// Recycled storage for the next current_.
+    Graph spare_;
+    /// candidates()' copies of overlays_, made on its first call in a step.
+    /// Recycled storage.
+    mutable std::vector<Candidate> candidates_;
+    mutable std::vector<Graph> graphs_;
+    mutable bool materialised_ = false;
     std::vector<int> rule_counts_;
     Reward_callback reward_callback_;
 

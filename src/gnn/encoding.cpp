@@ -10,11 +10,18 @@ namespace xrl {
 
 namespace {
 
-/// Append the features of `edge` of `graph`: the carried tensor's shape,
-/// leading-padded to rank 4 and normalised by M.
-void append_edge_features(const Graph& graph, Edge edge, std::vector<float>& edge_rows)
+/// The shape `edge` carries, read from `walk`'s node table.
+const Shape& shape_of(const Topo_walk& walk, Edge edge)
 {
-    const Shape& shape = graph.shape_of(edge);
+    const Shape_list& shapes = walk.node(edge.node).output_shapes;
+    XRL_EXPECTS(edge.port >= 0 && static_cast<std::size_t>(edge.port) < shapes.size());
+    return shapes[static_cast<std::size_t>(edge.port)];
+}
+
+/// Append an edge's features: the carried tensor's shape, leading-padded
+/// to rank 4 and normalised by M.
+void append_edge_features(const Shape& shape, std::vector<float>& edge_rows)
+{
     float padded[edge_feature_dim] = {0.0F, 0.0F, 0.0F, 0.0F};
     const std::size_t offset =
         shape.size() >= edge_feature_dim ? 0 : edge_feature_dim - shape.size();
@@ -25,45 +32,52 @@ void append_edge_features(const Graph& graph, Edge edge, std::vector<float>& edg
 
 /// `row_of` is caller-provided scratch (Node_id -> meta-graph row) so the
 /// hot loop's Meta_encoder can keep it warm across steps.
-void append_graph(Encoded_graph& enc, const Graph& graph, std::int64_t member,
+void append_graph(Encoded_graph& enc, const Graph_reader& graph, std::int64_t member,
                   std::vector<float>& edge_rows, std::vector<std::int64_t>& row_of)
 {
-    row_of.assign(graph.capacity(), -1);
-    for (const Node_id id : graph.topo_order()) {
+    const Topo_walk& walk = topo_walk(graph);
+    row_of.assign(walk.nodes.size(), -1);
+    for (const Node_id id : walk.order) {
         row_of[static_cast<std::size_t>(id)] = enc.num_nodes;
-        enc.node_kinds.push_back(static_cast<std::int32_t>(graph.node(id).kind));
+        enc.node_kinds.push_back(static_cast<std::int32_t>(walk.node(id).kind));
         enc.node_graph.push_back(member);
         ++enc.num_nodes;
     }
-    for (const Node_id id : graph.node_ids()) {
-        const Node& n = graph.node(id);
-        const std::int64_t dst = row_of[static_cast<std::size_t>(id)];
-        for (const Edge& e : n.inputs) {
+    for (std::size_t i = 0; i < walk.nodes.size(); ++i) {
+        if (walk.nodes[i] == nullptr) continue;
+        const std::int64_t dst = row_of[i];
+        for (const Edge& e : walk.nodes[i]->inputs) {
             const std::int64_t src = row_of[static_cast<std::size_t>(e.node)];
             XRL_ASSERT(src >= 0 && dst >= 0);
             enc.edge_src.push_back(src);
             enc.edge_dst.push_back(dst);
-            append_edge_features(graph, e, edge_rows);
+            append_edge_features(shape_of(walk, e), edge_rows);
         }
     }
 }
 
-/// The first GNN layer at which candidate node `id`'s row can differ from
-/// the host row of the same id on the node's own account, before any
-/// producer's difference reaches it: 0 when the node update reads
-/// something else (the node is not alive in the host, or its kind or
-/// input-edge shapes differ); 1 when only its producers are other nodes
-/// (the first GAT layer reads their rows); `never` when it matches.
-int own_change_layer(const Graph& candidate, const Graph& host, Node_id id, int never)
+/// The first GNN layer at which candidate node `mine`'s row can differ
+/// from `theirs`, the host node of the same id (null when that id is not
+/// alive in the host), on the node's own account, before any producer's
+/// difference reaches it: 0 when the node update reads something else (no
+/// host node, or another kind or other input-edge shapes); 1 when only its
+/// producers are other nodes (the first GAT layer reads their rows);
+/// `never` when it matches. `shared[p]` is 1 when the candidate's node p is
+/// the host's own Node object, as a node an overlay reads through to the
+/// host is: an edge from it to the same slot carries the host's shape, with
+/// no comparison.
+int own_change_layer(const Topo_walk& candidate, const Node& mine, const Graph& host,
+                     const Node* theirs, const std::vector<std::uint8_t>& shared, int never)
 {
-    if (static_cast<std::size_t>(id) >= host.capacity() || !host.is_alive(id)) return 0;
-    const Node& mine = candidate.node(id);
-    const Node& theirs = host.node(id);
-    if (mine.kind != theirs.kind || mine.inputs.size() != theirs.inputs.size()) return 0;
+    if (theirs == nullptr) return 0;
+    if (mine.kind != theirs->kind || mine.inputs.size() != theirs->inputs.size()) return 0;
     bool rewired = false;
     for (std::size_t i = 0; i < mine.inputs.size(); ++i) {
-        if (candidate.shape_of(mine.inputs[i]) != host.shape_of(theirs.inputs[i])) return 0;
-        rewired = rewired || mine.inputs[i] != theirs.inputs[i];
+        const Edge e = mine.inputs[i];
+        const Edge h = theirs->inputs[i];
+        const bool shared_edge = e == h && shared[static_cast<std::size_t>(e.node)] != 0;
+        if (!shared_edge && shape_of(candidate, e) != host.shape_of(h)) return 0;
+        rewired = rewired || e != h;
     }
     return rewired ? 1 : never;
 }
@@ -132,8 +146,31 @@ Encoded_graph encode_meta_graph(const Graph& current, const std::vector<const Gr
     return encoder.encode(current, candidates);
 }
 
+std::span<const Graph_reader> Meta_encoder::readers(const std::vector<const Graph*>& graphs)
+{
+    readers_.clear();
+    for (const Graph* g : graphs) {
+        XRL_EXPECTS(g != nullptr);
+        readers_.emplace_back(*g);
+    }
+    return readers_;
+}
+
 const Encoded_graph& Meta_encoder::encode(const Graph& current,
                                           const std::vector<const Graph*>& candidates)
+{
+    return encode(current, readers(candidates));
+}
+
+const Encoded_graph& Meta_encoder::encode_compact(const Graph& current,
+                                                  const std::vector<const Graph*>& candidates,
+                                                  int hops)
+{
+    return encode_compact(current, readers(candidates), hops);
+}
+
+const Encoded_graph& Meta_encoder::encode(const Graph& current,
+                                          std::span<const Graph_reader> candidates)
 {
     static Histogram& phase_histogram = encode_histogram();
     const Scoped_timer_us timer(phase_histogram);
@@ -141,17 +178,15 @@ const Encoded_graph& Meta_encoder::encode(const Graph& current,
     clear_encoding(full_);
     edge_rows_.clear();
     append_graph(full_, current, 0, edge_rows_, row_of_);
-    for (std::size_t k = 0; k < candidates.size(); ++k) {
-        XRL_EXPECTS(candidates[k] != nullptr);
-        append_graph(full_, *candidates[k], static_cast<std::int64_t>(k + 1), edge_rows_, row_of_);
-    }
+    for (std::size_t k = 0; k < candidates.size(); ++k)
+        append_graph(full_, candidates[k], static_cast<std::int64_t>(k + 1), edge_rows_, row_of_);
     full_.num_graphs = static_cast<std::int64_t>(candidates.size()) + 1;
     finalise(full_, edge_rows_);
     return full_;
 }
 
 const Encoded_graph& Meta_encoder::encode_compact(const Graph& current,
-                                                  const std::vector<const Graph*>& candidates,
+                                                  std::span<const Graph_reader> candidates,
                                                   int hops)
 {
     XRL_EXPECTS(hops >= 0);
@@ -170,26 +205,30 @@ const Encoded_graph& Meta_encoder::encode_compact(const Graph& current,
     // unless the distance is at most `hops`.
     const int clean = hops + 1;
     for (std::size_t k = 0; k < candidates.size(); ++k) {
-        XRL_EXPECTS(candidates[k] != nullptr);
-        const Graph& candidate = *candidates[k];
+        const Topo_walk& candidate = topo_walk(candidates[k]);
         const auto member = static_cast<std::int64_t>(k + 1);
-        row_of_.assign(candidate.capacity(), -1);
-        distance_.assign(candidate.capacity(), clean);
+        const std::size_t capacity = candidate.nodes.size();
+        row_of_.assign(capacity, -1);
+        distance_.assign(capacity, clean);
+        shared_.assign(capacity, 0);
         // Topological order settles every producer's distance and row
         // before its consumers read them.
-        for (const Node_id id : candidate.topo_order()) {
+        for (const Node_id id : candidate.order) {
             const Node& n = candidate.node(id);
-            int distance = own_change_layer(candidate, current, id, clean);
+            const auto i = static_cast<std::size_t>(id);
+            const Node* theirs = current.is_alive(id) ? &current.node(id) : nullptr;
+            shared_[i] = &n == theirs ? 1 : 0;
+            int distance = own_change_layer(candidate, n, current, theirs, shared_, clean);
             for (const Edge& e : n.inputs)
                 distance = std::min(distance, distance_[static_cast<std::size_t>(e.node)] + 1);
-            distance_[static_cast<std::size_t>(id)] = distance;
+            distance_[i] = distance;
             enc.node_graph.push_back(member);
             if (distance == clean) { // the host's row is this node's row
-                enc.readout_rows.push_back(host_row_of_[static_cast<std::size_t>(id)]);
+                enc.readout_rows.push_back(host_row_of_[i]);
                 continue;
             }
             const std::int64_t row = enc.num_nodes++;
-            row_of_[static_cast<std::size_t>(id)] = row;
+            row_of_[i] = row;
             enc.node_kinds.push_back(static_cast<std::int32_t>(n.kind));
             enc.readout_rows.push_back(row);
             for (const Edge& e : n.inputs) {
@@ -199,7 +238,7 @@ const Encoded_graph& Meta_encoder::encode_compact(const Graph& current,
                 XRL_ASSERT(src >= 0);
                 enc.edge_src.push_back(src);
                 enc.edge_dst.push_back(row);
-                append_edge_features(candidate, e, edge_rows_);
+                append_edge_features(shape_of(candidate, e), edge_rows_);
             }
         }
     }

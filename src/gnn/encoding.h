@@ -31,14 +31,19 @@
 // then the self loop), independently of the others. And the readout sums
 // each member's rows in that member's own topological order in both forms.
 // The distances come from one pass over each candidate in topological
-// order, with no use lists and no Rewrite_delta, so a candidate is
-// covered whatever its rule reports.
+// order (topo_walk), with no Rewrite_delta, so a candidate is covered
+// whatever its rule reports. A candidate is read as a Graph or as host plus
+// overlay (Graph_reader), the environment's form, which is never copied:
+// a node the overlay reads through to the host is the host's own Node, and
+// an edge between two such nodes carries the host's shape, uncompared.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/graph.h"
+#include "ir/graph_overlay.h"
 #include "tensor/tensor.h"
 
 namespace xrl {
@@ -83,9 +88,11 @@ Encoded_graph encode_meta_graph(const Graph& current, const std::vector<const Gr
 /// reallocating the whole encoding. Single-owner, like the candidate engine.
 class Meta_encoder {
 public:
-    /// Encode one state in full. The returned reference is invalidated by
-    /// the next encode() call; copy it (e.g. into a PPO transition) to keep
-    /// it.
+    /// Encode one state in full: `current` and its candidates, each read as
+    /// a Graph or as host plus overlay (the environment's candidates, whose
+    /// host is `current`). The returned reference is invalidated by the
+    /// next encode() call; copy it (e.g. into a PPO transition) to keep it.
+    const Encoded_graph& encode(const Graph& current, std::span<const Graph_reader> candidates);
     const Encoded_graph& encode(const Graph& current,
                                 const std::vector<const Graph*>& candidates);
 
@@ -93,15 +100,22 @@ public:
     /// (Gnn_config::num_gat_layers). The returned reference is invalidated
     /// by the next encode_compact() call.
     const Encoded_graph& encode_compact(const Graph& current,
+                                        std::span<const Graph_reader> candidates, int hops);
+    const Encoded_graph& encode_compact(const Graph& current,
                                         const std::vector<const Graph*>& candidates, int hops);
 
 private:
+    /// `graphs` as readers, in readers_.
+    std::span<const Graph_reader> readers(const std::vector<const Graph*>& graphs);
+
     Encoded_graph full_;
     Encoded_graph compact_;
     std::vector<float> edge_rows_;
+    std::vector<Graph_reader> readers_;
     std::vector<std::int64_t> row_of_;      ///< Node_id -> row scratch of the member in hand.
     std::vector<std::int64_t> host_row_of_; ///< Node_id -> the host's row (compact form).
     std::vector<int> distance_;             ///< Node_id -> first layer its row can differ.
+    std::vector<std::uint8_t> shared_;      ///< Node_id -> the host's own Node object.
 };
 
 } // namespace xrl

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "ir/graph_overlay.h"
 #include "ir/shape_inference.h"
 #include "support/check.h"
 
@@ -126,15 +127,7 @@ const Shape& Graph::shape_of(Edge edge) const
 
 std::vector<std::vector<Edge_use>> Graph::build_users() const
 {
-    std::vector<std::vector<Edge_use>> users;
-    build_users(users);
-    return users;
-}
-
-void Graph::build_users(std::vector<std::vector<Edge_use>>& users) const
-{
-    users.resize(nodes_.size());
-    for (auto& list : users) list.clear();
+    std::vector<std::vector<Edge_use>> users(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (alive_[i] == 0) continue;
         const Node& n = nodes_[i];
@@ -142,29 +135,12 @@ void Graph::build_users(std::vector<std::vector<Edge_use>>& users) const
             users[static_cast<std::size_t>(n.inputs[slot].node)].push_back(
                 {static_cast<Node_id>(i), static_cast<std::int32_t>(slot)});
     }
+    return users;
 }
 
 std::vector<Node_id> Graph::topo_order() const
 {
-    // Kahn's algorithm over alive nodes.
-    std::vector<std::int32_t> pending(nodes_.size(), 0);
-    std::vector<Node_id> ready;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (alive_[i] == 0) continue;
-        pending[i] = static_cast<std::int32_t>(nodes_[i].inputs.size());
-        if (pending[i] == 0) ready.push_back(static_cast<Node_id>(i));
-    }
-    const auto users = build_users();
-    std::vector<Node_id> order;
-    order.reserve(alive_count_);
-    for (std::size_t head = 0; head < ready.size(); ++head) {
-        const Node_id id = ready[head];
-        order.push_back(id);
-        for (const Edge_use& use : users[static_cast<std::size_t>(id)])
-            if (--pending[static_cast<std::size_t>(use.user)] == 0) ready.push_back(use.user);
-    }
-    XRL_ENSURES(order.size() == alive_count_); // otherwise: cycle
-    return order;
+    return topo_walk(*this).order;
 }
 
 namespace {
@@ -178,7 +154,7 @@ struct Traversal_scratch {
     std::vector<std::pair<Node_id, std::uint32_t>> stack; // DFS frames (node, next slot)
     std::vector<std::uint64_t> node_hash;                 // canonical_hash memo
     std::vector<std::uint8_t> reachable;                  // DCE mask
-    std::vector<Node_id> id_stack;                        // DCE worklist
+    std::vector<Node_id> id_stack;                        // reachable_mask worklist
 };
 
 Traversal_scratch& traversal_scratch()
@@ -307,36 +283,15 @@ void Graph::erase_node(Node_id id)
 
 std::vector<std::uint8_t> Graph::reachable_mask() const
 {
-    std::vector<std::uint8_t> reachable(nodes_.size(), 0);
-    std::vector<Node_id> stack;
-    for (const Edge& e : outputs_) {
-        if (reachable[static_cast<std::size_t>(e.node)] == 0) {
-            reachable[static_cast<std::size_t>(e.node)] = 1;
-            stack.push_back(e.node);
-        }
-    }
-    while (!stack.empty()) {
-        const Node_id id = stack.back();
-        stack.pop_back();
-        for (const Edge& e : nodes_[static_cast<std::size_t>(id)].inputs) {
-            if (reachable[static_cast<std::size_t>(e.node)] == 0) {
-                reachable[static_cast<std::size_t>(e.node)] = 1;
-                stack.push_back(e.node);
-            }
-        }
-    }
+    std::vector<std::uint8_t> reachable;
+    reachable_mask(reachable);
     return reachable;
 }
 
-int Graph::eliminate_dead_nodes()
+void Graph::reachable_mask(std::vector<std::uint8_t>& reachable) const
 {
-    // Same traversal as reachable_mask(), but into per-thread scratch: DCE
-    // runs once per materialised candidate, so the mask and worklist must
-    // not be fresh allocations.
-    Traversal_scratch& scratch = traversal_scratch();
-    std::vector<std::uint8_t>& reachable = scratch.reachable;
     reachable.assign(nodes_.size(), 0);
-    std::vector<Node_id>& stack = scratch.id_stack;
+    std::vector<Node_id>& stack = traversal_scratch().id_stack;
     stack.clear();
     for (const Edge& e : outputs_) {
         if (reachable[static_cast<std::size_t>(e.node)] == 0) {
@@ -354,6 +309,14 @@ int Graph::eliminate_dead_nodes()
             }
         }
     }
+}
+
+int Graph::eliminate_dead_nodes()
+{
+    // reachable_mask() into per-thread scratch: DCE runs once per
+    // materialised candidate, so the mask must not be a fresh allocation.
+    std::vector<std::uint8_t>& reachable = traversal_scratch().reachable;
+    reachable_mask(reachable);
     // Tombstone unreachable nodes directly: every user of a dead node is
     // itself dead, so erase_node's per-node "no users" scan is redundant
     // here (it made DCE quadratic on the candidate-generation hot path).

@@ -194,15 +194,19 @@ public:
     /// Ids of all alive nodes, ascending.
     std::vector<Node_id> node_ids() const;
 
+    /// Call `visit(id, node)` for every alive node, ascending id.
+    template <typename Visit>
+    void for_each_node(const Visit& visit) const
+    {
+        for (std::size_t i = 0; i < nodes_.size(); ++i)
+            if (alive_[i] != 0) visit(static_cast<Node_id>(i), nodes_[i]);
+    }
+
     /// Shape of the tensor carried by an edge (requires inferred shapes).
     const Shape& shape_of(Edge edge) const;
 
     /// Uses of every node's outputs: users()[id] lists (user, input_index).
     std::vector<std::vector<Edge_use>> build_users() const;
-
-    /// Buffer-reusing variant: fills `users` in place (inner lists keep
-    /// their capacity), for callers that rebuild use lists per step.
-    void build_users(std::vector<std::vector<Edge_use>>& users) const;
 
     // -- structure queries ---------------------------------------------------
 
@@ -229,6 +233,9 @@ public:
     /// Per-id flags: reachable from the outputs through input edges (the
     /// sub-DAG canonical_hash / model_hash / DCE are defined over).
     std::vector<std::uint8_t> reachable_mask() const;
+
+    /// Buffer-reusing variant: fills `reachable` in place.
+    void reachable_mask(std::vector<std::uint8_t>& reachable) const;
 
     // -- mutation ------------------------------------------------------------
 

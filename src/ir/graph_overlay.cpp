@@ -161,6 +161,64 @@ Graph_overlay::operator Graph() const
     return out;
 }
 
+namespace {
+
+/// topo_walk's per-thread buffers: only their capacity outlives a call.
+struct Walk_scratch {
+    Topo_walk walk;
+    std::vector<std::int32_t> pending; ///< By id: inputs not yet taken.
+    std::vector<std::int32_t> cursor;  ///< By id: next free use slot.
+};
+
+} // namespace
+
+const Topo_walk& topo_walk(const Graph_reader& graph)
+{
+    thread_local Walk_scratch scratch;
+    Topo_walk& walk = scratch.walk;
+    const std::size_t capacity = graph.capacity();
+    std::vector<const Node*>& nodes = walk.nodes;
+    std::vector<std::int32_t>& pending = scratch.pending;
+    nodes.assign(capacity, nullptr);
+    pending.assign(capacity, 0);
+    walk.use_begin.assign(capacity + 1, 0);
+    walk.order.clear();
+
+    // Count each producer's uses, seed the sources in id order.
+    std::size_t alive = 0;
+    graph.for_each_node([&](Node_id id, const Node& n) {
+        const auto i = static_cast<std::size_t>(id);
+        nodes[i] = &n;
+        ++alive;
+        pending[i] = static_cast<std::int32_t>(n.inputs.size());
+        if (n.inputs.empty()) walk.order.push_back(id);
+        for (const Edge& e : n.inputs) ++walk.use_begin[static_cast<std::size_t>(e.node) + 1];
+    });
+    for (std::size_t i = 0; i < capacity; ++i) walk.use_begin[i + 1] += walk.use_begin[i];
+
+    // Fill the use lists in (user, slot) order.
+    std::vector<std::int32_t>& cursor = scratch.cursor;
+    cursor.assign(walk.use_begin.begin(), walk.use_begin.end() - 1);
+    walk.uses.resize(static_cast<std::size_t>(walk.use_begin[capacity]));
+    for (std::size_t i = 0; i < capacity; ++i) {
+        if (nodes[i] == nullptr) continue;
+        const std::vector<Edge>& inputs = nodes[i]->inputs;
+        for (std::size_t slot = 0; slot < inputs.size(); ++slot) {
+            std::int32_t& next = cursor[static_cast<std::size_t>(inputs[slot].node)];
+            walk.uses[static_cast<std::size_t>(next++)] = {static_cast<Node_id>(i),
+                                                           static_cast<std::int32_t>(slot)};
+        }
+    }
+
+    // Kahn's algorithm, the order vector doubling as the ready queue.
+    walk.order.reserve(alive);
+    for (std::size_t head = 0; head < walk.order.size(); ++head)
+        for (const Edge_use& use : walk.users(walk.order[head]))
+            if (--pending[static_cast<std::size_t>(use.user)] == 0) walk.order.push_back(use.user);
+    XRL_ENSURES(walk.order.size() == alive); // otherwise: cycle
+    return walk;
+}
+
 Node& Graph_overlay::copy_on_write(Node_id id)
 {
     XRL_EXPECTS(id < first_appended());

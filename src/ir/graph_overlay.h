@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,30 @@ public:
     const Shape& shape_of(Edge edge) const;
     const std::vector<Edge>& outputs() const { return outputs_; }
 
+    /// Call `visit(id, node)` for every alive node, ascending id: one merge
+    /// of the host's nodes with the copies and tombstones, no per-id lookup.
+    template <typename Visit>
+    void for_each_node(const Visit& visit) const
+    {
+        std::size_t copy = 0; // next copy_ids_ entry
+        std::size_t dead = 0; // next dead_ entry
+        const auto take = [](const std::vector<Node_id>& ids, std::size_t& next, Node_id id) {
+            if (next == ids.size() || ids[next] != id) return false;
+            ++next;
+            return true;
+        };
+        for (Node_id id = 0; id < first_; ++id) {
+            const auto i = static_cast<std::size_t>(id);
+            const bool copied = take(copy_ids_, copy, id);
+            if (take(dead_, dead, id) || host_->alive_[i] == 0) continue;
+            visit(id, copied ? copies_[copy - 1] : host_->nodes_[i]);
+        }
+        for (std::size_t i = 0; i < appended_.size(); ++i) {
+            const auto id = static_cast<Node_id>(first_ + static_cast<Node_id>(i));
+            if (!take(dead_, dead, id)) visit(id, appended_[i]);
+        }
+    }
+
     /// Write the candidate into `out` (recycled storage): the host copied
     /// and every edit applied.
     void materialise(Graph& out) const;
@@ -141,9 +166,59 @@ public:
         return overlay_ != nullptr ? overlay_->shape_of(edge) : graph_->shape_of(edge);
     }
 
+    std::size_t capacity() const
+    {
+        return overlay_ != nullptr ? overlay_->capacity() : graph_->capacity();
+    }
+
+    template <typename Visit>
+    void for_each_node(const Visit& visit) const
+    {
+        if (overlay_ != nullptr) {
+            overlay_->for_each_node(visit);
+        } else {
+            graph_->for_each_node(visit);
+        }
+    }
+
 private:
     const Graph* graph_ = nullptr;
     const Graph_overlay* overlay_ = nullptr;
 };
+
+/// A graph's alive nodes in topological order, with the flat (CSR) use
+/// lists the order was computed from and each id's node.
+struct Topo_walk {
+    /// By id: the node the graph reads as, null for a dead id.
+    std::vector<const Node*> nodes;
+    /// Kahn's order: the alive nodes without inputs by ascending id, then
+    /// every node once its last input's producer has been taken, producers
+    /// releasing their users in use-list order.
+    std::vector<Node_id> order;
+    /// uses[use_begin[id], use_begin[id + 1]) are node `id`'s uses, by
+    /// ascending user id, then input slot (Graph::build_users' order).
+    std::vector<std::int32_t> use_begin;
+    std::vector<Edge_use> uses;
+
+    std::span<const Edge_use> users(Node_id id) const
+    {
+        const auto i = static_cast<std::size_t>(id);
+        return {uses.data() + use_begin[i], uses.data() + use_begin[i + 1]};
+    }
+
+    /// Alive node `id`, without the graph's lookup.
+    const Node& node(Node_id id) const
+    {
+        const Node* n = nodes[static_cast<std::size_t>(id)];
+        XRL_ASSERT(n != nullptr);
+        return *n;
+    }
+};
+
+/// The topological order Graph::topo_order returns, and the use lists, of
+/// `graph` — a Graph or a candidate as host plus overlay. Computed into this
+/// thread's reused scratch: valid until the next call on the same thread.
+/// Throws Contract_violation if the graph has a cycle.
+const Topo_walk& topo_walk(const Graph_reader& graph);
 
 } // namespace xrl

@@ -222,7 +222,7 @@ std::uint64_t Candidate_engine::rebuild(const Graph& host, const Recipe& recipe,
     return hash;
 }
 
-void Candidate_engine::materialise(std::vector<Graph>& out)
+void Candidate_engine::materialise(std::vector<Graph>& out) const
 {
     static Histogram& materialise_histogram = candidate_phase_histogram("materialise");
     const Scoped_timer_us timer(materialise_histogram);

@@ -33,11 +33,12 @@
 //      have skipped;
 //   5. candidate overlays build into recycled slots, and a candidate
 //      becomes a Graph (Graph_overlay::materialise: host copy plus overlay)
-//      only where a caller needs one — the environment's capped set
-//      (materialise()), TASO's and PET's pops and best graph (rebuild()
-//      from a kept Recipe, the rule and the site), Tensat's seeding winner.
-//      TASO, PET and Tensat's seeding price every candidate from its
-//      overlay and delta without materialising it.
+//      only where a caller needs one — the environment's chosen candidate
+//      (its encoder reads the rest as overlays; materialise() copies the
+//      capped set only for Environment::candidates()), TASO's and PET's
+//      pops and best graph (rebuild() from a kept Recipe, the rule and the
+//      site), Tensat's seeding winner. TASO, PET and Tensat's seeding price
+//      every candidate from its overlay and delta without materialising it.
 //
 // Pattern and bespoke rules differ only in what their sites hold and how
 // they splice; every build reports its Rewrite_delta, so the next step's
@@ -162,7 +163,7 @@ public:
     /// resized to the candidate count (elements are recycled storage):
     /// `out[i]` becomes candidate i's graph, copied on the caller's thread.
     /// `out` must not hold the step's host.
-    void materialise(std::vector<Graph>& out);
+    void materialise(std::vector<Graph>& out) const;
 
     /// The persistent index (null before the first generate_step) —
     /// exposed for the incremental-vs-rebuild A/B gate.

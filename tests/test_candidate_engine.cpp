@@ -11,6 +11,7 @@
 #include "cost/cost_model.h"
 #include "cost/e2e_simulator.h"
 #include "env/environment.h"
+#include "gnn/encoding.h"
 #include "ir/builder.h"
 #include "ir/graph_io.h"
 #include "models/models.h"
@@ -848,6 +849,7 @@ Graph expect_overlays_match_full_builds(const Graph& host, const Rule_set& rules
 
             const Graph materialised = overlay;
             EXPECT_EQ(graph_bytes(materialised), graph_bytes(full)) << what;
+            EXPECT_EQ(topo_walk(overlay).order, materialised.topo_order()) << what;
             EXPECT_EQ(materialised.capacity(), overlay.capacity()) << what;
             EXPECT_EQ(materialised.size(), overlay.size()) << what;
             EXPECT_EQ(hash, full_hash) << what;
@@ -919,6 +921,20 @@ TEST(Candidate_engine, OverlayReinfersShapesASpliceChanged)
     bool from_delta = true;
     EXPECT_EQ(pricer.cost_ms(overlay, &delta, &from_delta), cost.graph_cost_ms(Graph(overlay)));
     EXPECT_FALSE(from_delta);
+
+    // The overlay reads the add through to the host, but the add's input z
+    // changed shape: its node-update row differs too, which only a zero-hop
+    // cone can tell.
+    const Graph materialised = overlay;
+    const std::vector<Graph_reader> as_overlay = {overlay};
+    Meta_encoder meta;
+    for (int hops = 0; hops <= 2; ++hops) {
+        const Encoded_graph expected = meta.encode_compact(host, {&materialised}, hops);
+        const Encoded_graph& actual = meta.encode_compact(host, as_overlay, hops);
+        EXPECT_EQ(actual.node_kinds, expected.node_kinds) << hops;
+        EXPECT_EQ(actual.edge_src, expected.edge_src) << hops;
+        EXPECT_EQ(actual.readout_rows, expected.readout_rows) << hops;
+    }
 }
 
 } // namespace

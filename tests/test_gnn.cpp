@@ -437,6 +437,56 @@ TEST(CompactEncoding, MatchesFullEncodingBitForBitAlongEnvWalks)
     EXPECT_GT(bespoke_candidates, 0);
 }
 
+/// expect_encodings_identical plus the readout rows, and the edge features
+/// compared as bits.
+void expect_same_encoding(const Encoded_graph& a, const Encoded_graph& b)
+{
+    expect_encodings_identical(a, b);
+    EXPECT_EQ(a.readout_rows, b.readout_rows);
+    EXPECT_TRUE(same_bits(a.edge_features, b.edge_features));
+}
+
+TEST(CompactEncoding, OverlaysEncodeAsTheirMaterialisedGraphs)
+{
+    // The rollout loops encode the environment's candidates as overlays on
+    // its current graph, without materialising them: both forms must be
+    // the encodings of the graphs candidates() materialises.
+    const Rule_set rules = standard_rule_corpus();
+    const std::vector<std::pair<std::string, Graph>> models = {
+        {"bert", make_bert(Scale::smoke, 16)},
+        {"vit", make_vit(Scale::smoke, 32)},
+        {"inception", make_inception_v3(Scale::smoke, 64)}};
+    const int hops = Gnn_config{}.num_gat_layers;
+    int compared = 0;
+    for (const auto& [name, model] : models) {
+        E2e_simulator simulator(gtx1080_profile(), 17);
+        Env_config config;
+        config.max_candidates = 31;
+        config.per_rule_limit = 16;
+        Environment env(model, rules, simulator, config);
+        Rng rng(19);
+        Meta_encoder from_overlays;
+        Meta_encoder from_graphs;
+        for (int step = 0; step < 6 && !env.done(); ++step) {
+            SCOPED_TRACE(name + " step " + std::to_string(step));
+            const std::vector<Graph_reader>& overlays = env.candidate_overlays();
+            std::vector<const Graph*> graphs;
+            for (const Candidate& c : env.candidates()) graphs.push_back(c.graph);
+            ASSERT_EQ(overlays.size(), graphs.size());
+            const Graph& current = env.current_graph();
+            expect_same_encoding(from_overlays.encode(current, overlays),
+                                 from_graphs.encode(current, graphs));
+            expect_same_encoding(from_overlays.encode_compact(current, overlays, hops),
+                                 from_graphs.encode_compact(current, graphs, hops));
+            compared += static_cast<int>(graphs.size());
+            const int live = static_cast<int>(graphs.size());
+            env.step(live > 0 ? static_cast<int>(rng.uniform_index(static_cast<std::size_t>(live)))
+                              : env.noop_action());
+        }
+    }
+    EXPECT_GT(compared, 100);
+}
+
 TEST(CompactEncoding, NodeWithOtherProducersIsOneHopBelowAChange)
 {
     // The candidate's only difference: the chain's first relu reads a
