@@ -49,7 +49,7 @@ BENCHMARK(BM_pattern_match_inception);
 void BM_candidate_engine_bert(benchmark::State& state)
 {
     static const Rule_set rules = standard_rule_corpus();
-    Candidate_engine engine(rules, Candidate_engine_config{4, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{4});
     for (auto _ : state) {
         const auto& generated = engine.generate_step(bert(), SIZE_MAX, nullptr);
         benchmark::DoNotOptimize(generated.candidates.data());
@@ -60,7 +60,7 @@ BENCHMARK(BM_candidate_engine_bert);
 void BM_candidate_engine_inception(benchmark::State& state)
 {
     static const Rule_set rules = standard_rule_corpus();
-    Candidate_engine engine(rules, Candidate_engine_config{4, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{4});
     for (auto _ : state) {
         const auto& generated = engine.generate_step(inception(), SIZE_MAX, nullptr);
         benchmark::DoNotOptimize(generated.candidates.data());

@@ -70,7 +70,7 @@ Optimize_result search(const Graph& input, const Rule_set& rules, const Graph_co
     // candidates stay overlays in the engine's recycled slots (the queue
     // keeps recipes; only pops and the best graph are materialised). The
     // cross-iteration `seen` cache stays here — it spans queue pops.
-    Candidate_engine engine(rules, Candidate_engine_config{config.max_candidates_per_step, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{config.max_candidates_per_step});
     const auto rebuild_into = [&](const Queued_recipe& entry, Graph& out) {
         const std::uint64_t hash =
             engine.rebuild(popped[static_cast<std::size_t>(entry.parent)], entry.recipe, out);

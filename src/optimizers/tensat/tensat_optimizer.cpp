@@ -218,7 +218,7 @@ Optimize_result optimise_tensat(const Graph& input, const std::vector<Pattern>& 
     // cost and the strict comparison keeps the first occurrence. Each is
     // priced from its overlay and delta (bit-identical to the full walk),
     // and only the round's winner is materialised.
-    Candidate_engine seed_engine(multi_pattern_rules, Candidate_engine_config{64, 0});
+    Candidate_engine seed_engine(multi_pattern_rules, Candidate_engine_config{64});
     Delta_pricer pricer(cost);
     Graph seeded = input;
     Graph winner;

@@ -37,10 +37,10 @@ Candidate_engine::Candidate_engine(const Rule_set& rules, Candidate_engine_confi
     : rules_(&rules), config_(config)
 {
     // One process-wide pool for every parallel path (candidate builds, the
-    // searches' cost fan-out and the optimization server's jobs); threads
-    // == 1 opts out into a strict serial loop. No pool is ever constructed
-    // per call site.
-    if (config_.threads != 1) pool_ = &Thread_pool::shared();
+    // searches' cost fan-out and the optimization server's jobs); `serial`
+    // opts out into a strict serial loop. No pool is ever constructed per
+    // call site.
+    if (!config_.serial) pool_ = &Thread_pool::shared();
 }
 
 void Candidate_engine::find_and_dedup(const Graph& host)

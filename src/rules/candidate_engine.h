@@ -64,13 +64,13 @@ struct Candidate_engine_config {
     /// rules' success cap.
     std::size_t per_rule_limit = SIZE_MAX;
 
-    /// Build fan-out mode: 0 = the process-wide shared pool (sized to the
-    /// hardware), 1 = strictly serial, N > 1 = also the shared pool (every
-    /// build lands in its own slot and a serial pass keeps them in record
-    /// order, so a private width bought nothing but thread churn — engines
-    /// are constructed per search, and the serving layer shares the same
-    /// pool). The result order is identical for every setting.
-    std::size_t threads = 0;
+    /// Build fan-out: false = the process-wide shared pool (sized to the
+    /// hardware; engines are constructed per search, and the serving layer
+    /// shares the same pool), true = a strict serial loop on the caller's
+    /// thread, the parity reference. Every build lands in its own slot and
+    /// a serial pass keeps them in record order, so the result order is
+    /// identical either way.
+    bool serial = false;
 
     /// After every incremental Host_index patch, rebuild the index from
     /// scratch and assert exact equality. On by default in debug builds;

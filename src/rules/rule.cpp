@@ -13,27 +13,19 @@ bool Rewrite_rule::build(const Host_view& host, const Rewrite_site& site, Graph_
            finalise_rewrite(out, host, rewired, canonical_hash_out, delta_out);
 }
 
-void Rewrite_rule::apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const
+std::vector<Graph> Rewrite_rule::apply_all(const Graph& graph, std::size_t limit) const
 {
     const Host_index index(graph);
     const Host_memo memo(graph);
     std::vector<Rewrite_site> sites;
     find_sites(graph, index, limit, sites);
     Graph_overlay candidate;
-    const std::size_t first = out.size();
+    std::vector<Graph> out;
     for (const Rewrite_site& site : sites) {
-        if (out.size() - first >= limit) break;
-        if (!build({graph, index, memo}, site, candidate)) continue;
-        candidate.materialise(out.next());
-        out.keep();
+        if (out.size() >= limit) break;
+        if (build({graph, index, memo}, site, candidate)) out.push_back(candidate);
     }
-}
-
-std::vector<Graph> Rewrite_rule::apply_all(const Graph& graph, std::size_t limit) const
-{
-    Graph_batch batch;
-    apply_all_into(graph, limit, batch);
-    return std::move(batch).take();
+    return out;
 }
 
 Pattern_rule::Pattern_rule(Pattern pattern) : Rewrite_rule(pattern.name), pattern_(std::move(pattern))

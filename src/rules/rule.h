@@ -18,45 +18,6 @@
 
 namespace xrl {
 
-/// Recycled output storage for apply_all_into. Candidate graphs are written
-/// into slots whose nested buffers (node arrays, input lists, names) stay
-/// allocated across calls, and whose nodes share the host's params blocks
-/// and shape lists, so a steady-state rule application copies handles into
-/// warm memory instead of cloning the host from scratch. Protocol: take a
-/// slot with next(), write the candidate into it, call keep() to commit —
-/// a slot not kept is handed out again by the following next().
-class Graph_batch {
-public:
-    /// The current working slot (recycled storage; contents unspecified).
-    Graph& next()
-    {
-        if (count_ == slots_.size()) slots_.emplace_back();
-        return slots_[count_];
-    }
-
-    /// Commit the slot last returned by next().
-    void keep() { ++count_; }
-
-    /// Forget this call's results; slot storage survives for the next call.
-    void reset() { count_ = 0; }
-
-    std::size_t size() const { return count_; }
-    Graph& operator[](std::size_t i) { return slots_[i]; }
-    const Graph& operator[](std::size_t i) const { return slots_[i]; }
-
-    /// Move the committed results out (ends the storage reuse).
-    std::vector<Graph> take() &&
-    {
-        slots_.resize(count_);
-        count_ = 0;
-        return std::move(slots_);
-    }
-
-private:
-    std::vector<Graph> slots_;
-    std::size_t count_ = 0;
-};
-
 /// Where a rule applies on one host, as Rewrite_rule::find_sites lists it:
 /// the match (pattern rules) or the host node ids the rule's build reads
 /// (bespoke rules; unused entries are invalid_node). Ids, never pointers:
@@ -88,7 +49,7 @@ public:
     /// Caps: pattern rules stop at `limit` matches. Bespoke rules list
     /// every site whatever `limit` is — a site may still fail to build, and
     /// their cap counts successful builds, which only the caller of build()
-    /// can count (apply_all_into below, or the candidate engine).
+    /// can count (apply_all below, or the candidate engine).
     virtual void find_sites(const Graph& host, const Host_index& index, std::size_t limit,
                             std::vector<Rewrite_site>& out) const = 0;
 
@@ -115,14 +76,10 @@ public:
                std::uint64_t* canonical_hash_out = nullptr,
                Rewrite_delta* delta_out = nullptr) const;
 
-    /// The reference loop over the two: build `graph`'s sites in order,
-    /// materialising each success into `out`, until `limit` candidates were
-    /// produced. `out` is NOT reset first — the caller owns the batch
-    /// lifecycle. Deterministic and prefix-stable under `limit` (the first
-    /// k outputs at `limit = k` equal the first k at any larger limit).
-    void apply_all_into(const Graph& graph, std::size_t limit, Graph_batch& out) const;
-
-    /// Convenience wrapper: apply_all_into through a fresh batch.
+    /// The reference loop over the two: build `graph`'s sites in order and
+    /// materialise each success, until `limit` candidates were produced.
+    /// Deterministic and prefix-stable under `limit` (the first k outputs
+    /// at `limit = k` equal the first k at any larger limit).
     std::vector<Graph> apply_all(const Graph& graph, std::size_t limit = SIZE_MAX) const;
 
 protected:

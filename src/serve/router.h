@@ -34,12 +34,16 @@
 // device (the shard runs the same deterministic backend on the same cost
 // model).
 //
-// stats() aggregates per-shard telemetry: counters sum across the fleet;
-// the aggregate latency percentiles are the worst shard's (a fleet is as
-// late as its slowest member), with per-shard snapshots — and per-shard
-// health — alongside. The routing counters are views over the registry's
-// `xrlflow_router_*` series (support/metrics.h), counted from this
-// router's construction.
+// stats() aggregates per-shard telemetry: counters sum across the live
+// shards; the aggregate latency percentiles are the worst shard's (a fleet
+// is as late as its slowest member), with per-shard snapshots — and
+// per-shard health — alongside. `Router_stats::total` therefore covers the
+// shards in the fleet at the time of the call: a removed shard's counts
+// leave it, and a replaced shard's restart from zero, while its history
+// stays in the registry's `xrlflow_server_*` series under its `shard`
+// label, which is what `xrlflowctl metrics` reports. The routing counters
+// are views over the registry's `xrlflow_router_*` series
+// (support/metrics.h), counted from this router's construction.
 #pragma once
 
 #include <atomic>
@@ -104,7 +108,7 @@ struct Router_stats {
     double uptime_seconds = 0.0;
     std::uint64_t snapshot_seq = 0;
 
-    Server_stats total;                ///< Fleet-wide aggregation (see header note).
+    Server_stats total; ///< Sum over the live shards only (see header note).
     std::vector<Server_stats> shards;  ///< Per-shard snapshots, in shard order.
     std::vector<std::uint64_t> routed_to; ///< Submits routed per shard.
     std::vector<Shard_health_snapshot> health; ///< Per-shard breaker state, in shard order.

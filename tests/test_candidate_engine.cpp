@@ -55,9 +55,9 @@ Candidate_list listed(const Candidate_engine::Step_generated& generated)
 }
 
 Candidate_list engine_candidates(const Graph& host, const Rule_set& rules,
-                                 std::size_t per_rule_limit, std::size_t threads)
+                                 std::size_t per_rule_limit, bool serial)
 {
-    Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, threads});
+    Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, serial});
     return listed(engine.generate_step(host));
 }
 
@@ -65,7 +65,7 @@ void expect_parity(const Graph& host, std::size_t per_rule_limit)
 {
     const Rule_set rules = standard_rule_corpus();
     const auto reference = reference_candidates(host, rules, per_rule_limit);
-    const auto engine = engine_candidates(host, rules, per_rule_limit, 1);
+    const auto engine = engine_candidates(host, rules, per_rule_limit, true);
     ASSERT_FALSE(reference.empty());
     EXPECT_EQ(reference, engine);
 }
@@ -106,8 +106,8 @@ TEST(Candidate_engine, DeterministicAcrossThreadCounts)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const auto serial = engine_candidates(bert, rules, 8, 1);
-    const auto pooled = engine_candidates(bert, rules, 8, 4);
+    const auto serial = engine_candidates(bert, rules, 8, true);
+    const auto pooled = engine_candidates(bert, rules, 8, false);
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(serial, pooled);
 
@@ -118,8 +118,8 @@ TEST(Candidate_engine, DeterministicAcrossThreadCounts)
     // so build waves end on a rule's success cap too.
     const Rule_set pet_rules = pet_rule_corpus();
     for (const Graph& model : {make_inception_v3(Scale::smoke), make_resnext50(Scale::smoke)}) {
-        Candidate_engine serial_engine(pet_rules, Candidate_engine_config{16, 1});
-        Candidate_engine pooled_engine(pet_rules, Candidate_engine_config{16, 0});
+        Candidate_engine serial_engine(pet_rules, Candidate_engine_config{16, true});
+        Candidate_engine pooled_engine(pet_rules, Candidate_engine_config{16});
         Graph host = model;
         Candidate_engine::Step_candidate chosen_a;
         Candidate_engine::Step_candidate chosen_b;
@@ -155,12 +155,12 @@ TEST(Candidate_engine, CappedStepMaterialisesAtMostCapPlusOneSlots)
     // most one working slot that an invalid site left unused.
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    Candidate_engine full_engine(rules, Candidate_engine_config{8, 1});
+    Candidate_engine full_engine(rules, Candidate_engine_config{8, true});
     const std::size_t full = full_engine.generate_step(bert).candidates.size();
     const std::size_t full_slots = full_engine.slot_count();
 
     constexpr std::size_t cap = 3;
-    Candidate_engine engine(rules, Candidate_engine_config{8, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{8, true});
     const Candidate_engine::Step_generated& capped = engine.generate_step(bert, cap);
     ASSERT_GT(full, cap + 1);
     EXPECT_EQ(capped.candidates.size(), cap);
@@ -173,7 +173,7 @@ TEST(Candidate_engine, StepCandidateHashIsCanonicalHash)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{4, true});
     const Candidate_engine::Step_generated& generated = engine.generate_step(bert);
     ASSERT_FALSE(generated.candidates.empty());
     for (const Candidate_engine::Step_candidate& c : generated.candidates)
@@ -184,10 +184,10 @@ TEST(Candidate_engine, TruncatesAtTheCapWithoutMaterialising)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const auto full = engine_candidates(bert, rules, 8, 1);
+    const auto full = engine_candidates(bert, rules, 8, true);
     ASSERT_GT(full.size(), 2u);
     const std::size_t cap = full.size() / 2;
-    Candidate_engine engine(rules, Candidate_engine_config{8, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{8, true});
     const Candidate_engine::Step_generated& capped = engine.generate_step(bert, cap);
     EXPECT_GT(capped.truncated, 0u);
     // The capped set is exactly the uncapped set's prefix.
@@ -231,12 +231,12 @@ TEST(Candidate_engine, MaterialisedCandidatesOutliveTheStep)
     const Rule_set rules = standard_rule_corpus();
     const std::vector<Graph> hosts = {make_bert(Scale::smoke, 32), make_bert(Scale::smoke, 16),
                                       make_inception_v3(Scale::smoke)};
-    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{4, true});
     std::vector<std::pair<Graph, std::uint64_t>> kept;
     for (std::size_t step = 0; step < hosts.size(); ++step) {
         const Candidate_engine::Step_generated& generated = engine.generate_step(hosts[step]);
         if (step > 0) {
-            EXPECT_EQ(listed(generated), engine_candidates(hosts[step], rules, 4, 1));
+            EXPECT_EQ(listed(generated), engine_candidates(hosts[step], rules, 4, true));
         }
         bool pattern = false;
         bool bespoke = false;
@@ -256,7 +256,7 @@ TEST(Candidate_engine, MaterialisedCandidatesOutliveTheStep)
 std::vector<Candidate_list> scripted_rollout(const Graph& initial, int steps)
 {
     const Rule_set rules = standard_rule_corpus();
-    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{4, true});
     std::vector<Candidate_list> trace;
 
     Graph host = initial;
@@ -314,7 +314,7 @@ TEST(Candidate_engine, RewriteEqualToTheHostYieldsNoCandidate)
     Rule_set rules = standard_rule_corpus();
     rules.push_back(std::make_unique<Host_copy_rule>());
     const int copy_rule = static_cast<int>(rules.size()) - 1;
-    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{4, true});
     Graph host = make_bert(Scale::smoke, 16);
     const Candidate_engine::Step_candidate* via = nullptr;
     Candidate_engine::Step_candidate chosen;
@@ -335,7 +335,7 @@ TEST(Candidate_engine, RewriteEqualToTheHostYieldsNoCandidate)
 TEST(Candidate_engine, HandlesRulelessCorpus)
 {
     const Rule_set empty;
-    Candidate_engine engine(empty, Candidate_engine_config{4, 1});
+    Candidate_engine engine(empty, Candidate_engine_config{4, true});
     Graph_builder b;
     const Edge x = b.input({4, 4});
     const Graph host = b.finish({b.relu(x)});
@@ -496,7 +496,7 @@ TEST(Candidate_engine, RebuildReproducesEveryCandidate)
     const std::vector<Graph> hosts = {make_bert(Scale::smoke, 32),
                                       make_inception_v3(Scale::smoke)};
     for (const Rule_set& rules : {standard_rule_corpus(), pet_rule_corpus()}) {
-        Candidate_engine engine(rules, Candidate_engine_config{1000, 1});
+        Candidate_engine engine(rules, Candidate_engine_config{1000, true});
         for (std::size_t h = 0; h < hosts.size(); ++h) {
             const Candidate_engine::Step_generated& generated = engine.generate_step(hosts[h]);
             bool pattern = false;
@@ -536,7 +536,7 @@ TEST(Delta_pricer, EveryCandidateMatchesTheFullWalk)
     int fallbacks = 0;
     for (const Graph& initial : {make_inception_v3(Scale::smoke), make_resnext50(Scale::smoke),
                                  make_bert(Scale::smoke, 32), bespoke_sites_host()}) {
-        Candidate_engine engine(rules, Candidate_engine_config{16, 1});
+        Candidate_engine engine(rules, Candidate_engine_config{16, true});
         Graph host = initial;
         std::uint64_t lcg = 0x853c49e6748fea9bULL;
         for (int step = 0; step < 10; ++step) {

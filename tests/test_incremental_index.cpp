@@ -43,7 +43,7 @@ void run_ab_rollout(const Graph& initial, std::uint64_t seed, int steps)
     const Rule_set rules = standard_rule_corpus();
     Candidate_engine_config config;
     config.per_rule_limit = 4;
-    config.threads = 1;
+    config.serial = true;
     config.verify_incremental_index = true;
     Candidate_engine engine(rules, config);
 
@@ -109,7 +109,7 @@ void run_rule_walk(const Graph& initial, const Rule_set& rules, const std::strin
 {
     Candidate_engine_config config;
     config.per_rule_limit = 4;
-    config.threads = 1;
+    config.serial = true;
     config.verify_incremental_index = true;
     Candidate_engine engine(rules, config);
 

@@ -145,7 +145,7 @@ TEST(Taso, GraphCostFnRunsOnTheCallingThread)
     one_pop.budget = 1;
     optimise_taso_with_cost(model, rules, recorded, one_pop);
     std::vector<std::uint64_t> expected{model.canonical_hash()};
-    Candidate_engine engine(rules, Candidate_engine_config{one_pop.max_candidates_per_step, 1});
+    Candidate_engine engine(rules, Candidate_engine_config{one_pop.max_candidates_per_step, true});
     for (const Candidate_engine::Step_candidate& c : engine.generate_step(model).candidates)
         expected.push_back(c.hash);
     EXPECT_GT(expected.size(), 2u);

@@ -602,6 +602,9 @@ TEST(FleetResilience, KilledShardIsAbsorbedWithBitIdenticalResultsAndHeals)
     const Router_stats healed = router.stats();
     EXPECT_EQ(healed.health[0].state, Breaker_state::closed);
     EXPECT_GE(healed.probe_routed, 2U);
+    // No duplicated searches: each job that returned a result (the models
+    // and the two probes) completed exactly once across the fleet.
+    EXPECT_EQ(healed.total.completed, static_cast<std::uint64_t>(models + 2));
     // The re-admitted shard serves its keys again, still bit-identical.
     EXPECT_FALSE(router.submit("taso", variant_graph(0)).wait().cancelled);
 }
