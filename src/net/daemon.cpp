@@ -332,10 +332,9 @@ Daemon::Reply Daemon::handle_submit(std::string_view payload)
     Span_scope span("daemon/submit");
     if (span.active()) span.annotate("backend", submit.backend);
     const Submit_options options{static_cast<int>(submit.priority), submit.deadline_seconds};
-    Job_handle handle = routed_submit(submit.backend, submit.graph, submit.request, options);
-    Reply reply{Pdu_type::submit_ok, encode(register_job(std::move(handle)))};
-    remember_keyed_reply(submit.request_key, reply);
-    return reply;
+    std::vector<Job_handle> handles;
+    handles.push_back(routed_submit(submit.backend, submit.graph, submit.request, options));
+    return register_envelope(std::move(handles), submit.request_key, Pdu_type::submit_ok);
 }
 
 Daemon::Reply Daemon::handle_batch(std::string_view payload)
@@ -360,7 +359,6 @@ Daemon::Reply Daemon::handle_batch(std::string_view payload)
             : 0.0;
     const Submit_options options{static_cast<int>(batch.priority), batch.deadline_seconds};
 
-    Batch_ok ok;
     std::vector<Job_handle> handles;
     handles.reserve(batch.entries.size());
     try {
@@ -376,11 +374,7 @@ Daemon::Reply Daemon::handle_batch(std::string_view payload)
         for (Job_handle& handle : handles) handle.cancel();
         throw;
     }
-    ok.jobs.reserve(handles.size());
-    for (Job_handle& handle : handles) ok.jobs.push_back(register_job(std::move(handle)));
-    Reply reply{Pdu_type::batch_ok, encode(ok)};
-    remember_keyed_reply(batch.request_key, reply);
-    return reply;
+    return register_envelope(std::move(handles), batch.request_key, Pdu_type::batch_ok);
 }
 
 Daemon::Reply Daemon::handle_poll(std::string_view payload)
@@ -407,14 +401,12 @@ Daemon::Reply Daemon::handle_poll(std::string_view payload)
     ok.progress = handle.progress();
     if (ok.state == Job_state::done || ok.state == Job_state::cancelled) {
         ok.result = handle.wait();
-        note_terminal_delivered(poll.job_id);
     } else if (ok.state == Job_state::rejected || ok.state == Job_state::failed) {
         try {
             handle.wait();
         } catch (const std::exception& error) {
             ok.message = error.what();
         }
-        note_terminal_delivered(poll.job_id);
     }
     return {Pdu_type::poll_ok, encode(ok)};
 }
@@ -499,46 +491,51 @@ std::optional<Daemon::Reply> Daemon::find_keyed_reply(std::uint64_t request_key)
     // Replay the stored bytes verbatim: the retry observes exactly the
     // reply its lost original carried (same wire job id, same flags).
     jobs_deduplicated_.increment();
-    return it->second;
+    return it->second.reply;
 }
 
-void Daemon::remember_keyed_reply(std::uint64_t request_key, const Reply& reply)
+Daemon::Reply Daemon::register_envelope(std::vector<Job_handle> handles,
+                                        std::uint64_t request_key, Pdu_type reply_type)
 {
-    if (request_key == 0) return;
     const Lock_guard lock(mutex_);
-    if (!keyed_replies_.emplace(request_key, reply).second) return;
-    keyed_order_.push_back(request_key);
-    while (keyed_order_.size() > retain_request_keys) {
-        keyed_replies_.erase(keyed_order_.front());
-        keyed_order_.pop_front();
+    // A concurrent twin carrying the same key registered first and owns
+    // it; this envelope's reply is then not stored.
+    if (keyed_replies_.contains(request_key)) request_key = 0;
+    const std::uint64_t first_id = next_job_id_;
+    Batch_ok ok;
+    ok.jobs.reserve(handles.size());
+    for (Job_handle& handle : handles) {
+        const std::uint64_t id = next_job_id_++;
+        ok.jobs.push_back({id, handle.coalesced()});
+        jobs_.emplace(id, Job_entry{std::move(handle), request_key, current_trace().trace_id});
+        jobs_submitted_.increment();
     }
-}
-
-Submit_ok Daemon::register_job(Job_handle handle)
-{
-    const Lock_guard lock(mutex_);
-    const std::uint64_t id = next_job_id_++;
-    const bool coalesced = handle.coalesced();
-    jobs_.emplace(id, Job_entry{std::move(handle), false, current_trace().trace_id});
+    Reply reply{reply_type,
+                reply_type == Pdu_type::submit_ok ? encode(ok.jobs.front()) : encode(ok)};
+    if (request_key != 0) keyed_replies_.emplace(request_key, Keyed_reply{reply, first_id});
+    evict_terminal_jobs_locked(first_id);
     jobs_retained_gauge_.set(static_cast<double>(jobs_.size()));
-    jobs_submitted_.increment();
-    return {id, coalesced};
+    return reply;
 }
 
-void Daemon::note_terminal_delivered(std::uint64_t job_id)
+void Daemon::evict_terminal_jobs_locked(std::uint64_t first_kept)
 {
-    const Lock_guard lock(mutex_);
-    const auto it = jobs_.find(job_id);
-    if (it == jobs_.end() || it->second.terminal_delivered) return;
-    it->second.terminal_delivered = true;
-    delivered_order_.push_back(job_id);
-    // Delivered results stay re-pollable (an idempotent client may ask
-    // again) up to the retention cap; beyond it the oldest are forgotten.
-    while (delivered_order_.size() > retain_terminal_jobs) {
-        jobs_.erase(delivered_order_.front());
-        delivered_order_.pop_front();
+    // Oldest first. A live job is skipped: it stays pollable however long
+    // it runs, and a later registration evicts it once terminal.
+    for (auto it = jobs_.begin();
+         jobs_.size() > retain_terminal_jobs && it != jobs_.end() && it->first < first_kept;) {
+        if (!it->second.handle.finished()) {
+            ++it;
+            continue;
+        }
+        // The key goes with the first evicted job its reply names, so a
+        // replay never names an unknown id. An older envelope's leftover
+        // job must not erase a key a newer envelope has since taken.
+        if (const auto key = keyed_replies_.find(it->second.request_key);
+            key != keyed_replies_.end() && key->second.first_job_id <= it->first)
+            keyed_replies_.erase(key);
+        it = jobs_.erase(it);
     }
-    jobs_retained_gauge_.set(static_cast<double>(jobs_.size()));
 }
 
 void Daemon::send_error(Session& session, Protocol_error_code code, const std::string& message)

@@ -37,11 +37,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/connection.h"
 #include "net/protocol.h"
@@ -93,16 +94,12 @@ public:
     /// Readiness-poll slice for idle connections between turns.
     static constexpr double idle_poll_seconds = 0.02;
 
-    /// Terminal jobs whose result has been delivered stay pollable until
-    /// this many are retained; then the oldest are forgotten (a later poll
-    /// answers unknown_job).
+    /// The wire job table's one bound. A registration that takes the table
+    /// past it evicts the oldest terminal jobs, delivered or not (a later
+    /// poll answers unknown_job), each with the idempotency key whose
+    /// reply names it. Live jobs are never evicted; the shard queues bound
+    /// them.
     static constexpr std::size_t retain_terminal_jobs = 1024;
-
-    /// Successful submit/batch replies are remembered by their idempotency
-    /// key up to this cap (oldest forgotten first), so a client retrying a
-    /// submit whose reply was lost gets the original reply replayed
-    /// byte-identically instead of a second search.
-    static constexpr std::size_t retain_request_keys = 1024;
 
     /// Binds and starts accepting immediately. Throws Net_error when the
     /// bind fails and std::invalid_argument for a bad router config.
@@ -179,20 +176,20 @@ private:
     /// Send an error PDU, best-effort (a dead peer is already gone).
     void send_error(Session& session, Protocol_error_code code, const std::string& message);
 
-    /// Register a routed job under a fresh wire id.
-    Submit_ok register_job(Job_handle handle);
+    /// Register an admitted envelope's jobs under fresh wire ids, encode
+    /// its reply (`submit_ok` for one job, else `batch_ok`), remember the
+    /// reply under `request_key` (0 = none) and evict beyond the bound.
+    Reply register_envelope(std::vector<Job_handle> handles, std::uint64_t request_key,
+                            Pdu_type reply_type);
 
-    /// Keyed-reply cache: the stored reply for this idempotency key, if
-    /// the daemon already answered it (counts a deduplication).
+    /// The stored reply for this idempotency key, if the daemon already
+    /// answered it (counts a deduplication).
     std::optional<Reply> find_keyed_reply(std::uint64_t request_key);
 
-    /// Remember a successful reply under its idempotency key (no-op for
-    /// key 0), evicting the oldest beyond the retention cap.
-    void remember_keyed_reply(std::uint64_t request_key, const Reply& reply);
-
-    /// Mark a terminal job's result as delivered and evict the oldest
-    /// delivered entries beyond the retention cap.
-    void note_terminal_delivered(std::uint64_t job_id);
+    /// Erase the oldest terminal jobs, and the keys whose replies name
+    /// them, while the table exceeds retain_terminal_jobs. Ids from
+    /// `first_kept` on (the envelope being registered) are never erased.
+    void evict_terminal_jobs_locked(std::uint64_t first_kept) XRL_REQUIRES(mutex_);
 
     Daemon_config config_;
     Optimization_router router_;
@@ -207,19 +204,22 @@ private:
     std::size_t active_sessions_ XRL_GUARDED_BY(mutex_) = 0;
     std::uint64_t next_session_id_ XRL_GUARDED_BY(mutex_) = 1;
     std::uint64_t next_job_id_ XRL_GUARDED_BY(mutex_) = 1;
-    /// Wire job id -> the handle the protocol polls/cancels through.
+    /// Wire job id -> the handle the protocol polls/cancels through. Ids
+    /// rise with submission, so begin() is the oldest: the one retention
+    /// order.
     struct Job_entry {
         Job_handle handle;
-        bool terminal_delivered = false;
-        std::uint64_t trace_id = 0; ///< Client-stamped; `trace` by job id resolves here.
+        std::uint64_t request_key = 0; ///< The envelope's key, if its reply is stored.
+        std::uint64_t trace_id = 0;    ///< Client-stamped; `trace` by job id resolves here.
     };
-    std::unordered_map<std::uint64_t, Job_entry> jobs_ XRL_GUARDED_BY(mutex_);
-    /// Retention/eviction order.
-    std::deque<std::uint64_t> delivered_order_ XRL_GUARDED_BY(mutex_);
-    /// Idempotency key -> the reply originally sent for it.
-    std::unordered_map<std::uint64_t, Reply> keyed_replies_ XRL_GUARDED_BY(mutex_);
-    /// Key retention/eviction order.
-    std::deque<std::uint64_t> keyed_order_ XRL_GUARDED_BY(mutex_);
+    std::map<std::uint64_t, Job_entry> jobs_ XRL_GUARDED_BY(mutex_);
+    /// Idempotency key -> the reply originally sent for it. No bound of
+    /// its own: a key lives until the first job its reply names is evicted.
+    struct Keyed_reply {
+        Reply reply;
+        std::uint64_t first_job_id = 0; ///< Tells the owning envelope from an older one.
+    };
+    std::unordered_map<std::uint64_t, Keyed_reply> keyed_replies_ XRL_GUARDED_BY(mutex_);
 
     // Daemon_wire_stats' counters, bumped as each event happens, and the
     // gauges mirroring active_sessions_ and jobs_.size().

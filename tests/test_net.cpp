@@ -468,6 +468,99 @@ TEST(NetLoopback, StatsCarryQueueDepthInflightAndWireCounters)
     EXPECT_EQ(stats.router.total.completed, 3U);
 }
 
+// ---------------------------------------------------------------------------
+// Retention: one bound over the wire job table, keys follow their jobs
+// ---------------------------------------------------------------------------
+
+TEST(DaemonRetention, UnpolledTerminalJobsAreBounded)
+{
+    // A client that submits and never polls (one that crashed, say) must
+    // not grow the table past its bound: terminal jobs are evicted oldest
+    // first whether or not a poll delivered their result.
+    Daemon daemon(smoke_daemon());
+    Client client(client_for(daemon));
+
+    const std::uint64_t first = client.submit("taso", quickstart_graph()).job_id;
+    for (std::size_t n = 1; n < Daemon::retain_terminal_jobs + 100; ++n)
+        (void)client.submit("taso", quickstart_graph());
+    client.drain();
+    const Submit_ok newest = client.submit("taso", quickstart_graph());
+
+    EXPECT_LE(client.stats().daemon.jobs_retained, Daemon::retain_terminal_jobs);
+    EXPECT_EQ(code_of([&] { (void)client.poll(first); }), Protocol_error_code::unknown_job);
+    EXPECT_GT(client.wait(newest.job_id).final_ms, 0.0);
+}
+
+TEST(DaemonRetention, KeysLiveAndDieWithTheirJobs)
+{
+    Daemon daemon(smoke_daemon());
+    Client client(client_for(daemon));
+
+    Batch_submit batch;
+    batch.request_key = 0x5eed;
+    for (int n = 0; n < 2; ++n) {
+        Batch_submit::Entry entry;
+        entry.backend = "taso";
+        entry.graph = variant_graph(n);
+        batch.entries.push_back(std::move(entry));
+    }
+    const Batch_ok original = client.batch_submit(batch);
+    const Batch_ok replayed = client.batch_submit(batch);
+    EXPECT_EQ(encode(replayed), encode(original)); // the stored bytes, replayed
+    EXPECT_EQ(client.stats().daemon.jobs_deduplicated, 1U);
+    for (const Submit_ok& job : original.jobs) (void)client.wait(job.job_id);
+
+    // More newer jobs than the bound evict the batch's terminal jobs, and
+    // the key goes with them: a resend schedules fresh jobs.
+    for (std::size_t n = 0; n <= Daemon::retain_terminal_jobs; ++n)
+        (void)client.submit("taso", quickstart_graph());
+    client.drain();
+    EXPECT_EQ(code_of([&] { (void)client.poll(original.jobs.front().job_id); }),
+              Protocol_error_code::unknown_job);
+
+    const Batch_ok fresh = client.batch_submit(batch);
+    ASSERT_EQ(fresh.jobs.size(), 2U);
+    EXPECT_GT(fresh.jobs.front().job_id, original.jobs.back().job_id);
+    const Stats_ok stats = client.stats();
+    EXPECT_EQ(stats.daemon.jobs_deduplicated, 1U);
+    EXPECT_EQ(stats.daemon.jobs_submitted, 2 + (Daemon::retain_terminal_jobs + 1) + 2);
+    for (const Submit_ok& job : fresh.jobs) EXPECT_GT(client.wait(job.job_id).final_ms, 0.0);
+}
+
+TEST(DaemonRetention, AnOlderEnvelopesLeftoverJobKeepsItsHandsOffTheKey)
+{
+    // A paused shard holds jobs live until cancelled, so which jobs are
+    // terminal is exact.
+    Daemon daemon(smoke_daemon(1, /*start_paused=*/true));
+    Client client(client_for(daemon));
+
+    Batch_submit batch;
+    batch.request_key = 0x5eed;
+    for (int n = 0; n < 2; ++n) {
+        Batch_submit::Entry entry;
+        entry.backend = "taso";
+        entry.graph = variant_graph(n);
+        batch.entries.push_back(std::move(entry));
+    }
+    const Batch_ok original = client.batch_submit(batch);
+    (void)client.cancel(original.jobs[0].job_id); // terminal; its sibling stays live
+
+    // The first job goes, and the key with it.
+    for (std::size_t n = 0; n < Daemon::retain_terminal_jobs; ++n)
+        (void)client.cancel(client.submit("taso", quickstart_graph()).job_id);
+    (void)client.cancel(original.jobs[1].job_id);
+
+    // The resend takes the key, and its registration evicts the original's
+    // leftover job, which must leave the resend's key alone.
+    const Batch_ok resent = client.batch_submit(batch);
+    EXPECT_GT(resent.jobs[0].job_id, original.jobs[1].job_id);
+    EXPECT_EQ(code_of([&] { (void)client.poll(original.jobs[1].job_id); }),
+              Protocol_error_code::unknown_job);
+    EXPECT_EQ(encode(client.batch_submit(batch)), encode(resent));
+    EXPECT_EQ(client.stats().daemon.jobs_deduplicated, 1U);
+    daemon.router().shard(0).resume(); // the daemon drains on teardown
+}
+
 TEST(NetLoopback, ConcurrentClientsEachGetTheirOwnResults)
 {
     Daemon daemon(smoke_daemon(2));

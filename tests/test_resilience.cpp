@@ -3,8 +3,8 @@
 // replace) under concurrent traffic with zero lost or duplicated jobs,
 // rendezvous key stability across membership changes, client retry with
 // idempotent resubmission after a lost reply, and the retryable-error
-// taxonomy both sides of the wire agree on. Runs in CI's chaos-smoke
-// ThreadSanitizer job alongside test_net.
+// taxonomy both sides of the wire agree on. Runs in CI's ThreadSanitizer
+// job alongside test_net.
 #include <gtest/gtest.h>
 
 #include <algorithm>
