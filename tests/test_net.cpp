@@ -3,7 +3,8 @@
 // future versions — the record-file contract applied to the wire), and the
 // xrlflowd daemon + client library end-to-end over loopback: submit /
 // batch / poll / cancel / stats / drain, with remote results proven
-// bit-identical to direct Optimization_service calls. Runs in CI's
+// bit-identical to direct Optimization_service calls, and the wire job
+// table's one retention bound and its idempotency keys. Runs in CI's
 // ThreadSanitizer job alongside test_server.
 #include <gtest/gtest.h>
 
@@ -472,6 +473,20 @@ TEST(NetLoopback, StatsCarryQueueDepthInflightAndWireCounters)
 // Retention: one bound over the wire job table, keys follow their jobs
 // ---------------------------------------------------------------------------
 
+/// Two TASO models under one explicit idempotency key.
+Batch_submit keyed_batch()
+{
+    Batch_submit batch;
+    batch.request_key = 0x5eed;
+    for (int n = 0; n < 2; ++n) {
+        Batch_submit::Entry entry;
+        entry.backend = "taso";
+        entry.graph = variant_graph(n);
+        batch.entries.push_back(std::move(entry));
+    }
+    return batch;
+}
+
 TEST(DaemonRetention, UnpolledTerminalJobsAreBounded)
 {
     // A client that submits and never polls (one that crashed, say) must
@@ -496,14 +511,7 @@ TEST(DaemonRetention, KeysLiveAndDieWithTheirJobs)
     Daemon daemon(smoke_daemon());
     Client client(client_for(daemon));
 
-    Batch_submit batch;
-    batch.request_key = 0x5eed;
-    for (int n = 0; n < 2; ++n) {
-        Batch_submit::Entry entry;
-        entry.backend = "taso";
-        entry.graph = variant_graph(n);
-        batch.entries.push_back(std::move(entry));
-    }
+    const Batch_submit batch = keyed_batch();
     const Batch_ok original = client.batch_submit(batch);
     const Batch_ok replayed = client.batch_submit(batch);
     EXPECT_EQ(encode(replayed), encode(original)); // the stored bytes, replayed
@@ -527,21 +535,14 @@ TEST(DaemonRetention, KeysLiveAndDieWithTheirJobs)
     for (const Submit_ok& job : fresh.jobs) EXPECT_GT(client.wait(job.job_id).final_ms, 0.0);
 }
 
-TEST(DaemonRetention, AnOlderEnvelopesLeftoverJobKeepsItsHandsOffTheKey)
+TEST(DaemonRetention, AnOlderEnvelopesLeftoverJobLeavesANewerKey)
 {
     // A paused shard holds jobs live until cancelled, so which jobs are
     // terminal is exact.
     Daemon daemon(smoke_daemon(1, /*start_paused=*/true));
     Client client(client_for(daemon));
 
-    Batch_submit batch;
-    batch.request_key = 0x5eed;
-    for (int n = 0; n < 2; ++n) {
-        Batch_submit::Entry entry;
-        entry.backend = "taso";
-        entry.graph = variant_graph(n);
-        batch.entries.push_back(std::move(entry));
-    }
+    const Batch_submit batch = keyed_batch();
     const Batch_ok original = client.batch_submit(batch);
     (void)client.cancel(original.jobs[0].job_id); // terminal; its sibling stays live
 
